@@ -70,10 +70,17 @@ class GridSpec:
 
 @dataclass
 class Field:
-    """Complex scalar samples on a GridSpec lattice."""
+    """Complex scalar samples on a GridSpec lattice.
+
+    ``spectrum`` is the DFT of ``values`` when the code that made the field
+    already holds it (the time stepper does), else None.  The stepper makes
+    both arrays read-only, so that they cannot fall out of step; ``copy()``
+    gives writable values without a spectrum.
+    """
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
+    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -97,9 +104,6 @@ class Field:
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values.view(np.float64))))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

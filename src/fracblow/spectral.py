@@ -8,17 +8,9 @@ from .grid import Field
 __all__ = ["apply_multiplier", "frac_laplacian_spectral", "cordoba_violation"]
 
 
-def _fftn(values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(values)
-
-
-def _ifftn(values: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(values)
-
-
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
     """inverse-DFT(symbol * DFT(f)); symbol must have the lattice shape."""
-    return Field(f.grid, _ifftn(symbol * _fftn(f.values)))
+    return Field(f.grid, np.fft.ifftn(symbol * np.fft.fftn(f.values)))
 
 
 def frac_laplacian_spectral(f: Field) -> Field:

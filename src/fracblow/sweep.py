@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .blowup import BlowupConstants, InitialDataSpec, blowup_radius, make_initial_data
-from .evolution import EvolutionConfig, ProblemParams, evolve
+from .evolution import EvolutionConfig, ProblemParams, UnresolvedFieldError, evolve
 from .grid import GridSpec
 from .profiles import WeightProfile
 
@@ -115,16 +115,20 @@ def in_regime_amplitude(kind: str, k: float, params: ProblemParams,
     return 2.0 * constants.c_threshold / i_const * r_target ** (-expo)
 
 
+#: numerical failures a sweep records on their row; anything else propagates
+_ROW_FAILURES = (ValueError, ArithmeticError, UnresolvedFieldError, np.linalg.LinAlgError)
+
+
 def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow:
     row = SweepRow(mu=mu)
     try:
         base = InitialDataSpec(kind=plan.kind, mu=mu, k=plan.k)
-        probe = blowup_radius(base, constants, plan.params, plan.grid)
+        rr = blowup_radius(base, constants, plan.params, plan.grid)
         spec = base
         if plan.kind == "inner-singular":
-            cap = max(plan.cap_fraction * probe.r_star, 0.75 * plan.grid.dx)
+            cap = max(plan.cap_fraction * rr.r_star, 0.75 * plan.grid.dx)
             spec = dataclasses.replace(base, cap_radius=cap)
-        rr = blowup_radius(spec, constants, plan.params, plan.grid)
+            rr = blowup_radius(spec, constants, plan.params, plan.grid)
         row.r_star = rr.r_star
         row.t_bound = rr.t_bound_formula
         row.t_prop = rr.report.t_bound
@@ -133,6 +137,11 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
         row.in_regime = rr.in_regime_strict and rr.report.condition_holds
         if not rr.regime_ok:
             row.note = rr.boundary
+            return row
+        if rr.r_star < plan.grid.dx:
+            # the weight's scale falls between lattice sites: nothing to resolve
+            row.in_regime = False
+            row.note = f"R*={rr.r_star:.4g} below the grid spacing dx={plan.grid.dx:.4g}"
             return row
 
         u0 = make_initial_data(spec, plan.grid, plan.params.alpha)
@@ -147,7 +156,7 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
         row.t_num = rec.t_num
         if not rec.blew_up:
             row.note = f"no blow-up before horizon {horizon:.4g}"
-    except Exception as exc:  # crash isolation: one bad row must not kill the sweep
+    except _ROW_FAILURES as exc:  # one numerically bad row must not kill the sweep
         row.failed = True
         row.note = f"{type(exc).__name__}: {exc}"
     return row

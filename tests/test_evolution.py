@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fracblow import evolution
 from fracblow.evolution import (EvolutionConfig, ProblemParams, UnresolvedFieldError,
                                 evolve, linear_propagator, nonlinear_step,
                                 scaling_check, spectral_tail_fraction, strang_step)
@@ -153,6 +154,115 @@ class TestEvolve:
         errs = [np.linalg.norm(run(n) - ref) for n in (32, 64, 128)]
         slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(1.8 <= s <= 2.2 for s in slopes)
+
+
+def reference_step(f, dt, params):
+    """The Strang composition spelled out with the public building blocks."""
+    half = linear_propagator(f, 0.5 * dt)
+    return linear_propagator(nonlinear_step(half, dt, params), 0.5 * dt)
+
+
+class TestStrangKernel:
+    @pytest.mark.parametrize("grid, data", [
+        (GridSpec(1, 20.0, 1024), lambda x: 1.2 * np.exp(-x * x) + 0j),
+        (GridSpec(2, 10.0, 64), lambda x, y: 1.2 * np.exp(-(x**2 + y**2)) * np.exp(0.5j * x)),
+    ])
+    def test_matches_reference_composition(self, grid, data):
+        params = ProblemParams(grid.n, 2.0, 1.0 + 0.5j)
+        u = ref = Field.from_function(grid, data)
+        for _ in range(50):
+            u = strang_step(u, 0.01, params)
+            ref = reference_step(ref, 0.01, params)
+            err = np.linalg.norm(u.values - ref.values) / np.linalg.norm(ref.values)
+            assert err <= 1e-12
+
+    def test_carries_spectrum_and_leaves_input_alone(self):
+        # a rejected step is retried from the same input, spectrum included
+        g = GridSpec(1, 20.0, 256)
+        params = ProblemParams(1, 2.0, 1j)
+        u = strang_step(Field.from_function(g, gaussian_packet), 0.05, params)
+        values, spectrum = u.values.copy(), u.spectrum.copy()
+        out = strang_step(u, 0.05, params)
+        strang_step(u, 0.025, params)
+        assert np.array_equal(u.values, values) and np.array_equal(u.spectrum, spectrum)
+        assert np.max(np.abs(out.spectrum - np.fft.fft(out.values))) \
+            <= 1e-12 * np.max(np.abs(out.spectrum))
+        assert u.copy().spectrum is None
+
+    def test_output_is_read_only(self):
+        # an in-place edit would leave the carried spectrum stale
+        g = GridSpec(1, 20.0, 256)
+        out = strang_step(Field.from_function(g, gaussian_packet), 0.05,
+                          ProblemParams(1, 2.0, 1j))
+        for arr in (out.values, out.spectrum):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        copy = out.copy()
+        copy.values[0] = 0.0
+        assert out.values[0] != 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_evolve_rejects_non_finite_trial(self, monkeypatch, bad):
+        # the first attempt at dt = 0.02 comes back non-finite and must be
+        # retried at 0.01, which then runs exactly like a dt = 0.01 run
+        g = GridSpec(1, 20.0, 256)
+        u0 = Field.from_function(g, gaussian_packet)
+        params = ProblemParams(1, 2.0, 1j)
+        weight = WeightProfile(q=2, R=1.0)
+        cfg = EvolutionConfig(grid=g, dt=0.02, t_max=0.05,
+                              blowup_threshold=25 * u0.sup_norm())
+        kernel, sizes = evolution.strang_step, []
+
+        def first_call_bad(f, dt, params):
+            sizes.append(dt)
+            out = kernel(f, dt, params)
+            if len(sizes) == 1:
+                values = out.values.copy()
+                values[7] = bad
+                return Field(f.grid, values)
+            return out
+
+        monkeypatch.setattr(evolution, "strang_step", first_call_bad)
+        rec = evolve(u0, params, cfg, weight)
+        monkeypatch.setattr(evolution, "strang_step", kernel)
+        ref = evolve(u0, params, EvolutionConfig(grid=g, dt=0.01, t_max=0.05,
+                                                 blowup_threshold=cfg.blowup_threshold),
+                     weight)
+
+        assert sizes[:2] == [0.02, 0.01]
+        assert np.all(np.isfinite(rec.final.values))
+        assert not rec.blew_up and rec.t_num is None
+        for name in ("times", "m_r", "sup_norm", "l2_norm"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name))
+        assert np.array_equal(rec.final.values, ref.final.values)
+
+    def test_evolve_with_rejection_matches_reference(self, monkeypatch):
+        # growth_cap 1.1 rejects the first dt = 0.02 step; the halved steps
+        # then reach t_max = 0.037 with a shorter last step
+        g = GridSpec(1, 20.0, 512)
+        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
+        params = ProblemParams(1, 2.0, 1j)
+        cfg = EvolutionConfig(grid=g, dt=0.02, t_max=0.037, growth_cap=1.1,
+                              blowup_threshold=25 * u0.sup_norm())
+        weight = WeightProfile(q=2, R=1.0)
+        kernel, sizes = evolution.strang_step, []
+
+        def spy(f, dt, params):
+            sizes.append(dt)
+            return kernel(f, dt, params)
+
+        monkeypatch.setattr(evolution, "strang_step", spy)
+        rec = evolve(u0, params, cfg, weight)
+        monkeypatch.setattr(evolution, "strang_step", reference_step)
+        ref = evolve(u0, params, cfg, weight)
+
+        assert len(sizes) > len(rec.times) - 1        # a step was rejected
+        assert len(set(sizes)) >= 3                   # 0.02, 0.01 and the last step
+        assert not rec.blew_up and rec.times[-1] == pytest.approx(0.037)
+        assert np.array_equal(rec.times, ref.times)
+        assert rec.blew_up == ref.blew_up and rec.t_num == ref.t_num
+        np.testing.assert_allclose(rec.m_r, ref.m_r, rtol=1e-10)
+        np.testing.assert_allclose(rec.sup_norm, ref.sup_norm, rtol=1e-10)
 
 
 class TestScalingCheck:

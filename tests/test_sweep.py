@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from fracblow import sweep
 from fracblow.blowup import compute_constants
 from fracblow.evolution import ProblemParams
 from fracblow.grid import GridSpec
@@ -82,6 +83,47 @@ class TestRunSweep:
         assert len(result.rows) == 2
         assert not result.rows[0].blew_up
         assert result.rows[1].blew_up
+
+    def test_numerical_failure_recorded_on_row(self, inner_setup, monkeypatch):
+        params, constants, grid = inner_setup
+
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("overflow in the stepper")
+
+        monkeypatch.setattr(sweep, "evolve", overflow)
+        result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
+                                     mu_values=(30.0,), grid=grid), constants)
+        assert result.rows[0].failed
+        assert result.rows[0].note == "FloatingPointError: overflow in the stepper"
+
+    def test_programming_error_propagates(self, inner_setup, monkeypatch):
+        params, constants, grid = inner_setup
+
+        def broken(*args, **kwargs):
+            raise TypeError("evolve() got an unexpected keyword argument")
+
+        monkeypatch.setattr(sweep, "evolve", broken)
+        with pytest.raises(TypeError):
+            run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
+                                mu_values=(30.0,), grid=grid), constants)
+
+    def test_radius_below_grid_spacing_not_in_regime(self, quad):
+        # 2D, p = 2, lam = i, L = 4, N = 256, k = 0.5 with the automatic
+        # range: the top three of 8 amplitudes have R* < dx = 0.03125
+        params = ProblemParams(n=2, p=2.0, lam=1j)
+        constants = compute_constants(params, 1.2, quad)
+        grid = GridSpec(2, 4.0, 256)
+        edge = in_regime_amplitude("inner-singular", 0.5, params, constants, 0.45)
+        mu = np.geomspace(edge, 10.0 * edge, 8)
+        result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.5,
+                                     mu_values=(mu[4], mu[5], mu[7]), grid=grid), constants)
+        above, *below = result.rows
+        assert grid.dx < above.r_star < 2 * grid.dx and above.in_regime
+        for row in below:
+            assert row.r_star < grid.dx
+            assert not row.in_regime and not row.blew_up and not row.failed
+            assert "dx=0.03125" in row.note
+        assert any(str(below[-1].mu) in w for w in result.warnings)
 
     def test_plan_validation(self, inner_setup):
         params, _, grid = inner_setup

@@ -28,6 +28,7 @@ from .blowup import (
     InitialDataSpec,
     LifespanReport,
     RadiusReport,
+    adapted_radius,
     blowup_radius,
     compute_constants,
     lifespan_bound,

@@ -14,14 +14,14 @@ exact power law in the amplitude mu.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grid import Field, GridSpec
 from .evolution import ProblemParams, weighted_functional_values
 from .profiles import WeightProfile
-from .pv import PVQuadratureConfig, PVResult, sphere_measure
+from .pv import PVResult, sphere_measure
 
 __all__ = [
     "BlowupConstants",
@@ -34,25 +34,19 @@ __all__ = [
     "lifespan_bound",
     "ode_lower_envelope",
     "make_initial_data",
+    "adapted_radius",
     "blowup_radius",
 ]
 
 
-def weight_mass(n: int, quad: PVQuadratureConfig) -> PVResult:
-    """Integral of <x>^(-n-1) over the whole space, with exact far tail."""
-    from .pv import _segment_nodes
+def weight_mass(n: int) -> PVResult:
+    """Integral of <x>^(-n-1) over the whole space: pi (n=1) or 2 pi (n=2).
 
+    Closed form; the error is a roundoff allowance.
+    """
     if n not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
-    y = max(quad.y_max, 64.0)
-    breaks = np.concatenate(([0.0], np.geomspace(1e-3, y, 80)))
-    r, w = _segment_nodes(breaks, max(quad.radial_nodes, 12) + 8)
-    if n == 1:
-        val = 2.0 * float(np.dot(w, 1.0 / (1.0 + r * r))) \
-            + 2.0 * (0.5 * math.pi - math.atan(y))
-    else:
-        val = 2.0 * math.pi * float(np.dot(w, r * (1.0 + r * r) ** -1.5)) \
-            + 2.0 * math.pi / math.sqrt(1.0 + y * y)
+    val = n * math.pi
     return PVResult(val, 64.0 * np.finfo(float).eps * abs(val))
 
 
@@ -81,7 +75,6 @@ class BlowupConstants:
 
 
 def compute_constants(params: ProblemParams, a_bound: float,
-                      quad: PVQuadratureConfig,
                       a_source: str = "") -> BlowupConstants:
     """Threshold constant C and ODE rate D from the certified weight bound A.
 
@@ -96,7 +89,7 @@ def compute_constants(params: ProblemParams, a_bound: float,
             f"need Re(alpha*lam) > 0, got {ral:.3g} "
             f"(alpha={params.alpha}, lam={params.lam})")
     p, pc = params.p, params.p_conj
-    wm = weight_mass(params.n, quad)
+    wm = weight_mass(params.n)
     aa = abs(params.alpha)
     c_pow_p = (2.0 ** (1.0 + pc / p) * p ** (-pc / p) / pc
                * ral ** (-pc) * aa ** (p + pc) * a_bound ** pc * wm.value ** p)
@@ -123,10 +116,6 @@ class LifespanReport:
     m0: float
     condition_holds: bool
     t_bound: float                 # inf when the condition fails
-    kind: str | None = None        # data family, when applicable
-    i_const: float | None = None
-    r_star: float | None = None
-    t_bound_formula: float | None = None
 
     def __post_init__(self):
         if self.condition_holds != math.isfinite(self.t_bound):
@@ -211,10 +200,8 @@ def _check_k_against_dimension(spec: InitialDataSpec, n: int):
 
 def _check_k_against_p(spec: InitialDataSpec, params: ProblemParams):
     lim = 1.0 / (params.p - 1.0)
-    if spec.kind == "inner-singular" and not spec.k < lim:
-        raise ValueError(f"inner-singular needs k < 1/(p-1): k={spec.k}, 1/(p-1)={lim}")
-    if spec.kind == "outer-decay" and not spec.k < lim:
-        raise ValueError(f"outer-decay needs k < 1/(p-1): k={spec.k}, 1/(p-1)={lim}")
+    if spec.kind != "integrable" and not spec.k < lim:
+        raise ValueError(f"{spec.kind} needs k < 1/(p-1): k={spec.k}, 1/(p-1)={lim}")
 
 
 def data_profile(spec: InitialDataSpec, grid: GridSpec) -> np.ndarray:
@@ -251,17 +238,21 @@ def make_initial_data(spec: InitialDataSpec, grid: GridSpec, alpha: complex) -> 
 
 @dataclass(frozen=True)
 class RadiusReport:
-    """Adapted weight radius and induced bound for a scaled data family."""
+    """Adapted weight radius and induced bound for a scaled data family.
+
+    ``adapted_radius`` fills in the closed-form fields; ``blowup_radius``
+    adds the threshold verdict from the lattice data as ``report``.
+    """
 
     kind: str
     mu: float
     r_star: float
     i_const: float
     t_bound_formula: float      # exact power law in mu by construction
-    report: LifespanReport      # threshold verdict with the lattice M_R(0)
     regime_ok: bool             # R1 < 1 (inner) or R2 > 10 (outer)
     in_regime_strict: bool      # R1 < 0.5 or R2 > 20 (sweep-fit inclusion)
     boundary: str
+    report: LifespanReport | None = None   # threshold verdict with the lattice M_R(0)
 
     @property
     def conclusive(self) -> bool:
@@ -285,24 +276,25 @@ def family_i_const(spec: InitialDataSpec, n: int) -> float:
     raise ValueError("no adapted radius for this data kind")
 
 
-def blowup_radius(spec: InitialDataSpec, constants: BlowupConstants,
-                  params: ProblemParams, grid: GridSpec) -> RadiusReport:
-    """Adapted radius R*, its overlap constant, and the induced lifespan bound.
+def family_exponent(kind: str, k: float, params: ProblemParams) -> float:
+    """1/(p-1) - k', with k' = k (inner) or min(n, k) (outer): R* ~ mu^(-1/this)."""
+    kk = k if kind == "inner-singular" else min(float(params.n), k)
+    return 1.0 / (params.p - 1.0) - kk
 
-    R* solves mu*I/2 = C R^(k' - 1/(p-1)) with k' = k (inner) or min(n, k)
-    (outer); the formula bound uses the family lower bound for M and is an
-    exact power law in mu, while the threshold verdict is recomputed from
-    the actual lattice data.  Amplitudes outside the scaling regime give an
-    inconclusive report carrying the regime boundary.
+
+def adapted_radius(spec: InitialDataSpec, constants: BlowupConstants,
+                   params: ProblemParams) -> RadiusReport:
+    """Closed-form adapted radius R*, overlap constant and formula bound.
+
+    R* solves mu*I/2 = C R^(k' - 1/(p-1)); the formula bound uses the family
+    lower bound for M and is an exact power law in mu.  R* does not depend
+    on the inner cap.  No lattice data is built: ``report`` stays None.
     """
-    _check_k_against_dimension(spec, grid.n)
+    _check_k_against_dimension(spec, params.n)
     _check_k_against_p(spec, params)
     n, p = params.n, params.p
     i_const = family_i_const(spec, n)
-    kk = spec.k if spec.kind == "inner-singular" else min(float(n), spec.k)
-    expo = 1.0 / (p - 1.0) - kk
-    if expo <= 0:
-        raise ValueError("family exponent must satisfy k' < 1/(p-1)")
+    expo = family_exponent(spec.kind, spec.k, params)  # > 0, as k' <= k < 1/(p-1)
     r_star = (spec.mu * i_const / (2.0 * constants.c_threshold)) ** (-1.0 / expo)
 
     if spec.kind == "inner-singular":
@@ -318,14 +310,19 @@ def blowup_radius(spec: InitialDataSpec, constants: BlowupConstants,
     gap_formula = r_star ** growth * spec.mu * i_const / 2.0
     t_formula = (constants.d_rate ** -1.0 / (p - 1.0)
                  * r_star ** (n * (p - 1.0)) * gap_formula ** (-(p - 1.0)))
-
-    data = make_initial_data(spec, grid, params.alpha)
-    m0 = weighted_functional(data, params.alpha, WeightProfile(q=n + 1, R=r_star))
-    rep = lifespan_bound(m0, constants, r_star, params)
-    rep = LifespanReport(R=rep.R, m0=rep.m0, condition_holds=rep.condition_holds,
-                         t_bound=rep.t_bound, kind=spec.kind, i_const=i_const,
-                         r_star=r_star, t_bound_formula=t_formula)
     return RadiusReport(kind=spec.kind, mu=spec.mu, r_star=r_star, i_const=i_const,
-                        t_bound_formula=t_formula, report=rep,
-                        regime_ok=regime_ok, in_regime_strict=strict,
-                        boundary=boundary)
+                        t_bound_formula=t_formula, regime_ok=regime_ok,
+                        in_regime_strict=strict, boundary=boundary)
+
+
+def blowup_radius(spec: InitialDataSpec, constants: BlowupConstants,
+                  params: ProblemParams, grid: GridSpec) -> RadiusReport:
+    """The adapted radius, with the threshold verdict from the lattice data.
+
+    Amplitudes outside the scaling regime give an inconclusive report
+    carrying the regime boundary.
+    """
+    rr = adapted_radius(spec, constants, params)
+    data = make_initial_data(spec, grid, params.alpha)
+    m0 = weighted_functional(data, params.alpha, WeightProfile(q=params.n + 1, R=rr.r_star))
+    return replace(rr, report=lifespan_bound(m0, constants, rr.r_star, params))

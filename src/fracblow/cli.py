@@ -63,18 +63,16 @@ def _require(cfg: HarnessConfig, what: str):
 
 def _constants_block(cfg: HarnessConfig, safety: float = 1.2):
     params = _require(cfg, "params")
-    quad = cfg.quadrature
-    b = normalization_constant(params.n, quad)
-    a_bound, verdict = estimate_weight_derivative_bound(params.n, quad, safety=safety)
+    b = normalization_constant(params.n, cfg.quadrature)
+    a_bound, verdict = estimate_weight_derivative_bound(params.n, cfg.quadrature, safety=safety)
     source = (f"decay suite n={params.n} q={params.n + 1}, sampled sup "
               f"{verdict.a_hat:.6g} x safety {safety}")
-    constants = compute_constants(params, a_bound, quad, a_source=source)
-    return params, quad, b, constants
+    return params, b, compute_constants(params, a_bound, a_source=source)
 
 
 def _cmd_constants(cfg: HarnessConfig, out: Path) -> int:
     safety = float(cfg.section("constants").get("safety", 1.2))
-    params, _, b, constants = _constants_block(cfg, safety)
+    params, b, constants = _constants_block(cfg, safety)
     write_manifest(out / "constants.json", "constants", {
         "problem": {"n": params.n, "p": params.p, "lambda": params.lam,
                     "alpha": params.alpha},
@@ -106,12 +104,8 @@ def _cmd_frac_apply(cfg: HarnessConfig, out: Path) -> int:
         field = Field.from_radial(cfg.grid, profile)
         spec_vals = frac_laplacian_spectral(field).values.real
         axis = cfg.grid.axis()
-        if params.n == 1:
-            idx = np.argmin(np.abs(axis[None, :] - np.asarray(points)[:, None]), axis=1)
-            spectral = spec_vals[idx]
-        else:
-            idx = np.argmin(np.abs(axis[None, :] - np.asarray(points)[:, None]), axis=1)
-            spectral = spec_vals[idx, cfg.grid.N // 2]
+        idx = np.argmin(np.abs(axis[None, :] - np.asarray(points)[:, None]), axis=1)
+        spectral = spec_vals[idx] if params.n == 1 else spec_vals[idx, cfg.grid.N // 2]
 
     rows_path = out / "frac_apply.csv"
     with open(rows_path, "w", newline="") as fh:
@@ -140,7 +134,6 @@ def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
         return 0
 
     verdicts = []
-    a_hat_rows = []
     for n in dims:
         qs = parse_float_list(cfg, "lemma", "q_values",
                               default=[0.5 * n, float(n), float(n + 1), float(n + 2)])
@@ -148,7 +141,6 @@ def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
         for q in qs:
             v = verify_lemma(n, q, quad, window=window, b=b.value)
             verdicts.append(v)
-            a_hat_rows.append((n, q, v.regime, v.a_hat, v.matched))
             print(v.diagnostics)
         if include_gaussian:
             verdicts.append(verify_gaussian_remark(n, quad, b=b.value))
@@ -159,8 +151,9 @@ def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
     with open(table, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "q", "regime", "a_hat", "matched"])
-        for n, q, regime, a_hat, matched in a_hat_rows:
-            w.writerow([n, f"{q:.12g}", regime, f"{a_hat:.12g}", int(matched)])
+        for v in verdicts:
+            if v.regime != "gaussian":
+                w.writerow([v.n, f"{v.q:.12g}", v.regime, f"{v.a_hat:.12g}", int(v.matched)])
     print(f"wrote {len(files) + 1} files under {out}")
     return 0
 
@@ -178,7 +171,7 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
     params = _require(cfg, "params")
     grid = _require(cfg, "grid")
     sec = cfg.section("evolve")
-    _, _, b, constants = _constants_block(cfg)
+    _, b, constants = _constants_block(cfg)
     spec = _data_spec_from(sec)
     u0 = make_initial_data(spec, grid, params.alpha)
 
@@ -226,7 +219,7 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
     params = _require(cfg, "params")
     grid = _require(cfg, "grid")
     sec = cfg.section("sweep")
-    _, _, b, constants = _constants_block(cfg)
+    _, b, constants = _constants_block(cfg)
     kind = sec.get("kind", "inner-singular")
     k = float(sec.get("k", 0.25))
     count = int(sec.get("count", 8))
@@ -241,8 +234,7 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
     plan = SweepPlan(params=params, kind=kind, k=k, mu_values=tuple(mu), grid=grid,
                      dt_factor=float(sec.get("dt_factor", 0.02)),
                      dt_base=float(sec.get("dt_base", 0.05)),
-                     workers=int(sec.get("workers", 1)),
-                     seed=int(sec.get("seed", 0)))
+                     workers=int(sec.get("workers", 1)))
     result = run_sweep(plan, constants)
     files = write_sweep_outputs(result, out, manifest_extra={
         "constants": constants_manifest(constants, b),

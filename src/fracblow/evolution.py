@@ -36,6 +36,9 @@ __all__ = [
     "scaling_check",
 ]
 
+#: largest share of spectral l2 mass allowed in the top band of the initial data
+TAIL_FRACTION_LIMIT = 1e-3
+
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -79,16 +82,14 @@ class EvolutionConfig:
     blowup_threshold: float
     max_halvings: int = 10
     growth_cap: float = 4.0       # reject a step whose sup grows past this factor
-    tail_fraction_limit: float = 1e-3
-    record_every: int = 1
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
         if self.blowup_threshold <= 0:
             raise ValueError("blow-up threshold must be positive")
-        if self.max_halvings < 0 or self.record_every < 1:
-            raise ValueError("bad halving limit or record stride")
+        if self.max_halvings < 0:
+            raise ValueError("halving limit must be nonnegative")
 
 
 @dataclass
@@ -202,10 +203,10 @@ def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
     if u0.grid != config.grid:
         raise ValueError("initial data grid differs from the configured grid")
     tail = spectral_tail_fraction(u0)
-    if tail > config.tail_fraction_limit:
+    if tail > TAIL_FRACTION_LIMIT:
         raise UnresolvedFieldError(
             f"grid too coarse: {tail:.2e} of the spectral mass sits in the top band "
-            f"(limit {config.tail_fraction_limit:.1e}); refine N or enlarge L")
+            f"(limit {TAIL_FRACTION_LIMIT:.1e}); refine N or enlarge L")
     sup0 = u0.sup_norm()
     if sup0 > 0 and config.blowup_threshold <= 10.0 * sup0:
         raise ValueError("blow-up threshold must exceed 10x the initial sup norm")
@@ -220,7 +221,6 @@ def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
 
     times, m_r, sups, l2s = [0.0], [weighted_functional_values(u, params.alpha, w_values)], \
         [sup0], [u0.l2_norm()]
-    step_index = 0
     sup = sup0
     while t < config.t_max:
         dt_step = min(dt, config.t_max - t)
@@ -236,14 +236,11 @@ def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
             continue
         u, sup = trial, trial_sup
         t += dt_step
-        step_index += 1
-        hit_threshold = sup >= config.blowup_threshold
-        if step_index % config.record_every == 0 or t >= config.t_max or hit_threshold:
-            times.append(t)
-            m_r.append(weighted_functional_values(u, params.alpha, w_values))
-            sups.append(sup)
-            l2s.append(u.l2_norm())
-        if hit_threshold:
+        times.append(t)
+        m_r.append(weighted_functional_values(u, params.alpha, w_values))
+        sups.append(sup)
+        l2s.append(u.l2_norm())
+        if sup >= config.blowup_threshold:
             blew_up = True
             t_num = t
             break
@@ -273,7 +270,7 @@ def scaling_check(u0_fn, params: ProblemParams, config: EvolutionConfig,
     v2 = Field(grid2, amp * u1.values)  # rho^(1/(p-1)) u0(rho x) on the shrunk grid
     for f in (v1, v2):
         tail = spectral_tail_fraction(f)
-        if tail > config.tail_fraction_limit:
+        if tail > TAIL_FRACTION_LIMIT:
             raise UnresolvedFieldError(f"scaling run unresolved: tail fraction {tail:.2e}")
 
     steps2_total = int(round(config.t_max / config.dt / rho))

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .profiles import bracket, bracket_profile, gaussian_profile
-from .pv import PVQuadratureConfig, frac_laplacian_pv, normalization_constant
+from .profiles import RadialProfile, bracket, bracket_profile, gaussian_profile
+from .pv import PVQuadratureConfig, frac_laplacian_pv, normalization_constant, sphere_measure
 
 __all__ = [
     "DecayFitResult",
@@ -39,7 +39,7 @@ __all__ = [
 
 #: exponent-match tolerances per dimension
 EXPONENT_TOL = {1: 0.05, 2: 0.1}
-#: radii multiplier for the far cutoff when sampling at radius r
+#: the far cutoff of an algebraic weight sampled at radius r starts at this times 1 + r
 FAR_CUTOFF_FACTOR = 120.0
 
 
@@ -66,7 +66,6 @@ class DecayFitResult:
     a_hat: float
     residual: float
     window: tuple[float, float]
-    intercept: float = 0.0
 
     def __post_init__(self):
         if not (self.window[0] < self.window[1]):
@@ -102,28 +101,36 @@ def default_radii(window: tuple[float, float] = (1e2, 1e4),
     return np.concatenate(([0.0], mid, fit))
 
 
-def _scaled_config(base: PVQuadratureConfig, profile, r: float, magnitude: float,
-                   omega: float, b: float) -> PVQuadratureConfig:
-    """Per-radius far cutoff and tolerance for certified relative accuracy.
+def _sample(n: int, profile: RadialProfile, radii, quad: PVQuadratureConfig, b: float,
+            decay: float, cutoff_factor: float) -> list[LemmaSample]:
+    """Certified point values of the profile's half-Laplacian at radii.
 
-    The cutoff grows until the profile's own tail bound certifies a third
-    of the per-radius tolerance, so slowly decaying weights get the larger
-    domains they need.
+    Radial symmetry means one point per radius.  The tolerance is rescaled
+    to the expected magnitude <r>^(-decay), and the far cutoff starts at
+    cutoff_factor * (1 + r) and doubles until the profile's own tail bound
+    certifies a third of that tolerance, so slowly decaying profiles get
+    the larger domains they need.
     """
-    tol = max(base.tol * magnitude * 50.0, 1e-13)
-    y = max(base.y_max, FAR_CUTOFF_FACTOR * (1.0 + r))
-    while b * omega * profile.tail(y - r) / (2.0 * y) > tol / 3.0 and y < 1e9:
-        y *= 2.0
-    return dataclasses.replace(base, y_max=y, tol=tol)
+    omega = sphere_measure(n)
+    out = []
+    for r in radii:
+        r = float(r)
+        tol = max(quad.tol * float(bracket(r) ** -decay) * 50.0, 1e-13)
+        y = max(quad.y_max, cutoff_factor * (1.0 + r))
+        while b * omega * profile.tail(y - r) / (2.0 * y) > tol / 3.0 and y < 1e9:
+            y *= 2.0
+        cfg = dataclasses.replace(quad, y_max=y, tol=tol)
+        res = frac_laplacian_pv(profile, r if n == 1 else (r, 0.0), b, cfg)
+        out.append(LemmaSample(r, res.value, res.error))
+    return out
 
 
 def sample_frac_weight(n: int, q: float, radii, quad: PVQuadratureConfig,
                        b: float | None = None) -> list[LemmaSample]:
     """Certified point values of the half-Laplacian of <x>^(-q) at radii.
 
-    Radial symmetry means one point per radius; the far cutoff and the
-    tolerance are rescaled per radius so the certificate stays a small
-    fraction of the expected local magnitude.
+    The certificate stays a small fraction of the expected local magnitude
+    <r>^(-min(q, n)-1).
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -132,16 +139,7 @@ def sample_frac_weight(n: int, q: float, radii, quad: PVQuadratureConfig,
         raise ValueError("radii must be nonnegative and strictly increasing")
     if b is None:
         b = normalization_constant(n, quad).value
-    profile = bracket_profile(q)
-    omega = 2.0 if n == 1 else 2.0 * math.pi
-    out = []
-    for r in radii:
-        mag = float(bracket(r) ** (-(min(q, n) + 1.0)))
-        cfg = _scaled_config(quad, profile, float(r), mag, omega, b)
-        x = float(r) if n == 1 else (float(r), 0.0)
-        res = frac_laplacian_pv(profile, x, b, cfg)
-        out.append(LemmaSample(float(r), res.value, res.error))
-    return out
+    return _sample(n, bracket_profile(q), radii, quad, b, min(q, n) + 1.0, FAR_CUTOFF_FACTOR)
 
 
 def _window_samples(samples, window):
@@ -187,8 +185,7 @@ def fit_decay(samples: list[LemmaSample], regime: str,
         (a, bcoef), *_ = np.linalg.lstsq(design, y, rcond=None)
         model = np.maximum(design @ np.array([a, bcoef]), 1e-300)
         resid = float(np.sqrt(np.mean((np.log(g) - np.log(model * br ** (-(n + 1.0)))) ** 2)))
-        slope, intercept = np.polyfit(np.log(br), np.log(g / (1.0 + np.log1p(r))), 1)
-        exponent = float(slope)
+        exponent = float(np.polyfit(np.log(br), np.log(g / (1.0 + np.log1p(r))), 1)[0])
         log_coeff = float(bcoef)
     else:
         raise ValueError(f"unknown regime hypothesis {regime!r}")
@@ -197,15 +194,7 @@ def fit_decay(samples: list[LemmaSample], regime: str,
         if regime == "logarithmic" else (lambda rr: bracket(rr) ** bound_exponent)
     a_hat = max((abs(s.value) + s.error) / float(shape(s.r)) for s in samples)
     return DecayFitResult(exponent=exponent, log_coeff=log_coeff, a_hat=float(a_hat),
-                          residual=resid, window=window, intercept=float(intercept))
-
-
-def _plain_rms(samples, window) -> float:
-    picked = _window_samples(samples, window)
-    br = bracket(np.array([s.r for s in picked]))
-    g = np.abs(np.array([s.value for s in picked]))
-    slope, intercept = np.polyfit(np.log(br), np.log(g), 1)
-    return float(np.sqrt(np.mean((np.log(g) - (slope * np.log(br) + intercept)) ** 2)))
+                          residual=resid, window=window)
 
 
 def _negativity(samples, threshold_radius: float = 0.0):
@@ -251,22 +240,18 @@ def verify_lemma(n: int, q: float, quad: PVQuadratureConfig,
     # the leading <x>^(-q-1) coefficient vanishes at q = n - 1
     degenerate = regime == "q<n" and abs(q - (n - 1)) < 1e-12
 
-    if regime == "q<n":
-        predicted = -(n + 1.0) if degenerate else -(q + 1.0)
-        fit = fit_decay(samples, "plain", -(q + 1.0), n=n, window=window)
-        matched = abs(fit.exponent - predicted) <= tol
-        ratio = None
-    elif regime == "q>n":
-        predicted = -(n + 1.0)
-        fit = fit_decay(samples, "plain", predicted, n=n, window=window)
-        matched = abs(fit.exponent - predicted) <= tol
-        ratio = None
-    else:
-        predicted = -(n + 1.0)
-        fit = fit_decay(samples, "logarithmic", predicted, n=n, window=window)
-        ratio = _plain_rms(samples, window) / max(fit.residual, 1e-15)
+    bound = -(q + 1.0) if regime == "q<n" else -(n + 1.0)
+    predicted = -(n + 1.0) if degenerate else bound
+    if regime == "q=n":
+        fit = fit_decay(samples, "logarithmic", bound, n=n, window=window)
+        plain = fit_decay(samples, "plain", bound, n=n, window=window)
+        ratio = plain.residual / max(fit.residual, 1e-15)
         matched = (abs(fit.exponent - predicted) <= tol
                    and fit.log_coeff > 0.0 and ratio > 3.0)
+    else:
+        fit = fit_decay(samples, "plain", bound, n=n, window=window)
+        matched = abs(fit.exponent - predicted) <= tol
+        ratio = None
 
     negativity_required = q >= n - 1e-12
     r_neg = _negativity(samples) if negativity_required else None
@@ -278,7 +263,7 @@ def verify_lemma(n: int, q: float, quad: PVQuadratureConfig,
             f"vs predicted {predicted:.4f} (tol {tol})")
     if degenerate:
         diag += (f", leading coefficient vanishes at q = n - 1: sharp exponent "
-                 f"-(n+1) = {predicted:g}, steeper than the bound rate {-(q + 1.0):g}")
+                 f"-(n+1) = {predicted:g}, steeper than the bound rate {bound:g}")
     if ratio is not None:
         diag += f", log coeff b={fit.log_coeff:.4f}, plain/log residual ratio {ratio:.2f}"
     if negativity_required:
@@ -308,16 +293,8 @@ def verify_gaussian_remark(n: int, quad: PVQuadratureConfig,
     if radii is None:
         radii = np.concatenate(([0.0, 0.5, 1.0, 2.0, 4.0],
                                 np.geomspace(window[0], window[1], 16)))
-    profile = gaussian_profile(1.0)
-    omega = 2.0 if n == 1 else 2.0 * math.pi
-    samples = []
-    for r in radii:
-        mag = float(bracket(r) ** (-(n + 1.0)))
-        cfg = _scaled_config(quad, profile, float(r), mag, omega, b)
-        cfg = dataclasses.replace(cfg, y_max=max(quad.y_max, 4.0 * (1.0 + r)))
-        x = float(r) if n == 1 else (float(r), 0.0)
-        res = frac_laplacian_pv(profile, x, b, cfg)
-        samples.append(LemmaSample(float(r), res.value, res.error))
+    # the Gaussian's tail is negligible a few widths out: a short far cutoff
+    samples = _sample(n, gaussian_profile(1.0), radii, quad, b, n + 1.0, 4.0)
 
     predicted = -(n + 1.0)
     fit = fit_decay(samples, "plain", predicted, n=n, window=window)

@@ -88,6 +88,3 @@ class WeightProfile:
 
     def on_grid(self, grid) -> np.ndarray:
         return self(grid.radii())
-
-    def as_radial_profile(self) -> RadialProfile:
-        return bracket_profile(self.q, self.R)

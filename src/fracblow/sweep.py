@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .blowup import BlowupConstants, InitialDataSpec, blowup_radius, make_initial_data
+from .blowup import (BlowupConstants, InitialDataSpec, adapted_radius, blowup_radius,
+                     family_exponent, family_i_const, make_initial_data)
 from .evolution import EvolutionConfig, ProblemParams, UnresolvedFieldError, evolve
 from .grid import GridSpec
 from .profiles import WeightProfile
@@ -61,12 +62,13 @@ class SweepPlan:
     horizon_factor: float = 1.3
     cap_fraction: float = 0.15
     workers: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("inner-singular", "outer-decay"):
             raise ValueError(f"sweep kind must be a scaled family, got {self.kind!r}")
-        mu = np.array(self.mu_values, dtype=float)
+        # plain floats, so that notes and manifests print them as numbers
+        object.__setattr__(self, "mu_values", tuple(float(m) for m in self.mu_values))
+        mu = np.array(self.mu_values)
         if mu.size < 1 or np.any(mu <= 0) or np.any(np.diff(mu) <= 0):
             raise ValueError("mu values must be positive and strictly increasing")
         if mu.size >= 4 and mu[-1] / mu[0] < 9.999:
@@ -74,8 +76,7 @@ class SweepPlan:
 
     @property
     def predicted_exponent(self) -> float:
-        kk = self.k if self.kind == "inner-singular" else min(float(self.params.n), self.k)
-        return -1.0 / (1.0 / (self.params.p - 1.0) - kk)
+        return -1.0 / family_exponent(self.kind, self.k, self.params)
 
 
 @dataclass
@@ -107,11 +108,8 @@ class SweepResult:
 def in_regime_amplitude(kind: str, k: float, params: ProblemParams,
                         constants: BlowupConstants, r_target: float) -> float:
     """Amplitude mu at which the adapted radius equals r_target."""
-    from .blowup import family_i_const
-
     i_const = family_i_const(InitialDataSpec(kind=kind, mu=1.0, k=k), params.n)
-    kk = k if kind == "inner-singular" else min(float(params.n), k)
-    expo = 1.0 / (params.p - 1.0) - kk
+    expo = family_exponent(kind, k, params)
     return 2.0 * constants.c_threshold / i_const * r_target ** (-expo)
 
 
@@ -122,13 +120,12 @@ _ROW_FAILURES = (ValueError, ArithmeticError, UnresolvedFieldError, np.linalg.Li
 def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow:
     row = SweepRow(mu=mu)
     try:
-        base = InitialDataSpec(kind=plan.kind, mu=mu, k=plan.k)
-        rr = blowup_radius(base, constants, plan.params, plan.grid)
-        spec = base
+        spec = InitialDataSpec(kind=plan.kind, mu=mu, k=plan.k)
         if plan.kind == "inner-singular":
-            cap = max(plan.cap_fraction * rr.r_star, 0.75 * plan.grid.dx)
-            spec = dataclasses.replace(base, cap_radius=cap)
-            rr = blowup_radius(spec, constants, plan.params, plan.grid)
+            r_star = adapted_radius(spec, constants, plan.params).r_star
+            cap = max(plan.cap_fraction * r_star, 0.75 * plan.grid.dx)
+            spec = dataclasses.replace(spec, cap_radius=cap)
+        rr = blowup_radius(spec, constants, plan.params, plan.grid)
         row.r_star = rr.r_star
         row.t_bound = rr.t_bound_formula
         row.t_prop = rr.report.t_bound
@@ -213,7 +210,6 @@ def write_sweep_outputs(result: SweepResult, out_dir: str | Path,
         "kind": "sweep",
         "family": result.plan.kind,
         "k": result.plan.k,
-        "seed": result.plan.seed,
         "plan": {
             "mu_values": list(result.plan.mu_values),
             "dt_factor": result.plan.dt_factor,

@@ -42,7 +42,7 @@ def chain_p2(quad):
     """Constants chain for the inner-singular runs: n=1, p=2, lam=i."""
     params = ProblemParams(n=1, p=2.0, lam=1j)
     a_bound, _ = estimate_weight_derivative_bound(1, quad)
-    constants = compute_constants(params, a_bound, quad, a_source="decay suite n=1 q=2")
+    constants = compute_constants(params, a_bound, a_source="decay suite n=1 q=2")
     return params, constants
 
 
@@ -62,7 +62,7 @@ def inner_sweep(chain_p2):
 def outer_sweep(quad):
     params = ProblemParams(n=1, p=1.25, lam=1j)
     a_bound, _ = estimate_weight_derivative_bound(1, quad)
-    constants = compute_constants(params, a_bound, quad, a_source="decay suite n=1 q=2")
+    constants = compute_constants(params, a_bound, a_source="decay suite n=1 q=2")
     grid = GridSpec(1, 256.0, 16384)
     edge = in_regime_amplitude("outer-decay", 0.6, params, constants, 22.0)
     plan = SweepPlan(params=params, kind="outer-decay", k=0.6,

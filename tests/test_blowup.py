@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from fracblow.blowup import (InitialDataSpec, LifespanReport, blowup_radius,
-                             compute_constants, lifespan_bound, make_initial_data,
-                             ode_lower_envelope, weight_mass, weighted_functional)
+from fracblow.blowup import (InitialDataSpec, LifespanReport, adapted_radius,
+                             blowup_radius, compute_constants, lifespan_bound,
+                             make_initial_data, ode_lower_envelope, weight_mass,
+                             weighted_functional)
 from fracblow.evolution import ProblemParams
 from fracblow.grid import Field, GridSpec
 from fracblow.profiles import WeightProfile
+from fracblow.sweep import in_regime_amplitude
 
 
 @pytest.fixture(scope="module")
@@ -21,14 +23,14 @@ def params():
 
 @pytest.fixture(scope="module")
 def constants(params, quad):
-    return compute_constants(params, 1.2, quad)
+    return compute_constants(params, 1.2)
 
 
 class TestConstants:
     def test_weight_mass_analytic(self, quad):
         # int <x>^(-2) dx = pi over the line, 2 pi over the plane
-        assert weight_mass(1, quad).value == pytest.approx(math.pi, rel=1e-12)
-        assert weight_mass(2, quad).value == pytest.approx(2 * math.pi, rel=1e-12)
+        assert weight_mass(1).value == pytest.approx(math.pi, rel=1e-12)
+        assert weight_mass(2).value == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_sphere_measure(self, constants):
         assert constants.sphere == 2.0
@@ -42,12 +44,12 @@ class TestConstants:
     def test_pairing_gate(self, quad):
         bad = ProblemParams(n=1, p=2.0, lam=1j, alpha=1.0)  # Re(alpha lam) = 0
         with pytest.raises(ValueError):
-            compute_constants(bad, 1.2, quad)
+            compute_constants(bad, 1.2)
 
     def test_dim2_chain(self, quad):
         # direct recomputation of the displayed formulas with W = 2 pi
         params = ProblemParams(n=2, p=1.5, lam=1j)
-        cst = compute_constants(params, 2.4, quad)
+        cst = compute_constants(params, 2.4)
         p, pc, w = 1.5, 3.0, 2.0 * math.pi
         c_pow_p = 2.0 ** (1 + pc / p) * p ** (-pc / p) / pc * 2.4**pc * w**p
         assert cst.c_threshold == pytest.approx(c_pow_p ** (1 / p), rel=1e-12)
@@ -210,6 +212,26 @@ class TestInitialData:
 
 
 class TestAdaptedRadius:
+    @pytest.mark.parametrize("n, p, kind, k, r_target", [
+        (1, 2.0, "inner-singular", 0.25, 0.3),
+        (2, 2.0, "inner-singular", 0.5, 0.3),
+        (1, 1.25, "outer-decay", 1.5, 25.0),   # k > n: k' = n
+        (2, 1.5, "outer-decay", 1.5, 25.0),
+    ])
+    def test_closed_form_round_trip(self, n, p, kind, k, r_target):
+        params = ProblemParams(n=n, p=p, lam=1j)
+        constants = compute_constants(params, 1.2)
+        mu = in_regime_amplitude(kind, k, params, constants, r_target)
+        spec = InitialDataSpec(kind=kind, mu=mu, k=k)
+        closed = adapted_radius(spec, constants, params)
+        assert closed.r_star == pytest.approx(r_target, rel=1e-12)
+        assert closed.report is None
+        # the lattice route adds only the threshold verdict
+        lattice = blowup_radius(spec, constants, params, GridSpec(n, 64.0, 128))
+        assert lattice.r_star == closed.r_star
+        assert dataclasses.replace(lattice, report=None) == closed
+        assert lattice.report.R == closed.r_star
+
     def test_inner_overlap_constant(self, params, constants):
         # n = 1, k = 1/4: I = (n-k)^(-1) 2^(-n-1) omega_n = 2/3
         g = GridSpec(1, 40.0, 8192)
@@ -231,7 +253,7 @@ class TestAdaptedRadius:
     def test_outer_exponent_uses_min(self, quad):
         # k > n selects the dimension in the lifespan exponent
         params = ProblemParams(n=1, p=1.25, lam=1j)
-        constants = compute_constants(params, 1.2, quad)
+        constants = compute_constants(params, 1.2)
         g = GridSpec(1, 256.0, 8192)
         k = 1.5
         t1 = blowup_radius(InitialDataSpec(kind="outer-decay", mu=1e-4, k=k),
@@ -261,7 +283,7 @@ class TestAdaptedRadius:
 
     def test_p_constraint_named(self, constants, quad):
         steep = ProblemParams(n=1, p=6.0, lam=1j)  # 1/(p-1) = 0.2 < k
-        cst = compute_constants(steep, 1.2, quad)
+        cst = compute_constants(steep, 1.2)
         g = GridSpec(1, 40.0, 1024)
         with pytest.raises(ValueError, match="1/\\(p-1\\)"):
             blowup_radius(InitialDataSpec(kind="inner-singular", mu=5.0, k=0.4),
@@ -272,7 +294,7 @@ def test_integrable_family_large_radius_gate(quad):
     # positive integrable data: for p < 1 + 1/n the threshold scale decays
     # as R grows, so some large radius certifies the condition
     params = ProblemParams(n=1, p=1.8, lam=1j)
-    constants = compute_constants(params, 1.2, quad)
+    constants = compute_constants(params, 1.2)
     g = GridSpec(1, 400.0, 16384)
     u0 = make_initial_data(InitialDataSpec(kind="integrable", mu=50.0), g, params.alpha)
     rep = lifespan_bound(

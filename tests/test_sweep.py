@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from fracblow import sweep
-from fracblow.blowup import compute_constants
+from fracblow.blowup import blowup_radius, compute_constants
 from fracblow.evolution import ProblemParams
 from fracblow.grid import GridSpec
 from fracblow.sweep import (SweepPlan, fit_power_law, in_regime_amplitude, run_sweep,
@@ -43,7 +43,7 @@ class TestFitPowerLaw:
 @pytest.fixture(scope="module")
 def inner_setup(quad):
     params = ProblemParams(n=1, p=2.0, lam=1j)
-    constants = compute_constants(params, 1.2, quad)
+    constants = compute_constants(params, 1.2)
     grid = GridSpec(1, 40.0, 8192)
     return params, constants, grid
 
@@ -111,7 +111,7 @@ class TestRunSweep:
         # 2D, p = 2, lam = i, L = 4, N = 256, k = 0.5 with the automatic
         # range: the top three of 8 amplitudes have R* < dx = 0.03125
         params = ProblemParams(n=2, p=2.0, lam=1j)
-        constants = compute_constants(params, 1.2, quad)
+        constants = compute_constants(params, 1.2)
         grid = GridSpec(2, 4.0, 256)
         edge = in_regime_amplitude("inner-singular", 0.5, params, constants, 0.45)
         mu = np.geomspace(edge, 10.0 * edge, 8)
@@ -124,6 +124,22 @@ class TestRunSweep:
             assert not row.in_regime and not row.blew_up and not row.failed
             assert "dx=0.03125" in row.note
         assert any(str(below[-1].mu) in w for w in result.warnings)
+        assert not any("np.float64" in w for w in result.warnings)
+
+    def test_inner_row_builds_one_lattice_report(self, inner_setup, monkeypatch):
+        # the cap's R* comes from the closed form, so a row calls blowup_radius once
+        params, constants, grid = inner_setup
+        calls = []
+
+        def counting(spec, *args):
+            calls.append(spec)
+            return blowup_radius(spec, *args)
+
+        monkeypatch.setattr(sweep, "blowup_radius", counting)
+        result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
+                                     mu_values=(30.0,), grid=grid), constants)
+        assert len(calls) == 1 and result.rows[0].blew_up
+        assert calls[0].cap_radius == max(0.15 * result.rows[0].r_star, 0.75 * grid.dx)
 
     def test_plan_validation(self, inner_setup):
         params, _, grid = inner_setup

@@ -316,13 +316,14 @@ def adapted_radius(spec: InitialDataSpec, constants: BlowupConstants,
 
 
 def blowup_radius(spec: InitialDataSpec, constants: BlowupConstants,
-                  params: ProblemParams, grid: GridSpec) -> RadiusReport:
+                  params: ProblemParams, data: Field) -> RadiusReport:
     """The adapted radius, with the threshold verdict from the lattice data.
 
-    Amplitudes outside the scaling regime give an inconclusive report
-    carrying the regime boundary.
+    ``data`` is the family member the caller built with
+    ``make_initial_data(spec, grid, params.alpha)``; its weighted functional
+    at R* is M_R(0).  Amplitudes outside the scaling regime give an
+    inconclusive report carrying the regime boundary.
     """
     rr = adapted_radius(spec, constants, params)
-    data = make_initial_data(spec, grid, params.alpha)
     m0 = weighted_functional(data, params.alpha, WeightProfile(q=params.n + 1, R=rr.r_star))
     return replace(rr, report=lifespan_bound(m0, constants, rr.r_star, params))

@@ -177,7 +177,7 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
 
     r_raw = sec.get("r", "auto").strip()
     if r_raw == "auto":
-        rr = blowup_radius(spec, constants, params, grid)
+        rr = blowup_radius(spec, constants, params, u0)
         radius, report = rr.r_star, rr.report
     else:
         radius = float(r_raw)

@@ -1,8 +1,9 @@
 """Sectioned text configuration for the command-line harness.
 
 INI syntax via configparser: sections [problem], [grid], [quadrature],
-plus command-specific sections [lemma], [frac_apply], [evolve], [sweep].
-Parse failures carry the section and field name.
+plus command-specific sections [constants], [lemma], [frac_apply],
+[evolve], [sweep].  Parse failures, unknown sections and unknown keys
+carry the section and field name.
 """
 from __future__ import annotations
 
@@ -20,6 +21,31 @@ class ConfigError(ValueError):
 
 
 _sentinel = object()
+
+#: the keys each section accepts; any other key or section is an error, so a
+#: misspelt key cannot fall back silently to its default
+_KNOWN_KEYS = {
+    "problem": ("n", "p", "lambda", "alpha"),
+    "grid": ("n", "L", "N"),
+    "quadrature": ("eps0", "growth", "y_max", "radial_nodes", "angular_nodes", "tol"),
+    "constants": ("safety",),
+    "frac_apply": ("profile", "q", "r", "width", "points"),
+    "lemma": ("dims", "q_values", "fit_window", "gaussian"),
+    "evolve": ("data", "mu", "k", "cap_radius", "r", "dt", "t_max", "threshold_factor"),
+    "sweep": ("kind", "k", "count", "mu_min", "mu_max", "dt_factor", "dt_base", "workers"),
+}
+
+
+def _check_known_keys(parser: configparser.ConfigParser):
+    for section in parser.sections():
+        if section not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown section [{section}]; known sections: "
+                              f"{', '.join(_KNOWN_KEYS)}")
+        known = {parser.optionxform(k) for k in _KNOWN_KEYS[section]}
+        for key in parser.options(section):
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]; known keys: "
+                                  f"{', '.join(_KNOWN_KEYS[section])}")
 
 
 def _get(parser, section, key, cast, default=_sentinel):
@@ -70,6 +96,7 @@ def load_config(path: str | Path) -> HarnessConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
+    _check_known_keys(parser)
 
     params = None
     if parser.has_section("problem"):

@@ -14,9 +14,12 @@ def bracket(r: np.ndarray | float) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A radial function r -> f(r) together with tail information.
+    """A radial function together with tail information.
 
-    ``tail(r)`` must bound sup_{|z| >= r} |f(z)| from above and ``floor``
+    ``fn`` takes the squared radius s = r^2 and returns f(sqrt(s)), so the
+    singular quadrature evaluates it on |x + y|^2 without a square root;
+    calling the profile takes the radius itself.  ``tail(r)`` takes the
+    radius: it must bound sup_{|z| >= r} |f(z)| from above, and ``floor``
     must bound inf over the same set from below (0 for decaying profiles).
     These drive the certified far-field error in the singular quadrature.
     ``scale`` is the radius over which f varies near its core; it controls
@@ -30,12 +33,12 @@ class RadialProfile:
     label: str = ""
 
     def __call__(self, r):
-        return self.fn(np.asarray(r, dtype=np.float64))
+        return self.fn(np.square(np.asarray(r, dtype=np.float64)))
 
     def combine(self, other: "RadialProfile", a: float = 1.0, b: float = 1.0) -> "RadialProfile":
         """a*self + b*other, with a crude (triangle-inequality) tail bound."""
         return RadialProfile(
-            fn=lambda r: a * self.fn(r) + b * other.fn(r),
+            fn=lambda s: a * self.fn(s) + b * other.fn(s),
             tail=lambda r: abs(a) * self.tail(r) + abs(b) * other.tail(r),
             floor=min(a * self.floor, b * other.floor, 0.0),
             scale=max(self.scale, other.scale),
@@ -47,8 +50,8 @@ def bracket_profile(q: float, R: float = 1.0) -> RadialProfile:
     """The weight <r/R>^(-q); radially nonincreasing, tail bound is itself."""
     if q <= 0 or R <= 0:
         raise ValueError("bracket profile needs q > 0 and R > 0")
-    fn = lambda r: bracket(r / R) ** (-q)
-    return RadialProfile(fn=fn, tail=lambda r: float(fn(max(r, 0.0))), floor=0.0,
+    fn = lambda s: (1.0 + s / (R * R)) ** (-0.5 * q)
+    return RadialProfile(fn=fn, tail=lambda r: float(fn(max(r, 0.0) ** 2)), floor=0.0,
                          scale=R, label=f"bracket(q={q},R={R})")
 
 
@@ -56,13 +59,13 @@ def gaussian_profile(width: float = 1.0) -> RadialProfile:
     """exp(-(r/width)^2)."""
     if width <= 0:
         raise ValueError("width must be positive")
-    fn = lambda r: np.exp(-np.square(r / width))
-    return RadialProfile(fn=fn, tail=lambda r: float(fn(max(r, 0.0))), floor=0.0,
+    fn = lambda s: np.exp(-s / (width * width))
+    return RadialProfile(fn=fn, tail=lambda r: float(fn(max(r, 0.0) ** 2)), floor=0.0,
                          scale=width, label=f"gaussian(w={width})")
 
 
 def constant_profile(c: float = 1.0) -> RadialProfile:
-    return RadialProfile(fn=lambda r: np.full_like(r, c, dtype=np.float64),
+    return RadialProfile(fn=lambda s: np.full_like(s, c, dtype=np.float64),
                          tail=lambda r: c, floor=c, scale=1.0, label=f"const({c})")
 
 

@@ -13,7 +13,9 @@ geometric shells refined around the profile feature at r = |x|, each shell
 integrated with a fixed-order Gauss-Legendre rule; for n = 2 the sphere
 integral uses Gauss rules on a geometric ladder of angular segments
 accumulating at the antipodal direction, where the integrand develops an
-O(scale/|x|) feature.  Everything past the far cutoff is handled with an
+O(scale/|x|) feature.  Profiles are evaluated on the squared radius
+|x + r w|^2, and the n = 2 (radial x angular) table is swept in row blocks
+that stay in cache.  Everything past the far cutoff is handled with an
 exact term for the f(x) part and a certified bracket for the rest, so each
 returned value carries a defensible error estimate.
 """
@@ -92,6 +94,11 @@ def sphere_measure(n: int) -> float:
     raise ValueError(f"dimension must be 1 or 2, got {n}")
 
 
+#: (radial x angular) elements per row block of the n = 2 sphere integral:
+#: the block and the profile's temporaries on it (256 KiB each) fit in L2
+_BLOCK_ELEMENTS = 32768
+
+
 @functools.lru_cache(maxsize=64)
 def _leggauss(m: int):
     return np.polynomial.legendre.leggauss(m)
@@ -149,33 +156,53 @@ def _theta_breaks(ax: float, scale: float, g: float) -> np.ndarray:
     return np.array(pts)
 
 
-def _radial_integral(profile: RadialProfile, ax: float, n: int,
-                     quad: PVQuadratureConfig, y: float, mr: int, mt: int) -> tuple[float, float]:
-    """int_0^y r^(-2) S(r) dr at one point |x| = ax.
+def _radial_integral(profile: RadialProfile, ax: float, f_ax: float, rb: np.ndarray,
+                     tb: np.ndarray | None, mr: int, mt: int) -> tuple[float, float]:
+    """int_0^y r^(-2) S(r) dr at one point |x| = ax, over the radial breaks rb.
 
-    Also returns the kernel-weighted magnitude sum that scales the
-    cancellation roundoff in the error estimate.
+    ``tb`` holds the angular breaks for n = 2 and is None for n = 1.  Also
+    returns the kernel-weighted magnitude sum that scales the cancellation
+    roundoff in the error estimate.
     """
-    rb = _radial_breaks(quad, ax, profile.scale, y)
     r, wr = _segment_nodes(rb, mr)
-    f_ax = float(profile(np.array(ax)))
-    if n == 1:
-        fp, fm = profile(np.abs(ax + r)), profile(np.abs(ax - r))
+    if tb is None:
+        fp, fm = profile.fn(np.square(ax + r)), profile.fn(np.square(ax - r))
         s = 2.0 * f_ax - fp - fm
         smag = 2.0 * abs(f_ax) + np.abs(fp) + np.abs(fm)
     else:
-        tb = _theta_breaks(ax, profile.scale, quad.growth)
         th, wt = _segment_nodes(tb, mt)
-        # |x + r w|^2 = ax^2 + r^2 + 2 ax r cos(theta); theta in [0, pi] doubled
-        rho = np.sqrt(np.maximum(
-            ax * ax + np.square(r)[:, None] + 2.0 * ax * np.outer(r, np.cos(th)), 0.0))
-        fv = profile(rho)
-        s = 2.0 * ((f_ax - fv) @ wt)
-        smag = 2.0 * ((abs(f_ax) + np.abs(fv)) @ np.abs(wt))
+        s, smag = _sphere_integral_2d(profile, ax, f_ax, r, th, wt)
     # magnitude actually summed against the kernel: scales the roundoff left
     # by the symmetric cancellation in S near r -> 0
     cancel_mass = float(np.dot(np.abs(wr), smag / np.square(r)))
     return float(np.dot(wr, s / np.square(r))), cancel_mass
+
+
+def _sphere_integral_2d(profile: RadialProfile, ax: float, f_ax: float, r: np.ndarray,
+                        th: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(r) and its magnitude sum on the circle, for every radial node r.
+
+    |x + r w|^2 = (ax^2 + r^2) + 2 ax (r cos(theta)), theta in [0, pi]
+    doubled, feeds the profile as a squared radius.  The (radial x angular)
+    table is swept in row blocks of about _BLOCK_ELEMENTS, built in place in
+    one buffer, so the working set stays in cache whatever the node count.
+    """
+    cos, awt = np.cos(th), np.abs(wt)
+    base, two_ax = ax * ax + np.square(r), 2.0 * ax
+    s, smag = np.empty_like(r), np.empty_like(r)
+    rows = max(1, _BLOCK_ELEMENTS // th.size)
+    buf = np.empty((min(rows, r.size), th.size))
+    for i in range(0, r.size, rows):
+        j = min(i + rows, r.size)
+        rho2 = buf[:j - i]
+        np.multiply(r[i:j, None], cos, out=rho2)
+        rho2 *= two_ax
+        rho2 += base[i:j, None]
+        np.maximum(rho2, 0.0, out=rho2)
+        fv = profile.fn(rho2)
+        smag[i:j] = np.abs(fv) @ awt
+        s[i:j] = np.subtract(f_ax, fv, out=rho2) @ wt
+    return 2.0 * s, 2.0 * (abs(f_ax) * float(np.sum(awt)) + smag)
 
 
 def frac_laplacian_pv(profile: RadialProfile, x, b: float,
@@ -196,13 +223,17 @@ def frac_laplacian_pv(profile: RadialProfile, x, b: float,
     y = quad.y_max
     omega = sphere_measure(n)
 
-    coarse, _ = _radial_integral(profile, ax, n, quad, y, quad.radial_nodes, quad.angular_nodes)
-    fine, cmass = _radial_integral(profile, ax, n, quad, y,
+    # the coarse and the fine rule share the breaks and f(|x|)
+    f_ax = float(profile(ax))
+    rb = _radial_breaks(quad, ax, profile.scale, y)
+    tb = _theta_breaks(ax, profile.scale, quad.growth) if n == 2 else None
+    coarse, _ = _radial_integral(profile, ax, f_ax, rb, tb,
+                                 quad.radial_nodes, quad.angular_nodes)
+    fine, cmass = _radial_integral(profile, ax, f_ax, rb, tb,
                                    quad.radial_nodes + 6, quad.angular_nodes + 6)
 
     # beyond y:  int r^-2 S dr = omega*f(ax)/y - int_{|y'|>y} f(x+y') K dy',
     # the second term sits inside [floor, tail(y-ax)] * omega / y
-    f_ax = float(profile(np.array(ax)))
     hi = profile.tail(y - ax) if y > ax else profile.tail(0.0)
     lo = profile.floor
     tail_mid = 0.5 * (hi + lo)

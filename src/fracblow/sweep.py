@@ -125,7 +125,8 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
             r_star = adapted_radius(spec, constants, plan.params).r_star
             cap = max(plan.cap_fraction * r_star, 0.75 * plan.grid.dx)
             spec = dataclasses.replace(spec, cap_radius=cap)
-        rr = blowup_radius(spec, constants, plan.params, plan.grid)
+        u0 = make_initial_data(spec, plan.grid, plan.params.alpha)
+        rr = blowup_radius(spec, constants, plan.params, u0)
         row.r_star = rr.r_star
         row.t_bound = rr.t_bound_formula
         row.t_prop = rr.report.t_bound
@@ -141,7 +142,6 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
             row.note = f"R*={rr.r_star:.4g} below the grid spacing dx={plan.grid.dx:.4g}"
             return row
 
-        u0 = make_initial_data(spec, plan.grid, plan.params.alpha)
         sup0 = u0.sup_norm()
         dt = plan.dt_factor / sup0 if plan.kind == "inner-singular" else plan.dt_base
         horizon = plan.horizon_factor * min(rr.report.t_bound, rr.t_bound_formula)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from fracblow.blowup import (InitialDataSpec, blowup_radius, compute_constants,
+from fracblow.blowup import (InitialDataSpec, adapted_radius, blowup_radius, compute_constants,
                              lifespan_bound, make_initial_data, ode_lower_envelope,
                              weighted_functional)
 from fracblow.evolution import EvolutionConfig, ProblemParams, evolve, scaling_check, strang_step
@@ -208,12 +208,12 @@ def test_criterion_08_ode_envelope(chain_p2):
     grid = GridSpec(1, 40.0, 16384)
     problems = []
     for mu in (20.0, 28.0, 40.0, 56.0, 80.0):
-        probe = blowup_radius(InitialDataSpec(kind="inner-singular", mu=mu, k=0.25),
-                              constants, params, grid)
+        probe = adapted_radius(InitialDataSpec(kind="inner-singular", mu=mu, k=0.25),
+                               constants, params)
         spec = InitialDataSpec(kind="inner-singular", mu=mu, k=0.25,
                                cap_radius=max(0.15 * probe.r_star, 0.75 * grid.dx))
-        rr = blowup_radius(spec, constants, params, grid)
         u0 = make_initial_data(spec, grid, params.alpha)
+        rr = blowup_radius(spec, constants, params, u0)
         cfg = EvolutionConfig(grid=grid, dt=0.01 / u0.sup_norm(),
                               t_max=1.3 * rr.report.t_bound,
                               blowup_threshold=25.0 * u0.sup_norm())

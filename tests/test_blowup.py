@@ -26,6 +26,11 @@ def constants(params, quad):
     return compute_constants(params, 1.2)
 
 
+def _lattice_radius(spec, constants, params, grid):
+    """blowup_radius on the family member built from spec on grid."""
+    return blowup_radius(spec, constants, params, make_initial_data(spec, grid, params.alpha))
+
+
 class TestConstants:
     def test_weight_mass_analytic(self, quad):
         # int <x>^(-2) dx = pi over the line, 2 pi over the plane
@@ -227,7 +232,7 @@ class TestAdaptedRadius:
         assert closed.r_star == pytest.approx(r_target, rel=1e-12)
         assert closed.report is None
         # the lattice route adds only the threshold verdict
-        lattice = blowup_radius(spec, constants, params, GridSpec(n, 64.0, 128))
+        lattice = _lattice_radius(spec, constants, params, GridSpec(n, 64.0, 128))
         assert lattice.r_star == closed.r_star
         assert dataclasses.replace(lattice, report=None) == closed
         assert lattice.report.R == closed.r_star
@@ -236,17 +241,17 @@ class TestAdaptedRadius:
         # n = 1, k = 1/4: I = (n-k)^(-1) 2^(-n-1) omega_n = 2/3
         g = GridSpec(1, 40.0, 8192)
         spec = InitialDataSpec(kind="inner-singular", mu=30.0, k=0.25)
-        rr = blowup_radius(spec, constants, params, g)
+        rr = _lattice_radius(spec, constants, params, g)
         assert rr.i_const == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert rr.report.condition_holds and rr.regime_ok
 
     def test_amplitude_scaling_exact(self, params, constants):
         g = GridSpec(1, 40.0, 8192)
         k = 0.25
-        t1 = blowup_radius(InitialDataSpec(kind="inner-singular", mu=30.0, k=k),
-                           constants, params, g).t_bound_formula
-        t2 = blowup_radius(InitialDataSpec(kind="inner-singular", mu=60.0, k=k),
-                           constants, params, g).t_bound_formula
+        t1 = _lattice_radius(InitialDataSpec(kind="inner-singular", mu=30.0, k=k),
+                             constants, params, g).t_bound_formula
+        t2 = _lattice_radius(InitialDataSpec(kind="inner-singular", mu=60.0, k=k),
+                             constants, params, g).t_bound_formula
         predicted = t1 * 2.0 ** (-1.0 / (1.0 / (params.p - 1.0) - k))
         assert t2 == pytest.approx(predicted, rel=1e-13)
 
@@ -256,17 +261,17 @@ class TestAdaptedRadius:
         constants = compute_constants(params, 1.2)
         g = GridSpec(1, 256.0, 8192)
         k = 1.5
-        t1 = blowup_radius(InitialDataSpec(kind="outer-decay", mu=1e-4, k=k),
-                           constants, params, g).t_bound_formula
-        t2 = blowup_radius(InitialDataSpec(kind="outer-decay", mu=2e-4, k=k),
-                           constants, params, g).t_bound_formula
+        t1 = _lattice_radius(InitialDataSpec(kind="outer-decay", mu=1e-4, k=k),
+                             constants, params, g).t_bound_formula
+        t2 = _lattice_radius(InitialDataSpec(kind="outer-decay", mu=2e-4, k=k),
+                             constants, params, g).t_bound_formula
         expo = -1.0 / (1.0 / (params.p - 1.0) - min(params.n, k))
         assert t2 / t1 == pytest.approx(2.0 ** expo, rel=1e-12)
 
     def test_out_of_regime_reports_boundary(self, params, constants):
         g = GridSpec(1, 40.0, 8192)
-        rr = blowup_radius(InitialDataSpec(kind="inner-singular", mu=1.0, k=0.25),
-                           constants, params, g)
+        rr = _lattice_radius(InitialDataSpec(kind="inner-singular", mu=1.0, k=0.25),
+                             constants, params, g)
         assert not rr.regime_ok and not rr.conclusive
         assert "R*" in rr.boundary
 
@@ -275,8 +280,8 @@ class TestAdaptedRadius:
         # check at that radius also yields a finite bound
         g = GridSpec(1, 40.0, 8192)
         for mu in (25.0, 50.0, 100.0):
-            rr = blowup_radius(InitialDataSpec(kind="inner-singular", mu=mu, k=0.25),
-                               constants, params, g)
+            rr = _lattice_radius(InitialDataSpec(kind="inner-singular", mu=mu, k=0.25),
+                                 constants, params, g)
             if rr.conclusive:
                 assert math.isfinite(rr.report.t_bound)
                 assert rr.report.t_bound <= rr.t_bound_formula * 1.001
@@ -286,8 +291,8 @@ class TestAdaptedRadius:
         cst = compute_constants(steep, 1.2)
         g = GridSpec(1, 40.0, 1024)
         with pytest.raises(ValueError, match="1/\\(p-1\\)"):
-            blowup_radius(InitialDataSpec(kind="inner-singular", mu=5.0, k=0.4),
-                          cst, steep, g)
+            _lattice_radius(InitialDataSpec(kind="inner-singular", mu=5.0, k=0.4),
+                            cst, steep, g)
 
 
 def test_integrable_family_large_radius_gate(quad):

@@ -150,6 +150,47 @@ def test_malformed_config_exits_one_no_partial_files(tmp_path):
     assert not (out / "constants.json").exists()
 
 
+@pytest.mark.parametrize("extra, section, key", [
+    ("[sweep]\nkind = inner-singular\nseed = 3\n", "sweep", "seed"),
+    ("[sweep]\nkind = inner-singular\ndt_facter = 0.5\n", "sweep", "dt_facter"),
+    ("[quadrature]\ntol = 1e-6\nradial_node = 14\n", "quadrature", "radial_node"),
+])
+def test_unknown_key_exits_one_naming_it(tmp_path, capsys, extra, section, key):
+    path = tmp_path / "run.ini"
+    path.write_text(BASE.replace("[quadrature]\ntol = 1e-6\n", "") + extra)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r} in section [{section}]" in err
+    assert not (out / "sweep_rows.csv").exists()
+
+
+def test_unknown_section_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[swep]\nkind = inner-singular\n")
+    assert main(["constants", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "unknown section [swep]" in capsys.readouterr().err
+
+
+def test_shipped_configs_load(tmp_path):
+    # the README example and the benchmark's generated configs use known keys only
+    import importlib.util
+
+    from fracblow.config import load_config
+
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    texts = [readme.split("```ini\n", 1)[1].split("```", 1)[0]]
+    spec = importlib.util.spec_from_file_location("fracbench_inputs",
+                                                  root / "fracbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    texts += [inputs.config_text(w, s) for w in inputs.WORKLOADS for s in (0, 1)]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"shipped_{i}.ini"
+        path.write_text(text)
+        assert load_config(path).quadrature is not None
+
+
 def test_missing_config_file_exits_one(tmp_path):
     assert main(["constants", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")]) == 1

@@ -7,6 +7,8 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import j0
 
+from fracblow import pv
+from fracblow.lemma import sample_frac_weight
 from fracblow.profiles import bracket_profile, constant_profile, gaussian_profile
 from fracblow.pv import (PVQuadratureConfig, QuadratureError, frac_laplacian_pv,
                          frac_laplacian_pv_many, normalization_constant)
@@ -138,6 +140,60 @@ class TestPointwiseEvaluator:
         for x, v, e in zip(xs, vals, errs):
             res = frac_laplacian_pv(bracket_profile(2.0), x, b1, quad)
             assert res.value == v and res.error == e
+
+
+#: radii whose 2D points span one row block (r = 0, coarse rule) up to dozens
+CLOSED_FORM_RADII = (0.0, 0.5, 1.0, 3.0, 30.0, 1e3, 1e4)
+
+
+class TestClosedFormCertificates:
+    """Certified values against exact Poisson-extension identities.
+
+    The lemma's sampler sets the tolerance to the expected magnitude at
+    each radius, so a certificate must hold from the core to r = 1e4.
+    """
+
+    @pytest.mark.parametrize("n, q, exact", [
+        # <x>^(-2) in 1D, which is also <x>^(-n-1) for n = 1
+        (1, 2.0, lambda r: (1.0 - r * r) * (1.0 + r * r) ** -2),
+        (2, 1.0, lambda r: (1.0 + r * r) ** -1.5),
+        # <x>^(-n-1) -> (n - r^2) <x>^(-n-3) for n = 2
+        (2, 3.0, lambda r: (2.0 - r * r) * (1.0 + r * r) ** -2.5),
+    ])
+    def test_value_within_certificate(self, quad, n, q, exact):
+        b = normalization_constant(n, quad).value
+        for s in sample_frac_weight(n, q, CLOSED_FORM_RADII, quad, b):
+            assert abs(s.value - exact(s.r)) <= s.error, s
+
+    def test_row_blocks_do_not_change_the_value(self, quad, b2, monkeypatch):
+        # one row per block, the default budget, and the whole table at once
+        values = {}
+        for budget in (1, pv._BLOCK_ELEMENTS, 10**9):
+            monkeypatch.setattr(pv, "_BLOCK_ELEMENTS", budget)
+            values[budget] = sample_frac_weight(2, 3.0, CLOSED_FORM_RADII, quad, b2)
+        ref = values[pv._BLOCK_ELEMENTS]
+        for samples in values.values():
+            for s, t in zip(samples, ref):
+                assert abs(s.value - t.value) <= 1e-3 * t.error
+
+
+class TestSquaredRadiusProfiles:
+    @pytest.mark.parametrize("profile", [bracket_profile(2.0), bracket_profile(3.0, R=2.5),
+                                         gaussian_profile(), gaussian_profile(0.7)])
+    def test_call_takes_the_radius(self, profile):
+        r = np.array([0.0, 0.3, 1.0, 7.5, 1e3])
+        assert np.array_equal(profile(r), profile.fn(r * r))
+
+    @pytest.mark.parametrize("profile, radial", [
+        (bracket_profile(2.0), lambda r: (1.0 + r * r) ** -1.0),
+        (bracket_profile(3.0, R=2.5), lambda r: (1.0 + (r / 2.5) ** 2) ** -1.5),
+        (gaussian_profile(0.7), lambda r: math.exp(-(r / 0.7) ** 2)),
+    ])
+    def test_tail_is_a_function_of_the_radius(self, profile, radial):
+        for r in (0.0, 0.5, 2.0, 40.0, 1e4):
+            assert profile.tail(r) == pytest.approx(radial(r), rel=1e-14)
+            assert profile.tail(r) == float(profile(r))
+        assert profile.tail(-3.0) == profile.tail(0.0) == 1.0
 
 
 def test_config_validation():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from fracblow import sweep
-from fracblow.blowup import blowup_radius, compute_constants
+from fracblow.blowup import blowup_radius, compute_constants, make_initial_data
 from fracblow.evolution import ProblemParams
 from fracblow.grid import GridSpec
 from fracblow.sweep import (SweepPlan, fit_power_law, in_regime_amplitude, run_sweep,
@@ -140,6 +140,26 @@ class TestRunSweep:
                                      mu_values=(30.0,), grid=grid), constants)
         assert len(calls) == 1 and result.rows[0].blew_up
         assert calls[0].cap_radius == max(0.15 * result.rows[0].r_star, 0.75 * grid.dx)
+
+    def test_row_builds_initial_data_once(self, inner_setup, monkeypatch):
+        # M_R(0) is measured on the field that is then evolved
+        params, constants, grid = inner_setup
+        built, measured = [], []
+
+        def building(*args):
+            built.append(make_initial_data(*args))
+            return built[-1]
+
+        def measuring(spec, constants, params, data):
+            measured.append(data)
+            return blowup_radius(spec, constants, params, data)
+
+        monkeypatch.setattr(sweep, "make_initial_data", building)
+        monkeypatch.setattr(sweep, "blowup_radius", measuring)
+        result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
+                                     mu_values=(30.0, 60.0), grid=grid), constants)
+        assert all(r.blew_up for r in result.rows)
+        assert len(built) == 2 and all(m is b for m, b in zip(measured, built))
 
     def test_plan_validation(self, inner_setup):
         params, _, grid = inner_setup

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import sys
 from pathlib import Path
 
@@ -63,7 +64,7 @@ def _require(cfg: HarnessConfig, what: str):
 
 def _constants_block(cfg: HarnessConfig, safety: float = 1.2):
     params = _require(cfg, "params")
-    b = normalization_constant(params.n, cfg.quadrature)
+    b = normalization_constant(params.n)
     a_bound, verdict = estimate_weight_derivative_bound(params.n, cfg.quadrature, safety=safety)
     source = (f"decay suite n={params.n} q={params.n + 1}, sampled sup "
               f"{verdict.a_hat:.6g} x safety {safety}")
@@ -95,7 +96,7 @@ def _cmd_frac_apply(cfg: HarnessConfig, out: Path) -> int:
         raise ConfigError(f"unknown profile {name!r} in [frac_apply]")
     points = parse_float_list(cfg, "frac_apply", "points",
                               default=list(np.linspace(0.0, 5.0, 11)))
-    b = normalization_constant(params.n, quad)
+    b = normalization_constant(params.n)
     xs = [(x, 0.0) if params.n == 2 else x for x in points]
     values, errors = frac_laplacian_pv_many(profile, xs, b.value, quad)
 
@@ -137,7 +138,7 @@ def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
     for n in dims:
         qs = parse_float_list(cfg, "lemma", "q_values",
                               default=[0.5 * n, float(n), float(n + 1), float(n + 2)])
-        b = normalization_constant(n, quad)
+        b = normalization_constant(n)
         for q in qs:
             v = verify_lemma(n, q, quad, window=window, b=b.value)
             verdicts.append(v)
@@ -260,7 +261,25 @@ _COMMANDS = {
 }
 
 
+def _keep_freed_memory() -> None:
+    """Let glibc keep freed arrays on the heap for reuse.
+
+    By default every freed block of 128 KiB or more (PV blocks, 1D fields,
+    2D fields) goes back to the kernel and is page-faulted in again on the
+    next allocation.  Raising both the mmap and the trim threshold keeps
+    them; either one alone does not.  A no-op where mallopt is missing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB of free heap
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap-allocate blocks below 32 MiB
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
         args = _build_parser().parse_args(argv)
     except _ArgumentError as exc:

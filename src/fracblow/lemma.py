@@ -138,7 +138,7 @@ def sample_frac_weight(n: int, q: float, radii, quad: PVQuadratureConfig,
     if np.any(radii < 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be nonnegative and strictly increasing")
     if b is None:
-        b = normalization_constant(n, quad).value
+        b = normalization_constant(n).value
     return _sample(n, bracket_profile(q), radii, quad, b, min(q, n) + 1.0, FAR_CUTOFF_FACTOR)
 
 
@@ -289,7 +289,7 @@ def verify_gaussian_remark(n: int, quad: PVQuadratureConfig,
     if n not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
     if b is None:
-        b = normalization_constant(n, quad).value
+        b = normalization_constant(n).value
     if radii is None:
         radii = np.concatenate(([0.0, 0.5, 1.0, 2.0, 4.0],
                                 np.geomspace(window[0], window[1], 16)))

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, sici
 
 from .profiles import RadialProfile
 
@@ -263,76 +262,15 @@ def frac_laplacian_pv_many(profile: RadialProfile, xs, b: float,
 # kernel normalization
 # ---------------------------------------------------------------------------
 
-def _oscillatory_breaks(y: float) -> np.ndarray:
-    m = max(8, int(math.ceil(y / (0.5 * math.pi))))
-    return np.linspace(0.0, y, m + 1)
-
-
-def _norm_integral_1d(y: float, m: int) -> float:
-    """int_0^y (1 - cos t)/t^2 dt with Gauss panels of half-period size."""
-    t, w = _segment_nodes(_oscillatory_breaks(y), m)
-    return float(np.dot(w, (1.0 - np.cos(t)) / np.square(t)))
-
-
-def _norm_tail_1d(y: float) -> float:
-    """Exact int_y^inf (1 - cos t)/t^2 dt via the sine integral."""
-    si, _ = sici(y)
-    return 1.0 / y - math.cos(y) / y + (0.5 * math.pi - si)
-
-
-def _norm_integral_2d(y: float, m: int) -> float:
-    """int_0^y (1 - J0(r))/r^2 dr with Gauss panels of half-period size."""
-    t, w = _segment_nodes(_oscillatory_breaks(y), m)
-    return float(np.dot(w, (1.0 - j0(t)) / np.square(t)))
-
-
-def _norm_tail_2d(y: float) -> tuple[float, float]:
-    """int_y^inf (1 - J0)/r^2 dr: asymptotic value and a rigorous error bound.
-
-    Uses J0(r) ~ sqrt(2/(pi r)) [cos(r - pi/4) + sin(r - pi/4)/(8r)] with the
-    oscillatory moments integrated by parts twice.
-    """
-    a = 0.25 * math.pi
-    c = math.sqrt(2.0 / math.pi)
-    sY, cY = math.sin(y - a), math.cos(y - a)
-    # int_y r^-5/2 cos(r-a) dr = -y^-5/2 sY + 2.5*(y^-7/2 cY - 3.5 int r^-9/2 cos)
-    t1 = -(y ** -2.5) * sY + 2.5 * (y ** -3.5) * cY
-    e1 = 2.5 * 3.5 * (2.0 / 7.0) * y ** -3.5
-    # (1/8) int_y r^-7/2 sin(r-a) dr = (1/8)(y^-7/2 cY + ...)
-    t2 = 0.125 * (y ** -3.5) * cY
-    e2 = 0.125 * 3.5 * (2.0 / 9.0) * y ** -3.5
-    # |J0 - leading two terms| <= c * (9/128) r^-5/2
-    e3 = (9.0 / 128.0) * (2.0 / 7.0) * y ** -3.5
-    return 1.0 / y - c * (t1 + t2), c * (e1 + e2 + e3)
-
-
-def normalization_constant(n: int, quad: PVQuadratureConfig) -> PVResult:
+def normalization_constant(n: int, quad: PVQuadratureConfig | None = None) -> PVResult:
     """Kernel normalization B = (integral of (1 - cos xi_1)/|xi|^(n+1))^(-1).
 
-    Computed by panel quadrature of the radial reduction plus an analytic
-    far-field tail; the target tolerance is the tighter of quad.tol and 1e-8.
+    Closed form B_n = Gamma((n+1)/2) / pi^((n+1)/2): 1/pi for n = 1 and
+    1/(2 pi) for n = 2 (Di Nezza, Palatucci, Valdinoci, Bull. Sci. Math.
+    136 (2012), Sec. 3).  The error is a roundoff allowance, 4 eps B.
+    ``quad`` is accepted and ignored.
     """
     if n not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {n}")
-    tol = min(quad.tol, 1e-8)
-    m = max(quad.radial_nodes, 10)
-    if n == 1:
-        y = max(quad.y_max, 64.0)
-        coarse = _norm_integral_1d(y, m)
-        fine = _norm_integral_1d(y, m + 6)
-        integral = 2.0 * (fine + _norm_tail_1d(y))
-        ierr = 2.0 * 1.5 * abs(fine - coarse) + 1e-14
-    else:
-        # the certified remainder of the Bessel tail scales as y^(-7/2)
-        y = max(quad.y_max, 192.0)
-        coarse = _norm_integral_2d(y, m)
-        fine = _norm_integral_2d(y, m + 6)
-        tail, tail_err = _norm_tail_2d(y)
-        integral = 2.0 * math.pi * (fine + tail)
-        ierr = 2.0 * math.pi * (1.5 * abs(fine - coarse) + tail_err)
-    b = 1.0 / integral
-    berr = ierr * b * b  # first-order propagation through the reciprocal
-    if berr > tol:
-        raise QuadratureError(
-            f"normalization quadrature not converged for n={n}", b, berr)
-    return PVResult(b, berr)
+    b = math.gamma(0.5 * (n + 1)) / math.pi ** (0.5 * (n + 1))
+    return PVResult(b, 4.0 * math.ulp(1.0) * b)

@@ -1,5 +1,9 @@
 """Command-line harness: exit codes, outputs, config diagnostics."""
+import ctypes
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +45,40 @@ def test_constants_command(tmp_path):
     for key in ("A_hat", "B", "C", "D", "W_n"):
         assert key in manifest["constants"]
     assert manifest["constants"]["B"]["error"] <= 1e-8
+
+
+def test_cli_process_runs_without_scipy(tmp_path):
+    # a fresh interpreter: this test process has scipy loaded by the oracles
+    cfg = write_config(tmp_path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from fracblow.cli import main\n"
+        f"assert main(['constants', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("libc", [
+    pytest.param(OSError("no C library"), id="cdll-raises"),
+    pytest.param(object(), id="no-mallopt"),
+])
+def test_constants_without_mallopt(tmp_path, monkeypatch, libc):
+    def fake_cdll(name):
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "constants.json").exists()
 
 
 def test_frac_apply_command(tmp_path):

@@ -27,11 +27,14 @@ class TestNormalizationConstant:
         assert abs(res.value - 1.0 / math.pi) < 1e-6
         assert res.error <= 1e-8
 
-    def test_dim1_tail_consistency(self, quad):
-        doubled = dataclasses.replace(quad, y_max=2 * quad.y_max)
-        a = normalization_constant(1, quad)
-        b = normalization_constant(1, doubled)
-        assert abs(a.value - b.value) <= a.error + b.error
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_form(self, n):
+        # B_n = Gamma((n+1)/2) / pi^((n+1)/2), i.e. 1/pi and 1/(2 pi)
+        res = normalization_constant(n)
+        want = math.gamma((n + 1) / 2) / math.pi ** ((n + 1) / 2)
+        assert abs(res.value - want) <= 2 * math.ulp(want)
+        assert abs(res.value - 1.0 / (n * math.pi)) <= 2 * math.ulp(want)
+        assert 0.0 < res.error <= 4 * np.finfo(float).eps * res.value
 
     def test_dim2_brute_force_oracle(self, quad):
         # independent oracle: 2 pi int_0^inf (1 - J0(r))/r^2 dr by adaptive

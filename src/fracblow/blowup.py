@@ -122,6 +122,12 @@ class LifespanReport:
             raise ValueError("t_bound must be finite exactly when the condition holds")
 
 
+def _lifespan(constants: BlowupConstants, p: float, R: float, gap: float) -> float:
+    """T = (p-1)^(-1) D^(-1) R^(n(p-1)) gap^(-(p-1)), for a gap M_R(0) - C R^(n-1/(p-1)) > 0."""
+    return (constants.d_rate ** -1.0 / (p - 1.0)
+            * R ** (constants.n * (p - 1.0)) * gap ** (-(p - 1.0)))
+
+
 def lifespan_bound(m0: float, constants: BlowupConstants, R: float,
                    params: ProblemParams) -> LifespanReport:
     """Check M_R(0) against the threshold; return the bound or 'no conclusion'."""
@@ -130,10 +136,8 @@ def lifespan_bound(m0: float, constants: BlowupConstants, R: float,
     gap = m0 - constants.threshold(R)
     if gap <= 0:
         return LifespanReport(R=R, m0=m0, condition_holds=False, t_bound=math.inf)
-    p = params.p
-    t = (constants.d_rate ** -1.0 / (p - 1.0)
-         * R ** (constants.n * (p - 1.0)) * gap ** (-(p - 1.0)))
-    return LifespanReport(R=R, m0=m0, condition_holds=True, t_bound=t)
+    return LifespanReport(R=R, m0=m0, condition_holds=True,
+                          t_bound=_lifespan(constants, params.p, R, gap))
 
 
 def ode_lower_envelope(m0: float, constants: BlowupConstants, R: float,
@@ -159,6 +163,11 @@ def ode_lower_envelope(m0: float, constants: BlowupConstants, R: float,
 # initial data families
 # ---------------------------------------------------------------------------
 
+#: width of the smooth continuation outside the unit ball (inner-singular)
+#: and of the collar the outer-decay ramp crosses inside it
+RAMP_WIDTH = 0.5
+
+
 @dataclass(frozen=True)
 class InitialDataSpec:
     """Data family: amplitude mu times a fixed profile with phase locked.
@@ -176,7 +185,6 @@ class InitialDataSpec:
     mu: float
     k: float = 0.0
     cap_radius: float | None = None
-    ramp_width: float = 0.5
 
     def __post_init__(self):
         if self.kind not in ("integrable", "inner-singular", "outer-decay"):
@@ -187,8 +195,6 @@ class InitialDataSpec:
             raise ValueError("singular and tail families need k > 0")
         if self.cap_radius is not None and self.cap_radius <= 0:
             raise ValueError("cap radius must be positive when given")
-        if self.ramp_width <= 0 or self.ramp_width >= 1:
-            raise ValueError("ramp width must lie in (0, 1)")
 
 
 def _check_k_against_dimension(spec: InitialDataSpec, n: int):
@@ -214,11 +220,10 @@ def data_profile(spec: InitialDataSpec, grid: GridSpec) -> np.ndarray:
         core = np.maximum(r, h) ** (-spec.k)
         # nonnegative smooth continuation outside the unit ball (the family
         # constraint there is one-sided)
-        outside = np.exp(-(r - 1.0) / spec.ramp_width)
+        outside = np.exp(-(r - 1.0) / RAMP_WIDTH)
         return np.where(r <= 1.0, core, outside)
     # outer-decay: zero well inside, cubic ramp to the tail across the collar
-    w = spec.ramp_width
-    ramp = np.clip((r - (1.0 - w)) / w, 0.0, 1.0)
+    ramp = np.clip((r - (1.0 - RAMP_WIDTH)) / RAMP_WIDTH, 0.0, 1.0)
     ramp = ramp * ramp * (3.0 - 2.0 * ramp)
     return ramp * np.maximum(r, 1.0) ** (-spec.k)
 
@@ -256,7 +261,8 @@ class RadiusReport:
 
     @property
     def conclusive(self) -> bool:
-        return self.regime_ok and self.report.condition_holds
+        """False without a lattice verdict (``adapted_radius`` output)."""
+        return self.regime_ok and self.report is not None and self.report.condition_holds
 
 
 def family_i_const(spec: InitialDataSpec, n: int) -> float:
@@ -308,8 +314,7 @@ def adapted_radius(spec: InitialDataSpec, constants: BlowupConstants,
 
     # family lower bound for the gap: M - C R^(n-1/(p-1)) >= R^growth * mu I/2
     gap_formula = r_star ** growth * spec.mu * i_const / 2.0
-    t_formula = (constants.d_rate ** -1.0 / (p - 1.0)
-                 * r_star ** (n * (p - 1.0)) * gap_formula ** (-(p - 1.0)))
+    t_formula = _lifespan(constants, p, r_star, gap_formula)
     return RadiusReport(kind=spec.kind, mu=spec.mu, r_star=r_star, i_const=i_const,
                         t_bound_formula=t_formula, regime_ok=regime_ok,
                         in_regime_strict=strict, boundary=boundary)

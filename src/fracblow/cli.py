@@ -8,22 +8,23 @@ computation finishes, so a failing run leaves no partial files.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .blowup import InitialDataSpec, blowup_radius, compute_constants, make_initial_data
-from .config import ConfigError, HarnessConfig, load_config, parse_float_list
-from .evolution import EvolutionConfig, UnresolvedFieldError, evolve
-from .grid import Field, GridSpec
-from .lemma import (estimate_weight_derivative_bound, verify_gaussian_remark,
+from .blowup import (InitialDataSpec, blowup_radius, compute_constants, lifespan_bound,
+                     make_initial_data, weighted_functional)
+from .config import (ConfigError, HarnessConfig, dimensions, flag, float_list,
+                     increasing_pair, load_config)
+from .evolution import MAX_HALVINGS, EvolutionConfig, UnresolvedFieldError, evolve
+from .grid import Field
+from .lemma import (A_SAFETY, estimate_weight_derivative_bound, verify_gaussian_remark,
                     verify_lemma, write_lemma_report)
 from .profiles import WeightProfile, bracket_profile, gaussian_profile
 from .pv import QuadratureError, frac_laplacian_pv_many, normalization_constant
-from .reporting import constants_manifest, save_field, write_manifest
+from .reporting import constants_manifest, save_field, write_csv, write_manifest
 from .spectral import frac_laplacian_spectral
 from .sweep import SweepPlan, in_regime_amplitude, run_sweep, write_sweep_outputs
 
@@ -62,18 +63,17 @@ def _require(cfg: HarnessConfig, what: str):
     return value
 
 
-def _constants_block(cfg: HarnessConfig, safety: float = 1.2):
+def _constants_block(cfg: HarnessConfig):
     params = _require(cfg, "params")
     b = normalization_constant(params.n)
-    a_bound, verdict = estimate_weight_derivative_bound(params.n, cfg.quadrature, safety=safety)
+    a_bound, verdict = estimate_weight_derivative_bound(params.n, cfg.quadrature)
     source = (f"decay suite n={params.n} q={params.n + 1}, sampled sup "
-              f"{verdict.a_hat:.6g} x safety {safety}")
+              f"{verdict.a_hat:.6g} x safety {A_SAFETY}")
     return params, b, compute_constants(params, a_bound, a_source=source)
 
 
 def _cmd_constants(cfg: HarnessConfig, out: Path) -> int:
-    safety = float(cfg.section("constants").get("safety", 1.2))
-    params, b, constants = _constants_block(cfg, safety)
+    params, b, constants = _constants_block(cfg)
     write_manifest(out / "constants.json", "constants", {
         "problem": {"n": params.n, "p": params.p, "lambda": params.lam,
                     "alpha": params.alpha},
@@ -85,20 +85,19 @@ def _cmd_constants(cfg: HarnessConfig, out: Path) -> int:
 
 def _cmd_frac_apply(cfg: HarnessConfig, out: Path) -> int:
     params = _require(cfg, "params")
-    quad = cfg.quadrature
-    sec = cfg.section("frac_apply")
-    name = sec.get("profile", "bracket")
+    name = cfg.get("frac_apply", "profile", str, "bracket")
     if name == "bracket":
-        profile = bracket_profile(float(sec.get("q", 2.0)), float(sec.get("r", 1.0)))
+        profile = bracket_profile(cfg.get("frac_apply", "q", float, 2.0),
+                                  cfg.get("frac_apply", "r", float, 1.0))
     elif name == "gaussian":
-        profile = gaussian_profile(float(sec.get("width", 1.0)))
+        profile = gaussian_profile(cfg.get("frac_apply", "width", float, 1.0))
     else:
         raise ConfigError(f"unknown profile {name!r} in [frac_apply]")
-    points = parse_float_list(cfg, "frac_apply", "points",
-                              default=list(np.linspace(0.0, 5.0, 11)))
+    points = (cfg.get("frac_apply", "points", float_list, None)
+              or list(np.linspace(0.0, 5.0, 11)))
     b = normalization_constant(params.n)
     xs = [(x, 0.0) if params.n == 2 else x for x in points]
-    values, errors = frac_laplacian_pv_many(profile, xs, b.value, quad)
+    values, errors = frac_laplacian_pv_many(profile, xs, b.value, cfg.quadrature)
 
     spectral = None
     if cfg.grid is not None:
@@ -108,13 +107,9 @@ def _cmd_frac_apply(cfg: HarnessConfig, out: Path) -> int:
         idx = np.argmin(np.abs(axis[None, :] - np.asarray(points)[:, None]), axis=1)
         spectral = spec_vals[idx] if params.n == 1 else spec_vals[idx, cfg.grid.N // 2]
 
-    rows_path = out / "frac_apply.csv"
-    with open(rows_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "pv_value", "pv_error", "spectral_value"])
-        for i, x in enumerate(points):
-            w.writerow([f"{x:.12g}", f"{values[i]:.12g}", f"{errors[i]:.12g}",
-                        "" if spectral is None else f"{spectral[i]:.12g}"])
+    rows_path = write_csv(out / "frac_apply.csv", ["x", "pv_value", "pv_error", "spectral_value"],
+                          ([x, values[i], errors[i], None if spectral is None else spectral[i]]
+                           for i, x in enumerate(points)))
     write_manifest(out / "frac_apply.json", "frac_apply", {
         "profile": profile.label, "points": list(points),
         "constants": {"B": {"value": b.value, "error": b.error}},
@@ -126,18 +121,17 @@ def _cmd_frac_apply(cfg: HarnessConfig, out: Path) -> int:
 
 def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
     quad = cfg.quadrature
-    sec = cfg.section("lemma")
-    dims = [int(v) for v in parse_float_list(cfg, "lemma", "dims", default=[1, 2])]
-    include_gaussian = sec.get("gaussian", "true").strip().lower() in ("1", "true", "yes")
-    window = tuple(parse_float_list(cfg, "lemma", "fit_window", default=[1e2, 1e4]))
-    if "q_values" in sec and sec["q_values"].strip() == "":
+    dims = cfg.get("lemma", "dims", dimensions, None) or [1, 2]
+    include_gaussian = cfg.get("lemma", "gaussian", flag, True)
+    window = cfg.get("lemma", "fit_window", increasing_pair, (1e2, 1e4))
+    q_values = cfg.get("lemma", "q_values", float_list, None)
+    if q_values == []:
         print("warning: empty q list, nothing to verify", file=sys.stderr)
         return 0
 
     verdicts = []
     for n in dims:
-        qs = parse_float_list(cfg, "lemma", "q_values",
-                              default=[0.5 * n, float(n), float(n + 1), float(n + 2)])
+        qs = q_values or [0.5 * n, float(n), float(n + 1), float(n + 2)]
         b = normalization_constant(n)
         for q in qs:
             v = verify_lemma(n, q, quad, window=window, b=b.value)
@@ -148,49 +142,37 @@ def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
             print(verdicts[-1].diagnostics)
 
     files = write_lemma_report(verdicts, out)
-    table = out / "a_hat_table.csv"
-    with open(table, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "q", "regime", "a_hat", "matched"])
-        for v in verdicts:
-            if v.regime != "gaussian":
-                w.writerow([v.n, f"{v.q:.12g}", v.regime, f"{v.a_hat:.12g}", int(v.matched)])
+    write_csv(out / "a_hat_table.csv", ["n", "q", "regime", "a_hat", "matched"],
+              ([v.n, v.q, v.regime, v.a_hat, v.matched]
+               for v in verdicts if v.regime != "gaussian"))
     print(f"wrote {len(files) + 1} files under {out}")
     return 0
-
-
-def _data_spec_from(sec: dict) -> InitialDataSpec:
-    kind = sec.get("data", "inner-singular")
-    mu = float(sec.get("mu", 1.0))
-    k = float(sec.get("k", 0.25))
-    cap = sec.get("cap_radius", "").strip()
-    return InitialDataSpec(kind=kind, mu=mu, k=k,
-                           cap_radius=float(cap) if cap else None)
 
 
 def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
     params = _require(cfg, "params")
     grid = _require(cfg, "grid")
-    sec = cfg.section("evolve")
+    cap = cfg.get("evolve", "cap_radius", lambda raw: float(raw) if raw else None, None)
+    spec = InitialDataSpec(kind=cfg.get("evolve", "data", str, "inner-singular"),
+                           mu=cfg.get("evolve", "mu", float, 1.0),
+                           k=cfg.get("evolve", "k", float, 0.25), cap_radius=cap)
+    r_fixed = cfg.get("evolve", "r", lambda raw: None if raw == "auto" else float(raw), None)
+    dt = cfg.get("evolve", "dt", float, 0.01)
+    t_max = cfg.get("evolve", "t_max", float, 1.0)
+    threshold_factor = cfg.get("evolve", "threshold_factor", float, 25.0)
     _, b, constants = _constants_block(cfg)
-    spec = _data_spec_from(sec)
     u0 = make_initial_data(spec, grid, params.alpha)
 
-    r_raw = sec.get("r", "auto").strip()
-    if r_raw == "auto":
+    if r_fixed is None:
         rr = blowup_radius(spec, constants, params, u0)
         radius, report = rr.r_star, rr.report
     else:
-        radius = float(r_raw)
-        from .blowup import lifespan_bound, weighted_functional
+        radius = r_fixed
         m0 = weighted_functional(u0, params.alpha, WeightProfile(q=params.n + 1, R=radius))
         report = lifespan_bound(m0, constants, radius, params)
 
-    sup0 = u0.sup_norm()
-    dt = float(sec.get("dt", 0.01))
-    t_max = float(sec.get("t_max", 1.0))
-    threshold = float(sec.get("threshold_factor", 25.0)) * sup0
-    config = EvolutionConfig(grid=grid, dt=dt, t_max=t_max, blowup_threshold=threshold)
+    config = EvolutionConfig(grid=grid, dt=dt, t_max=t_max,
+                             blowup_threshold=threshold_factor * u0.sup_norm())
     record = evolve(u0, params, config, WeightProfile(q=params.n + 1, R=radius))
 
     record.to_csv(out / "trajectory.csv")
@@ -202,7 +184,7 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
         "data": {"kind": spec.kind, "mu": spec.mu, "k": spec.k},
         "integrator": {"dt": config.dt, "t_max": config.t_max,
                        "blowup_threshold": config.blowup_threshold,
-                       "max_halvings": config.max_halvings},
+                       "max_halvings": MAX_HALVINGS},
         "weight_radius": radius,
         "constants": constants_manifest(constants, b),
         "threshold_condition_holds": report.condition_holds,
@@ -219,13 +201,17 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
 def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
     params = _require(cfg, "params")
     grid = _require(cfg, "grid")
-    sec = cfg.section("sweep")
+    kind = cfg.get("sweep", "kind", str, "inner-singular")
+    k = cfg.get("sweep", "k", float, 0.25)
+    count = cfg.get("sweep", "count", int, 8)
+    mu_min = cfg.get("sweep", "mu_min", float, None)
+    mu_max = cfg.get("sweep", "mu_max", float, None)
+    dt_factor = cfg.get("sweep", "dt_factor", float, 0.02)
+    dt_base = cfg.get("sweep", "dt_base", float, 0.05)
+    workers = cfg.get("sweep", "workers", int, 1)
     _, b, constants = _constants_block(cfg)
-    kind = sec.get("kind", "inner-singular")
-    k = float(sec.get("k", 0.25))
-    count = int(sec.get("count", 8))
-    if "mu_min" in sec and "mu_max" in sec:
-        mu = np.geomspace(float(sec["mu_min"]), float(sec["mu_max"]), count)
+    if mu_min is not None and mu_max is not None:
+        mu = np.geomspace(mu_min, mu_max, count)
     else:
         # pick the decade ending just inside the strict scaling regime
         r_target = 0.45 if kind == "inner-singular" else 22.0
@@ -233,9 +219,7 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
         mu = np.geomspace(edge, 10.0 * edge, count) if kind == "inner-singular" \
             else np.geomspace(edge / 10.0, edge, count)
     plan = SweepPlan(params=params, kind=kind, k=k, mu_values=tuple(mu), grid=grid,
-                     dt_factor=float(sec.get("dt_factor", 0.02)),
-                     dt_base=float(sec.get("dt_base", 0.05)),
-                     workers=int(sec.get("workers", 1)))
+                     dt_factor=dt_factor, dt_base=dt_base, workers=workers)
     result = run_sweep(plan, constants)
     files = write_sweep_outputs(result, out, manifest_extra={
         "constants": constants_manifest(constants, b),

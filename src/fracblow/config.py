@@ -1,9 +1,10 @@
 """Sectioned text configuration for the command-line harness.
 
 INI syntax via configparser: sections [problem], [grid], [quadrature],
-plus command-specific sections [constants], [lemma], [frac_apply],
-[evolve], [sweep].  Parse failures, unknown sections and unknown keys
-carry the section and field name.
+plus command-specific sections [lemma], [frac_apply], [evolve], [sweep].
+Parse failures, bad values, unknown sections and unknown keys carry the
+section and field name: commands read every key through
+``HarnessConfig.get``.
 """
 from __future__ import annotations
 
@@ -26,9 +27,8 @@ _sentinel = object()
 #: misspelt key cannot fall back silently to its default
 _KNOWN_KEYS = {
     "problem": ("n", "p", "lambda", "alpha"),
-    "grid": ("n", "L", "N"),
+    "grid": ("L", "N"),
     "quadrature": ("eps0", "growth", "y_max", "radial_nodes", "angular_nodes", "tol"),
-    "constants": ("safety",),
     "frac_apply": ("profile", "q", "r", "width", "points"),
     "lemma": ("dims", "q_values", "fit_window", "gaussian"),
     "evolve": ("data", "mu", "k", "cap_radius", "r", "dt", "t_max", "threshold_factor"),
@@ -68,9 +68,31 @@ def _complex(raw: str) -> complex:
     return complex(raw.replace(" ", "").replace("i", "j"))
 
 
-def _float_list(raw: str) -> list[float]:
+def float_list(raw: str) -> list[float]:
+    """Comma-separated floats; an empty value is an empty list."""
     items = [s for s in (t.strip() for t in raw.split(",")) if s]
     return [float(s) for s in items]
+
+
+def dimensions(raw: str) -> list[int]:
+    values = float_list(raw)
+    if any(v not in (1, 2) for v in values):
+        raise ValueError("dimensions must be 1 or 2")
+    return [int(v) for v in values]
+
+
+def increasing_pair(raw: str) -> tuple[float, float]:
+    values = float_list(raw)
+    if len(values) != 2 or not values[0] < values[1]:
+        raise ValueError("need exactly two increasing values")
+    return values[0], values[1]
+
+
+def flag(raw: str) -> bool:
+    word = raw.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("need one of 1, true, yes, 0, false, no")
+    return word in ("1", "true", "yes")
 
 
 @dataclass(frozen=True)
@@ -82,8 +104,10 @@ class HarnessConfig:
     quadrature: PVQuadratureConfig
     raw: configparser.ConfigParser
 
-    def section(self, name: str) -> dict:
-        return dict(self.raw.items(name)) if self.raw.has_section(name) else {}
+    def get(self, section: str, key: str, cast, default=_sentinel):
+        """[section] key through cast, or default when absent; a bad value
+        is a ConfigError naming the section and key."""
+        return _get(self.raw, section, key, cast, default)
 
 
 def load_config(path: str | Path) -> HarnessConfig:
@@ -103,8 +127,8 @@ def load_config(path: str | Path) -> HarnessConfig:
         n = _get(parser, "problem", "n", int)
         p = _get(parser, "problem", "p", float)
         lam = _get(parser, "problem", "lambda", _complex)
-        alpha_raw = parser.get("problem", "alpha", fallback="auto").strip()
-        alpha = None if alpha_raw in ("auto", "") else _complex(alpha_raw)
+        alpha = _get(parser, "problem", "alpha",
+                     lambda raw: None if raw in ("auto", "") else _complex(raw), default=None)
         try:
             params = ProblemParams(n=n, p=p, lam=lam, alpha=alpha)
         except ValueError as exc:
@@ -112,9 +136,10 @@ def load_config(path: str | Path) -> HarnessConfig:
 
     grid = None
     if parser.has_section("grid"):
+        if params is None:
+            raise ConfigError("[grid] needs a [problem] section, which sets the dimension n")
         try:
-            grid = GridSpec(n=params.n if params else _get(parser, "grid", "n", int),
-                            L=_get(parser, "grid", "L", float),
+            grid = GridSpec(n=params.n, L=_get(parser, "grid", "L", float),
                             N=_get(parser, "grid", "N", int))
         except ValueError as exc:
             raise ConfigError(f"bad [grid] section: {exc}") from exc
@@ -131,15 +156,3 @@ def load_config(path: str | Path) -> HarnessConfig:
         raise ConfigError(f"bad [quadrature] section: {exc}") from exc
 
     return HarnessConfig(params=params, grid=grid, quadrature=quad, raw=parser)
-
-
-def parse_float_list(cfg: HarnessConfig, section: str, key: str, default=None):
-    raw = cfg.section(section).get(key)
-    if raw is None or raw.strip() == "":
-        if default is not None:
-            return default
-        return []
-    try:
-        return _float_list(raw)
-    except Exception as exc:
-        raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc

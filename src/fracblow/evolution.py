@@ -12,7 +12,6 @@ last accepted time is the numerical blow-up time.
 """
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +20,7 @@ import numpy as np
 
 from .grid import Field, GridSpec
 from .profiles import WeightProfile
+from .reporting import write_csv
 from .spectral import apply_multiplier
 
 __all__ = [
@@ -38,6 +38,10 @@ __all__ = [
 
 #: largest share of spectral l2 mass allowed in the top band of the initial data
 TAIL_FRACTION_LIMIT = 1e-3
+#: a step whose sup grows past this factor is retried at half the step size ...
+GROWTH_CAP = 4.0
+#: ... at most this many times in a row before the run is flagged as blown up
+MAX_HALVINGS = 10
 
 
 @dataclass(frozen=True)
@@ -80,16 +84,12 @@ class EvolutionConfig:
     dt: float
     t_max: float
     blowup_threshold: float
-    max_halvings: int = 10
-    growth_cap: float = 4.0       # reject a step whose sup grows past this factor
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
         if self.blowup_threshold <= 0:
             raise ValueError("blow-up threshold must be positive")
-        if self.max_halvings < 0:
-            raise ValueError("halving limit must be nonnegative")
 
 
 @dataclass
@@ -105,13 +105,8 @@ class TrajectoryRecord:
     final: Field | None = field(default=None, repr=False)
 
     def to_csv(self, path: str | Path) -> Path:
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "m_r", "sup_norm", "l2_norm"])
-            for row in zip(self.times, self.m_r, self.sup_norm, self.l2_norm):
-                w.writerow([f"{v:.12g}" for v in row])
-        return path
+        return write_csv(path, ["t", "m_r", "sup_norm", "l2_norm"],
+                         zip(self.times, self.m_r, self.sup_norm, self.l2_norm))
 
 
 class UnresolvedFieldError(RuntimeError):
@@ -196,8 +191,8 @@ def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
 
     Halts at t_max, or flags blow-up when the sup norm crosses the
     configured threshold; violent steps (non-finite values or sup growth
-    beyond the growth cap) are retried with halved dt until the halving
-    budget runs out, at which point the last accepted time is reported as
+    beyond ``GROWTH_CAP``) are retried with halved dt until ``MAX_HALVINGS``
+    halvings run out, at which point the last accepted time is reported as
     the numerical blow-up time.
     """
     if u0.grid != config.grid:
@@ -215,7 +210,7 @@ def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
     u = u0.copy()
     t = 0.0
     dt = config.dt
-    dt_floor = config.dt / 2**config.max_halvings
+    dt_floor = config.dt / 2**MAX_HALVINGS
     blew_up = False
     t_num = None
 
@@ -227,7 +222,7 @@ def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
         trial = strang_step(u, dt_step, params)
         trial_sup = trial.sup_norm()
         # non-finite values make the sup NaN or infinite, failing this test too
-        if not trial_sup <= config.growth_cap * max(sup, 1e-300):
+        if not trial_sup <= GROWTH_CAP * max(sup, 1e-300):
             if dt * 0.5 < dt_floor:
                 blew_up = True
                 t_num = t

@@ -115,10 +115,6 @@ class Field:
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.values)) * self.grid.cell_volume)
 
-    def integral(self) -> complex:
-        """Lattice quadrature of the field over the box."""
-        return complex(np.sum(self.values) * self.grid.cell_volume)
-
     def boundary_max(self) -> float:
         """Largest |value| on the outermost lattice ring."""
         v = np.abs(self.values)

@@ -12,9 +12,7 @@ estimates the bound constants, and packages machine-readable verdicts.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +21,7 @@ import numpy as np
 
 from .profiles import RadialProfile, bracket, bracket_profile, gaussian_profile
 from .pv import PVQuadratureConfig, frac_laplacian_pv, normalization_constant, sphere_measure
+from .reporting import write_csv, write_manifest
 
 __all__ = [
     "DecayFitResult",
@@ -41,6 +40,8 @@ __all__ = [
 EXPONENT_TOL = {1: 0.05, 2: 0.1}
 #: the far cutoff of an algebraic weight sampled at radius r starts at this times 1 + r
 FAR_CUTOFF_FACTOR = 120.0
+#: factor on the sampled sup of the q = n + 1 constant, covering the gaps between samples
+A_SAFETY = 1.2
 
 
 @dataclass(frozen=True)
@@ -277,7 +278,7 @@ def verify_lemma(n: int, q: float, quad: PVQuadratureConfig,
 
 
 def verify_gaussian_remark(n: int, quad: PVQuadratureConfig,
-                           radii=None, window: tuple[float, float] = (8.0, 800.0),
+                           window: tuple[float, float] = (8.0, 800.0),
                            b: float | None = None) -> LemmaVerdict:
     """Negativity and decay of the half-Laplacian of exp(-|x|^2) at large radius.
 
@@ -290,9 +291,8 @@ def verify_gaussian_remark(n: int, quad: PVQuadratureConfig,
         raise ValueError("dimension must be 1 or 2")
     if b is None:
         b = normalization_constant(n).value
-    if radii is None:
-        radii = np.concatenate(([0.0, 0.5, 1.0, 2.0, 4.0],
-                                np.geomspace(window[0], window[1], 16)))
+    radii = np.concatenate(([0.0, 0.5, 1.0, 2.0, 4.0],
+                            np.geomspace(window[0], window[1], 16)))
     # the Gaussian's tail is negligible a few widths out: a short far cutoff
     samples = _sample(n, gaussian_profile(1.0), radii, quad, b, n + 1.0, 4.0)
 
@@ -312,21 +312,19 @@ def verify_gaussian_remark(n: int, quad: PVQuadratureConfig,
                         samples=tuple(samples))
 
 
-def estimate_weight_derivative_bound(n: int, quad: PVQuadratureConfig,
-                                     safety: float = 1.2,
-                                     b: float | None = None) -> tuple[float, LemmaVerdict]:
+def estimate_weight_derivative_bound(n: int,
+                                     quad: PVQuadratureConfig) -> tuple[float, LemmaVerdict]:
     """Certified constant A with |op(<.>^(-n-1))(x)| <= A <x>^(-n-1).
 
     This is the q = n + 1 regime constant that feeds the blow-up threshold;
-    the sampled sup is multiplied by a safety factor to cover the gaps
-    between samples, making every downstream bound conservative.
+    the sampled sup is multiplied by ``A_SAFETY`` to cover the gaps between
+    samples, making every downstream bound conservative.
     """
-    verdict = verify_lemma(n, float(n + 1), quad, b=b)
-    return safety * verdict.a_hat, verdict
+    verdict = verify_lemma(n, float(n + 1), quad)
+    return A_SAFETY * verdict.a_hat, verdict
 
 
-def write_lemma_report(verdicts: list[LemmaVerdict], out_dir: str | Path,
-                       manifest_extra: dict | None = None) -> list[Path]:
+def write_lemma_report(verdicts: list[LemmaVerdict], out_dir: str | Path) -> list[Path]:
     """Emit the JSON report plus one plot-ready CSV per verdict."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -334,13 +332,9 @@ def write_lemma_report(verdicts: list[LemmaVerdict], out_dir: str | Path,
     entries = []
     for v in verdicts:
         tag = "gaussian" if v.regime == "gaussian" else f"q{v.q:g}"
-        csv_path = out / f"lemma_n{v.n}_{tag}.csv"
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "g", "certified_error", "bound_case"])
-            for s in v.samples:
-                w.writerow([f"{s.r:.12g}", f"{s.value:.12g}", f"{s.error:.12g}", v.regime])
-        written.append(csv_path)
+        written.append(write_csv(out / f"lemma_n{v.n}_{tag}.csv",
+                                 ["r", "g", "certified_error", "bound_case"],
+                                 ([s.r, s.value, s.error, v.regime] for s in v.samples)))
         entries.append({
             "n": v.n, "q": None if v.regime == "gaussian" else v.q,
             "regime": v.regime, "matched": v.matched,
@@ -349,14 +343,7 @@ def write_lemma_report(verdicts: list[LemmaVerdict], out_dir: str | Path,
             "log_coeff": v.fit.log_coeff, "a_hat": v.a_hat,
             "residual": v.fit.residual, "residual_ratio": v.residual_ratio,
             "r_neg": v.r_neg, "negativity_ok": v.negativity_ok,
-            "diagnostics": v.diagnostics, "csv": csv_path.name,
+            "diagnostics": v.diagnostics, "csv": written[-1].name,
         })
-    report = {"schema": "fracblow/1", "kind": "lemma", "verdicts": entries}
-    if manifest_extra:
-        report.update(manifest_extra)
-    from .reporting import _jsonify
-
-    report_path = out / "lemma_report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True, default=_jsonify))
-    written.append(report_path)
+    written.append(write_manifest(out / "lemma_report.json", "lemma", {"verdicts": entries}))
     return written

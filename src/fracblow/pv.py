@@ -262,13 +262,12 @@ def frac_laplacian_pv_many(profile: RadialProfile, xs, b: float,
 # kernel normalization
 # ---------------------------------------------------------------------------
 
-def normalization_constant(n: int, quad: PVQuadratureConfig | None = None) -> PVResult:
+def normalization_constant(n: int) -> PVResult:
     """Kernel normalization B = (integral of (1 - cos xi_1)/|xi|^(n+1))^(-1).
 
     Closed form B_n = Gamma((n+1)/2) / pi^((n+1)/2): 1/pi for n = 1 and
     1/(2 pi) for n = 2 (Di Nezza, Palatucci, Valdinoci, Bull. Sci. Math.
     136 (2012), Sec. 3).  The error is a roundoff allowance, 4 eps B.
-    ``quad`` is accepted and ignored.
     """
     if n not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {n}")

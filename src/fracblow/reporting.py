@@ -1,6 +1,7 @@
-"""Output manifests and flat field serialization."""
+"""The one writer of the fracblow/1 format: CSV tables, JSON manifests, field files."""
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -23,6 +24,26 @@ def constants_manifest(constants, b_result=None) -> dict:
     if b_result is not None:
         out["B"] = {"value": b_result.value, "error": b_result.error}
     return out
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.12g}"
+    return value
+
+
+def write_csv(path: str | Path, header, rows) -> Path:
+    """A CSV table: floats as %.12g, None as an empty cell, bools as 0/1."""
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
+    return path
 
 
 def write_manifest(path: str | Path, kind: str, body: dict) -> Path:
@@ -49,13 +70,11 @@ def save_field(field: Field, basepath: str | Path) -> tuple[Path, Path]:
     """Flat .npy values plus a JSON sidecar describing the lattice."""
     base = Path(basepath)
     npy = base.with_suffix(".npy")
-    meta = base.with_suffix(".json")
     np.save(npy, field.values)
-    meta.write_text(json.dumps({
-        "schema": SCHEMA, "kind": "field",
+    meta = write_manifest(base.with_suffix(".json"), "field", {
         "grid": {"n": field.grid.n, "L": field.grid.L, "N": field.grid.N},
         "values": npy.name,
-    }, indent=2, sort_keys=True))
+    })
     return npy, meta
 
 

@@ -1,9 +1,7 @@
 """Amplitude sweeps: build data, bound, evolve, fit the lifespan power law."""
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +15,7 @@ from .blowup import (BlowupConstants, InitialDataSpec, adapted_radius, blowup_ra
 from .evolution import EvolutionConfig, ProblemParams, UnresolvedFieldError, evolve
 from .grid import GridSpec
 from .profiles import WeightProfile
+from .reporting import write_csv, write_manifest
 
 __all__ = ["SweepPlan", "SweepRow", "SweepResult", "fit_power_law", "run_sweep",
            "in_regime_amplitude", "write_sweep_outputs"]
@@ -40,15 +39,22 @@ def fit_power_law(pairs) -> tuple[float, float, float]:
     return float(expo), float(intercept), resid
 
 
+#: blow-up threshold of a row, in units of sup|u0|
+THRESHOLD_FACTOR = 25.0
+#: a row is evolved up to this times the smaller of its two bounds
+HORIZON_FACTOR = 1.3
+#: the inner-singularity cap, in units of the adapted radius R*(mu): the
+#: capped family stays self-similar across the sweep (a fixed grid-scale cap
+#: would pin the lifespan to the cap scale instead of the amplitude law)
+CAP_FRACTION = 0.15
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """One amplitude sweep over a fixed data family.
 
-    ``cap_fraction`` scales the inner-singularity cap with the adapted
-    radius R*(mu) so the capped family stays self-similar across the sweep
-    (a fixed grid-scale cap would pin the lifespan to the cap scale
-    instead of the amplitude law).  dt is chosen per run as
-    dt_factor / sup|u0| for inner data and dt_base for outer data.
+    dt is chosen per run as dt_factor / sup|u0| for inner data and dt_base
+    for outer data.
     """
 
     params: ProblemParams
@@ -58,9 +64,6 @@ class SweepPlan:
     grid: GridSpec
     dt_factor: float = 0.02
     dt_base: float = 0.05
-    threshold_factor: float = 25.0
-    horizon_factor: float = 1.3
-    cap_fraction: float = 0.15
     workers: int = 1
 
     def __post_init__(self):
@@ -123,7 +126,7 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
         spec = InitialDataSpec(kind=plan.kind, mu=mu, k=plan.k)
         if plan.kind == "inner-singular":
             r_star = adapted_radius(spec, constants, plan.params).r_star
-            cap = max(plan.cap_fraction * r_star, 0.75 * plan.grid.dx)
+            cap = max(CAP_FRACTION * r_star, 0.75 * plan.grid.dx)
             spec = dataclasses.replace(spec, cap_radius=cap)
         u0 = make_initial_data(spec, plan.grid, plan.params.alpha)
         rr = blowup_radius(spec, constants, plan.params, u0)
@@ -144,9 +147,9 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
 
         sup0 = u0.sup_norm()
         dt = plan.dt_factor / sup0 if plan.kind == "inner-singular" else plan.dt_base
-        horizon = plan.horizon_factor * min(rr.report.t_bound, rr.t_bound_formula)
+        horizon = HORIZON_FACTOR * min(rr.report.t_bound, rr.t_bound_formula)
         cfg = EvolutionConfig(grid=plan.grid, dt=dt, t_max=horizon,
-                              blowup_threshold=plan.threshold_factor * sup0)
+                              blowup_threshold=THRESHOLD_FACTOR * sup0)
         rec = evolve(u0, plan.params, cfg,
                      WeightProfile(q=plan.params.n + 1, R=rr.r_star))
         row.blew_up = rec.blew_up
@@ -194,30 +197,24 @@ def write_sweep_outputs(result: SweepResult, out_dir: str | Path,
     """rows CSV plus a JSON summary; formatting is fixed for reproducibility."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows_path = out / "sweep_rows.csv"
-    with open(rows_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mu", "r_star", "t_bound", "t_prop", "t_num", "m0",
-                    "condition_holds", "in_regime", "blew_up", "failed", "note"])
-        for r in result.rows:
-            w.writerow([f"{r.mu:.12g}", f"{r.r_star:.12g}", f"{r.t_bound:.12g}",
-                        f"{r.t_prop:.12g}",
-                        "" if r.t_num is None else f"{r.t_num:.12g}",
-                        f"{r.m0:.12g}", int(r.condition_holds), int(r.in_regime),
-                        int(r.blew_up), int(r.failed), r.note])
+    rows_path = write_csv(
+        out / "sweep_rows.csv",
+        ["mu", "r_star", "t_bound", "t_prop", "t_num", "m0",
+         "condition_holds", "in_regime", "blew_up", "failed", "note"],
+        ([r.mu, r.r_star, r.t_bound, r.t_prop, r.t_num, r.m0, r.condition_holds,
+          r.in_regime, r.blew_up, r.failed, r.note] for r in result.rows))
+    plan = result.plan
     summary = {
-        "schema": "fracblow/1",
-        "kind": "sweep",
-        "family": result.plan.kind,
-        "k": result.plan.k,
+        "family": plan.kind,
+        "k": plan.k,
         "plan": {
-            "mu_values": list(result.plan.mu_values),
-            "dt_factor": result.plan.dt_factor,
-            "dt_base": result.plan.dt_base,
-            "threshold_factor": result.plan.threshold_factor,
-            "horizon_factor": result.plan.horizon_factor,
-            "cap_fraction": result.plan.cap_fraction,
-            "workers": result.plan.workers,
+            "mu_values": list(plan.mu_values),
+            "dt_factor": plan.dt_factor,
+            "dt_base": plan.dt_base,
+            "threshold_factor": THRESHOLD_FACTOR,
+            "horizon_factor": HORIZON_FACTOR,
+            "cap_fraction": CAP_FRACTION,
+            "workers": plan.workers,
         },
         "predicted_exponent": result.predicted_exponent,
         "fitted_exponent_t_num": result.fitted_exponent_num,
@@ -225,11 +222,6 @@ def write_sweep_outputs(result: SweepResult, out_dir: str | Path,
         "fit_residual": result.fit_residual_num,
         "warnings": result.warnings,
         "rows_csv": rows_path.name,
+        **(manifest_extra or {}),
     }
-    if manifest_extra:
-        summary.update(manifest_extra)
-    from .reporting import _jsonify
-
-    summary_path = out / "sweep_result.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True, default=_jsonify))
-    return [rows_path, summary_path]
+    return [rows_path, write_manifest(out / "sweep_result.json", "sweep", summary)]

@@ -9,10 +9,10 @@ def quad():
 
 
 @pytest.fixture(scope="session")
-def b1(quad):
-    return normalization_constant(1, quad).value
+def b1():
+    return normalization_constant(1).value
 
 
 @pytest.fixture(scope="session")
-def b2(quad):
-    return normalization_constant(2, quad).value
+def b2():
+    return normalization_constant(2).value

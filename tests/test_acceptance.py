@@ -74,7 +74,7 @@ def outer_sweep(quad):
 
 def test_criterion_01_normalization_constant(quad):
     start = time.monotonic()
-    res = normalization_constant(1, quad)
+    res = normalization_constant(1)
     elapsed = time.monotonic() - start
     err = abs(res.value - 1.0 / math.pi)
     _report(1, err < 1e-6 and elapsed < 1.0,

@@ -231,6 +231,7 @@ class TestAdaptedRadius:
         closed = adapted_radius(spec, constants, params)
         assert closed.r_star == pytest.approx(r_target, rel=1e-12)
         assert closed.report is None
+        assert closed.conclusive is False    # no lattice verdict yet
         # the lattice route adds only the threshold verdict
         lattice = _lattice_radius(spec, constants, params, GridSpec(n, 64.0, 128))
         assert lattice.r_star == closed.r_star

@@ -203,6 +203,46 @@ def test_unknown_key_exits_one_naming_it(tmp_path, capsys, extra, section, key):
     assert not (out / "sweep_rows.csv").exists()
 
 
+@pytest.mark.parametrize("command, text, section, key", [
+    pytest.param("sweep", BASE + "[sweep]\ndt_factor = 0.08x\n", "sweep", "dt_factor",
+                 id="sweep-dt_factor"),
+    pytest.param("sweep", BASE + "[sweep]\ncount = 2.5\n", "sweep", "count", id="sweep-count"),
+    pytest.param("evolve", BASE + "[evolve]\nmu = thirty\n", "evolve", "mu", id="evolve-mu"),
+    pytest.param("evolve", BASE + "[evolve]\nr = automatic\n", "evolve", "r", id="evolve-r"),
+    pytest.param("verify-lemma", "[lemma]\nfit_window = 100\n", "lemma", "fit_window",
+                 id="lemma-fit_window-one-value"),
+    pytest.param("verify-lemma", "[lemma]\nfit_window = 1e4, 1e2\n", "lemma", "fit_window",
+                 id="lemma-fit_window-decreasing"),
+    pytest.param("verify-lemma", "[lemma]\ngaussian = maybe\n", "lemma", "gaussian",
+                 id="lemma-gaussian"),
+    pytest.param("verify-lemma", "[lemma]\ndims = 1, 3\n", "lemma", "dims", id="lemma-dims"),
+    pytest.param("frac-apply", BASE + "[frac_apply]\npoints = 0, 1, x\n", "frac_apply", "points",
+                 id="frac_apply-points"),
+    pytest.param("constants", BASE.replace("alpha = auto", "alpha = 1+x"), "problem", "alpha",
+                 id="problem-alpha"),
+])
+def test_bad_value_exits_one_naming_it(tmp_path, capsys, command, text, section, key):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert f"bad value for [{section}] {key} = " in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+def test_readme_example_lists_every_known_key():
+    import configparser
+
+    from fracblow.config import _KNOWN_KEYS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str
+    parser.read_string(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    listed = {section: set(parser.options(section)) for section in parser.sections()}
+    assert listed == {section: set(keys) for section, keys in _KNOWN_KEYS.items()}
+
+
 def test_unknown_section_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "[swep]\nkind = inner-singular\n")
     assert main(["constants", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

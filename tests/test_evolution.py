@@ -237,12 +237,13 @@ class TestStrangKernel:
         assert np.array_equal(rec.final.values, ref.final.values)
 
     def test_evolve_with_rejection_matches_reference(self, monkeypatch):
-        # growth_cap 1.1 rejects the first dt = 0.02 step; the halved steps
+        # GROWTH_CAP 1.1 rejects the first dt = 0.02 step; the halved steps
         # then reach t_max = 0.037 with a shorter last step
+        monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
         g = GridSpec(1, 20.0, 512)
         u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
         params = ProblemParams(1, 2.0, 1j)
-        cfg = EvolutionConfig(grid=g, dt=0.02, t_max=0.037, growth_cap=1.1,
+        cfg = EvolutionConfig(grid=g, dt=0.02, t_max=0.037,
                               blowup_threshold=25 * u0.sup_norm())
         weight = WeightProfile(q=2, R=1.0)
         kernel, sizes = evolution.strang_step, []

@@ -23,7 +23,7 @@ def lorentzian_half_laplacian(x):
 class TestNormalizationConstant:
     def test_dim1_analytic_oracle(self, quad):
         # oracle: int (1-cos t)/t^2 over R equals pi, so B = 1/pi
-        res = normalization_constant(1, quad)
+        res = normalization_constant(1)
         assert abs(res.value - 1.0 / math.pi) < 1e-6
         assert res.error <= 1e-8
 
@@ -47,13 +47,13 @@ class TestNormalizationConstant:
                                 a, b, limit=200)[0]
         tail_lo, tail_hi = 1.0 / y - math.sqrt(2 / math.pi) * y**-1.5, 1.0 / y + math.sqrt(2 / math.pi) * y**-1.5
         oracle = 1.0 / (2.0 * math.pi * (total + 0.5 * (tail_lo + tail_hi)))
-        res = normalization_constant(2, quad)
+        res = normalization_constant(2)
         assert abs(res.value - oracle) < 1e-6
         assert res.error <= 1e-8
 
     def test_bad_dimension(self, quad):
         with pytest.raises(ValueError):
-            normalization_constant(3, quad)
+            normalization_constant(3)
 
 
 class TestPointwiseEvaluator:
@@ -164,7 +164,7 @@ class TestClosedFormCertificates:
         (2, 3.0, lambda r: (2.0 - r * r) * (1.0 + r * r) ** -2.5),
     ])
     def test_value_within_certificate(self, quad, n, q, exact):
-        b = normalization_constant(n, quad).value
+        b = normalization_constant(n).value
         for s in sample_frac_weight(n, q, CLOSED_FORM_RADII, quad, b):
             assert abs(s.value - exact(s.r)) <= s.error, s
 

@@ -1,7 +1,7 @@
 """Numerical laboratory for half-Laplacian decay estimates and blow-up bounds."""
 
 from .grid import Field, GridSpec
-from .profiles import RadialProfile, WeightProfile, bracket, bracket_profile, constant_profile, gaussian_profile
+from .profiles import RadialProfile, bracket, bracket_profile, constant_profile, gaussian_profile
 from .pv import (
     PVQuadratureConfig,
     PVResult,

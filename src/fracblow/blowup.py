@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import Field, GridSpec
-from .evolution import ProblemParams, weighted_functional_values
-from .profiles import WeightProfile
+from .evolution import ProblemParams, weighted_functional
 from .pv import PVResult, sphere_measure
 
 __all__ = [
@@ -101,13 +100,6 @@ def compute_constants(params: ProblemParams, a_bound: float,
                            d_rate=d_rate, a_source=a_source)
 
 
-def weighted_functional(u: Field, alpha: complex, weight: WeightProfile) -> float:
-    """-Im(alpha * integral of u against the weight), by lattice quadrature."""
-    if abs(weight.q - (u.grid.n + 1)) > 1e-12:
-        raise ValueError(f"weight exponent must equal n+1={u.grid.n + 1}, got {weight.q}")
-    return weighted_functional_values(u, alpha, weight.on_grid(u.grid))
-
-
 @dataclass(frozen=True)
 class LifespanReport:
     """Threshold verdict and induced bound at one weight radius."""
@@ -122,14 +114,14 @@ class LifespanReport:
             raise ValueError("t_bound must be finite exactly when the condition holds")
 
 
-def _lifespan(constants: BlowupConstants, p: float, R: float, gap: float) -> float:
+def _lifespan(constants: BlowupConstants, R: float, gap: float) -> float:
     """T = (p-1)^(-1) D^(-1) R^(n(p-1)) gap^(-(p-1)), for a gap M_R(0) - C R^(n-1/(p-1)) > 0."""
+    p = constants.p
     return (constants.d_rate ** -1.0 / (p - 1.0)
             * R ** (constants.n * (p - 1.0)) * gap ** (-(p - 1.0)))
 
 
-def lifespan_bound(m0: float, constants: BlowupConstants, R: float,
-                   params: ProblemParams) -> LifespanReport:
+def lifespan_bound(m0: float, constants: BlowupConstants, R: float) -> LifespanReport:
     """Check M_R(0) against the threshold; return the bound or 'no conclusion'."""
     if R <= 0:
         raise ValueError("weight radius must be positive")
@@ -137,11 +129,11 @@ def lifespan_bound(m0: float, constants: BlowupConstants, R: float,
     if gap <= 0:
         return LifespanReport(R=R, m0=m0, condition_holds=False, t_bound=math.inf)
     return LifespanReport(R=R, m0=m0, condition_holds=True,
-                          t_bound=_lifespan(constants, params.p, R, gap))
+                          t_bound=_lifespan(constants, R, gap))
 
 
 def ode_lower_envelope(m0: float, constants: BlowupConstants, R: float,
-                       params: ProblemParams, times) -> np.ndarray:
+                       times) -> np.ndarray:
     """Guaranteed lower envelope of M_R(t) - C R^(n-1/(p-1)) along solutions.
 
     Strictly increasing on [0, T) and infinite from the bound time on.
@@ -149,7 +141,7 @@ def ode_lower_envelope(m0: float, constants: BlowupConstants, R: float,
     gap0 = m0 - constants.threshold(R)
     if gap0 <= 0:
         raise ValueError("envelope needs the threshold condition at t = 0")
-    p = params.p
+    p = constants.p
     t = np.asarray(times, dtype=float)
     bracket_term = gap0 ** (-(p - 1.0)) - (p - 1.0) * constants.d_rate \
         * R ** (-constants.n * (p - 1.0)) * t
@@ -249,8 +241,6 @@ class RadiusReport:
     adds the threshold verdict from the lattice data as ``report``.
     """
 
-    kind: str
-    mu: float
     r_star: float
     i_const: float
     t_bound_formula: float      # exact power law in mu by construction
@@ -298,7 +288,7 @@ def adapted_radius(spec: InitialDataSpec, constants: BlowupConstants,
     """
     _check_k_against_dimension(spec, params.n)
     _check_k_against_p(spec, params)
-    n, p = params.n, params.p
+    n = params.n
     i_const = family_i_const(spec, n)
     expo = family_exponent(spec.kind, spec.k, params)  # > 0, as k' <= k < 1/(p-1)
     r_star = (spec.mu * i_const / (2.0 * constants.c_threshold)) ** (-1.0 / expo)
@@ -314,8 +304,8 @@ def adapted_radius(spec: InitialDataSpec, constants: BlowupConstants,
 
     # family lower bound for the gap: M - C R^(n-1/(p-1)) >= R^growth * mu I/2
     gap_formula = r_star ** growth * spec.mu * i_const / 2.0
-    t_formula = _lifespan(constants, p, r_star, gap_formula)
-    return RadiusReport(kind=spec.kind, mu=spec.mu, r_star=r_star, i_const=i_const,
+    t_formula = _lifespan(constants, r_star, gap_formula)
+    return RadiusReport(r_star=r_star, i_const=i_const,
                         t_bound_formula=t_formula, regime_ok=regime_ok,
                         in_regime_strict=strict, boundary=boundary)
 
@@ -330,5 +320,5 @@ def blowup_radius(spec: InitialDataSpec, constants: BlowupConstants,
     inconclusive report carrying the regime boundary.
     """
     rr = adapted_radius(spec, constants, params)
-    m0 = weighted_functional(data, params.alpha, WeightProfile(q=params.n + 1, R=rr.r_star))
-    return replace(rr, report=lifespan_bound(m0, constants, rr.r_star, params))
+    m0 = weighted_functional(data, params.alpha, rr.r_star)
+    return replace(rr, report=lifespan_bound(m0, constants, rr.r_star))

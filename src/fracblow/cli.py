@@ -22,7 +22,7 @@ from .evolution import MAX_HALVINGS, EvolutionConfig, UnresolvedFieldError, evol
 from .grid import Field
 from .lemma import (A_SAFETY, estimate_weight_derivative_bound, verify_gaussian_remark,
                     verify_lemma, write_lemma_report)
-from .profiles import WeightProfile, bracket_profile, gaussian_profile
+from .profiles import bracket_profile, gaussian_profile
 from .pv import QuadratureError, frac_laplacian_pv_many, normalization_constant
 from .reporting import constants_manifest, save_field, write_csv, write_manifest
 from .spectral import frac_laplacian_spectral
@@ -65,19 +65,18 @@ def _require(cfg: HarnessConfig, what: str):
 
 def _constants_block(cfg: HarnessConfig):
     params = _require(cfg, "params")
-    b = normalization_constant(params.n)
     a_bound, verdict = estimate_weight_derivative_bound(params.n, cfg.quadrature)
     source = (f"decay suite n={params.n} q={params.n + 1}, sampled sup "
               f"{verdict.a_hat:.6g} x safety {A_SAFETY}")
-    return params, b, compute_constants(params, a_bound, a_source=source)
+    return params, compute_constants(params, a_bound, a_source=source)
 
 
 def _cmd_constants(cfg: HarnessConfig, out: Path) -> int:
-    params, b, constants = _constants_block(cfg)
+    params, constants = _constants_block(cfg)
     write_manifest(out / "constants.json", "constants", {
         "problem": {"n": params.n, "p": params.p, "lambda": params.lam,
                     "alpha": params.alpha},
-        "constants": constants_manifest(constants, b),
+        "constants": constants_manifest(constants),
     })
     print(f"wrote {out / 'constants.json'}")
     return 0
@@ -97,7 +96,7 @@ def _cmd_frac_apply(cfg: HarnessConfig, out: Path) -> int:
               or list(np.linspace(0.0, 5.0, 11)))
     b = normalization_constant(params.n)
     xs = [(x, 0.0) if params.n == 2 else x for x in points]
-    values, errors = frac_laplacian_pv_many(profile, xs, b.value, cfg.quadrature)
+    values, errors = frac_laplacian_pv_many(profile, xs, cfg.quadrature)
 
     spectral = None
     if cfg.grid is not None:
@@ -125,20 +124,16 @@ def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
     include_gaussian = cfg.get("lemma", "gaussian", flag, True)
     window = cfg.get("lemma", "fit_window", increasing_pair, (1e2, 1e4))
     q_values = cfg.get("lemma", "q_values", float_list, None)
-    if q_values == []:
-        print("warning: empty q list, nothing to verify", file=sys.stderr)
-        return 0
 
     verdicts = []
     for n in dims:
         qs = q_values or [0.5 * n, float(n), float(n + 1), float(n + 2)]
-        b = normalization_constant(n)
         for q in qs:
-            v = verify_lemma(n, q, quad, window=window, b=b.value)
+            v = verify_lemma(n, q, quad, window=window)
             verdicts.append(v)
             print(v.diagnostics)
         if include_gaussian:
-            verdicts.append(verify_gaussian_remark(n, quad, b=b.value))
+            verdicts.append(verify_gaussian_remark(n, quad))
             print(verdicts[-1].diagnostics)
 
     files = write_lemma_report(verdicts, out)
@@ -160,7 +155,7 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
     dt = cfg.get("evolve", "dt", float, 0.01)
     t_max = cfg.get("evolve", "t_max", float, 1.0)
     threshold_factor = cfg.get("evolve", "threshold_factor", float, 25.0)
-    _, b, constants = _constants_block(cfg)
+    _, constants = _constants_block(cfg)
     u0 = make_initial_data(spec, grid, params.alpha)
 
     if r_fixed is None:
@@ -168,12 +163,11 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
         radius, report = rr.r_star, rr.report
     else:
         radius = r_fixed
-        m0 = weighted_functional(u0, params.alpha, WeightProfile(q=params.n + 1, R=radius))
-        report = lifespan_bound(m0, constants, radius, params)
+        report = lifespan_bound(weighted_functional(u0, params.alpha, radius), constants, radius)
 
     config = EvolutionConfig(grid=grid, dt=dt, t_max=t_max,
                              blowup_threshold=threshold_factor * u0.sup_norm())
-    record = evolve(u0, params, config, WeightProfile(q=params.n + 1, R=radius))
+    record = evolve(u0, params, config, radius)
 
     record.to_csv(out / "trajectory.csv")
     save_field(record.final, out / "final_state")
@@ -186,7 +180,7 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
                        "blowup_threshold": config.blowup_threshold,
                        "max_halvings": MAX_HALVINGS},
         "weight_radius": radius,
-        "constants": constants_manifest(constants, b),
+        "constants": constants_manifest(constants),
         "threshold_condition_holds": report.condition_holds,
         "t_bound": None if not report.condition_holds else report.t_bound,
         "blew_up": record.blew_up,
@@ -209,7 +203,7 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
     dt_factor = cfg.get("sweep", "dt_factor", float, 0.02)
     dt_base = cfg.get("sweep", "dt_base", float, 0.05)
     workers = cfg.get("sweep", "workers", int, 1)
-    _, b, constants = _constants_block(cfg)
+    _, constants = _constants_block(cfg)
     if mu_min is not None and mu_max is not None:
         mu = np.geomspace(mu_min, mu_max, count)
     else:
@@ -222,7 +216,7 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
                      dt_factor=dt_factor, dt_base=dt_base, workers=workers)
     result = run_sweep(plan, constants)
     files = write_sweep_outputs(result, out, manifest_extra={
-        "constants": constants_manifest(constants, b),
+        "constants": constants_manifest(constants),
         "problem": {"n": params.n, "p": params.p, "lambda": params.lam,
                     "alpha": params.alpha},
         "grid": {"n": grid.n, "L": grid.L, "N": grid.N},

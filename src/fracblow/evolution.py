@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import Field, GridSpec
-from .profiles import WeightProfile
+from .profiles import bracket
 from .reporting import write_csv
 from .spectral import apply_multiplier
 
@@ -32,6 +32,7 @@ __all__ = [
     "nonlinear_step",
     "strang_step",
     "spectral_tail_fraction",
+    "weighted_functional",
     "evolve",
     "scaling_check",
 ]
@@ -42,6 +43,10 @@ TAIL_FRACTION_LIMIT = 1e-3
 GROWTH_CAP = 4.0
 #: ... at most this many times in a row before the run is flagged as blown up
 MAX_HALVINGS = 10
+#: modes with |xi| at or above this share of the largest |xi| form the top band
+TAIL_BAND = 0.85
+#: dilation discrepancies compared per scaling check
+SCALING_CHECKPOINTS = 8
 
 
 @dataclass(frozen=True)
@@ -169,25 +174,37 @@ def strang_step(f: Field, dt: float, params: ProblemParams) -> Field:
     return Field(f.grid, values, spectrum=spec)
 
 
-def spectral_tail_fraction(f: Field, band: float = 0.85) -> float:
-    """Fraction of spectral l2 mass carried by modes with |xi| >= band * max."""
+def spectral_tail_fraction(f: Field) -> float:
+    """Fraction of spectral l2 mass carried by modes with |xi| >= TAIL_BAND * max."""
     spec = np.abs(np.fft.fftn(f.values)) ** 2
     absxi = f.grid.abs_freq()
     total = float(spec.sum())
     if total == 0.0:
         return 0.0
-    return float(spec[absxi >= band * absxi.max()].sum() / total)
+    return float(spec[absxi >= TAIL_BAND * absxi.max()].sum() / total)
 
 
-def weighted_functional_values(f: Field, alpha: complex, weight_values: np.ndarray) -> float:
-    """-Im(alpha * lattice integral of u * weight)."""
-    acc = complex(np.sum(f.values * weight_values)) * f.grid.cell_volume
-    return -(alpha * acc).imag
+def _functional(grid: GridSpec, alpha: complex, R: float):
+    """u -> -Im(alpha * lattice integral of u against the test weight <x/R>^(-n-1))."""
+    if not R > 0:
+        raise ValueError(f"weight radius must be positive, got {R}")
+    radii = grid.radii()
+    weight = bracket(radii / R) ** -(grid.n + 1)
+
+    def m(u: Field) -> float:
+        acc = complex(np.sum(u.values * weight)) * grid.cell_volume
+        return -(alpha * acc).imag
+    return m
+
+
+def weighted_functional(u: Field, alpha: complex, R: float) -> float:
+    """M_R(u) = -Im(alpha * integral of u against <x/R>^(-n-1)), by lattice quadrature."""
+    return _functional(u.grid, alpha, R)(u)
 
 
 def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
-           weight: WeightProfile) -> TrajectoryRecord:
-    """March the split-step scheme, recording the weighted functional.
+           weight_radius: float) -> TrajectoryRecord:
+    """March the split-step scheme, recording M_R(t) at R = weight_radius.
 
     Halts at t_max, or flags blow-up when the sup norm crosses the
     configured threshold; violent steps (non-finite values or sup growth
@@ -206,7 +223,7 @@ def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
     if sup0 > 0 and config.blowup_threshold <= 10.0 * sup0:
         raise ValueError("blow-up threshold must exceed 10x the initial sup norm")
 
-    w_values = weight.on_grid(config.grid)
+    m_of = _functional(config.grid, params.alpha, weight_radius)
     u = u0.copy()
     t = 0.0
     dt = config.dt
@@ -214,8 +231,7 @@ def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
     blew_up = False
     t_num = None
 
-    times, m_r, sups, l2s = [0.0], [weighted_functional_values(u, params.alpha, w_values)], \
-        [sup0], [u0.l2_norm()]
+    times, m_r, sups, l2s = [0.0], [m_of(u)], [sup0], [u0.l2_norm()]
     sup = sup0
     while t < config.t_max:
         dt_step = min(dt, config.t_max - t)
@@ -232,7 +248,7 @@ def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
         u, sup = trial, trial_sup
         t += dt_step
         times.append(t)
-        m_r.append(weighted_functional_values(u, params.alpha, w_values))
+        m_r.append(m_of(u))
         sups.append(sup)
         l2s.append(u.l2_norm())
         if sup >= config.blowup_threshold:
@@ -246,7 +262,7 @@ def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
 
 
 def scaling_check(u0_fn, params: ProblemParams, config: EvolutionConfig,
-                  rho: float, n_checkpoints: int = 8) -> float:
+                  rho: float) -> float:
     """Max relative l2 discrepancy of the dilation symmetry over a run.
 
     A solution u(t, x) maps to rho^(1/(p-1)) u(rho t, rho x) on the grid
@@ -269,7 +285,7 @@ def scaling_check(u0_fn, params: ProblemParams, config: EvolutionConfig,
             raise UnresolvedFieldError(f"scaling run unresolved: tail fraction {tail:.2e}")
 
     steps2_total = int(round(config.t_max / config.dt / rho))
-    stride2 = max(1, steps2_total // n_checkpoints)
+    stride2 = max(1, steps2_total // SCALING_CHECKPOINTS)
     stride1 = rho * stride2
     if abs(stride1 - round(stride1)) > 1e-9:
         raise ValueError("rho * checkpoint stride must be an integer number of steps")

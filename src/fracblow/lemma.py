@@ -102,7 +102,7 @@ def default_radii(window: tuple[float, float] = (1e2, 1e4),
     return np.concatenate(([0.0], mid, fit))
 
 
-def _sample(n: int, profile: RadialProfile, radii, quad: PVQuadratureConfig, b: float,
+def _sample(n: int, profile: RadialProfile, radii, quad: PVQuadratureConfig,
             decay: float, cutoff_factor: float) -> list[LemmaSample]:
     """Certified point values of the profile's half-Laplacian at radii.
 
@@ -112,7 +112,7 @@ def _sample(n: int, profile: RadialProfile, radii, quad: PVQuadratureConfig, b: 
     certifies a third of that tolerance, so slowly decaying profiles get
     the larger domains they need.
     """
-    omega = sphere_measure(n)
+    b, omega = normalization_constant(n).value, sphere_measure(n)
     out = []
     for r in radii:
         r = float(r)
@@ -121,13 +121,12 @@ def _sample(n: int, profile: RadialProfile, radii, quad: PVQuadratureConfig, b: 
         while b * omega * profile.tail(y - r) / (2.0 * y) > tol / 3.0 and y < 1e9:
             y *= 2.0
         cfg = dataclasses.replace(quad, y_max=y, tol=tol)
-        res = frac_laplacian_pv(profile, r if n == 1 else (r, 0.0), b, cfg)
+        res = frac_laplacian_pv(profile, r if n == 1 else (r, 0.0), cfg)
         out.append(LemmaSample(r, res.value, res.error))
     return out
 
 
-def sample_frac_weight(n: int, q: float, radii, quad: PVQuadratureConfig,
-                       b: float | None = None) -> list[LemmaSample]:
+def sample_frac_weight(n: int, q: float, radii, quad: PVQuadratureConfig) -> list[LemmaSample]:
     """Certified point values of the half-Laplacian of <x>^(-q) at radii.
 
     The certificate stays a small fraction of the expected local magnitude
@@ -138,9 +137,7 @@ def sample_frac_weight(n: int, q: float, radii, quad: PVQuadratureConfig,
     radii = np.asarray(radii, dtype=float)
     if np.any(radii < 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be nonnegative and strictly increasing")
-    if b is None:
-        b = normalization_constant(n).value
-    return _sample(n, bracket_profile(q), radii, quad, b, min(q, n) + 1.0, FAR_CUTOFF_FACTOR)
+    return _sample(n, bracket_profile(q), radii, quad, min(q, n) + 1.0, FAR_CUTOFF_FACTOR)
 
 
 def _window_samples(samples, window):
@@ -198,9 +195,9 @@ def fit_decay(samples: list[LemmaSample], regime: str,
                           residual=resid, window=window)
 
 
-def _negativity(samples, threshold_radius: float = 0.0):
-    """Smallest sampled radius beyond which every sample is strictly negative."""
-    rs = [s for s in samples if s.r > threshold_radius]
+def _negativity(samples):
+    """Smallest positive sampled radius beyond which every sample is strictly negative."""
+    rs = [s for s in samples if s.r > 0.0]
     r_neg = None
     for i, s in enumerate(rs):
         if all(t.value < 0.0 for t in rs[i:]):
@@ -216,8 +213,7 @@ def _regime_of(n: int, q: float) -> str:
 
 
 def verify_lemma(n: int, q: float, quad: PVQuadratureConfig,
-                 radii=None, window: tuple[float, float] = (1e2, 1e4),
-                 b: float | None = None) -> LemmaVerdict:
+                 radii=None, window: tuple[float, float] = (1e2, 1e4)) -> LemmaVerdict:
     """Sample, fit, and judge the decay regime of the weight's half-Laplacian.
 
     The regime is selected by comparing q with n; the fitted exponent must
@@ -233,7 +229,7 @@ def verify_lemma(n: int, q: float, quad: PVQuadratureConfig,
         raise ValueError("dimension must be 1 or 2")
     if radii is None:
         radii = default_radii(window)
-    samples = sample_frac_weight(n, q, radii, quad, b=b)
+    samples = sample_frac_weight(n, q, radii, quad)
     regime = _regime_of(n, q)
     tol = EXPONENT_TOL[n]
 
@@ -278,8 +274,7 @@ def verify_lemma(n: int, q: float, quad: PVQuadratureConfig,
 
 
 def verify_gaussian_remark(n: int, quad: PVQuadratureConfig,
-                           window: tuple[float, float] = (8.0, 800.0),
-                           b: float | None = None) -> LemmaVerdict:
+                           window: tuple[float, float] = (8.0, 800.0)) -> LemmaVerdict:
     """Negativity and decay of the half-Laplacian of exp(-|x|^2) at large radius.
 
     The Gaussian decays faster than any algebraic weight, so its
@@ -289,12 +284,10 @@ def verify_gaussian_remark(n: int, quad: PVQuadratureConfig,
     """
     if n not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
-    if b is None:
-        b = normalization_constant(n).value
     radii = np.concatenate(([0.0, 0.5, 1.0, 2.0, 4.0],
                             np.geomspace(window[0], window[1], 16)))
     # the Gaussian's tail is negligible a few widths out: a short far cutoff
-    samples = _sample(n, gaussian_profile(1.0), radii, quad, b, n + 1.0, 4.0)
+    samples = _sample(n, gaussian_profile(1.0), radii, quad, n + 1.0, 4.0)
 
     predicted = -(n + 1.0)
     fit = fit_decay(samples, "plain", predicted, n=n, window=window)

@@ -1,4 +1,4 @@
-"""Radial profiles with certified tail envelopes, and the algebraic weight family."""
+"""Radial profiles with certified tail envelopes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -68,26 +68,3 @@ def constant_profile(c: float = 1.0) -> RadialProfile:
     return RadialProfile(fn=lambda s: np.full_like(s, c, dtype=np.float64),
                          tail=lambda r: c, floor=c, scale=1.0, label=f"const({c})")
 
-
-@dataclass(frozen=True)
-class WeightProfile:
-    """The algebraic weight x -> <x/R>^(-q).
-
-    Used both as the test weight of the blow-up functional (q = n+1 there)
-    and as the generic decaying profile family in the decay-regime checks.
-    """
-
-    q: float
-    R: float = 1.0
-
-    def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError(f"decay exponent q must be positive, got {self.q}")
-        if self.R <= 0:
-            raise ValueError(f"scale R must be positive, got {self.R}")
-
-    def __call__(self, r):
-        return bracket(np.asarray(r, dtype=np.float64) / self.R) ** (-self.q)
-
-    def on_grid(self, grid) -> np.ndarray:
-        return self(grid.radii())

@@ -204,21 +204,22 @@ def _sphere_integral_2d(profile: RadialProfile, ax: float, f_ax: float, r: np.nd
     return 2.0 * s, 2.0 * (abs(f_ax) * float(np.sum(awt)) + smag)
 
 
-def frac_laplacian_pv(profile: RadialProfile, x, b: float,
-                      quad: PVQuadratureConfig) -> PVResult:
+def frac_laplacian_pv(profile: RadialProfile, x, quad: PVQuadratureConfig) -> PVResult:
     """Half-Laplacian of a radial profile at point x via singular quadrature.
 
-    ``b`` is the kernel normalization from :func:`normalization_constant`.
-    The reported error combines a node-refinement difference, the certified
-    bracket of the far field beyond ``quad.y_max``, and a cancellation
-    roundoff term; if it misses ``quad.tol`` a :class:`QuadratureError`
-    carries the partial value and residual.
+    The kernel normalization is :func:`normalization_constant` of the
+    point's dimension.  The reported error combines a node-refinement
+    difference, the certified bracket of the far field beyond
+    ``quad.y_max``, and a cancellation roundoff term; if it misses
+    ``quad.tol`` a :class:`QuadratureError` carries the partial value and
+    residual.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     n = xv.size
     if n not in (1, 2):
         raise ValueError("point must have 1 or 2 coordinates")
     ax = float(np.linalg.norm(xv))
+    b = normalization_constant(n).value
     y = quad.y_max
     omega = sphere_measure(n)
 
@@ -247,12 +248,12 @@ def frac_laplacian_pv(profile: RadialProfile, x, b: float,
     return PVResult(value, err)
 
 
-def frac_laplacian_pv_many(profile: RadialProfile, xs, b: float,
+def frac_laplacian_pv_many(profile: RadialProfile, xs,
                            quad: PVQuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise PV evaluation over a sequence of points (deterministic order)."""
     vals, errs = [], []
     for x in xs:
-        res = frac_laplacian_pv(profile, x, b, quad)
+        res = frac_laplacian_pv(profile, x, quad)
         vals.append(res.value)
         errs.append(res.error)
     return np.array(vals), np.array(errs)

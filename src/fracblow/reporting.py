@@ -8,22 +8,22 @@ from pathlib import Path
 import numpy as np
 
 from .grid import Field, GridSpec
+from .pv import normalization_constant
 
 SCHEMA = "fracblow/1"
 
 
-def constants_manifest(constants, b_result=None) -> dict:
+def constants_manifest(constants) -> dict:
     """Echo every constant used, with tolerances, for the run manifest."""
-    out = {
+    b = normalization_constant(constants.n)
+    return {
         "A_hat": {"value": constants.a_bound, "source": constants.a_source},
         "C": {"value": constants.c_threshold},
         "D": {"value": constants.d_rate},
         "W_n": {"value": constants.w_mass, "error": constants.w_mass_error},
         "omega_n": {"value": constants.sphere},
+        "B": {"value": b.value, "error": b.error},
     }
-    if b_result is not None:
-        out["B"] = {"value": b_result.value, "error": b_result.error}
-    return out
 
 
 def _cell(value):

@@ -14,7 +14,6 @@ from .blowup import (BlowupConstants, InitialDataSpec, adapted_radius, blowup_ra
                      family_exponent, family_i_const, make_initial_data)
 from .evolution import EvolutionConfig, ProblemParams, UnresolvedFieldError, evolve
 from .grid import GridSpec
-from .profiles import WeightProfile
 from .reporting import write_csv, write_manifest
 
 __all__ = ["SweepPlan", "SweepRow", "SweepResult", "fit_power_law", "run_sweep",
@@ -150,8 +149,7 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
         horizon = HORIZON_FACTOR * min(rr.report.t_bound, rr.t_bound_formula)
         cfg = EvolutionConfig(grid=plan.grid, dt=dt, t_max=horizon,
                               blowup_threshold=THRESHOLD_FACTOR * sup0)
-        rec = evolve(u0, plan.params, cfg,
-                     WeightProfile(q=plan.params.n + 1, R=rr.r_star))
+        rec = evolve(u0, plan.params, cfg, rr.r_star)
         row.blew_up = rec.blew_up
         row.t_num = rec.t_num
         if not rec.blew_up:

@@ -15,7 +15,7 @@ from fracblow.blowup import (InitialDataSpec, adapted_radius, blowup_radius, com
 from fracblow.evolution import EvolutionConfig, ProblemParams, evolve, scaling_check, strang_step
 from fracblow.grid import Field, GridSpec
 from fracblow.lemma import estimate_weight_derivative_bound, verify_gaussian_remark, verify_lemma
-from fracblow.profiles import WeightProfile, bracket_profile
+from fracblow.profiles import bracket_profile
 from fracblow.pv import frac_laplacian_pv_many, normalization_constant
 from fracblow.spectral import cordoba_violation, frac_laplacian_spectral
 from fracblow.sweep import SweepPlan, in_regime_amplitude, run_sweep
@@ -27,12 +27,12 @@ def _report(num: int, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def lemma_verdicts(quad, b1, b2):
+def lemma_verdicts(quad):
     out = {}
     start = time.monotonic()
-    for n, b, qs in ((1, b1, (0.5, 1.0, 2.0, 3.0)), (2, b2, (1.0, 2.0, 3.0, 4.0))):
+    for n, qs in ((1, (0.5, 1.0, 2.0, 3.0)), (2, (1.0, 2.0, 3.0, 4.0))):
         for q in qs:
-            out[(n, q)] = verify_lemma(n, q, quad, b=b)
+            out[(n, q)] = verify_lemma(n, q, quad)
     out["elapsed"] = time.monotonic() - start
     return out
 
@@ -81,11 +81,11 @@ def test_criterion_01_normalization_constant(quad):
             f"B(1) = {res.value:.10f}, |diff from 1/pi| = {err:.2e}, {elapsed:.3f}s")
 
 
-def test_criterion_02_closed_form_oracle(quad, b1):
+def test_criterion_02_closed_form_oracle(quad):
     start = time.monotonic()
     pts = np.linspace(-10.0, 10.0, 50)
     want = (1.0 - pts**2) / (1.0 + pts**2) ** 2
-    pv_vals, _ = frac_laplacian_pv_many(bracket_profile(2.0), pts, b1, quad)
+    pv_vals, _ = frac_laplacian_pv_many(bracket_profile(2.0), pts, quad)
     pv_err = float(np.max(np.abs(pv_vals - want)))
 
     g = GridSpec(1, 160.0, 8192)
@@ -116,7 +116,7 @@ def test_criterion_03_decay_regimes(lemma_verdicts):
             + (f"; mismatches: {failures}" if failures else ""))
 
 
-def test_criterion_04_sharpness(lemma_verdicts, quad, b1, b2):
+def test_criterion_04_sharpness(lemma_verdicts, quad):
     problems = []
     for (n, q), v in ((k, v) for k, v in lemma_verdicts.items() if k != "elapsed"):
         if q < n:
@@ -126,8 +126,8 @@ def test_criterion_04_sharpness(lemma_verdicts, quad, b1, b2):
             problems.append(f"(n={n},q={q:g}) negativity")
         if abs(v.fit.exponent + (n + 1)) > 0.1:
             problems.append(f"(n={n},q={q:g}) exponent {v.fit.exponent:.3f}")
-    for n, b in ((1, b1), (2, b2)):
-        v = verify_gaussian_remark(n, quad, b=b)
+    for n in (1, 2):
+        v = verify_gaussian_remark(n, quad)
         beyond = [s for s in v.samples if v.r_neg is not None and s.r >= v.r_neg]
         if v.r_neg is None or not all(s.value < 0 for s in beyond):
             problems.append(f"gaussian n={n} negativity")
@@ -168,7 +168,7 @@ def test_criterion_06_solver_order_and_unitarity():
     g = GridSpec(1, 20.0, 1024)
     u0 = Field.from_function(g, lambda x: np.exp(-x * x) * np.exp(0.5j * x))
     cfg = EvolutionConfig(grid=g, dt=0.01, t_max=10.0, blowup_threshold=100.0)
-    rec = evolve(u0, ProblemParams(1, 2.0, 0.0), cfg, WeightProfile(q=2, R=1.0))
+    rec = evolve(u0, ProblemParams(1, 2.0, 0.0), cfg, 1.0)
     drift = float(np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0])
 
     params = ProblemParams(1, 2.0, 1.0 + 0.5j)
@@ -217,13 +217,13 @@ def test_criterion_08_ode_envelope(chain_p2):
         cfg = EvolutionConfig(grid=grid, dt=0.01 / u0.sup_norm(),
                               t_max=1.3 * rr.report.t_bound,
                               blowup_threshold=25.0 * u0.sup_norm())
-        rec = evolve(u0, params, cfg, WeightProfile(q=2, R=rr.r_star))
+        rec = evolve(u0, params, cfg, rr.r_star)
         if not rec.blew_up:
             problems.append(f"mu={mu}: no blow-up")
             continue
         tcut = 0.8 * min(rec.t_num, rr.report.t_bound)
         sel = rec.times <= tcut
-        env = ode_lower_envelope(rr.report.m0, constants, rr.r_star, params,
+        env = ode_lower_envelope(rr.report.m0, constants, rr.r_star,
                                  rec.times[sel])
         gap = rec.m_r[sel] - constants.threshold(rr.r_star)
         if not np.all(gap >= 0.9 * env):
@@ -270,26 +270,25 @@ def test_criterion_10_threshold_gate(inner_sweep):
     params, grid = plan.params, plan.grid
     row = next(r for r in result.rows if r.in_regime)
     r_star, mu0 = row.r_star, row.mu
-    weight = WeightProfile(q=2, R=r_star)
 
     def m_at(mu):
         data = make_initial_data(
             InitialDataSpec(kind="inner-singular", mu=mu, k=plan.k), grid, params.alpha)
-        return weighted_functional(data, params.alpha, weight)
+        return weighted_functional(data, params.alpha, r_star)
 
     # bisect the verdict flip at fixed radius
     lo, hi = 1e-8 * mu0, mu0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if lifespan_bound(m_at(mid), constants, r_star, params).condition_holds:
+        if lifespan_bound(m_at(mid), constants, r_star).condition_holds:
             hi = mid
         else:
             lo = mid
     mu_flip = 0.5 * (lo + hi)
     crossing = constants.threshold(r_star) / (m_at(mu0) / mu0)  # linearity in mu
     rel = abs(mu_flip - crossing) / crossing
-    below = lifespan_bound(m_at(crossing * (1 - 1e-6)), constants, r_star, params)
-    above = lifespan_bound(m_at(crossing * (1 + 1e-6)), constants, r_star, params)
+    below = lifespan_bound(m_at(crossing * (1 - 1e-6)), constants, r_star)
+    above = lifespan_bound(m_at(crossing * (1 + 1e-6)), constants, r_star)
     ok = rel < 1e-6 and not below.condition_holds and above.condition_holds \
         and math.isinf(below.t_bound) and math.isfinite(above.t_bound)
     _report(10, ok,

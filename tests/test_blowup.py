@@ -12,7 +12,6 @@ from fracblow.blowup import (InitialDataSpec, LifespanReport, adapted_radius,
                              weighted_functional)
 from fracblow.evolution import ProblemParams
 from fracblow.grid import Field, GridSpec
-from fracblow.profiles import WeightProfile
 from fracblow.sweep import in_regime_amplitude
 
 
@@ -65,14 +64,13 @@ class TestConstants:
 class TestWeightedFunctional:
     def test_zero_field(self):
         g = GridSpec(1, 10.0, 128)
-        assert weighted_functional(Field.zeros(g), 1.0, WeightProfile(q=2, R=1.0)) == 0.0
+        assert weighted_functional(Field.zeros(g), 1.0, 1.0) == 0.0
 
     def test_linearity_in_amplitude(self):
         g = GridSpec(1, 20.0, 512)
         f = Field.from_function(g, lambda x: (1 + 2j) * np.exp(-x * x))
-        w = WeightProfile(q=2, R=1.5)
-        m1 = weighted_functional(f, 0.3 + 1j, w)
-        m3 = weighted_functional(Field(g, 3.0 * f.values), 0.3 + 1j, w)
+        m1 = weighted_functional(f, 0.3 + 1j, 1.5)
+        m3 = weighted_functional(Field(g, 3.0 * f.values), 0.3 + 1j, 1.5)
         assert m3 == pytest.approx(3.0 * m1, rel=1e-13)
 
     def test_mollified_indicator_oracle(self):
@@ -87,23 +85,23 @@ class TestWeightedFunctional:
         oracle = -scipy_quad(
             lambda t: 0.5 * (1 + math.tanh((1 - abs(t)) / w)) / (1 + t * t),
             -40.0, 40.0, limit=400)[0]
-        m = weighted_functional(u, 1.0, WeightProfile(q=2, R=1.0))
+        m = weighted_functional(u, 1.0, 1.0)
         assert m == pytest.approx(oracle, abs=1e-9)
         assert m == pytest.approx(-math.pi / 2, abs=5e-3)
-        assert weighted_functional(u, -1.0, WeightProfile(q=2, R=1.0)) \
+        assert weighted_functional(u, -1.0, 1.0) \
             == pytest.approx(math.pi / 2, abs=5e-3)
 
-    def test_wrong_weight_exponent_rejected(self):
+    def test_nonpositive_radius_rejected(self):
         g = GridSpec(1, 10.0, 128)
-        with pytest.raises(ValueError):
-            weighted_functional(Field.zeros(g), 1.0, WeightProfile(q=3, R=1.0))
+        with pytest.raises(ValueError, match="weight radius must be positive"):
+            weighted_functional(Field.zeros(g), 1.0, -1.0)
 
     def test_dim2_radial_oracle(self):
         # -Im(i * int e^(-|x|^2) <x/R>^(-3) dx) against a radial quadrature
         g = GridSpec(2, 12.0, 256)
         u = Field.from_function(g, lambda x, y: 1j * np.exp(-(x**2 + y**2)))
         R = 1.5
-        m = weighted_functional(u, 1.0, WeightProfile(q=3, R=R))
+        m = weighted_functional(u, 1.0, R)
         oracle = -2.0 * math.pi * scipy_quad(
             lambda r: r * math.exp(-r * r) * (1 + (r / R) ** 2) ** -1.5,
             0.0, 12.0, limit=200)[0]
@@ -114,17 +112,17 @@ class TestLifespanBound:
     def test_direct_substitution(self, params, constants):
         # gap = 1 with D = 1, R = 1, p = 2 gives T = 1
         unit = dataclasses.replace(constants, c_threshold=1.0, d_rate=1.0)
-        rep = lifespan_bound(2.0, unit, 1.0, params)
+        rep = lifespan_bound(2.0, unit, 1.0)
         assert rep.condition_holds and rep.t_bound == pytest.approx(1.0)
 
     def test_gap_doubling_halves_bound(self, params, constants):
         unit = dataclasses.replace(constants, c_threshold=1.0, d_rate=1.0)
-        t1 = lifespan_bound(2.0, unit, 1.0, params).t_bound
-        t2 = lifespan_bound(3.0, unit, 1.0, params).t_bound
+        t1 = lifespan_bound(2.0, unit, 1.0).t_bound
+        t2 = lifespan_bound(3.0, unit, 1.0).t_bound
         assert t2 == pytest.approx(0.5 * t1)
 
     def test_below_threshold_inconclusive(self, params, constants):
-        rep = lifespan_bound(0.1, constants, 1.0, params)
+        rep = lifespan_bound(0.1, constants, 1.0)
         assert not rep.condition_holds and rep.t_bound == math.inf
 
     def test_report_consistency_enforced(self):
@@ -136,18 +134,18 @@ class TestEnvelope:
     def test_initial_value_and_monotonicity(self, params, constants):
         unit = dataclasses.replace(constants, c_threshold=1.0, d_rate=1.0)
         t = np.linspace(0.0, 0.99, 50)
-        env = ode_lower_envelope(2.0, unit, 1.0, params, t)
+        env = ode_lower_envelope(2.0, unit, 1.0, t)
         assert env[0] == pytest.approx(1.0)  # gap at t = 0
         assert np.all(np.diff(env) > 0)
 
     def test_divergence_at_bound(self, params, constants):
         unit = dataclasses.replace(constants, c_threshold=1.0, d_rate=1.0)
-        env = ode_lower_envelope(2.0, unit, 1.0, params, [0.999999, 1.0, 1.5])
+        env = ode_lower_envelope(2.0, unit, 1.0, [0.999999, 1.0, 1.5])
         assert env[0] > 1e5 and math.isinf(env[1]) and math.isinf(env[2])
 
     def test_needs_threshold_condition(self, params, constants):
         with pytest.raises(ValueError):
-            ode_lower_envelope(0.0, constants, 1.0, params, [0.0])
+            ode_lower_envelope(0.0, constants, 1.0, [0.0])
 
 
 class TestInitialData:
@@ -304,6 +302,6 @@ def test_integrable_family_large_radius_gate(quad):
     g = GridSpec(1, 400.0, 16384)
     u0 = make_initial_data(InitialDataSpec(kind="integrable", mu=50.0), g, params.alpha)
     rep = lifespan_bound(
-        weighted_functional(u0, params.alpha, WeightProfile(q=2, R=120.0)),
-        constants, 120.0, params)
+        weighted_functional(u0, params.alpha, 120.0),
+        constants, 120.0)
     assert rep.condition_holds and math.isfinite(rep.t_bound)

@@ -130,16 +130,19 @@ gaussian = false
     assert len(table) == 9  # header + 8 rows
 
 
-def test_verify_lemma_empty_q_list_warns(tmp_path, capsys):
+def test_verify_lemma_empty_q_list_is_default(tmp_path):
+    # an empty q_values means the per-dimension default {n/2, n, n+1, n+2}
     cfg = write_config(tmp_path, """
 [lemma]
 dims = 1
 q_values =
+gaussian = false
 """)
     out = tmp_path / "out"
     assert main(["verify-lemma", "--config", cfg, "--out", str(out)]) == 0
-    assert "empty q list" in capsys.readouterr().err
-    assert not (out / "lemma_report.json").exists()
+    report = json.loads((out / "lemma_report.json").read_text())
+    assert [v["q"] for v in report["verdicts"]] == [0.5, 1.0, 2.0, 3.0]
+    assert all(v["matched"] for v in report["verdicts"])
 
 
 def test_evolve_command(tmp_path):
@@ -228,6 +231,12 @@ def test_bad_value_exits_one_naming_it(tmp_path, capsys, command, text, section,
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     assert f"bad value for [{section}] {key} = " in capsys.readouterr().err
     assert not list(out.glob("*"))
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})
 
 
 def test_readme_example_lists_every_known_key():

@@ -9,7 +9,6 @@ from fracblow.evolution import (EvolutionConfig, ProblemParams, UnresolvedFieldE
                                 evolve, linear_propagator, nonlinear_step,
                                 scaling_check, spectral_tail_fraction, strang_step)
 from fracblow.grid import Field, GridSpec
-from fracblow.profiles import WeightProfile
 
 
 def gaussian_packet(x):
@@ -76,7 +75,7 @@ class TestEvolve:
         u0 = Field.from_function(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 0.0)
         cfg = EvolutionConfig(grid=g, dt=0.01, t_max=10.0, blowup_threshold=100.0)
-        rec = evolve(u0, params, cfg, WeightProfile(q=2, R=1.0))
+        rec = evolve(u0, params, cfg, 1.0)
         assert not rec.blew_up
         drift = np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0]
         assert drift < 1e-12
@@ -87,7 +86,7 @@ class TestEvolve:
         u0 = Field.from_function(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 0.0)
         cfg = EvolutionConfig(grid=g, dt=0.01, t_max=2.0, blowup_threshold=100.0)
-        rec = evolve(u0, params, cfg, WeightProfile(q=2, R=1.0))
+        rec = evolve(u0, params, cfg, 1.0)
         back = linear_propagator(rec.final, -rec.times[-1])
         assert np.max(np.abs(back.values - u0.values)) < 1e-11
 
@@ -95,7 +94,7 @@ class TestEvolve:
         g = GridSpec(1, 20.0, 512)
         u0 = Field.from_function(g, gaussian_packet)
         cfg = EvolutionConfig(grid=g, dt=0.02, t_max=0.5, blowup_threshold=100.0)
-        rec = evolve(u0, ProblemParams(1, 2.0, 1.0), cfg, WeightProfile(q=2, R=1.0))
+        rec = evolve(u0, ProblemParams(1, 2.0, 1.0), cfg, 1.0)
         assert np.all(np.diff(rec.times) > 0)
 
     def test_refusal_on_underresolved_data(self):
@@ -104,15 +103,22 @@ class TestEvolve:
         u0 = Field(g, rng.standard_normal(g.shape) + 0j)  # white spectrum
         cfg = EvolutionConfig(grid=g, dt=0.01, t_max=1.0, blowup_threshold=1e4)
         with pytest.raises(UnresolvedFieldError):
-            evolve(u0, ProblemParams(1, 2.0, 1j), cfg, WeightProfile(q=2, R=1.0))
+            evolve(u0, ProblemParams(1, 2.0, 1j), cfg, 1.0)
         assert spectral_tail_fraction(u0) > 1e-3
+
+    def test_nonpositive_weight_radius_rejected(self):
+        g = GridSpec(1, 20.0, 512)
+        u0 = Field.from_function(g, gaussian_packet)
+        cfg = EvolutionConfig(grid=g, dt=0.01, t_max=1.0, blowup_threshold=100.0)
+        with pytest.raises(ValueError, match="weight radius must be positive"):
+            evolve(u0, ProblemParams(1, 2.0, 1j), cfg, 0.0)
 
     def test_threshold_must_clear_initial_sup(self):
         g = GridSpec(1, 20.0, 512)
         u0 = Field.from_function(g, gaussian_packet)
         cfg = EvolutionConfig(grid=g, dt=0.01, t_max=1.0, blowup_threshold=2.0)
         with pytest.raises(ValueError):
-            evolve(u0, ProblemParams(1, 2.0, 1j), cfg, WeightProfile(q=2, R=1.0))
+            evolve(u0, ProblemParams(1, 2.0, 1j), cfg, 1.0)
 
     def test_blowup_flagged_on_focusing_data(self):
         # real positive data with lam = i feeds its own modulus
@@ -121,7 +127,7 @@ class TestEvolve:
         params = ProblemParams(1, 2.0, 1j)
         cfg = EvolutionConfig(grid=g, dt=0.002, t_max=2.0,
                               blowup_threshold=25 * u0.sup_norm())
-        rec = evolve(u0, params, cfg, WeightProfile(q=2, R=1.0))
+        rec = evolve(u0, params, cfg, 1.0)
         assert rec.blew_up and rec.t_num is not None
         assert rec.t_num < 0.5
         # sup-norm nondecreasing once past 10x the initial sup
@@ -135,7 +141,7 @@ class TestEvolve:
         g = GridSpec(2, 10.0, 64)
         u0 = Field.from_function(g, lambda x, y: np.exp(-(x**2 + y**2)) + 0j)
         cfg = EvolutionConfig(grid=g, dt=0.02, t_max=1.0, blowup_threshold=100.0)
-        rec = evolve(u0, ProblemParams(2, 2.0, 0.0), cfg, WeightProfile(q=3, R=1.0))
+        rec = evolve(u0, ProblemParams(2, 2.0, 0.0), cfg, 1.0)
         drift = np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0]
         assert drift < 1e-12
 
@@ -208,7 +214,6 @@ class TestStrangKernel:
         g = GridSpec(1, 20.0, 256)
         u0 = Field.from_function(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 1j)
-        weight = WeightProfile(q=2, R=1.0)
         cfg = EvolutionConfig(grid=g, dt=0.02, t_max=0.05,
                               blowup_threshold=25 * u0.sup_norm())
         kernel, sizes = evolution.strang_step, []
@@ -223,11 +228,11 @@ class TestStrangKernel:
             return out
 
         monkeypatch.setattr(evolution, "strang_step", first_call_bad)
-        rec = evolve(u0, params, cfg, weight)
+        rec = evolve(u0, params, cfg, 1.0)
         monkeypatch.setattr(evolution, "strang_step", kernel)
         ref = evolve(u0, params, EvolutionConfig(grid=g, dt=0.01, t_max=0.05,
                                                  blowup_threshold=cfg.blowup_threshold),
-                     weight)
+                     1.0)
 
         assert sizes[:2] == [0.02, 0.01]
         assert np.all(np.isfinite(rec.final.values))
@@ -245,7 +250,6 @@ class TestStrangKernel:
         params = ProblemParams(1, 2.0, 1j)
         cfg = EvolutionConfig(grid=g, dt=0.02, t_max=0.037,
                               blowup_threshold=25 * u0.sup_norm())
-        weight = WeightProfile(q=2, R=1.0)
         kernel, sizes = evolution.strang_step, []
 
         def spy(f, dt, params):
@@ -253,9 +257,9 @@ class TestStrangKernel:
             return kernel(f, dt, params)
 
         monkeypatch.setattr(evolution, "strang_step", spy)
-        rec = evolve(u0, params, cfg, weight)
+        rec = evolve(u0, params, cfg, 1.0)
         monkeypatch.setattr(evolution, "strang_step", reference_step)
-        ref = evolve(u0, params, cfg, weight)
+        ref = evolve(u0, params, cfg, 1.0)
 
         assert len(sizes) > len(rec.times) - 1        # a step was rejected
         assert len(set(sizes)) >= 3                   # 0.02, 0.01 and the last step

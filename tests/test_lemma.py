@@ -7,27 +7,28 @@ import pytest
 from fracblow.lemma import (DecayFitResult, LemmaSample, default_radii, fit_decay,
                             sample_frac_weight, verify_gaussian_remark, verify_lemma)
 from fracblow.profiles import bracket
+from fracblow.pv import normalization_constant
 
 
 class TestSampling:
-    def test_closed_form_values(self, quad, b1):
-        samples = sample_frac_weight(1, 2.0, [0.0, 1.0, 3.0], quad, b=b1)
+    def test_closed_form_values(self, quad):
+        samples = sample_frac_weight(1, 2.0, [0.0, 1.0, 3.0], quad)
         # op <x>^(-2) = (1-x^2)/(1+x^2)^2: values 1, 0, -8/100
         assert samples[0].value == pytest.approx(1.0, abs=1e-6)
         assert samples[1].value == pytest.approx(0.0, abs=1e-6)
         assert samples[2].value == pytest.approx(-0.08, abs=1e-6)
 
-    def test_magnitude_decreases_beyond_inflection(self, quad, b1):
-        samples = sample_frac_weight(1, 3.0, np.geomspace(4.0, 400.0, 8), quad, b=b1)
+    def test_magnitude_decreases_beyond_inflection(self, quad):
+        samples = sample_frac_weight(1, 3.0, np.geomspace(4.0, 400.0, 8), quad)
         mags = [abs(s.value) for s in samples]
         assert all(a > b for a, b in zip(mags, mags[1:]))
         assert all(math.isfinite(s.value) for s in samples)
 
-    def test_bad_radii_rejected(self, quad, b1):
+    def test_bad_radii_rejected(self, quad):
         with pytest.raises(ValueError):
-            sample_frac_weight(1, 2.0, [1.0, 0.5], quad, b=b1)
+            sample_frac_weight(1, 2.0, [1.0, 0.5], quad)
         with pytest.raises(ValueError):
-            sample_frac_weight(1, -1.0, [0.5, 1.0], quad, b=b1)
+            sample_frac_weight(1, -1.0, [0.5, 1.0], quad)
 
 
 class TestFitDecay:
@@ -67,8 +68,8 @@ class TestFitDecay:
 
 
 class TestVerdicts:
-    def test_shallow_weight_dim1(self, quad, b1):
-        v = verify_lemma(1, 0.5, quad, b=b1)
+    def test_shallow_weight_dim1(self, quad):
+        v = verify_lemma(1, 0.5, quad)
         assert v.regime == "q<n" and v.matched
         assert v.fit.exponent == pytest.approx(-1.5, abs=0.05)
         # asymptotically op |x|^(-1/2) = -|x|^(-3/2)/2, so the windowed
@@ -77,34 +78,34 @@ class TestVerdicts:
         assert all(s.value < 0 for s in tail)
         assert abs(tail[-1].value) * tail[-1].r ** 1.5 == pytest.approx(0.5, rel=0.02)
 
-    def test_log_regime_dim1(self, quad, b1):
-        v = verify_lemma(1, 1.0, quad, b=b1)
+    def test_log_regime_dim1(self, quad):
+        v = verify_lemma(1, 1.0, quad)
         assert v.regime == "q=n" and v.matched
         assert v.fit.log_coeff > 0
         assert v.residual_ratio > 3.0
         assert v.negativity_ok and v.r_neg is not None
 
-    def test_steep_weight_dim1(self, quad, b1):
-        v = verify_lemma(1, 2.0, quad, b=b1)
+    def test_steep_weight_dim1(self, quad):
+        v = verify_lemma(1, 2.0, quad)
         assert v.regime == "q>n" and v.matched
         assert v.fit.exponent == pytest.approx(-2.0, abs=0.05)
         # closed form is negative exactly beyond r = 1
         assert v.r_neg == pytest.approx(1.0, abs=0.6)
         assert v.a_hat == pytest.approx(1.0, abs=1e-4)
 
-    def test_degenerate_shallow_weight_dim2(self, quad, b2):
+    def test_degenerate_shallow_weight_dim2(self, quad):
         # q = n - 1 sits at the vanishing point of the leading coefficient:
         # the operator output is exactly <x>^(-3) (see the 2D bracket
         # identity in test_pv.py), one power steeper than the regime bound,
         # so the sharp exponent predicted is -(n+1) = -3 and the fit meets it
-        v = verify_lemma(2, 1.0, quad, b=b2)
+        v = verify_lemma(2, 1.0, quad)
         assert v.regime == "q<n"
         assert v.fit.exponent == pytest.approx(-3.0, abs=0.02)
         assert v.predicted_exponent == -3.0
         assert v.matched
 
-    def test_steep_weight_dim2(self, quad, b2):
-        v = verify_lemma(2, 3.0, quad, b=b2)
+    def test_steep_weight_dim2(self, quad):
+        v = verify_lemma(2, 3.0, quad)
         assert v.regime == "q>n" and v.matched
         assert v.fit.exponent == pytest.approx(-3.0, abs=0.1)
 
@@ -116,66 +117,65 @@ class TestVerdicts:
         (2, 3.0, 1.0),
         (2, 4.0, 0.5),
     ])
-    def test_far_field_amplitude_oracle(self, quad, b1, b2, n, q, amplitude):
-        b = b1 if n == 1 else b2
-        v = verify_lemma(n, q, quad, b=b)
+    def test_far_field_amplitude_oracle(self, quad, n, q, amplitude):
+        v = verify_lemma(n, q, quad)
         far = v.samples[-1]
         assert far.value * bracket(far.r) ** (n + 1) == pytest.approx(-amplitude, rel=2e-3)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_log_coefficient_oracle(self, quad, b1, b2, n):
+    def test_log_coefficient_oracle(self, quad, n):
         # at q = n the log-model coefficient approaches B_n * omega_n
         # (2/pi on the line, exactly 1 on the plane)
-        b = b1 if n == 1 else b2
-        v = verify_lemma(n, float(n), quad, b=b)
+        b = normalization_constant(n).value
+        v = verify_lemma(n, float(n), quad)
         expected = b * (2.0 if n == 1 else 2.0 * math.pi)
         assert v.fit.log_coeff == pytest.approx(expected, rel=0.02)
 
-    def test_regime_trichotomy_exclusive(self, quad, b1):
+    def test_regime_trichotomy_exclusive(self, quad):
         # the fitted exponent matches only the case selected by q vs n
         for q, regime in ((0.5, "q<n"), (1.0, "q=n"), (2.0, "q>n")):
-            v = verify_lemma(1, q, quad, b=b1)
+            v = verify_lemma(1, q, quad)
             assert v.regime == regime and v.matched
             if regime == "q<n":
                 assert abs(v.fit.exponent - (-2.0)) > 3 * 0.05
             elif regime == "q>n":
                 assert abs(v.fit.exponent - (-(q + 1.0))) > 3 * 0.05
 
-    def test_a_hat_stable_under_denser_sampling(self, quad, b1):
-        v = verify_lemma(1, 2.0, quad, b=b1)
+    def test_a_hat_stable_under_denser_sampling(self, quad):
+        v = verify_lemma(1, 2.0, quad)
         dense = default_radii(per_decade=16)
-        v2 = verify_lemma(1, 2.0, quad, radii=dense, b=b1)
+        v2 = verify_lemma(1, 2.0, quad, radii=dense)
         assert abs(v2.a_hat - v.a_hat) < 0.05 * v.a_hat
 
 
 class TestScaleCovariance:
-    def test_dilated_weight(self, quad, b1):
+    def test_dilated_weight(self, quad):
         # op applied to <x/R>^(-q) at R*x equals R^(-1) op(<.>^(-q))(x)
         from fracblow.profiles import bracket_profile
         from fracblow.pv import frac_laplacian_pv
 
         R = 2.0
         for x0 in (0.6, 3.0):
-            scaled = frac_laplacian_pv(bracket_profile(2.0, R=R), R * x0, b1, quad)
-            ref = frac_laplacian_pv(bracket_profile(2.0), x0, b1, quad)
+            scaled = frac_laplacian_pv(bracket_profile(2.0, R=R), R * x0, quad)
+            ref = frac_laplacian_pv(bracket_profile(2.0), x0, quad)
             assert scaled.value == pytest.approx(ref.value / R, abs=1e-7)
 
 
 class TestGaussianRemark:
-    def test_dim1(self, quad, b1):
-        v = verify_gaussian_remark(1, quad, b=b1)
+    def test_dim1(self, quad):
+        v = verify_gaussian_remark(1, quad)
         assert v.matched and v.negativity_ok
         assert v.fit.exponent == pytest.approx(-2.0, abs=0.1)
         # extracted constant approaches B_1 * sqrt(pi) = 1/sqrt(pi)
         assert v.a_hat == pytest.approx(1.0 / math.sqrt(math.pi), rel=0.05)
 
-    def test_origin_positive(self, quad, b1):
-        v = verify_gaussian_remark(1, quad, b=b1)
+    def test_origin_positive(self, quad):
+        v = verify_gaussian_remark(1, quad)
         origin = [s for s in v.samples if s.r == 0.0][0]
         assert origin.value > 0
 
-    def test_dim2(self, quad, b2):
-        v = verify_gaussian_remark(2, quad, b=b2)
+    def test_dim2(self, quad):
+        v = verify_gaussian_remark(2, quad)
         assert v.matched and v.negativity_ok
         assert v.fit.exponent == pytest.approx(-3.0, abs=0.1)
         # extracted constant approaches B_2 * pi = 1/2

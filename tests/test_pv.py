@@ -57,37 +57,37 @@ class TestNormalizationConstant:
 
 
 class TestPointwiseEvaluator:
-    def test_constant_profile_vanishes(self, quad, b1):
+    def test_constant_profile_vanishes(self, quad):
         for x in (0.0, 1.7, -3.2):
-            res = frac_laplacian_pv(constant_profile(1.0), x, b1, quad)
+            res = frac_laplacian_pv(constant_profile(1.0), x, quad)
             assert res.value == 0.0
             assert res.error < 1e-9  # roundoff certificate only
 
     @pytest.mark.parametrize("x,expected", [(0.0, 1.0), (1.0, 0.0), (2.0, -3.0 / 25.0)])
-    def test_lorentzian_closed_form(self, quad, b1, x, expected):
-        res = frac_laplacian_pv(bracket_profile(2.0), x, b1, quad)
+    def test_lorentzian_closed_form(self, quad, x, expected):
+        res = frac_laplacian_pv(bracket_profile(2.0), x, quad)
         assert res.value == pytest.approx(expected, abs=1e-6)
         assert abs(res.value - expected) <= 2.0 * res.error + 1e-10
 
-    def test_lorentzian_far_field(self, b1):
+    def test_lorentzian_far_field(self):
         for x in (1e2, 1e3, 1e4):
             cfg = PVQuadratureConfig(y_max=120.0 * (1 + x), tol=1.0)
-            res = frac_laplacian_pv(bracket_profile(2.0), x, b1, cfg)
+            res = frac_laplacian_pv(bracket_profile(2.0), x, cfg)
             want = lorentzian_half_laplacian(x)
             assert res.value == pytest.approx(want, rel=1e-6)
 
-    def test_dim2_bracket_identity(self, quad, b2):
+    def test_dim2_bracket_identity(self, quad):
         # op <x>^(-1) = <x>^(-3) in two dimensions (Poisson-kernel Hankel
         # pair: the weight transforms to 2 pi e^(-s)/s, the multiplier
         # strips the 1/s, and s e^(-s) transforms back to <x>^(-3))
         for r in (0.0, 0.5, 2.0, 10.0, 100.0):
             cfg = PVQuadratureConfig(y_max=max(256.0, 120.0 * (1 + r)), tol=1.0)
-            res = frac_laplacian_pv(bracket_profile(1.0), (r, 0.0), b2, cfg)
+            res = frac_laplacian_pv(bracket_profile(1.0), (r, 0.0), cfg)
             want = (1 + r * r) ** -1.5
             assert abs(res.value - want) <= res.error + 1e-12
             assert res.value == pytest.approx(want, rel=1e-4)
 
-    def test_gaussian_cross_method(self, quad, b1):
+    def test_gaussian_cross_method(self, quad):
         # against the spectral route on a wide fine grid
         from fracblow.grid import Field, GridSpec
         from fracblow.spectral import frac_laplacian_spectral
@@ -97,51 +97,51 @@ class TestPointwiseEvaluator:
         spectral = frac_laplacian_spectral(Field(g, np.exp(-x * x) + 0j)).values.real
         pts = np.linspace(-3.0, 3.0, 13)
         idx = np.argmin(np.abs(x[None, :] - pts[:, None]), axis=1)
-        vals, _ = frac_laplacian_pv_many(gaussian_profile(), x[idx], b1, quad)
+        vals, _ = frac_laplacian_pv_many(gaussian_profile(), x[idx], quad)
         assert np.max(np.abs(vals - spectral[idx])) < 1e-4
 
-    def test_gaussian_at_origin(self, quad, b1):
+    def test_gaussian_at_origin(self, quad):
         # 2/sqrt(pi), from integrating |xi| against the Gaussian transform
-        res = frac_laplacian_pv(gaussian_profile(), 0.0, b1, quad)
+        res = frac_laplacian_pv(gaussian_profile(), 0.0, quad)
         assert res.value == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-8)
 
-    def test_evenness_bitwise(self, quad, b1):
-        a = frac_laplacian_pv(bracket_profile(2.0), 1.3, b1, quad)
-        b = frac_laplacian_pv(bracket_profile(2.0), -1.3, b1, quad)
+    def test_evenness_bitwise(self, quad):
+        a = frac_laplacian_pv(bracket_profile(2.0), 1.3, quad)
+        b = frac_laplacian_pv(bracket_profile(2.0), -1.3, quad)
         assert a.value == b.value
 
-    def test_linearity(self, quad, b1):
+    def test_linearity(self, quad):
         f, g = bracket_profile(2.0), gaussian_profile()
         combo = f.combine(g, a=0.7, b=-0.4)
         for x in (0.0, 0.9, 3.0):
-            lhs = frac_laplacian_pv(combo, x, b1, dataclasses.replace(quad, tol=1.0))
-            rhs = 0.7 * frac_laplacian_pv(f, x, b1, quad).value \
-                - 0.4 * frac_laplacian_pv(g, x, b1, quad).value
+            lhs = frac_laplacian_pv(combo, x, dataclasses.replace(quad, tol=1.0))
+            rhs = 0.7 * frac_laplacian_pv(f, x, quad).value \
+                - 0.4 * frac_laplacian_pv(g, x, quad).value
             assert lhs.value == pytest.approx(rhs, abs=1e-10)
 
-    def test_refinement_stability(self, quad, b1):
+    def test_refinement_stability(self, quad):
         # halving eps0 and doubling nodes moves the value by less than the
         # reported certificate
         refined = dataclasses.replace(quad, eps0=quad.eps0 / 2,
                                       radial_nodes=2 * quad.radial_nodes)
         for prof in (bracket_profile(2.0), gaussian_profile(), bracket_profile(3.0)):
             for x in (0.0, 0.3, 1.5, 4.0, 9.0):
-                a = frac_laplacian_pv(prof, x, b1, quad)
-                b = frac_laplacian_pv(prof, x, b1, refined)
+                a = frac_laplacian_pv(prof, x, quad)
+                b = frac_laplacian_pv(prof, x, refined)
                 assert abs(a.value - b.value) <= a.error
 
-    def test_nonconvergence_raises_with_residual(self, b1):
+    def test_nonconvergence_raises_with_residual(self):
         tight = PVQuadratureConfig(y_max=8.0, tol=1e-12)
         with pytest.raises(QuadratureError) as err:
-            frac_laplacian_pv(bracket_profile(0.5), 0.0, b1, tight)
+            frac_laplacian_pv(bracket_profile(0.5), 0.0, tight)
         assert err.value.residual > 1e-12
         assert math.isfinite(err.value.value)
 
-    def test_batch_matches_pointwise(self, quad, b1):
+    def test_batch_matches_pointwise(self, quad):
         xs = [0.0, 0.5, 2.5]
-        vals, errs = frac_laplacian_pv_many(bracket_profile(2.0), xs, b1, quad)
+        vals, errs = frac_laplacian_pv_many(bracket_profile(2.0), xs, quad)
         for x, v, e in zip(xs, vals, errs):
-            res = frac_laplacian_pv(bracket_profile(2.0), x, b1, quad)
+            res = frac_laplacian_pv(bracket_profile(2.0), x, quad)
             assert res.value == v and res.error == e
 
 
@@ -164,16 +164,15 @@ class TestClosedFormCertificates:
         (2, 3.0, lambda r: (2.0 - r * r) * (1.0 + r * r) ** -2.5),
     ])
     def test_value_within_certificate(self, quad, n, q, exact):
-        b = normalization_constant(n).value
-        for s in sample_frac_weight(n, q, CLOSED_FORM_RADII, quad, b):
+        for s in sample_frac_weight(n, q, CLOSED_FORM_RADII, quad):
             assert abs(s.value - exact(s.r)) <= s.error, s
 
-    def test_row_blocks_do_not_change_the_value(self, quad, b2, monkeypatch):
+    def test_row_blocks_do_not_change_the_value(self, quad, monkeypatch):
         # one row per block, the default budget, and the whole table at once
         values = {}
         for budget in (1, pv._BLOCK_ELEMENTS, 10**9):
             monkeypatch.setattr(pv, "_BLOCK_ELEMENTS", budget)
-            values[budget] = sample_frac_weight(2, 3.0, CLOSED_FORM_RADII, quad, b2)
+            values[budget] = sample_frac_weight(2, 3.0, CLOSED_FORM_RADII, quad)
         ref = values[pv._BLOCK_ELEMENTS]
         for samples in values.values():
             for s, t in zip(samples, ref):

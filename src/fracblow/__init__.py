@@ -29,7 +29,6 @@ from .blowup import (
     LifespanReport,
     RadiusReport,
     adapted_radius,
-    blowup_radius,
     compute_constants,
     lifespan_bound,
     make_initial_data,

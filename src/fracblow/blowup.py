@@ -1,20 +1,24 @@
 """Explicit blow-up constants, initial data families, and lifespan bounds.
 
-The chain: a certified bound A on the weight's half-Laplacian feeds the
-threshold constant C and the ODE rate D; initial data whose weighted
-functional M_R(0) exceeds C R^(n - 1/(p-1)) cannot support a solution past
+The chain: a bound A on the weight's half-Laplacian feeds the threshold
+constant C and the ODE rate D.  A is not certified: it is a sampled sup of
+|op w / w| times the fixed safety factor ``lemma.A_SAFETY``, a guess that
+covers the gaps between samples (the closed form is sup |op w / w| = n).
+Initial data whose weighted functional M_R(0) exceeds C R^(n - 1/(p-1))
+cannot support a solution past
 
     T = (p-1)^(-1) D^(-1) R^(n(p-1)) (M_R(0) - C R^(n-1/(p-1)))^(-(p-1)),
 
 and along the way M_R(t) - C R^(n-1/(p-1)) dominates an explicit blowing-up
 envelope.  Two scaled data families (an inner power singularity and an
 outer power tail) come with closed-form radii R* whose induced bound is an
-exact power law in the amplitude mu.
+exact power law in the amplitude mu.  ``adapted_radius`` is the one route
+to R*; the verdict at R* is ``lifespan_bound`` of the lattice M_R(0).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +38,6 @@ __all__ = [
     "ode_lower_envelope",
     "make_initial_data",
     "adapted_radius",
-    "blowup_radius",
 ]
 
 
@@ -51,14 +54,18 @@ def weight_mass(n: int) -> PVResult:
 
 @dataclass(frozen=True)
 class BlowupConstants:
-    """Everything the lifespan formulas need, with provenance of A."""
+    """Everything the lifespan formulas need, with the provenance of A.
+
+    ``n`` and ``p`` are the equation's: every formula downstream of the
+    constants (threshold, lifespan, adapted radius) reads them from here.
+    """
 
     n: int
     p: float
     sphere: float          # surface measure of the unit sphere
     w_mass: float          # integral of <x>^(-n-1)
     w_mass_error: float
-    a_bound: float         # certified |op weight| <= a_bound * weight constant
+    a_bound: float         # |op weight| <= a_bound * weight, sampled (not certified)
     c_threshold: float
     d_rate: float
     a_source: str = ""
@@ -75,7 +82,11 @@ class BlowupConstants:
 
 def compute_constants(params: ProblemParams, a_bound: float,
                       a_source: str = "") -> BlowupConstants:
-    """Threshold constant C and ODE rate D from the certified weight bound A.
+    """Threshold constant C and ODE rate D from the weight bound A.
+
+    A is taken as given; the CLI passes the sampled sup times
+    ``lemma.A_SAFETY``, which is not a certified bound (the closed form is
+    A = n).
 
     Requires Re(alpha * lam) > 0; anything else cannot drive the weighted
     functional upward and is rejected.
@@ -196,8 +207,8 @@ def _check_k_against_dimension(spec: InitialDataSpec, n: int):
         raise ValueError(f"outer-decay needs k > n/2: k={spec.k}, n/2={0.5 * n}")
 
 
-def _check_k_against_p(spec: InitialDataSpec, params: ProblemParams):
-    lim = 1.0 / (params.p - 1.0)
+def _check_k_against_p(spec: InitialDataSpec, p: float):
+    lim = 1.0 / (p - 1.0)
     if spec.kind != "integrable" and not spec.k < lim:
         raise ValueError(f"{spec.kind} needs k < 1/(p-1): k={spec.k}, 1/(p-1)={lim}")
 
@@ -235,24 +246,13 @@ def make_initial_data(spec: InitialDataSpec, grid: GridSpec, alpha: complex) -> 
 
 @dataclass(frozen=True)
 class RadiusReport:
-    """Adapted weight radius and induced bound for a scaled data family.
-
-    ``adapted_radius`` fills in the closed-form fields; ``blowup_radius``
-    adds the threshold verdict from the lattice data as ``report``.
-    """
+    """Closed-form adapted weight radius and induced bound of a scaled data family."""
 
     r_star: float
-    i_const: float
     t_bound_formula: float      # exact power law in mu by construction
     regime_ok: bool             # R1 < 1 (inner) or R2 > 10 (outer)
     in_regime_strict: bool      # R1 < 0.5 or R2 > 20 (sweep-fit inclusion)
     boundary: str
-    report: LifespanReport | None = None   # threshold verdict with the lattice M_R(0)
-
-    @property
-    def conclusive(self) -> bool:
-        """False without a lattice verdict (``adapted_radius`` output)."""
-        return self.regime_ok and self.report is not None and self.report.condition_holds
 
 
 def family_i_const(spec: InitialDataSpec, n: int) -> float:
@@ -272,25 +272,25 @@ def family_i_const(spec: InitialDataSpec, n: int) -> float:
     raise ValueError("no adapted radius for this data kind")
 
 
-def family_exponent(kind: str, k: float, params: ProblemParams) -> float:
+def family_exponent(kind: str, k: float, n: int, p: float) -> float:
     """1/(p-1) - k', with k' = k (inner) or min(n, k) (outer): R* ~ mu^(-1/this)."""
-    kk = k if kind == "inner-singular" else min(float(params.n), k)
-    return 1.0 / (params.p - 1.0) - kk
+    kk = k if kind == "inner-singular" else min(float(n), k)
+    return 1.0 / (p - 1.0) - kk
 
 
-def adapted_radius(spec: InitialDataSpec, constants: BlowupConstants,
-                   params: ProblemParams) -> RadiusReport:
-    """Closed-form adapted radius R*, overlap constant and formula bound.
+def adapted_radius(spec: InitialDataSpec, constants: BlowupConstants) -> RadiusReport:
+    """Closed-form adapted radius R* and formula bound, for the n and p of ``constants``.
 
-    R* solves mu*I/2 = C R^(k' - 1/(p-1)); the formula bound uses the family
-    lower bound for M and is an exact power law in mu.  R* does not depend
-    on the inner cap.  No lattice data is built: ``report`` stays None.
+    R* solves mu*I/2 = C R^(k' - 1/(p-1)) with I = ``family_i_const``; the
+    formula bound uses the family lower bound for M and is an exact power
+    law in mu.  R* does not depend on the inner cap, and no lattice data is
+    built: the verdict at R* is ``lifespan_bound`` of the data's M_R(0).
     """
-    _check_k_against_dimension(spec, params.n)
-    _check_k_against_p(spec, params)
-    n = params.n
+    n = constants.n
+    _check_k_against_dimension(spec, n)
+    _check_k_against_p(spec, constants.p)
     i_const = family_i_const(spec, n)
-    expo = family_exponent(spec.kind, spec.k, params)  # > 0, as k' <= k < 1/(p-1)
+    expo = family_exponent(spec.kind, spec.k, n, constants.p)  # > 0, as k' <= k < 1/(p-1)
     r_star = (spec.mu * i_const / (2.0 * constants.c_threshold)) ** (-1.0 / expo)
 
     if spec.kind == "inner-singular":
@@ -305,20 +305,6 @@ def adapted_radius(spec: InitialDataSpec, constants: BlowupConstants,
     # family lower bound for the gap: M - C R^(n-1/(p-1)) >= R^growth * mu I/2
     gap_formula = r_star ** growth * spec.mu * i_const / 2.0
     t_formula = _lifespan(constants, r_star, gap_formula)
-    return RadiusReport(r_star=r_star, i_const=i_const,
-                        t_bound_formula=t_formula, regime_ok=regime_ok,
+    return RadiusReport(r_star=r_star, t_bound_formula=t_formula, regime_ok=regime_ok,
                         in_regime_strict=strict, boundary=boundary)
 
-
-def blowup_radius(spec: InitialDataSpec, constants: BlowupConstants,
-                  params: ProblemParams, data: Field) -> RadiusReport:
-    """The adapted radius, with the threshold verdict from the lattice data.
-
-    ``data`` is the family member the caller built with
-    ``make_initial_data(spec, grid, params.alpha)``; its weighted functional
-    at R* is M_R(0).  Amplitudes outside the scaling regime give an
-    inconclusive report carrying the regime boundary.
-    """
-    rr = adapted_radius(spec, constants, params)
-    m0 = weighted_functional(data, params.alpha, rr.r_star)
-    return replace(rr, report=lifespan_bound(m0, constants, rr.r_star))

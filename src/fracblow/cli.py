@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blowup import (InitialDataSpec, blowup_radius, compute_constants, lifespan_bound,
+from .blowup import (InitialDataSpec, adapted_radius, compute_constants, lifespan_bound,
                      make_initial_data, weighted_functional)
 from .config import (ConfigError, HarnessConfig, dimensions, flag, float_list,
                      increasing_pair, load_config)
@@ -158,14 +158,10 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
     _, constants = _constants_block(cfg)
     u0 = make_initial_data(spec, grid, params.alpha)
 
-    if r_fixed is None:
-        rr = blowup_radius(spec, constants, params, u0)
-        radius, report = rr.r_star, rr.report
-    else:
-        radius = r_fixed
-        report = lifespan_bound(weighted_functional(u0, params.alpha, radius), constants, radius)
+    radius = adapted_radius(spec, constants).r_star if r_fixed is None else r_fixed
+    report = lifespan_bound(weighted_functional(u0, params.alpha, radius), constants, radius)
 
-    config = EvolutionConfig(grid=grid, dt=dt, t_max=t_max,
+    config = EvolutionConfig(dt=dt, t_max=t_max,
                              blowup_threshold=threshold_factor * u0.sup_norm())
     record = evolve(u0, params, config, radius)
 
@@ -203,13 +199,16 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
     dt_factor = cfg.get("sweep", "dt_factor", float, 0.02)
     dt_base = cfg.get("sweep", "dt_base", float, 0.05)
     workers = cfg.get("sweep", "workers", int, 1)
+    if (mu_min is None) != (mu_max is None):
+        raise ConfigError("[sweep] mu_min and mu_max go together: give both, "
+                          "or omit both for the automatic range")
     _, constants = _constants_block(cfg)
-    if mu_min is not None and mu_max is not None:
+    if mu_min is not None:
         mu = np.geomspace(mu_min, mu_max, count)
     else:
         # pick the decade ending just inside the strict scaling regime
         r_target = 0.45 if kind == "inner-singular" else 22.0
-        edge = in_regime_amplitude(kind, k, params, constants, r_target)
+        edge = in_regime_amplitude(kind, k, constants, r_target)
         mu = np.geomspace(edge, 10.0 * edge, count) if kind == "inner-singular" \
             else np.geomspace(edge / 10.0, edge, count)
     plan = SweepPlan(params=params, kind=kind, k=k, mu_values=tuple(mu), grid=grid,

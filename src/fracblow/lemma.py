@@ -307,11 +307,13 @@ def verify_gaussian_remark(n: int, quad: PVQuadratureConfig,
 
 def estimate_weight_derivative_bound(n: int,
                                      quad: PVQuadratureConfig) -> tuple[float, LemmaVerdict]:
-    """Certified constant A with |op(<.>^(-n-1))(x)| <= A <x>^(-n-1).
+    """Sampled constant A for |op(<.>^(-n-1))(x)| <= A <x>^(-n-1); not certified.
 
-    This is the q = n + 1 regime constant that feeds the blow-up threshold;
-    the sampled sup is multiplied by ``A_SAFETY`` to cover the gaps between
-    samples, making every downstream bound conservative.
+    This is the q = n + 1 regime constant that feeds the blow-up threshold:
+    the sup of |op w / w| over the decay-suite samples, times the fixed
+    ``A_SAFETY``, a guess meant to cover the gaps between samples.  Nothing
+    proves it bounds the sup; the closed form is sup |op w / w| = n, reached
+    at r = 0.
     """
     verdict = verify_lemma(n, float(n + 1), quad)
     return A_SAFETY * verdict.a_hat, verdict

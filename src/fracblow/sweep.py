@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .blowup import (BlowupConstants, InitialDataSpec, adapted_radius, blowup_radius,
-                     family_exponent, family_i_const, make_initial_data)
+from .blowup import (BlowupConstants, InitialDataSpec, adapted_radius, family_exponent,
+                     family_i_const, lifespan_bound, make_initial_data, weighted_functional)
 from .evolution import EvolutionConfig, ProblemParams, UnresolvedFieldError, evolve
 from .grid import GridSpec
 from .reporting import write_csv, write_manifest
@@ -78,7 +78,7 @@ class SweepPlan:
 
     @property
     def predicted_exponent(self) -> float:
-        return -1.0 / family_exponent(self.kind, self.k, self.params)
+        return -1.0 / family_exponent(self.kind, self.k, self.params.n, self.params.p)
 
 
 @dataclass
@@ -107,11 +107,11 @@ class SweepResult:
     warnings: list[str]
 
 
-def in_regime_amplitude(kind: str, k: float, params: ProblemParams,
-                        constants: BlowupConstants, r_target: float) -> float:
+def in_regime_amplitude(kind: str, k: float, constants: BlowupConstants,
+                        r_target: float) -> float:
     """Amplitude mu at which the adapted radius equals r_target."""
-    i_const = family_i_const(InitialDataSpec(kind=kind, mu=1.0, k=k), params.n)
-    expo = family_exponent(kind, k, params)
+    i_const = family_i_const(InitialDataSpec(kind=kind, mu=1.0, k=k), constants.n)
+    expo = family_exponent(kind, k, constants.n, constants.p)
     return 2.0 * constants.c_threshold / i_const * r_target ** (-expo)
 
 
@@ -123,18 +123,19 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
     row = SweepRow(mu=mu)
     try:
         spec = InitialDataSpec(kind=plan.kind, mu=mu, k=plan.k)
+        rr = adapted_radius(spec, constants)
         if plan.kind == "inner-singular":
-            r_star = adapted_radius(spec, constants, plan.params).r_star
-            cap = max(CAP_FRACTION * r_star, 0.75 * plan.grid.dx)
+            cap = max(CAP_FRACTION * rr.r_star, 0.75 * plan.grid.dx)
             spec = dataclasses.replace(spec, cap_radius=cap)
         u0 = make_initial_data(spec, plan.grid, plan.params.alpha)
-        rr = blowup_radius(spec, constants, plan.params, u0)
+        report = lifespan_bound(weighted_functional(u0, plan.params.alpha, rr.r_star),
+                                constants, rr.r_star)
         row.r_star = rr.r_star
         row.t_bound = rr.t_bound_formula
-        row.t_prop = rr.report.t_bound
-        row.m0 = rr.report.m0
-        row.condition_holds = rr.report.condition_holds
-        row.in_regime = rr.in_regime_strict and rr.report.condition_holds
+        row.t_prop = report.t_bound
+        row.m0 = report.m0
+        row.condition_holds = report.condition_holds
+        row.in_regime = rr.in_regime_strict and report.condition_holds
         if not rr.regime_ok:
             row.note = rr.boundary
             return row
@@ -146,9 +147,8 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
 
         sup0 = u0.sup_norm()
         dt = plan.dt_factor / sup0 if plan.kind == "inner-singular" else plan.dt_base
-        horizon = HORIZON_FACTOR * min(rr.report.t_bound, rr.t_bound_formula)
-        cfg = EvolutionConfig(grid=plan.grid, dt=dt, t_max=horizon,
-                              blowup_threshold=THRESHOLD_FACTOR * sup0)
+        horizon = HORIZON_FACTOR * min(report.t_bound, rr.t_bound_formula)
+        cfg = EvolutionConfig(dt=dt, t_max=horizon, blowup_threshold=THRESHOLD_FACTOR * sup0)
         rec = evolve(u0, plan.params, cfg, rr.r_star)
         row.blew_up = rec.blew_up
         row.t_num = rec.t_num

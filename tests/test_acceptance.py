@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from fracblow.blowup import (InitialDataSpec, adapted_radius, blowup_radius, compute_constants,
+from fracblow.blowup import (InitialDataSpec, adapted_radius, compute_constants,
                              lifespan_bound, make_initial_data, ode_lower_envelope,
                              weighted_functional)
 from fracblow.evolution import EvolutionConfig, ProblemParams, evolve, scaling_check, strang_step
@@ -50,7 +50,7 @@ def chain_p2(quad):
 def inner_sweep(chain_p2):
     params, constants = chain_p2
     grid = GridSpec(1, 40.0, 32768)
-    edge = in_regime_amplitude("inner-singular", 0.25, params, constants, 0.45)
+    edge = in_regime_amplitude("inner-singular", 0.25, constants, 0.45)
     plan = SweepPlan(params=params, kind="inner-singular", k=0.25,
                      mu_values=tuple(np.geomspace(edge, 10.0 * edge, 8)), grid=grid)
     start = time.monotonic()
@@ -64,7 +64,7 @@ def outer_sweep(quad):
     a_bound, _ = estimate_weight_derivative_bound(1, quad)
     constants = compute_constants(params, a_bound, a_source="decay suite n=1 q=2")
     grid = GridSpec(1, 256.0, 16384)
-    edge = in_regime_amplitude("outer-decay", 0.6, params, constants, 22.0)
+    edge = in_regime_amplitude("outer-decay", 0.6, constants, 22.0)
     plan = SweepPlan(params=params, kind="outer-decay", k=0.6,
                      mu_values=tuple(np.geomspace(edge / 10.0, edge, 8)), grid=grid)
     start = time.monotonic()
@@ -167,7 +167,7 @@ def test_criterion_05_product_inequality():
 def test_criterion_06_solver_order_and_unitarity():
     g = GridSpec(1, 20.0, 1024)
     u0 = Field.from_function(g, lambda x: np.exp(-x * x) * np.exp(0.5j * x))
-    cfg = EvolutionConfig(grid=g, dt=0.01, t_max=10.0, blowup_threshold=100.0)
+    cfg = EvolutionConfig(dt=0.01, t_max=10.0, blowup_threshold=100.0)
     rec = evolve(u0, ProblemParams(1, 2.0, 0.0), cfg, 1.0)
     drift = float(np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0])
 
@@ -193,11 +193,11 @@ def test_criterion_06_solver_order_and_unitarity():
 def test_criterion_07_scaling_invariance():
     g = GridSpec(1, 20.0, 2048)
     params = ProblemParams(1, 2.0, 1.0 + 0.5j)
-    u0 = lambda x: np.exp(-x * x)
+    u0 = Field.from_function(g, lambda x: np.exp(-x * x))
     d = scaling_check(u0, params, EvolutionConfig(
-        grid=g, dt=0.01, t_max=0.64, blowup_threshold=100.0), 2.0)
+        dt=0.01, t_max=0.64, blowup_threshold=100.0), 2.0)
     d_half = scaling_check(u0, params, EvolutionConfig(
-        grid=g, dt=0.005, t_max=0.64, blowup_threshold=100.0), 2.0)
+        dt=0.005, t_max=0.64, blowup_threshold=100.0), 2.0)
     ratio = d / d_half
     _report(7, d <= 1e-3 and 2.5 <= ratio <= 6.0,
             f"rho=2 discrepancy {d:.2e} (<= 1e-3), improvement x{ratio:.2f} under dt halving")
@@ -208,24 +208,23 @@ def test_criterion_08_ode_envelope(chain_p2):
     grid = GridSpec(1, 40.0, 16384)
     problems = []
     for mu in (20.0, 28.0, 40.0, 56.0, 80.0):
-        probe = adapted_radius(InitialDataSpec(kind="inner-singular", mu=mu, k=0.25),
-                               constants, params)
+        r_star = adapted_radius(InitialDataSpec(kind="inner-singular", mu=mu, k=0.25),
+                                constants).r_star
         spec = InitialDataSpec(kind="inner-singular", mu=mu, k=0.25,
-                               cap_radius=max(0.15 * probe.r_star, 0.75 * grid.dx))
+                               cap_radius=max(0.15 * r_star, 0.75 * grid.dx))
         u0 = make_initial_data(spec, grid, params.alpha)
-        rr = blowup_radius(spec, constants, params, u0)
-        cfg = EvolutionConfig(grid=grid, dt=0.01 / u0.sup_norm(),
-                              t_max=1.3 * rr.report.t_bound,
+        report = lifespan_bound(weighted_functional(u0, params.alpha, r_star), constants, r_star)
+        cfg = EvolutionConfig(dt=0.01 / u0.sup_norm(),
+                              t_max=1.3 * report.t_bound,
                               blowup_threshold=25.0 * u0.sup_norm())
-        rec = evolve(u0, params, cfg, rr.r_star)
+        rec = evolve(u0, params, cfg, r_star)
         if not rec.blew_up:
             problems.append(f"mu={mu}: no blow-up")
             continue
-        tcut = 0.8 * min(rec.t_num, rr.report.t_bound)
+        tcut = 0.8 * min(rec.t_num, report.t_bound)
         sel = rec.times <= tcut
-        env = ode_lower_envelope(rr.report.m0, constants, rr.r_star,
-                                 rec.times[sel])
-        gap = rec.m_r[sel] - constants.threshold(rr.r_star)
+        env = ode_lower_envelope(report.m0, constants, r_star, rec.times[sel])
+        gap = rec.m_r[sel] - constants.threshold(r_star)
         if not np.all(gap >= 0.9 * env):
             problems.append(f"mu={mu}: domination ratio {float(np.min(gap / env)):.3f}")
         if not np.all(np.diff(rec.m_r[sel]) >= 0):

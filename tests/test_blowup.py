@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from fracblow.blowup import (InitialDataSpec, LifespanReport, adapted_radius,
-                             blowup_radius, compute_constants, lifespan_bound,
+                             compute_constants, family_i_const, lifespan_bound,
                              make_initial_data, ode_lower_envelope, weight_mass,
                              weighted_functional)
 from fracblow.evolution import ProblemParams
@@ -25,9 +25,11 @@ def constants(params, quad):
     return compute_constants(params, 1.2)
 
 
-def _lattice_radius(spec, constants, params, grid):
-    """blowup_radius on the family member built from spec on grid."""
-    return blowup_radius(spec, constants, params, make_initial_data(spec, grid, params.alpha))
+def _verdict(spec, constants, params, grid):
+    """Threshold verdict at the adapted radius, for the family member built on grid."""
+    r_star = adapted_radius(spec, constants).r_star
+    u0 = make_initial_data(spec, grid, params.alpha)
+    return lifespan_bound(weighted_functional(u0, params.alpha, r_star), constants, r_star)
 
 
 class TestConstants:
@@ -224,33 +226,27 @@ class TestAdaptedRadius:
     def test_closed_form_round_trip(self, n, p, kind, k, r_target):
         params = ProblemParams(n=n, p=p, lam=1j)
         constants = compute_constants(params, 1.2)
-        mu = in_regime_amplitude(kind, k, params, constants, r_target)
+        mu = in_regime_amplitude(kind, k, constants, r_target)
         spec = InitialDataSpec(kind=kind, mu=mu, k=k)
-        closed = adapted_radius(spec, constants, params)
+        closed = adapted_radius(spec, constants)
         assert closed.r_star == pytest.approx(r_target, rel=1e-12)
-        assert closed.report is None
-        assert closed.conclusive is False    # no lattice verdict yet
-        # the lattice route adds only the threshold verdict
-        lattice = _lattice_radius(spec, constants, params, GridSpec(n, 64.0, 128))
-        assert lattice.r_star == closed.r_star
-        assert dataclasses.replace(lattice, report=None) == closed
-        assert lattice.report.R == closed.r_star
+        # the verdict is taken at the closed-form radius
+        assert _verdict(spec, constants, params, GridSpec(n, 64.0, 128)).R == closed.r_star
 
     def test_inner_overlap_constant(self, params, constants):
         # n = 1, k = 1/4: I = (n-k)^(-1) 2^(-n-1) omega_n = 2/3
         g = GridSpec(1, 40.0, 8192)
         spec = InitialDataSpec(kind="inner-singular", mu=30.0, k=0.25)
-        rr = _lattice_radius(spec, constants, params, g)
-        assert rr.i_const == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert rr.report.condition_holds and rr.regime_ok
+        assert family_i_const(spec, 1) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert _verdict(spec, constants, params, g).condition_holds
+        assert adapted_radius(spec, constants).regime_ok
 
     def test_amplitude_scaling_exact(self, params, constants):
-        g = GridSpec(1, 40.0, 8192)
         k = 0.25
-        t1 = _lattice_radius(InitialDataSpec(kind="inner-singular", mu=30.0, k=k),
-                             constants, params, g).t_bound_formula
-        t2 = _lattice_radius(InitialDataSpec(kind="inner-singular", mu=60.0, k=k),
-                             constants, params, g).t_bound_formula
+        t1 = adapted_radius(InitialDataSpec(kind="inner-singular", mu=30.0, k=k),
+                            constants).t_bound_formula
+        t2 = adapted_radius(InitialDataSpec(kind="inner-singular", mu=60.0, k=k),
+                            constants).t_bound_formula
         predicted = t1 * 2.0 ** (-1.0 / (1.0 / (params.p - 1.0) - k))
         assert t2 == pytest.approx(predicted, rel=1e-13)
 
@@ -258,40 +254,36 @@ class TestAdaptedRadius:
         # k > n selects the dimension in the lifespan exponent
         params = ProblemParams(n=1, p=1.25, lam=1j)
         constants = compute_constants(params, 1.2)
-        g = GridSpec(1, 256.0, 8192)
         k = 1.5
-        t1 = _lattice_radius(InitialDataSpec(kind="outer-decay", mu=1e-4, k=k),
-                             constants, params, g).t_bound_formula
-        t2 = _lattice_radius(InitialDataSpec(kind="outer-decay", mu=2e-4, k=k),
-                             constants, params, g).t_bound_formula
+        t1 = adapted_radius(InitialDataSpec(kind="outer-decay", mu=1e-4, k=k),
+                            constants).t_bound_formula
+        t2 = adapted_radius(InitialDataSpec(kind="outer-decay", mu=2e-4, k=k),
+                            constants).t_bound_formula
         expo = -1.0 / (1.0 / (params.p - 1.0) - min(params.n, k))
         assert t2 / t1 == pytest.approx(2.0 ** expo, rel=1e-12)
 
-    def test_out_of_regime_reports_boundary(self, params, constants):
-        g = GridSpec(1, 40.0, 8192)
-        rr = _lattice_radius(InitialDataSpec(kind="inner-singular", mu=1.0, k=0.25),
-                             constants, params, g)
-        assert not rr.regime_ok and not rr.conclusive
+    def test_out_of_regime_reports_boundary(self, constants):
+        rr = adapted_radius(InitialDataSpec(kind="inner-singular", mu=1.0, k=0.25), constants)
+        assert not rr.regime_ok
         assert "R*" in rr.boundary
 
     def test_chain_consistency(self, params, constants):
-        # whenever the adapted radius is conclusive, the plain threshold
-        # check at that radius also yields a finite bound
+        # whenever the adapted radius is in its regime and the threshold
+        # holds there, the lattice bound sits below the formula bound
         g = GridSpec(1, 40.0, 8192)
         for mu in (25.0, 50.0, 100.0):
-            rr = _lattice_radius(InitialDataSpec(kind="inner-singular", mu=mu, k=0.25),
-                                 constants, params, g)
-            if rr.conclusive:
-                assert math.isfinite(rr.report.t_bound)
-                assert rr.report.t_bound <= rr.t_bound_formula * 1.001
+            spec = InitialDataSpec(kind="inner-singular", mu=mu, k=0.25)
+            rr = adapted_radius(spec, constants)
+            verdict = _verdict(spec, constants, params, g)
+            if rr.regime_ok and verdict.condition_holds:
+                assert math.isfinite(verdict.t_bound)
+                assert verdict.t_bound <= rr.t_bound_formula * 1.001
 
     def test_p_constraint_named(self, constants, quad):
         steep = ProblemParams(n=1, p=6.0, lam=1j)  # 1/(p-1) = 0.2 < k
         cst = compute_constants(steep, 1.2)
-        g = GridSpec(1, 40.0, 1024)
         with pytest.raises(ValueError, match="1/\\(p-1\\)"):
-            _lattice_radius(InitialDataSpec(kind="inner-singular", mu=5.0, k=0.4),
-                            cst, steep, g)
+            adapted_radius(InitialDataSpec(kind="inner-singular", mu=5.0, k=0.4), cst)
 
 
 def test_integrable_family_large_radius_gate(quad):

@@ -183,6 +183,17 @@ mu_max = 250
         summary["predicted_exponent"], rel=1e-9)
 
 
+@pytest.mark.parametrize("bound", ["mu_min = 20", "mu_max = 200"])
+def test_sweep_half_given_range_exits_one(tmp_path, capsys, bound):
+    # one bound alone must not fall back silently to the automatic range
+    cfg = write_config(tmp_path, f"[sweep]\nkind = inner-singular\n{bound}\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "mu_min" in err and "mu_max" in err
+    assert not list(out.glob("*"))
+
+
 def test_malformed_config_exits_one_no_partial_files(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[problem]\nn = banana\np = 2\nlambda = 1j\n")

@@ -74,7 +74,7 @@ class TestEvolve:
         g = GridSpec(1, 20.0, 1024)
         u0 = Field.from_function(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 0.0)
-        cfg = EvolutionConfig(grid=g, dt=0.01, t_max=10.0, blowup_threshold=100.0)
+        cfg = EvolutionConfig(dt=0.01, t_max=10.0, blowup_threshold=100.0)
         rec = evolve(u0, params, cfg, 1.0)
         assert not rec.blew_up
         drift = np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0]
@@ -85,7 +85,7 @@ class TestEvolve:
         g = GridSpec(1, 20.0, 1024)
         u0 = Field.from_function(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 0.0)
-        cfg = EvolutionConfig(grid=g, dt=0.01, t_max=2.0, blowup_threshold=100.0)
+        cfg = EvolutionConfig(dt=0.01, t_max=2.0, blowup_threshold=100.0)
         rec = evolve(u0, params, cfg, 1.0)
         back = linear_propagator(rec.final, -rec.times[-1])
         assert np.max(np.abs(back.values - u0.values)) < 1e-11
@@ -93,7 +93,7 @@ class TestEvolve:
     def test_times_strictly_increasing(self):
         g = GridSpec(1, 20.0, 512)
         u0 = Field.from_function(g, gaussian_packet)
-        cfg = EvolutionConfig(grid=g, dt=0.02, t_max=0.5, blowup_threshold=100.0)
+        cfg = EvolutionConfig(dt=0.02, t_max=0.5, blowup_threshold=100.0)
         rec = evolve(u0, ProblemParams(1, 2.0, 1.0), cfg, 1.0)
         assert np.all(np.diff(rec.times) > 0)
 
@@ -101,7 +101,7 @@ class TestEvolve:
         g = GridSpec(1, 20.0, 64)
         rng = np.random.default_rng(0)
         u0 = Field(g, rng.standard_normal(g.shape) + 0j)  # white spectrum
-        cfg = EvolutionConfig(grid=g, dt=0.01, t_max=1.0, blowup_threshold=1e4)
+        cfg = EvolutionConfig(dt=0.01, t_max=1.0, blowup_threshold=1e4)
         with pytest.raises(UnresolvedFieldError):
             evolve(u0, ProblemParams(1, 2.0, 1j), cfg, 1.0)
         assert spectral_tail_fraction(u0) > 1e-3
@@ -109,14 +109,14 @@ class TestEvolve:
     def test_nonpositive_weight_radius_rejected(self):
         g = GridSpec(1, 20.0, 512)
         u0 = Field.from_function(g, gaussian_packet)
-        cfg = EvolutionConfig(grid=g, dt=0.01, t_max=1.0, blowup_threshold=100.0)
+        cfg = EvolutionConfig(dt=0.01, t_max=1.0, blowup_threshold=100.0)
         with pytest.raises(ValueError, match="weight radius must be positive"):
             evolve(u0, ProblemParams(1, 2.0, 1j), cfg, 0.0)
 
     def test_threshold_must_clear_initial_sup(self):
         g = GridSpec(1, 20.0, 512)
         u0 = Field.from_function(g, gaussian_packet)
-        cfg = EvolutionConfig(grid=g, dt=0.01, t_max=1.0, blowup_threshold=2.0)
+        cfg = EvolutionConfig(dt=0.01, t_max=1.0, blowup_threshold=2.0)
         with pytest.raises(ValueError):
             evolve(u0, ProblemParams(1, 2.0, 1j), cfg, 1.0)
 
@@ -125,7 +125,7 @@ class TestEvolve:
         g = GridSpec(1, 40.0, 2048)
         u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
         params = ProblemParams(1, 2.0, 1j)
-        cfg = EvolutionConfig(grid=g, dt=0.002, t_max=2.0,
+        cfg = EvolutionConfig(dt=0.002, t_max=2.0,
                               blowup_threshold=25 * u0.sup_norm())
         rec = evolve(u0, params, cfg, 1.0)
         assert rec.blew_up and rec.t_num is not None
@@ -140,7 +140,7 @@ class TestEvolve:
     def test_free_flow_conserves_l2_dim2(self):
         g = GridSpec(2, 10.0, 64)
         u0 = Field.from_function(g, lambda x, y: np.exp(-(x**2 + y**2)) + 0j)
-        cfg = EvolutionConfig(grid=g, dt=0.02, t_max=1.0, blowup_threshold=100.0)
+        cfg = EvolutionConfig(dt=0.02, t_max=1.0, blowup_threshold=100.0)
         rec = evolve(u0, ProblemParams(2, 2.0, 0.0), cfg, 1.0)
         drift = np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0]
         assert drift < 1e-12
@@ -214,7 +214,7 @@ class TestStrangKernel:
         g = GridSpec(1, 20.0, 256)
         u0 = Field.from_function(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 1j)
-        cfg = EvolutionConfig(grid=g, dt=0.02, t_max=0.05,
+        cfg = EvolutionConfig(dt=0.02, t_max=0.05,
                               blowup_threshold=25 * u0.sup_norm())
         kernel, sizes = evolution.strang_step, []
 
@@ -230,9 +230,8 @@ class TestStrangKernel:
         monkeypatch.setattr(evolution, "strang_step", first_call_bad)
         rec = evolve(u0, params, cfg, 1.0)
         monkeypatch.setattr(evolution, "strang_step", kernel)
-        ref = evolve(u0, params, EvolutionConfig(grid=g, dt=0.01, t_max=0.05,
-                                                 blowup_threshold=cfg.blowup_threshold),
-                     1.0)
+        ref = evolve(u0, params, EvolutionConfig(dt=0.01, t_max=0.05,
+                                                 blowup_threshold=cfg.blowup_threshold), 1.0)
 
         assert sizes[:2] == [0.02, 0.01]
         assert np.all(np.isfinite(rec.final.values))
@@ -248,7 +247,7 @@ class TestStrangKernel:
         g = GridSpec(1, 20.0, 512)
         u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
         params = ProblemParams(1, 2.0, 1j)
-        cfg = EvolutionConfig(grid=g, dt=0.02, t_max=0.037,
+        cfg = EvolutionConfig(dt=0.02, t_max=0.037,
                               blowup_threshold=25 * u0.sup_norm())
         kernel, sizes = evolution.strang_step, []
 
@@ -273,18 +272,19 @@ class TestStrangKernel:
 class TestScalingCheck:
     def test_identity_scale_exact_zero(self):
         g = GridSpec(1, 20.0, 512)
-        cfg = EvolutionConfig(grid=g, dt=0.01, t_max=0.32, blowup_threshold=100.0)
-        d = scaling_check(lambda x: np.exp(-x * x), ProblemParams(1, 2.0, 1.0), cfg, 1.0)
+        cfg = EvolutionConfig(dt=0.01, t_max=0.32, blowup_threshold=100.0)
+        u0 = Field.from_function(g, lambda x: np.exp(-x * x))
+        d = scaling_check(u0, ProblemParams(1, 2.0, 1.0), cfg, 1.0)
         assert d == 0.0
 
     def test_dilation_symmetry_and_order(self):
         g = GridSpec(1, 20.0, 2048)
         params = ProblemParams(1, 2.0, 1.0 + 0.5j)
-        u0 = lambda x: np.exp(-x * x)
+        u0 = Field.from_function(g, lambda x: np.exp(-x * x))
         d = scaling_check(u0, params, EvolutionConfig(
-            grid=g, dt=0.01, t_max=0.64, blowup_threshold=100.0), 2.0)
+            dt=0.01, t_max=0.64, blowup_threshold=100.0), 2.0)
         d_half = scaling_check(u0, params, EvolutionConfig(
-            grid=g, dt=0.005, t_max=0.64, blowup_threshold=100.0), 2.0)
+            dt=0.005, t_max=0.64, blowup_threshold=100.0), 2.0)
         assert d <= 1e-3
         assert d / d_half == pytest.approx(4.0, rel=0.3)
 

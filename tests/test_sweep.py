@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from fracblow import sweep
-from fracblow.blowup import blowup_radius, compute_constants, make_initial_data
+from fracblow import blowup, sweep
+from fracblow.blowup import (adapted_radius, compute_constants, lifespan_bound,
+                             make_initial_data, weighted_functional)
 from fracblow.evolution import ProblemParams
 from fracblow.grid import GridSpec
 from fracblow.sweep import (SweepPlan, fit_power_law, in_regime_amplitude, run_sweep,
@@ -51,7 +52,7 @@ def inner_setup(quad):
 class TestRunSweep:
     def test_short_sweep_rows_and_fit(self, inner_setup):
         params, constants, grid = inner_setup
-        edge = in_regime_amplitude("inner-singular", 0.25, params, constants, 0.45)
+        edge = in_regime_amplitude("inner-singular", 0.25, constants, 0.45)
         plan = SweepPlan(params=params, kind="inner-singular", k=0.25,
                          mu_values=tuple(np.geomspace(edge, 10 * edge, 4)),
                          grid=grid)
@@ -113,7 +114,7 @@ class TestRunSweep:
         params = ProblemParams(n=2, p=2.0, lam=1j)
         constants = compute_constants(params, 1.2)
         grid = GridSpec(2, 4.0, 256)
-        edge = in_regime_amplitude("inner-singular", 0.5, params, constants, 0.45)
+        edge = in_regime_amplitude("inner-singular", 0.5, constants, 0.45)
         mu = np.geomspace(edge, 10.0 * edge, 8)
         result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.5,
                                      mu_values=(mu[4], mu[5], mu[7]), grid=grid), constants)
@@ -127,19 +128,32 @@ class TestRunSweep:
         assert not any("np.float64" in w for w in result.warnings)
 
     def test_inner_row_builds_one_lattice_report(self, inner_setup, monkeypatch):
-        # the cap's R* comes from the closed form, so a row calls blowup_radius once
+        # one closed-form R* serves both the cap and the verdict, and a row
+        # takes one verdict, on the capped data
         params, constants, grid = inner_setup
-        calls = []
+        radii, verdicts, built = [], [], []
 
         def counting(spec, *args):
-            calls.append(spec)
-            return blowup_radius(spec, *args)
+            radii.append(spec)
+            return adapted_radius(spec, *args)
 
-        monkeypatch.setattr(sweep, "blowup_radius", counting)
+        def judging(*args):
+            verdicts.append(args)
+            return lifespan_bound(*args)
+
+        def building(spec, *args):
+            built.append(spec)
+            return make_initial_data(spec, *args)
+
+        for module in (blowup, sweep):   # a call through either module counts
+            monkeypatch.setattr(module, "adapted_radius", counting)
+        monkeypatch.setattr(sweep, "lifespan_bound", judging)
+        monkeypatch.setattr(sweep, "make_initial_data", building)
         result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
                                      mu_values=(30.0,), grid=grid), constants)
-        assert len(calls) == 1 and result.rows[0].blew_up
-        assert calls[0].cap_radius == max(0.15 * result.rows[0].r_star, 0.75 * grid.dx)
+        assert len(radii) == 1 and len(verdicts) == 1 and result.rows[0].blew_up
+        assert verdicts[0][2] == result.rows[0].r_star
+        assert built[0].cap_radius == max(0.15 * result.rows[0].r_star, 0.75 * grid.dx)
 
     def test_row_builds_initial_data_once(self, inner_setup, monkeypatch):
         # M_R(0) is measured on the field that is then evolved
@@ -150,12 +164,12 @@ class TestRunSweep:
             built.append(make_initial_data(*args))
             return built[-1]
 
-        def measuring(spec, constants, params, data):
+        def measuring(data, alpha, R):
             measured.append(data)
-            return blowup_radius(spec, constants, params, data)
+            return weighted_functional(data, alpha, R)
 
         monkeypatch.setattr(sweep, "make_initial_data", building)
-        monkeypatch.setattr(sweep, "blowup_radius", measuring)
+        monkeypatch.setattr(sweep, "weighted_functional", measuring)
         result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
                                      mu_values=(30.0, 60.0), grid=grid), constants)
         assert all(r.blew_up for r in result.rows)

@@ -39,7 +39,6 @@ from .blowup import (
 from .lemma import (
     DecayFitResult,
     LemmaVerdict,
-    estimate_weight_derivative_bound,
     fit_decay,
     sample_frac_weight,
     verify_gaussian_remark,

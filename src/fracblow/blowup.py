@@ -1,11 +1,11 @@
 """Explicit blow-up constants, initial data families, and lifespan bounds.
 
 The chain: a bound A on the weight's half-Laplacian feeds the threshold
-constant C and the ODE rate D.  A is not certified: it is a sampled sup of
-|op w / w| times the fixed safety factor ``lemma.A_SAFETY``, a guess that
-covers the gaps between samples (the closed form is sup |op w / w| = n).
-Initial data whose weighted functional M_R(0) exceeds C R^(n - 1/(p-1))
-cannot support a solution past
+constant C and the ODE rate D.  For the weight w = <x>^(-n-1),
+sup |op w / w| = n in closed form and A is ``A_MARGIN`` times n, so the
+constants are a closed-form function of the problem alone.  Initial data
+whose weighted functional M_R(0) exceeds C R^(n - 1/(p-1)) cannot support
+a solution past
 
     T = (p-1)^(-1) D^(-1) R^(n(p-1)) (M_R(0) - C R^(n-1/(p-1)))^(-(p-1)),
 
@@ -52,9 +52,19 @@ def weight_mass(n: int) -> PVResult:
     return PVResult(val, 64.0 * np.finfo(float).eps * abs(val))
 
 
+#: A = A_MARGIN * n.  n is the proven sup of |op w / w|, reached at r = 0:
+#: the Poisson extension gives (-Delta)^(1/2) w = (n - |x|^2) <x>^(-n-3)
+#: (Kwasnicki, FCAA 2017), so the bound holds with no margin at all.  The
+#: margin is kept only so that C, D and every R* stay within 1e-7 of the
+#: values of the former sampled chain (1.2 times the sampled sup), against
+#: which fracbench's fixed sweep amplitudes were chosen; it drops to 1 once
+#: those inputs no longer sit on a regime edge (ROADMAP item 1).
+A_MARGIN = 1.2
+
+
 @dataclass(frozen=True)
 class BlowupConstants:
-    """Everything the lifespan formulas need, with the provenance of A.
+    """Everything the lifespan formulas need.
 
     ``n`` and ``p`` are the equation's: every formula downstream of the
     constants (threshold, lifespan, adapted radius) reads them from here.
@@ -65,10 +75,9 @@ class BlowupConstants:
     sphere: float          # surface measure of the unit sphere
     w_mass: float          # integral of <x>^(-n-1)
     w_mass_error: float
-    a_bound: float         # |op weight| <= a_bound * weight, sampled (not certified)
+    a_bound: float         # |op weight| <= a_bound * weight: A_MARGIN * n
     c_threshold: float
     d_rate: float
-    a_source: str = ""
 
     def __post_init__(self):
         for name in ("sphere", "w_mass", "a_bound", "c_threshold", "d_rate"):
@@ -80,25 +89,19 @@ class BlowupConstants:
         return self.c_threshold * R ** (self.n - 1.0 / (self.p - 1.0))
 
 
-def compute_constants(params: ProblemParams, a_bound: float,
-                      a_source: str = "") -> BlowupConstants:
-    """Threshold constant C and ODE rate D from the weight bound A.
-
-    A is taken as given; the CLI passes the sampled sup times
-    ``lemma.A_SAFETY``, which is not a certified bound (the closed form is
-    A = n).
+def compute_constants(params: ProblemParams) -> BlowupConstants:
+    """Weight bound A = ``A_MARGIN`` * n, threshold constant C and ODE rate D.
 
     Requires Re(alpha * lam) > 0; anything else cannot drive the weighted
     functional upward and is rejected.
     """
-    if a_bound <= 0:
-        raise ValueError("weight derivative bound A must be positive")
     ral = params.re_alpha_lam
     if ral <= 0:
         raise ValueError(
             f"need Re(alpha*lam) > 0, got {ral:.3g} "
             f"(alpha={params.alpha}, lam={params.lam})")
     p, pc = params.p, params.p_conj
+    a_bound = A_MARGIN * params.n
     wm = weight_mass(params.n)
     aa = abs(params.alpha)
     c_pow_p = (2.0 ** (1.0 + pc / p) * p ** (-pc / p) / pc
@@ -108,7 +111,7 @@ def compute_constants(params: ProblemParams, a_bound: float,
     return BlowupConstants(n=params.n, p=p, sphere=sphere_measure(params.n),
                            w_mass=wm.value, w_mass_error=wm.error,
                            a_bound=a_bound, c_threshold=c_threshold,
-                           d_rate=d_rate, a_source=a_source)
+                           d_rate=d_rate)
 
 
 @dataclass(frozen=True)

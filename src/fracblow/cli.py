@@ -20,8 +20,7 @@ from .config import (ConfigError, HarnessConfig, dimensions, flag, float_list,
                      increasing_pair, load_config)
 from .evolution import MAX_HALVINGS, EvolutionConfig, UnresolvedFieldError, evolve
 from .grid import Field
-from .lemma import (A_SAFETY, estimate_weight_derivative_bound, verify_gaussian_remark,
-                    verify_lemma, write_lemma_report)
+from .lemma import verify_gaussian_remark, verify_lemma, write_lemma_report
 from .profiles import bracket_profile, gaussian_profile
 from .pv import QuadratureError, frac_laplacian_pv_many, normalization_constant
 from .reporting import constants_manifest, save_field, write_csv, write_manifest
@@ -63,16 +62,9 @@ def _require(cfg: HarnessConfig, what: str):
     return value
 
 
-def _constants_block(cfg: HarnessConfig):
-    params = _require(cfg, "params")
-    a_bound, verdict = estimate_weight_derivative_bound(params.n, cfg.quadrature)
-    source = (f"decay suite n={params.n} q={params.n + 1}, sampled sup "
-              f"{verdict.a_hat:.6g} x safety {A_SAFETY}")
-    return params, compute_constants(params, a_bound, a_source=source)
-
-
 def _cmd_constants(cfg: HarnessConfig, out: Path) -> int:
-    params, constants = _constants_block(cfg)
+    params = _require(cfg, "params")
+    constants = compute_constants(params)
     write_manifest(out / "constants.json", "constants", {
         "problem": {"n": params.n, "p": params.p, "lambda": params.lam,
                     "alpha": params.alpha},
@@ -155,7 +147,7 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
     dt = cfg.get("evolve", "dt", float, 0.01)
     t_max = cfg.get("evolve", "t_max", float, 1.0)
     threshold_factor = cfg.get("evolve", "threshold_factor", float, 25.0)
-    _, constants = _constants_block(cfg)
+    constants = compute_constants(params)
     u0 = make_initial_data(spec, grid, params.alpha)
 
     radius = adapted_radius(spec, constants).r_star if r_fixed is None else r_fixed
@@ -202,7 +194,7 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
     if (mu_min is None) != (mu_max is None):
         raise ConfigError("[sweep] mu_min and mu_max go together: give both, "
                           "or omit both for the automatic range")
-    _, constants = _constants_block(cfg)
+    constants = compute_constants(params)
     if mu_min is not None:
         mu = np.geomspace(mu_min, mu_max, count)
     else:
@@ -213,7 +205,7 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
             else np.geomspace(edge / 10.0, edge, count)
     plan = SweepPlan(params=params, kind=kind, k=k, mu_values=tuple(mu), grid=grid,
                      dt_factor=dt_factor, dt_base=dt_base, workers=workers)
-    result = run_sweep(plan, constants)
+    result = run_sweep(plan)
     files = write_sweep_outputs(result, out, manifest_extra={
         "constants": constants_manifest(constants),
         "problem": {"n": params.n, "p": params.p, "lambda": params.lam,

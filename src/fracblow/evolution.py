@@ -13,6 +13,7 @@ last accepted time is the numerical blow-up time.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,10 +93,11 @@ class EvolutionConfig:
     blowup_threshold: float
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max <= 0:
-            raise ValueError("dt and t_max must be positive")
-        if self.blowup_threshold <= 0:
-            raise ValueError("blow-up threshold must be positive")
+        # written so that NaN fails: a NaN dt would be halved forever
+        for name in ("dt", "t_max", "blowup_threshold"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass

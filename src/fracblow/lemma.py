@@ -32,7 +32,6 @@ __all__ = [
     "fit_decay",
     "verify_lemma",
     "verify_gaussian_remark",
-    "estimate_weight_derivative_bound",
     "write_lemma_report",
 ]
 
@@ -40,8 +39,6 @@ __all__ = [
 EXPONENT_TOL = {1: 0.05, 2: 0.1}
 #: the far cutoff of an algebraic weight sampled at radius r starts at this times 1 + r
 FAR_CUTOFF_FACTOR = 120.0
-#: factor on the sampled sup of the q = n + 1 constant, covering the gaps between samples
-A_SAFETY = 1.2
 
 
 @dataclass(frozen=True)
@@ -303,20 +300,6 @@ def verify_gaussian_remark(n: int, quad: PVQuadratureConfig,
                         negativity_required=True, negativity_ok=r_neg is not None,
                         r_neg=r_neg, residual_ratio=None, diagnostics=diag,
                         samples=tuple(samples))
-
-
-def estimate_weight_derivative_bound(n: int,
-                                     quad: PVQuadratureConfig) -> tuple[float, LemmaVerdict]:
-    """Sampled constant A for |op(<.>^(-n-1))(x)| <= A <x>^(-n-1); not certified.
-
-    This is the q = n + 1 regime constant that feeds the blow-up threshold:
-    the sup of |op w / w| over the decay-suite samples, times the fixed
-    ``A_SAFETY``, a guess meant to cover the gaps between samples.  Nothing
-    proves it bounds the sup; the closed form is sup |op w / w| = n, reached
-    at r = 0.
-    """
-    verdict = verify_lemma(n, float(n + 1), quad)
-    return A_SAFETY * verdict.a_hat, verdict
 
 
 def write_lemma_report(verdicts: list[LemmaVerdict], out_dir: str | Path) -> list[Path]:

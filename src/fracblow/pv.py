@@ -54,12 +54,12 @@ class PVQuadratureConfig:
     def __post_init__(self):
         if not (0.0 < self.eps0 < 1.0 <= self.y_max):
             raise ValueError("need 0 < eps0 < 1 <= y_max")
-        if self.growth <= 1.0:
-            raise ValueError("shell growth factor must exceed 1")
+        if not 1.0 < self.growth < math.inf:
+            raise ValueError("shell growth factor must be finite and exceed 1")
         if self.radial_nodes < 2 or self.angular_nodes < 2:
             raise ValueError("need at least 2 nodes per shell")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ SCHEMA = "fracblow/1"
 def constants_manifest(constants) -> dict:
     """Echo every constant used, with tolerances, for the run manifest."""
     b = normalization_constant(constants.n)
+    margin = constants.a_bound / constants.n
     return {
-        "A_hat": {"value": constants.a_bound, "source": constants.a_source},
+        "A_hat": {"value": constants.a_bound,
+                  "source": f"closed form sup |op w/w| = n, x margin {margin:g}"},
         "C": {"value": constants.c_threshold},
         "D": {"value": constants.d_rate},
         "W_n": {"value": constants.w_mass, "error": constants.w_mass_error},

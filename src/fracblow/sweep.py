@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .blowup import (BlowupConstants, InitialDataSpec, adapted_radius, family_exponent,
-                     family_i_const, lifespan_bound, make_initial_data, weighted_functional)
+from .blowup import (BlowupConstants, InitialDataSpec, adapted_radius, compute_constants,
+                     family_exponent, family_i_const, lifespan_bound, make_initial_data,
+                     weighted_functional)
 from .evolution import EvolutionConfig, ProblemParams, UnresolvedFieldError, evolve
 from .grid import GridSpec
 from .reporting import write_csv, write_manifest
@@ -73,6 +74,10 @@ class SweepPlan:
         mu = np.array(self.mu_values)
         if mu.size < 1 or np.any(mu <= 0) or np.any(np.diff(mu) <= 0):
             raise ValueError("mu values must be positive and strictly increasing")
+        for name in ("dt_factor", "dt_base"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if mu.size >= 4 and mu[-1] / mu[0] < 9.999:
             warnings.warn("amplitude range below one decade; exponent fit will be weak")
 
@@ -160,13 +165,16 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
     return row
 
 
-def run_sweep(plan: SweepPlan, constants: BlowupConstants) -> SweepResult:
+def run_sweep(plan: SweepPlan) -> SweepResult:
     """Execute every amplitude, then fit the observed and bound power laws.
 
-    Rows run independently (optionally on a small thread pool) and a
-    failure is recorded on its row without disturbing the others.  Fits
-    use only rows that blew up inside the strict scaling regime.
+    The constants come from ``plan.params``, so R*, the bounds, the
+    evolution and the predicted exponent all follow one n and one p.  Rows
+    run independently (optionally on a small thread pool) and a failure is
+    recorded on its row without disturbing the others.  Fits use only rows
+    that blew up inside the strict scaling regime.
     """
+    constants = compute_constants(plan.params)
     notes: list[str] = []
     if plan.workers > 1:
         with ThreadPoolExecutor(max_workers=plan.workers) as pool:

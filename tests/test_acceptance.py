@@ -14,7 +14,7 @@ from fracblow.blowup import (InitialDataSpec, adapted_radius, compute_constants,
                              weighted_functional)
 from fracblow.evolution import EvolutionConfig, ProblemParams, evolve, scaling_check, strang_step
 from fracblow.grid import Field, GridSpec
-from fracblow.lemma import estimate_weight_derivative_bound, verify_gaussian_remark, verify_lemma
+from fracblow.lemma import verify_gaussian_remark, verify_lemma
 from fracblow.profiles import bracket_profile
 from fracblow.pv import frac_laplacian_pv_many, normalization_constant
 from fracblow.spectral import cordoba_violation, frac_laplacian_spectral
@@ -38,11 +38,10 @@ def lemma_verdicts(quad):
 
 
 @pytest.fixture(scope="module")
-def chain_p2(quad):
+def chain_p2():
     """Constants chain for the inner-singular runs: n=1, p=2, lam=i."""
     params = ProblemParams(n=1, p=2.0, lam=1j)
-    a_bound, _ = estimate_weight_derivative_bound(1, quad)
-    constants = compute_constants(params, a_bound, a_source="decay suite n=1 q=2")
+    constants = compute_constants(params)
     return params, constants
 
 
@@ -54,21 +53,20 @@ def inner_sweep(chain_p2):
     plan = SweepPlan(params=params, kind="inner-singular", k=0.25,
                      mu_values=tuple(np.geomspace(edge, 10.0 * edge, 8)), grid=grid)
     start = time.monotonic()
-    result = run_sweep(plan, constants)
+    result = run_sweep(plan)
     return plan, result, constants, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
-def outer_sweep(quad):
+def outer_sweep():
     params = ProblemParams(n=1, p=1.25, lam=1j)
-    a_bound, _ = estimate_weight_derivative_bound(1, quad)
-    constants = compute_constants(params, a_bound, a_source="decay suite n=1 q=2")
+    constants = compute_constants(params)
     grid = GridSpec(1, 256.0, 16384)
     edge = in_regime_amplitude("outer-decay", 0.6, constants, 22.0)
     plan = SweepPlan(params=params, kind="outer-decay", k=0.6,
                      mu_values=tuple(np.geomspace(edge / 10.0, edge, 8)), grid=grid)
     start = time.monotonic()
-    result = run_sweep(plan, constants)
+    result = run_sweep(plan)
     return plan, result, constants, time.monotonic() - start
 
 

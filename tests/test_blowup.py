@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from fracblow.blowup import (InitialDataSpec, LifespanReport, adapted_radius,
+from fracblow import lemma, pv
+from fracblow.blowup import (A_MARGIN, InitialDataSpec, LifespanReport, adapted_radius,
                              compute_constants, family_i_const, lifespan_bound,
                              make_initial_data, ode_lower_envelope, weight_mass,
                              weighted_functional)
@@ -21,8 +22,8 @@ def params():
 
 
 @pytest.fixture(scope="module")
-def constants(params, quad):
-    return compute_constants(params, 1.2)
+def constants(params):
+    return compute_constants(params)
 
 
 def _verdict(spec, constants, params, grid):
@@ -33,7 +34,7 @@ def _verdict(spec, constants, params, grid):
 
 
 class TestConstants:
-    def test_weight_mass_analytic(self, quad):
+    def test_weight_mass_analytic(self):
         # int <x>^(-2) dx = pi over the line, 2 pi over the plane
         assert weight_mass(1).value == pytest.approx(math.pi, rel=1e-12)
         assert weight_mass(2).value == pytest.approx(2 * math.pi, rel=1e-12)
@@ -41,21 +42,32 @@ class TestConstants:
     def test_sphere_measure(self, constants):
         assert constants.sphere == 2.0
 
-    def test_reference_point(self, params, quad, constants):
+    def test_reference_point(self, params, constants):
         # p = 2, lam = i, alpha = -i, A = 1.2: C = A pi and D = 1/(2 pi),
         # by direct substitution into the displayed formulas
         assert constants.c_threshold == pytest.approx(1.2 * math.pi, rel=1e-12)
         assert constants.d_rate == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
 
-    def test_pairing_gate(self, quad):
+    def test_pairing_gate(self):
         bad = ProblemParams(n=1, p=2.0, lam=1j, alpha=1.0)  # Re(alpha lam) = 0
         with pytest.raises(ValueError):
-            compute_constants(bad, 1.2)
+            compute_constants(bad)
 
-    def test_dim2_chain(self, quad):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_weight_bound_is_closed_form(self, n, monkeypatch):
+        # sup |op w / w| = n for w = <x>^(-n-1): the chain samples no PV point
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the constants chain sampled the operator")
+
+        for module in (pv, lemma):
+            monkeypatch.setattr(module, "frac_laplacian_pv", no_quadrature)
+        cst = compute_constants(ProblemParams(n=n, p=2.0, lam=1j))
+        assert cst.a_bound == A_MARGIN * n
+
+    def test_dim2_chain(self):
         # direct recomputation of the displayed formulas with W = 2 pi
         params = ProblemParams(n=2, p=1.5, lam=1j)
-        cst = compute_constants(params, 2.4)
+        cst = compute_constants(params)
         p, pc, w = 1.5, 3.0, 2.0 * math.pi
         c_pow_p = 2.0 ** (1 + pc / p) * p ** (-pc / p) / pc * 2.4**pc * w**p
         assert cst.c_threshold == pytest.approx(c_pow_p ** (1 / p), rel=1e-12)
@@ -225,7 +237,7 @@ class TestAdaptedRadius:
     ])
     def test_closed_form_round_trip(self, n, p, kind, k, r_target):
         params = ProblemParams(n=n, p=p, lam=1j)
-        constants = compute_constants(params, 1.2)
+        constants = compute_constants(params)
         mu = in_regime_amplitude(kind, k, constants, r_target)
         spec = InitialDataSpec(kind=kind, mu=mu, k=k)
         closed = adapted_radius(spec, constants)
@@ -250,10 +262,10 @@ class TestAdaptedRadius:
         predicted = t1 * 2.0 ** (-1.0 / (1.0 / (params.p - 1.0) - k))
         assert t2 == pytest.approx(predicted, rel=1e-13)
 
-    def test_outer_exponent_uses_min(self, quad):
+    def test_outer_exponent_uses_min(self):
         # k > n selects the dimension in the lifespan exponent
         params = ProblemParams(n=1, p=1.25, lam=1j)
-        constants = compute_constants(params, 1.2)
+        constants = compute_constants(params)
         k = 1.5
         t1 = adapted_radius(InitialDataSpec(kind="outer-decay", mu=1e-4, k=k),
                             constants).t_bound_formula
@@ -279,18 +291,18 @@ class TestAdaptedRadius:
                 assert math.isfinite(verdict.t_bound)
                 assert verdict.t_bound <= rr.t_bound_formula * 1.001
 
-    def test_p_constraint_named(self, constants, quad):
+    def test_p_constraint_named(self, constants):
         steep = ProblemParams(n=1, p=6.0, lam=1j)  # 1/(p-1) = 0.2 < k
-        cst = compute_constants(steep, 1.2)
+        cst = compute_constants(steep)
         with pytest.raises(ValueError, match="1/\\(p-1\\)"):
             adapted_radius(InitialDataSpec(kind="inner-singular", mu=5.0, k=0.4), cst)
 
 
-def test_integrable_family_large_radius_gate(quad):
+def test_integrable_family_large_radius_gate():
     # positive integrable data: for p < 1 + 1/n the threshold scale decays
     # as R grows, so some large radius certifies the condition
     params = ProblemParams(n=1, p=1.8, lam=1j)
-    constants = compute_constants(params, 1.2)
+    constants = compute_constants(params)
     g = GridSpec(1, 400.0, 16384)
     u0 = make_initial_data(InitialDataSpec(kind="integrable", mu=50.0), g, params.alpha)
     rep = lifespan_bound(

@@ -44,6 +44,8 @@ def test_constants_command(tmp_path):
     assert manifest["schema"] == "fracblow/1"
     for key in ("A_hat", "B", "C", "D", "W_n"):
         assert key in manifest["constants"]
+    assert manifest["constants"]["A_hat"] == {
+        "value": 1.2, "source": "closed form sup |op w/w| = n, x margin 1.2"}
     assert manifest["constants"]["B"]["error"] <= 1e-8
 
 
@@ -241,6 +243,25 @@ def test_bad_value_exits_one_naming_it(tmp_path, capsys, command, text, section,
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     assert f"bad value for [{section}] {key} = " in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("command, text, key", [
+    pytest.param("evolve", BASE + "[evolve]\ndt = nan\n", "dt", id="evolve-dt-nan"),
+    pytest.param("frac-apply", BASE.replace("tol = 1e-6", "tol = nan"), "tol",
+                 id="quadrature-tol-nan"),
+    pytest.param("frac-apply", BASE + "growth = nan\n", "growth", id="quadrature-growth-nan"),
+    pytest.param("sweep", BASE + "[sweep]\nmu_min = 25\nmu_max = 250\ncount = 4\n"
+                 "dt_base = -0.2\n", "dt_base", id="sweep-dt_base-negative"),
+])
+def test_out_of_range_value_exits_one(tmp_path, capsys, command, text, key):
+    # rejected when the config is read, before any point, step or row runs
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
     assert not list(out.glob("*"))
 
 

@@ -289,6 +289,16 @@ class TestScalingCheck:
         assert d / d_half == pytest.approx(4.0, rel=0.3)
 
 
+@pytest.mark.parametrize("name", ["dt", "t_max", "blowup_threshold"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_validation(name, bad):
+    # a NaN dt would be halved forever inside evolve
+    values = dict(dt=0.01, t_max=1.0, blowup_threshold=100.0)
+    values[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        EvolutionConfig(**values)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ProblemParams(1, 1.0, 1j)

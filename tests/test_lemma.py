@@ -91,7 +91,13 @@ class TestVerdicts:
         assert v.fit.exponent == pytest.approx(-2.0, abs=0.05)
         # closed form is negative exactly beyond r = 1
         assert v.r_neg == pytest.approx(1.0, abs=0.6)
-        assert v.a_hat == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_weight_bound_constant_is_n(self, quad, n):
+        # sup |op w / w| = n for w = <x>^(-n-1), reached at r = 0: the
+        # closed form the constants chain uses, checked by the decay suite
+        v = verify_lemma(n, n + 1.0, quad)
+        assert v.a_hat == pytest.approx(n, abs=1e-4)
 
     def test_degenerate_shallow_weight_dim2(self, quad):
         # q = n - 1 sits at the vanishing point of the leading coefficient:

@@ -233,6 +233,14 @@ class TestSquaredRadiusProfiles:
         assert profile.tail(-3.0) == profile.tail(0.0) == 1.0
 
 
+@pytest.mark.parametrize("key", ["tol", "growth"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_config_rejects_non_finite(key, bad):
+    # a NaN tol would switch off the certificate gate err > tol
+    with pytest.raises(ValueError, match="finite"):
+        PVQuadratureConfig(**{key: bad})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PVQuadratureConfig(eps0=2.0)

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from fracblow import blowup, sweep
-from fracblow.blowup import (adapted_radius, compute_constants, lifespan_bound,
-                             make_initial_data, weighted_functional)
+from fracblow.blowup import (InitialDataSpec, adapted_radius, compute_constants,
+                             lifespan_bound, make_initial_data, weighted_functional)
 from fracblow.evolution import ProblemParams
 from fracblow.grid import GridSpec
 from fracblow.sweep import (SweepPlan, fit_power_law, in_regime_amplitude, run_sweep,
@@ -42,9 +42,9 @@ class TestFitPowerLaw:
 
 
 @pytest.fixture(scope="module")
-def inner_setup(quad):
+def inner_setup():
     params = ProblemParams(n=1, p=2.0, lam=1j)
-    constants = compute_constants(params, 1.2)
+    constants = compute_constants(params)
     grid = GridSpec(1, 40.0, 8192)
     return params, constants, grid
 
@@ -56,7 +56,7 @@ class TestRunSweep:
         plan = SweepPlan(params=params, kind="inner-singular", k=0.25,
                          mu_values=tuple(np.geomspace(edge, 10 * edge, 4)),
                          grid=grid)
-        result = run_sweep(plan, constants)
+        result = run_sweep(plan)
         assert len(result.rows) == 4
         assert all(r.blew_up and r.in_regime for r in result.rows)
         assert result.fitted_exponent_bound == pytest.approx(
@@ -70,7 +70,7 @@ class TestRunSweep:
         params, constants, grid = inner_setup
         plan = SweepPlan(params=params, kind="inner-singular", k=0.25,
                          mu_values=(30.0,), grid=grid)
-        result = run_sweep(plan, constants)
+        result = run_sweep(plan)
         assert result.fitted_exponent_num is None
         assert any("usable rows" in w for w in result.warnings)
 
@@ -80,7 +80,7 @@ class TestRunSweep:
         # but must not raise out of the sweep
         plan = SweepPlan(params=params, kind="inner-singular", k=0.25,
                          mu_values=(0.001, 30.0), grid=grid)
-        result = run_sweep(plan, constants)
+        result = run_sweep(plan)
         assert len(result.rows) == 2
         assert not result.rows[0].blew_up
         assert result.rows[1].blew_up
@@ -93,7 +93,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep, "evolve", overflow)
         result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
-                                     mu_values=(30.0,), grid=grid), constants)
+                                     mu_values=(30.0,), grid=grid))
         assert result.rows[0].failed
         assert result.rows[0].note == "FloatingPointError: overflow in the stepper"
 
@@ -106,18 +106,18 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "evolve", broken)
         with pytest.raises(TypeError):
             run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
-                                mu_values=(30.0,), grid=grid), constants)
+                                mu_values=(30.0,), grid=grid))
 
-    def test_radius_below_grid_spacing_not_in_regime(self, quad):
+    def test_radius_below_grid_spacing_not_in_regime(self):
         # 2D, p = 2, lam = i, L = 4, N = 256, k = 0.5 with the automatic
         # range: the top three of 8 amplitudes have R* < dx = 0.03125
         params = ProblemParams(n=2, p=2.0, lam=1j)
-        constants = compute_constants(params, 1.2)
+        constants = compute_constants(params)
         grid = GridSpec(2, 4.0, 256)
         edge = in_regime_amplitude("inner-singular", 0.5, constants, 0.45)
         mu = np.geomspace(edge, 10.0 * edge, 8)
         result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.5,
-                                     mu_values=(mu[4], mu[5], mu[7]), grid=grid), constants)
+                                     mu_values=(mu[4], mu[5], mu[7]), grid=grid))
         above, *below = result.rows
         assert grid.dx < above.r_star < 2 * grid.dx and above.in_regime
         for row in below:
@@ -150,7 +150,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "lifespan_bound", judging)
         monkeypatch.setattr(sweep, "make_initial_data", building)
         result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
-                                     mu_values=(30.0,), grid=grid), constants)
+                                     mu_values=(30.0,), grid=grid))
         assert len(radii) == 1 and len(verdicts) == 1 and result.rows[0].blew_up
         assert verdicts[0][2] == result.rows[0].r_star
         assert built[0].cap_radius == max(0.15 * result.rows[0].r_star, 0.75 * grid.dx)
@@ -171,9 +171,22 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "make_initial_data", building)
         monkeypatch.setattr(sweep, "weighted_functional", measuring)
         result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
-                                     mu_values=(30.0, 60.0), grid=grid), constants)
+                                     mu_values=(30.0, 60.0), grid=grid))
         assert all(r.blew_up for r in result.rows)
         assert len(built) == 2 and all(m is b for m, b in zip(measured, built))
+
+    def test_constants_follow_the_plan(self, inner_setup):
+        # R* and the predicted exponent both follow plan.params.p = 1.5; the
+        # row sits out of regime (R* = 2), so nothing is evolved
+        _, p2_constants, grid = inner_setup
+        params = ProblemParams(n=1, p=1.5, lam=1j)
+        mu = in_regime_amplitude("inner-singular", 0.25, compute_constants(params), 2.0)
+        result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
+                                     mu_values=(mu,), grid=grid))
+        spec = InitialDataSpec(kind="inner-singular", mu=mu, k=0.25)
+        assert result.rows[0].r_star == pytest.approx(2.0, rel=1e-12)
+        assert adapted_radius(spec, p2_constants).r_star != pytest.approx(2.0, rel=0.1)
+        assert result.predicted_exponent == pytest.approx(-1.0 / (2.0 - 0.25), rel=1e-12)
 
     def test_plan_validation(self, inner_setup):
         params, _, grid = inner_setup
@@ -184,13 +197,21 @@ class TestRunSweep:
             SweepPlan(params=params, kind="inner-singular", k=0.25,
                       mu_values=(2.0, 1.0), grid=grid)
 
+    @pytest.mark.parametrize("key", ["dt_factor", "dt_base"])
+    @pytest.mark.parametrize("value", [-0.2, 0.0, float("nan"), float("inf")])
+    def test_step_sizes_validated(self, inner_setup, key, value):
+        params, _, grid = inner_setup
+        with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+            SweepPlan(params=params, kind="inner-singular", k=0.25,
+                      mu_values=(30.0,), grid=grid, **{key: value})
+
     def test_workers_match_serial(self, inner_setup):
         params, constants, grid = inner_setup
         mus = tuple(np.geomspace(25.0, 60.0, 3))
         serial = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
-                                     mu_values=mus, grid=grid), constants)
+                                     mu_values=mus, grid=grid))
         threaded = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
-                                       mu_values=mus, grid=grid, workers=3), constants)
+                                       mu_values=mus, grid=grid, workers=3))
         for a, b in zip(serial.rows, threaded.rows):
             assert a.t_num == b.t_num and a.r_star == b.r_star
 
@@ -198,9 +219,9 @@ class TestRunSweep:
         params, constants, grid = inner_setup
         plan = SweepPlan(params=params, kind="inner-singular", k=0.25,
                          mu_values=(25.0, 40.0), grid=grid)
-        result = run_sweep(plan, constants)
+        result = run_sweep(plan)
         d1, d2 = tmp_path / "a", tmp_path / "b"
         write_sweep_outputs(result, d1)
-        write_sweep_outputs(run_sweep(plan, constants), d2)
+        write_sweep_outputs(run_sweep(plan), d2)
         assert (d1 / "sweep_rows.csv").read_bytes() == (d2 / "sweep_rows.csv").read_bytes()
         assert (d1 / "sweep_result.json").read_bytes() == (d2 / "sweep_result.json").read_bytes()

@@ -195,12 +195,12 @@ class InitialDataSpec:
     def __post_init__(self):
         if self.kind not in ("integrable", "inner-singular", "outer-decay"):
             raise ValueError(f"unknown data kind {self.kind!r}")
-        if self.mu <= 0:
-            raise ValueError("amplitude mu must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"amplitude mu must be finite and positive, got {self.mu}")
         if self.kind != "integrable" and self.k <= 0:
             raise ValueError("singular and tail families need k > 0")
-        if self.cap_radius is not None and self.cap_radius <= 0:
-            raise ValueError("cap radius must be positive when given")
+        if self.cap_radius is not None and not 0.0 < self.cap_radius < math.inf:
+            raise ValueError(f"cap_radius must be finite and positive, got {self.cap_radius}")
 
 
 def _check_k_against_dimension(spec: InitialDataSpec, n: int):

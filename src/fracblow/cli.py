@@ -18,7 +18,8 @@ from .blowup import (InitialDataSpec, adapted_radius, compute_constants, lifespa
                      make_initial_data, weighted_functional)
 from .config import (ConfigError, HarnessConfig, dimensions, flag, float_list,
                      increasing_pair, load_config)
-from .evolution import MAX_HALVINGS, EvolutionConfig, UnresolvedFieldError, evolve
+from .evolution import (MAX_HALVINGS, THRESHOLD_FACTOR, EvolutionConfig, UnresolvedFieldError,
+                        evolve)
 from .grid import Field
 from .lemma import verify_gaussian_remark, verify_lemma, write_lemma_report
 from .profiles import bracket_profile, gaussian_profile
@@ -86,9 +87,13 @@ def _cmd_frac_apply(cfg: HarnessConfig, out: Path) -> int:
         raise ConfigError(f"unknown profile {name!r} in [frac_apply]")
     points = (cfg.get("frac_apply", "points", float_list, None)
               or list(np.linspace(0.0, 5.0, 11)))
+    outside = [f"{x:g}" for x in points if cfg.grid and not -cfg.grid.L <= x < cfg.grid.L]
+    if outside:
+        raise ConfigError(f"[frac_apply] points must lie in [-L, L) of [grid], "
+                          f"L = {cfg.grid.L:g}; outside: {', '.join(outside)}")
     b = normalization_constant(params.n)
     xs = [(x, 0.0) if params.n == 2 else x for x in points]
-    values, errors = frac_laplacian_pv_many(profile, xs, cfg.quadrature)
+    values, errors = frac_laplacian_pv_many(profile, xs)
 
     spectral = None
     if cfg.grid is not None:
@@ -111,7 +116,6 @@ def _cmd_frac_apply(cfg: HarnessConfig, out: Path) -> int:
 
 
 def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
-    quad = cfg.quadrature
     dims = cfg.get("lemma", "dims", dimensions, None) or [1, 2]
     include_gaussian = cfg.get("lemma", "gaussian", flag, True)
     window = cfg.get("lemma", "fit_window", increasing_pair, (1e2, 1e4))
@@ -121,11 +125,11 @@ def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
     for n in dims:
         qs = q_values or [0.5 * n, float(n), float(n + 1), float(n + 2)]
         for q in qs:
-            v = verify_lemma(n, q, quad, window=window)
+            v = verify_lemma(n, q, window=window)
             verdicts.append(v)
             print(v.diagnostics)
         if include_gaussian:
-            verdicts.append(verify_gaussian_remark(n, quad))
+            verdicts.append(verify_gaussian_remark(n))
             print(verdicts[-1].diagnostics)
 
     files = write_lemma_report(verdicts, out)
@@ -146,7 +150,6 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
     r_fixed = cfg.get("evolve", "r", lambda raw: None if raw == "auto" else float(raw), None)
     dt = cfg.get("evolve", "dt", float, 0.01)
     t_max = cfg.get("evolve", "t_max", float, 1.0)
-    threshold_factor = cfg.get("evolve", "threshold_factor", float, 25.0)
     constants = compute_constants(params)
     u0 = make_initial_data(spec, grid, params.alpha)
 
@@ -154,7 +157,7 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
     report = lifespan_bound(weighted_functional(u0, params.alpha, radius), constants, radius)
 
     config = EvolutionConfig(dt=dt, t_max=t_max,
-                             blowup_threshold=threshold_factor * u0.sup_norm())
+                             blowup_threshold=THRESHOLD_FACTOR * u0.sup_norm())
     record = evolve(u0, params, config, radius)
 
     record.to_csv(out / "trajectory.csv")
@@ -190,7 +193,8 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
     mu_max = cfg.get("sweep", "mu_max", float, None)
     dt_factor = cfg.get("sweep", "dt_factor", float, 0.02)
     dt_base = cfg.get("sweep", "dt_base", float, 0.05)
-    workers = cfg.get("sweep", "workers", int, 1)
+    if cfg.get("sweep", "workers", int, 1) != 1:
+        raise ConfigError("[sweep] workers: rows run in order, so 1 is the only accepted value")
     if (mu_min is None) != (mu_max is None):
         raise ConfigError("[sweep] mu_min and mu_max go together: give both, "
                           "or omit both for the automatic range")
@@ -204,7 +208,7 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
         mu = np.geomspace(edge, 10.0 * edge, count) if kind == "inner-singular" \
             else np.geomspace(edge / 10.0, edge, count)
     plan = SweepPlan(params=params, kind=kind, k=k, mu_values=tuple(mu), grid=grid,
-                     dt_factor=dt_factor, dt_base=dt_base, workers=workers)
+                     dt_factor=dt_factor, dt_base=dt_base)
     result = run_sweep(plan)
     files = write_sweep_outputs(result, out, manifest_extra={
         "constants": constants_manifest(constants),

@@ -1,10 +1,10 @@
 """Sectioned text configuration for the command-line harness.
 
-INI syntax via configparser: sections [problem], [grid], [quadrature],
-plus command-specific sections [lemma], [frac_apply], [evolve], [sweep].
-Parse failures, bad values, unknown sections and unknown keys carry the
-section and field name: commands read every key through
-``HarnessConfig.get``.
+Sections [problem] and [grid], plus command-specific [lemma], [frac_apply],
+[evolve] and [sweep]: the problem and the experiment only, as the PV rule,
+the blow-up factor and the row order are fixed in code.  Parse failures,
+bad values, unknown sections and unknown keys carry the section and field
+name: commands read every key through ``HarnessConfig.get``.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .evolution import ProblemParams
 from .grid import GridSpec
-from .pv import PVQuadratureConfig
 
 
 class ConfigError(ValueError):
@@ -28,10 +27,9 @@ _sentinel = object()
 _KNOWN_KEYS = {
     "problem": ("n", "p", "lambda", "alpha"),
     "grid": ("L", "N"),
-    "quadrature": ("eps0", "growth", "y_max", "radial_nodes", "angular_nodes", "tol"),
     "frac_apply": ("profile", "q", "r", "width", "points"),
     "lemma": ("dims", "q_values", "fit_window", "gaussian"),
-    "evolve": ("data", "mu", "k", "cap_radius", "r", "dt", "t_max", "threshold_factor"),
+    "evolve": ("data", "mu", "k", "cap_radius", "r", "dt", "t_max"),
     "sweep": ("kind", "k", "count", "mu_min", "mu_max", "dt_factor", "dt_base", "workers"),
 }
 
@@ -101,7 +99,6 @@ class HarnessConfig:
 
     params: ProblemParams | None
     grid: GridSpec | None
-    quadrature: PVQuadratureConfig
     raw: configparser.ConfigParser
 
     def get(self, section: str, key: str, cast, default=_sentinel):
@@ -144,15 +141,4 @@ def load_config(path: str | Path) -> HarnessConfig:
         except ValueError as exc:
             raise ConfigError(f"bad [grid] section: {exc}") from exc
 
-    kwargs = {}
-    for key, cast in (("eps0", float), ("growth", float), ("y_max", float),
-                      ("radial_nodes", int), ("angular_nodes", int), ("tol", float)):
-        val = _get(parser, "quadrature", key, cast, default=None)
-        if val is not None:
-            kwargs[key] = val
-    try:
-        quad = PVQuadratureConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"bad [quadrature] section: {exc}") from exc
-
-    return HarnessConfig(params=params, grid=grid, quadrature=quad, raw=parser)
+    return HarnessConfig(params=params, grid=grid, raw=parser)

@@ -44,6 +44,8 @@ TAIL_FRACTION_LIMIT = 1e-3
 GROWTH_CAP = 4.0
 #: ... at most this many times in a row before the run is flagged as blown up
 MAX_HALVINGS = 10
+#: blow-up threshold of a sweep row and of ``fracblow evolve``, in units of sup|u0|
+THRESHOLD_FACTOR = 25.0
 #: modes with |xi| at or above this share of the largest |xi| form the top band
 TAIL_BAND = 0.85
 #: dilation discrepancies compared per scaling check

@@ -21,8 +21,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.n}")
-        if self.L <= 0:
-            raise ValueError(f"half-width L must be positive, got {self.L}")
+        if not 0.0 < self.L < np.inf:
+            raise ValueError(f"half-width L must be finite and positive, got {self.L}")
         if self.N < 8 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 8, got {self.N}")
 

@@ -6,13 +6,13 @@ coefficient 2 G((q+1)/2) G((n-q)/2) / (G(q/2) G((n-q-1)/2)) (G the Gamma
 function) vanishes and the exact identity (n-1)<x>^(-n-1) takes over.  It
 decays like <x>^(-n-1) log(1+|x|) at q = n, and like <x>^(-n-1) when
 q > n, with a definite negative sign at large radius once q >= n.  This
-module samples the operator with the certified singular quadrature, fits
-the decay exponents (with the logarithmic correction where hypothesised),
-estimates the bound constants, and packages machine-readable verdicts.
+module samples the operator with the certified singular quadrature at its
+default rule, fits the decay exponents (with the logarithmic correction
+where hypothesised), estimates the bound constants, and packages
+machine-readable verdicts.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,31 +99,32 @@ def default_radii(window: tuple[float, float] = (1e2, 1e4),
     return np.concatenate(([0.0], mid, fit))
 
 
-def _sample(n: int, profile: RadialProfile, radii, quad: PVQuadratureConfig,
-            decay: float, cutoff_factor: float) -> list[LemmaSample]:
+def _sample(n: int, profile: RadialProfile, radii, decay: float,
+            cutoff_factor: float) -> list[LemmaSample]:
     """Certified point values of the profile's half-Laplacian at radii.
 
     Radial symmetry means one point per radius.  The tolerance is rescaled
     to the expected magnitude <r>^(-decay), and the far cutoff starts at
     cutoff_factor * (1 + r) and doubles until the profile's own tail bound
     certifies a third of that tolerance, so slowly decaying profiles get
-    the larger domains they need.
+    the larger domains they need.  Everything else is the default rule.
     """
     b, omega = normalization_constant(n).value, sphere_measure(n)
+    rule = PVQuadratureConfig()
     out = []
     for r in radii:
         r = float(r)
-        tol = max(quad.tol * float(bracket(r) ** -decay) * 50.0, 1e-13)
-        y = max(quad.y_max, cutoff_factor * (1.0 + r))
+        tol = max(rule.tol * float(bracket(r) ** -decay) * 50.0, 1e-13)
+        y = max(rule.y_max, cutoff_factor * (1.0 + r))
         while b * omega * profile.tail(y - r) / (2.0 * y) > tol / 3.0 and y < 1e9:
             y *= 2.0
-        cfg = dataclasses.replace(quad, y_max=y, tol=tol)
+        cfg = PVQuadratureConfig(y_max=y, tol=tol)
         res = frac_laplacian_pv(profile, r if n == 1 else (r, 0.0), cfg)
         out.append(LemmaSample(r, res.value, res.error))
     return out
 
 
-def sample_frac_weight(n: int, q: float, radii, quad: PVQuadratureConfig) -> list[LemmaSample]:
+def sample_frac_weight(n: int, q: float, radii) -> list[LemmaSample]:
     """Certified point values of the half-Laplacian of <x>^(-q) at radii.
 
     The certificate stays a small fraction of the expected local magnitude
@@ -134,7 +135,7 @@ def sample_frac_weight(n: int, q: float, radii, quad: PVQuadratureConfig) -> lis
     radii = np.asarray(radii, dtype=float)
     if np.any(radii < 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be nonnegative and strictly increasing")
-    return _sample(n, bracket_profile(q), radii, quad, min(q, n) + 1.0, FAR_CUTOFF_FACTOR)
+    return _sample(n, bracket_profile(q), radii, min(q, n) + 1.0, FAR_CUTOFF_FACTOR)
 
 
 def _window_samples(samples, window):
@@ -209,8 +210,8 @@ def _regime_of(n: int, q: float) -> str:
     return "q<n" if q < n else "q>n"
 
 
-def verify_lemma(n: int, q: float, quad: PVQuadratureConfig,
-                 radii=None, window: tuple[float, float] = (1e2, 1e4)) -> LemmaVerdict:
+def verify_lemma(n: int, q: float, radii=None,
+                 window: tuple[float, float] = (1e2, 1e4)) -> LemmaVerdict:
     """Sample, fit, and judge the decay regime of the weight's half-Laplacian.
 
     The regime is selected by comparing q with n; the fitted exponent must
@@ -226,7 +227,7 @@ def verify_lemma(n: int, q: float, quad: PVQuadratureConfig,
         raise ValueError("dimension must be 1 or 2")
     if radii is None:
         radii = default_radii(window)
-    samples = sample_frac_weight(n, q, radii, quad)
+    samples = sample_frac_weight(n, q, radii)
     regime = _regime_of(n, q)
     tol = EXPONENT_TOL[n]
 
@@ -270,8 +271,7 @@ def verify_lemma(n: int, q: float, quad: PVQuadratureConfig,
                         samples=tuple(samples))
 
 
-def verify_gaussian_remark(n: int, quad: PVQuadratureConfig,
-                           window: tuple[float, float] = (8.0, 800.0)) -> LemmaVerdict:
+def verify_gaussian_remark(n: int, window: tuple[float, float] = (8.0, 800.0)) -> LemmaVerdict:
     """Negativity and decay of the half-Laplacian of exp(-|x|^2) at large radius.
 
     The Gaussian decays faster than any algebraic weight, so its
@@ -284,7 +284,7 @@ def verify_gaussian_remark(n: int, quad: PVQuadratureConfig,
     radii = np.concatenate(([0.0, 0.5, 1.0, 2.0, 4.0],
                             np.geomspace(window[0], window[1], 16)))
     # the Gaussian's tail is negligible a few widths out: a short far cutoff
-    samples = _sample(n, gaussian_profile(1.0), radii, quad, n + 1.0, 4.0)
+    samples = _sample(n, gaussian_profile(1.0), radii, n + 1.0, 4.0)
 
     predicted = -(n + 1.0)
     fit = fit_decay(samples, "plain", predicted, n=n, window=window)

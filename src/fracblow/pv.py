@@ -248,12 +248,11 @@ def frac_laplacian_pv(profile: RadialProfile, x, quad: PVQuadratureConfig) -> PV
     return PVResult(value, err)
 
 
-def frac_laplacian_pv_many(profile: RadialProfile, xs,
-                           quad: PVQuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise PV evaluation over a sequence of points (deterministic order)."""
+def frac_laplacian_pv_many(profile: RadialProfile, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise PV evaluation at the default rule, in the order of the points."""
     vals, errs = [], []
     for x in xs:
-        res = frac_laplacian_pv(profile, x, quad)
+        res = frac_laplacian_pv(profile, x, PVQuadratureConfig())
         vals.append(res.value)
         errs.append(res.error)
     return np.array(vals), np.array(errs)

@@ -4,16 +4,16 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .blowup import (BlowupConstants, InitialDataSpec, adapted_radius, compute_constants,
-                     family_exponent, family_i_const, lifespan_bound, make_initial_data,
-                     weighted_functional)
-from .evolution import EvolutionConfig, ProblemParams, UnresolvedFieldError, evolve
+from .blowup import (BlowupConstants, InitialDataSpec, _check_k_against_dimension,
+                     _check_k_against_p, adapted_radius, compute_constants, family_exponent,
+                     family_i_const, lifespan_bound, make_initial_data, weighted_functional)
+from .evolution import (THRESHOLD_FACTOR, EvolutionConfig, ProblemParams,
+                        UnresolvedFieldError, evolve)
 from .grid import GridSpec
 from .reporting import write_csv, write_manifest
 
@@ -39,8 +39,6 @@ def fit_power_law(pairs) -> tuple[float, float, float]:
     return float(expo), float(intercept), resid
 
 
-#: blow-up threshold of a row, in units of sup|u0|
-THRESHOLD_FACTOR = 25.0
 #: a row is evolved up to this times the smaller of its two bounds
 HORIZON_FACTOR = 1.3
 #: the inner-singularity cap, in units of the adapted radius R*(mu): the
@@ -54,7 +52,8 @@ class SweepPlan:
     """One amplitude sweep over a fixed data family.
 
     dt is chosen per run as dt_factor / sup|u0| for inner data and dt_base
-    for outer data.
+    for outer data.  A family or grid that does not fit the problem is a
+    plan error, raised before any row runs.
     """
 
     params: ProblemParams
@@ -64,16 +63,21 @@ class SweepPlan:
     grid: GridSpec
     dt_factor: float = 0.02
     dt_base: float = 0.05
-    workers: int = 1
 
     def __post_init__(self):
         if self.kind not in ("inner-singular", "outer-decay"):
             raise ValueError(f"sweep kind must be a scaled family, got {self.kind!r}")
+        family = InitialDataSpec(kind=self.kind, mu=1.0, k=self.k)
+        _check_k_against_dimension(family, self.params.n)
+        _check_k_against_p(family, self.params.p)
+        if self.grid.n != self.params.n:
+            raise ValueError(f"grid dimension {self.grid.n} differs from n = {self.params.n}")
         # plain floats, so that notes and manifests print them as numbers
         object.__setattr__(self, "mu_values", tuple(float(m) for m in self.mu_values))
         mu = np.array(self.mu_values)
-        if mu.size < 1 or np.any(mu <= 0) or np.any(np.diff(mu) <= 0):
-            raise ValueError("mu values must be positive and strictly increasing")
+        if mu.size < 1 or not np.all((mu > 0) & (mu < np.inf)) or np.any(np.diff(mu) <= 0):
+            raise ValueError(f"mu values must be finite, positive and strictly increasing, "
+                             f"got {list(self.mu_values)}")
         for name in ("dt_factor", "dt_base"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -170,17 +174,13 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
 
     The constants come from ``plan.params``, so R*, the bounds, the
     evolution and the predicted exponent all follow one n and one p.  Rows
-    run independently (optionally on a small thread pool) and a failure is
-    recorded on its row without disturbing the others.  Fits use only rows
-    that blew up inside the strict scaling regime.
+    run in order, and a failure is recorded on its row without disturbing
+    the others.  Fits use only rows that blew up inside the strict scaling
+    regime.
     """
     constants = compute_constants(plan.params)
     notes: list[str] = []
-    if plan.workers > 1:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            rows = list(pool.map(lambda m: _run_one(plan, constants, m), plan.mu_values))
-    else:
-        rows = [_run_one(plan, constants, mu) for mu in plan.mu_values]
+    rows = [_run_one(plan, constants, mu) for mu in plan.mu_values]
 
     usable = [r for r in rows if r.in_regime and r.blew_up and not r.failed]
     fit_num = fit_bound = resid = None
@@ -220,7 +220,6 @@ def write_sweep_outputs(result: SweepResult, out_dir: str | Path,
             "threshold_factor": THRESHOLD_FACTOR,
             "horizon_factor": HORIZON_FACTOR,
             "cap_fraction": CAP_FRACTION,
-            "workers": plan.workers,
         },
         "predicted_exponent": result.predicted_exponent,
         "fitted_exponent_t_num": result.fitted_exponent_num,

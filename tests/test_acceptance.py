@@ -27,12 +27,12 @@ def _report(num: int, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def lemma_verdicts(quad):
+def lemma_verdicts():
     out = {}
     start = time.monotonic()
     for n, qs in ((1, (0.5, 1.0, 2.0, 3.0)), (2, (1.0, 2.0, 3.0, 4.0))):
         for q in qs:
-            out[(n, q)] = verify_lemma(n, q, quad)
+            out[(n, q)] = verify_lemma(n, q)
     out["elapsed"] = time.monotonic() - start
     return out
 
@@ -79,11 +79,11 @@ def test_criterion_01_normalization_constant(quad):
             f"B(1) = {res.value:.10f}, |diff from 1/pi| = {err:.2e}, {elapsed:.3f}s")
 
 
-def test_criterion_02_closed_form_oracle(quad):
+def test_criterion_02_closed_form_oracle():
     start = time.monotonic()
     pts = np.linspace(-10.0, 10.0, 50)
     want = (1.0 - pts**2) / (1.0 + pts**2) ** 2
-    pv_vals, _ = frac_laplacian_pv_many(bracket_profile(2.0), pts, quad)
+    pv_vals, _ = frac_laplacian_pv_many(bracket_profile(2.0), pts)
     pv_err = float(np.max(np.abs(pv_vals - want)))
 
     g = GridSpec(1, 160.0, 8192)
@@ -114,7 +114,7 @@ def test_criterion_03_decay_regimes(lemma_verdicts):
             + (f"; mismatches: {failures}" if failures else ""))
 
 
-def test_criterion_04_sharpness(lemma_verdicts, quad):
+def test_criterion_04_sharpness(lemma_verdicts):
     problems = []
     for (n, q), v in ((k, v) for k, v in lemma_verdicts.items() if k != "elapsed"):
         if q < n:
@@ -125,7 +125,7 @@ def test_criterion_04_sharpness(lemma_verdicts, quad):
         if abs(v.fit.exponent + (n + 1)) > 0.1:
             problems.append(f"(n={n},q={q:g}) exponent {v.fit.exponent:.3f}")
     for n in (1, 2):
-        v = verify_gaussian_remark(n, quad)
+        v = verify_gaussian_remark(n)
         beyond = [s for s in v.samples if v.r_neg is not None and s.r >= v.r_neg]
         if v.r_neg is None or not all(s.value < 0 for s in beyond):
             problems.append(f"gaussian n={n} negativity")

@@ -24,9 +24,6 @@ alpha = auto
 [grid]
 L = 40
 N = 4096
-
-[quadrature]
-tol = 1e-6
 """
 
 
@@ -57,7 +54,7 @@ def test_cli_process_runs_without_scipy(tmp_path):
         "import sys\n"
         "from fracblow.cli import main\n"
         f"assert main(['constants', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -207,11 +204,10 @@ def test_malformed_config_exits_one_no_partial_files(tmp_path):
 @pytest.mark.parametrize("extra, section, key", [
     ("[sweep]\nkind = inner-singular\nseed = 3\n", "sweep", "seed"),
     ("[sweep]\nkind = inner-singular\ndt_facter = 0.5\n", "sweep", "dt_facter"),
-    ("[quadrature]\ntol = 1e-6\nradial_node = 14\n", "quadrature", "radial_node"),
 ])
 def test_unknown_key_exits_one_naming_it(tmp_path, capsys, extra, section, key):
     path = tmp_path / "run.ini"
-    path.write_text(BASE.replace("[quadrature]\ntol = 1e-6\n", "") + extra)
+    path.write_text(BASE + extra)
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -248,11 +244,29 @@ def test_bad_value_exits_one_naming_it(tmp_path, capsys, command, text, section,
 
 @pytest.mark.parametrize("command, text, key", [
     pytest.param("evolve", BASE + "[evolve]\ndt = nan\n", "dt", id="evolve-dt-nan"),
-    pytest.param("frac-apply", BASE.replace("tol = 1e-6", "tol = nan"), "tol",
-                 id="quadrature-tol-nan"),
-    pytest.param("frac-apply", BASE + "growth = nan\n", "growth", id="quadrature-growth-nan"),
     pytest.param("sweep", BASE + "[sweep]\nmu_min = 25\nmu_max = 250\ncount = 4\n"
                  "dt_base = -0.2\n", "dt_base", id="sweep-dt_base-negative"),
+    pytest.param("sweep", BASE + "[sweep]\nmu_min = nan\nmu_max = 250\ncount = 4\n",
+                 "mu values", id="sweep-mu_min-nan"),
+    pytest.param("sweep", BASE + "[sweep]\nworkers = 2\n", "workers", id="sweep-workers-2"),
+    pytest.param("constants", BASE.replace("L = 40", "L = nan"), "half-width L",
+                 id="grid-L-nan"),
+    pytest.param("evolve", BASE.replace("L = 40", "L = nan"), "half-width L",
+                 id="evolve-grid-L-nan"),
+    pytest.param("evolve", BASE + "[evolve]\nmu = nan\n", "amplitude mu", id="evolve-mu-nan"),
+    pytest.param("evolve", BASE + "[evolve]\nmu = inf\n", "amplitude mu", id="evolve-mu-inf"),
+    pytest.param("evolve", BASE + "[evolve]\ncap_radius = nan\n", "cap_radius",
+                 id="evolve-cap_radius-nan"),
+    # inner-singular needs k < n/2 = 0.5: a plan error, raised before any row runs
+    pytest.param("sweep", BASE + "[sweep]\nk = 0.7\nmu_min = 25\nmu_max = 250\ncount = 4\n",
+                 "inner-singular needs k < n/2: k=0.7", id="sweep-k-above-half-n"),
+    pytest.param("sweep", BASE + "[sweep]\nk = nan\nmu_min = 25\nmu_max = 250\ncount = 4\n",
+                 "inner-singular needs k < n/2: k=nan", id="sweep-k-nan"),
+    # with L = 4, x = 5 and x = 9 have no lattice site for the spectral value
+    pytest.param("frac-apply", BASE.replace("L = 40", "L = 4").replace("N = 4096", "N = 64")
+                 + "[frac_apply]\npoints = 0, 3.9, 5, 9\n",
+                 "[frac_apply] points must lie in [-L, L) of [grid], L = 4; outside: 5, 9",
+                 id="frac_apply-points-off-lattice"),
 ])
 def test_out_of_range_value_exits_one(tmp_path, capsys, command, text, key):
     # rejected when the config is read, before any point, step or row runs
@@ -285,9 +299,11 @@ def test_readme_example_lists_every_known_key():
 
 
 def test_unknown_section_exits_one(tmp_path, capsys):
-    cfg = write_config(tmp_path, "[swep]\nkind = inner-singular\n")
-    assert main(["constants", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "unknown section [swep]" in capsys.readouterr().err
+    # a misspelt section, and [quadrature]: the PV rule is fixed in code
+    for section in ("swep", "quadrature"):
+        cfg = write_config(tmp_path, f"[{section}]\nkind = inner-singular\n")
+        assert main(["constants", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"unknown section [{section}]" in capsys.readouterr().err
 
 
 def test_shipped_configs_load(tmp_path):
@@ -307,7 +323,7 @@ def test_shipped_configs_load(tmp_path):
     for i, text in enumerate(texts):
         path = tmp_path / f"shipped_{i}.ini"
         path.write_text(text)
-        assert load_config(path).quadrature is not None
+        assert load_config(path).raw.sections()
 
 
 def test_missing_config_file_exits_one(tmp_path):
@@ -320,18 +336,16 @@ def test_usage_error_exits_one(tmp_path):
 
 
 def test_numerical_failure_exits_two(tmp_path):
-    # a ceiling-tight tolerance with a tiny cutoff cannot be certified
+    # <x>^(-1/2) decays too slowly: its far field beyond the fixed cutoff is
+    # bracketed to about 7.8e-5, and the rule's tolerance is 1e-6
     cfg = write_config(tmp_path, """
 [frac_apply]
 profile = bracket
 q = 0.5
 points = 0
-""").replace("run.ini", "run.ini")
-    path = tmp_path / "run.ini"
-    text = path.read_text().replace("tol = 1e-6", "tol = 1e-13\ny_max = 2")
-    path.write_text(text)
+""")
     out = tmp_path / "out"
-    assert main(["frac-apply", "--config", str(path), "--out", str(out)]) == 2
+    assert main(["frac-apply", "--config", cfg, "--out", str(out)]) == 2
     assert not (out / "frac_apply.csv").exists()
 
 

@@ -11,24 +11,24 @@ from fracblow.pv import normalization_constant
 
 
 class TestSampling:
-    def test_closed_form_values(self, quad):
-        samples = sample_frac_weight(1, 2.0, [0.0, 1.0, 3.0], quad)
+    def test_closed_form_values(self):
+        samples = sample_frac_weight(1, 2.0, [0.0, 1.0, 3.0])
         # op <x>^(-2) = (1-x^2)/(1+x^2)^2: values 1, 0, -8/100
         assert samples[0].value == pytest.approx(1.0, abs=1e-6)
         assert samples[1].value == pytest.approx(0.0, abs=1e-6)
         assert samples[2].value == pytest.approx(-0.08, abs=1e-6)
 
-    def test_magnitude_decreases_beyond_inflection(self, quad):
-        samples = sample_frac_weight(1, 3.0, np.geomspace(4.0, 400.0, 8), quad)
+    def test_magnitude_decreases_beyond_inflection(self):
+        samples = sample_frac_weight(1, 3.0, np.geomspace(4.0, 400.0, 8))
         mags = [abs(s.value) for s in samples]
         assert all(a > b for a, b in zip(mags, mags[1:]))
         assert all(math.isfinite(s.value) for s in samples)
 
-    def test_bad_radii_rejected(self, quad):
+    def test_bad_radii_rejected(self):
         with pytest.raises(ValueError):
-            sample_frac_weight(1, 2.0, [1.0, 0.5], quad)
+            sample_frac_weight(1, 2.0, [1.0, 0.5])
         with pytest.raises(ValueError):
-            sample_frac_weight(1, -1.0, [0.5, 1.0], quad)
+            sample_frac_weight(1, -1.0, [0.5, 1.0])
 
 
 class TestFitDecay:
@@ -68,8 +68,8 @@ class TestFitDecay:
 
 
 class TestVerdicts:
-    def test_shallow_weight_dim1(self, quad):
-        v = verify_lemma(1, 0.5, quad)
+    def test_shallow_weight_dim1(self):
+        v = verify_lemma(1, 0.5)
         assert v.regime == "q<n" and v.matched
         assert v.fit.exponent == pytest.approx(-1.5, abs=0.05)
         # asymptotically op |x|^(-1/2) = -|x|^(-3/2)/2, so the windowed
@@ -78,40 +78,40 @@ class TestVerdicts:
         assert all(s.value < 0 for s in tail)
         assert abs(tail[-1].value) * tail[-1].r ** 1.5 == pytest.approx(0.5, rel=0.02)
 
-    def test_log_regime_dim1(self, quad):
-        v = verify_lemma(1, 1.0, quad)
+    def test_log_regime_dim1(self):
+        v = verify_lemma(1, 1.0)
         assert v.regime == "q=n" and v.matched
         assert v.fit.log_coeff > 0
         assert v.residual_ratio > 3.0
         assert v.negativity_ok and v.r_neg is not None
 
-    def test_steep_weight_dim1(self, quad):
-        v = verify_lemma(1, 2.0, quad)
+    def test_steep_weight_dim1(self):
+        v = verify_lemma(1, 2.0)
         assert v.regime == "q>n" and v.matched
         assert v.fit.exponent == pytest.approx(-2.0, abs=0.05)
         # closed form is negative exactly beyond r = 1
         assert v.r_neg == pytest.approx(1.0, abs=0.6)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_weight_bound_constant_is_n(self, quad, n):
+    def test_weight_bound_constant_is_n(self, n):
         # sup |op w / w| = n for w = <x>^(-n-1), reached at r = 0: the
         # closed form the constants chain uses, checked by the decay suite
-        v = verify_lemma(n, n + 1.0, quad)
+        v = verify_lemma(n, n + 1.0)
         assert v.a_hat == pytest.approx(n, abs=1e-4)
 
-    def test_degenerate_shallow_weight_dim2(self, quad):
+    def test_degenerate_shallow_weight_dim2(self):
         # q = n - 1 sits at the vanishing point of the leading coefficient:
         # the operator output is exactly <x>^(-3) (see the 2D bracket
         # identity in test_pv.py), one power steeper than the regime bound,
         # so the sharp exponent predicted is -(n+1) = -3 and the fit meets it
-        v = verify_lemma(2, 1.0, quad)
+        v = verify_lemma(2, 1.0)
         assert v.regime == "q<n"
         assert v.fit.exponent == pytest.approx(-3.0, abs=0.02)
         assert v.predicted_exponent == -3.0
         assert v.matched
 
-    def test_steep_weight_dim2(self, quad):
-        v = verify_lemma(2, 3.0, quad)
+    def test_steep_weight_dim2(self):
+        v = verify_lemma(2, 3.0)
         assert v.regime == "q>n" and v.matched
         assert v.fit.exponent == pytest.approx(-3.0, abs=0.1)
 
@@ -123,34 +123,34 @@ class TestVerdicts:
         (2, 3.0, 1.0),
         (2, 4.0, 0.5),
     ])
-    def test_far_field_amplitude_oracle(self, quad, n, q, amplitude):
-        v = verify_lemma(n, q, quad)
+    def test_far_field_amplitude_oracle(self, n, q, amplitude):
+        v = verify_lemma(n, q)
         far = v.samples[-1]
         assert far.value * bracket(far.r) ** (n + 1) == pytest.approx(-amplitude, rel=2e-3)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_log_coefficient_oracle(self, quad, n):
+    def test_log_coefficient_oracle(self, n):
         # at q = n the log-model coefficient approaches B_n * omega_n
         # (2/pi on the line, exactly 1 on the plane)
         b = normalization_constant(n).value
-        v = verify_lemma(n, float(n), quad)
+        v = verify_lemma(n, float(n))
         expected = b * (2.0 if n == 1 else 2.0 * math.pi)
         assert v.fit.log_coeff == pytest.approx(expected, rel=0.02)
 
-    def test_regime_trichotomy_exclusive(self, quad):
+    def test_regime_trichotomy_exclusive(self):
         # the fitted exponent matches only the case selected by q vs n
         for q, regime in ((0.5, "q<n"), (1.0, "q=n"), (2.0, "q>n")):
-            v = verify_lemma(1, q, quad)
+            v = verify_lemma(1, q)
             assert v.regime == regime and v.matched
             if regime == "q<n":
                 assert abs(v.fit.exponent - (-2.0)) > 3 * 0.05
             elif regime == "q>n":
                 assert abs(v.fit.exponent - (-(q + 1.0))) > 3 * 0.05
 
-    def test_a_hat_stable_under_denser_sampling(self, quad):
-        v = verify_lemma(1, 2.0, quad)
+    def test_a_hat_stable_under_denser_sampling(self):
+        v = verify_lemma(1, 2.0)
         dense = default_radii(per_decade=16)
-        v2 = verify_lemma(1, 2.0, quad, radii=dense)
+        v2 = verify_lemma(1, 2.0, radii=dense)
         assert abs(v2.a_hat - v.a_hat) < 0.05 * v.a_hat
 
 
@@ -168,20 +168,20 @@ class TestScaleCovariance:
 
 
 class TestGaussianRemark:
-    def test_dim1(self, quad):
-        v = verify_gaussian_remark(1, quad)
+    def test_dim1(self):
+        v = verify_gaussian_remark(1)
         assert v.matched and v.negativity_ok
         assert v.fit.exponent == pytest.approx(-2.0, abs=0.1)
         # extracted constant approaches B_1 * sqrt(pi) = 1/sqrt(pi)
         assert v.a_hat == pytest.approx(1.0 / math.sqrt(math.pi), rel=0.05)
 
-    def test_origin_positive(self, quad):
-        v = verify_gaussian_remark(1, quad)
+    def test_origin_positive(self):
+        v = verify_gaussian_remark(1)
         origin = [s for s in v.samples if s.r == 0.0][0]
         assert origin.value > 0
 
-    def test_dim2(self, quad):
-        v = verify_gaussian_remark(2, quad)
+    def test_dim2(self):
+        v = verify_gaussian_remark(2)
         assert v.matched and v.negativity_ok
         assert v.fit.exponent == pytest.approx(-3.0, abs=0.1)
         # extracted constant approaches B_2 * pi = 1/2

@@ -88,7 +88,7 @@ class TestPointwiseEvaluator:
             assert abs(res.value - want) <= res.error + 1e-12
             assert res.value == pytest.approx(want, rel=1e-4)
 
-    def test_gaussian_cross_method(self, quad):
+    def test_gaussian_cross_method(self):
         # against the spectral route on a wide fine grid
         from fracblow.grid import Field, GridSpec
         from fracblow.spectral import frac_laplacian_spectral
@@ -98,7 +98,7 @@ class TestPointwiseEvaluator:
         spectral = frac_laplacian_spectral(Field(g, np.exp(-x * x) + 0j)).values.real
         pts = np.linspace(-3.0, 3.0, 13)
         idx = np.argmin(np.abs(x[None, :] - pts[:, None]), axis=1)
-        vals, _ = frac_laplacian_pv_many(gaussian_profile(), x[idx], quad)
+        vals, _ = frac_laplacian_pv_many(gaussian_profile(), x[idx])
         assert np.max(np.abs(vals - spectral[idx])) < 1e-4
 
     def test_gaussian_at_origin(self, quad):
@@ -140,7 +140,7 @@ class TestPointwiseEvaluator:
 
     def test_batch_matches_pointwise(self, quad):
         xs = [0.0, 0.5, 2.5]
-        vals, errs = frac_laplacian_pv_many(bracket_profile(2.0), xs, quad)
+        vals, errs = frac_laplacian_pv_many(bracket_profile(2.0), xs)
         for x, v, e in zip(xs, vals, errs):
             res = frac_laplacian_pv(bracket_profile(2.0), x, quad)
             assert res.value == v and res.error == e
@@ -167,16 +167,16 @@ class TestClosedFormCertificates:
     """
 
     @pytest.mark.parametrize("n, q, exact", POISSON_CLOSED_FORMS)
-    def test_value_within_certificate(self, quad, n, q, exact):
-        for s in sample_frac_weight(n, q, CLOSED_FORM_RADII, quad):
+    def test_value_within_certificate(self, n, q, exact):
+        for s in sample_frac_weight(n, q, CLOSED_FORM_RADII):
             assert abs(s.value - exact(s.r)) <= s.error, s
 
-    def test_row_blocks_do_not_change_the_value(self, quad, monkeypatch):
+    def test_row_blocks_do_not_change_the_value(self, monkeypatch):
         # one row per block, the default budget, and the whole table at once
         values = {}
         for budget in (1, pv._BLOCK_ELEMENTS, 10**9):
             monkeypatch.setattr(pv, "_BLOCK_ELEMENTS", budget)
-            values[budget] = sample_frac_weight(2, 3.0, CLOSED_FORM_RADII, quad)
+            values[budget] = sample_frac_weight(2, 3.0, CLOSED_FORM_RADII)
         ref = values[pv._BLOCK_ELEMENTS]
         for samples in values.values():
             for s, t in zip(samples, ref):

@@ -1,4 +1,6 @@
 """Power-law fitting and the sweep driver."""
+import re
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,20 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepPlan(params=params, kind="inner-singular", k=0.25,
                       mu_values=(2.0, 1.0), grid=grid)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="mu values must be finite"):
+                SweepPlan(params=params, kind="inner-singular", k=0.25,
+                          mu_values=(30.0, bad), grid=grid)
+        # the family must fit the problem (n = 1, p = 2) and the grid its dimension
+        for kind, k, message in (("inner-singular", 0.7, "inner-singular needs k < n/2"),
+                                 ("inner-singular", float("nan"), "needs k < n/2: k=nan"),
+                                 ("outer-decay", 0.4, "outer-decay needs k > n/2"),
+                                 ("outer-decay", 1.5, "outer-decay needs k < 1/(p-1)")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SweepPlan(params=params, kind=kind, k=k, mu_values=(30.0,), grid=grid)
+        with pytest.raises(ValueError, match="grid dimension 2 differs from n = 1"):
+            SweepPlan(params=params, kind="inner-singular", k=0.25,
+                      mu_values=(30.0,), grid=GridSpec(2, 4.0, 64))
 
     @pytest.mark.parametrize("key", ["dt_factor", "dt_base"])
     @pytest.mark.parametrize("value", [-0.2, 0.0, float("nan"), float("inf")])
@@ -205,15 +221,6 @@ class TestRunSweep:
             SweepPlan(params=params, kind="inner-singular", k=0.25,
                       mu_values=(30.0,), grid=grid, **{key: value})
 
-    def test_workers_match_serial(self, inner_setup):
-        params, constants, grid = inner_setup
-        mus = tuple(np.geomspace(25.0, 60.0, 3))
-        serial = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
-                                     mu_values=mus, grid=grid))
-        threaded = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
-                                       mu_values=mus, grid=grid, workers=3))
-        for a, b in zip(serial.rows, threaded.rows):
-            assert a.t_num == b.t_num and a.r_star == b.r_star
 
     def test_outputs_deterministic(self, inner_setup, tmp_path):
         params, constants, grid = inner_setup

@@ -13,7 +13,6 @@ from .pv import (
 )
 from .spectral import apply_multiplier, cordoba_violation, frac_laplacian_spectral
 from .evolution import (
-    EvolutionConfig,
     ProblemParams,
     TrajectoryRecord,
     UnresolvedFieldError,

@@ -120,12 +120,11 @@ class LifespanReport:
 
     R: float
     m0: float
-    condition_holds: bool
     t_bound: float                 # inf when the condition fails
 
-    def __post_init__(self):
-        if self.condition_holds != math.isfinite(self.t_bound):
-            raise ValueError("t_bound must be finite exactly when the condition holds")
+    @property
+    def condition_holds(self) -> bool:
+        return math.isfinite(self.t_bound)
 
 
 def _lifespan(constants: BlowupConstants, R: float, gap: float) -> float:
@@ -137,13 +136,14 @@ def _lifespan(constants: BlowupConstants, R: float, gap: float) -> float:
 
 def lifespan_bound(m0: float, constants: BlowupConstants, R: float) -> LifespanReport:
     """Check M_R(0) against the threshold; return the bound or 'no conclusion'."""
-    if R <= 0:
+    if not R > 0:
         raise ValueError("weight radius must be positive")
+    if not math.isfinite(m0):
+        raise ValueError(f"M_R(0) must be finite, got {m0!r}")
     gap = m0 - constants.threshold(R)
     if gap <= 0:
-        return LifespanReport(R=R, m0=m0, condition_holds=False, t_bound=math.inf)
-    return LifespanReport(R=R, m0=m0, condition_holds=True,
-                          t_bound=_lifespan(constants, R, gap))
+        return LifespanReport(R=R, m0=m0, t_bound=math.inf)
+    return LifespanReport(R=R, m0=m0, t_bound=_lifespan(constants, R, gap))
 
 
 def ode_lower_envelope(m0: float, constants: BlowupConstants, R: float,

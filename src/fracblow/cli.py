@@ -18,10 +18,9 @@ from .blowup import (InitialDataSpec, adapted_radius, compute_constants, lifespa
                      make_initial_data, weighted_functional)
 from .config import (ConfigError, HarnessConfig, dimensions, flag, float_list,
                      increasing_pair, load_config)
-from .evolution import (MAX_HALVINGS, THRESHOLD_FACTOR, EvolutionConfig, UnresolvedFieldError,
-                        evolve)
+from .evolution import MAX_HALVINGS, UnresolvedFieldError, evolve
 from .grid import Field
-from .lemma import verify_gaussian_remark, verify_lemma, write_lemma_report
+from .lemma import FIT_WINDOW, verify_gaussian_remark, verify_lemma, write_lemma_report
 from .profiles import bracket_profile, gaussian_profile
 from .pv import QuadratureError, frac_laplacian_pv_many, normalization_constant
 from .reporting import constants_manifest, save_field, write_csv, write_manifest
@@ -118,7 +117,7 @@ def _cmd_frac_apply(cfg: HarnessConfig, out: Path) -> int:
 def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
     dims = cfg.get("lemma", "dims", dimensions, None) or [1, 2]
     include_gaussian = cfg.get("lemma", "gaussian", flag, True)
-    window = cfg.get("lemma", "fit_window", increasing_pair, (1e2, 1e4))
+    window = cfg.get("lemma", "fit_window", increasing_pair, FIT_WINDOW)
     q_values = cfg.get("lemma", "q_values", float_list, None)
 
     verdicts = []
@@ -156,9 +155,7 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
     radius = adapted_radius(spec, constants).r_star if r_fixed is None else r_fixed
     report = lifespan_bound(weighted_functional(u0, params.alpha, radius), constants, radius)
 
-    config = EvolutionConfig(dt=dt, t_max=t_max,
-                             blowup_threshold=THRESHOLD_FACTOR * u0.sup_norm())
-    record = evolve(u0, params, config, radius)
+    record = evolve(u0, params, dt, t_max, radius)
 
     record.to_csv(out / "trajectory.csv")
     save_field(record.final, out / "final_state")
@@ -167,8 +164,8 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
                     "alpha": params.alpha},
         "grid": {"n": grid.n, "L": grid.L, "N": grid.N},
         "data": {"kind": spec.kind, "mu": spec.mu, "k": spec.k},
-        "integrator": {"dt": config.dt, "t_max": config.t_max,
-                       "blowup_threshold": config.blowup_threshold,
+        "integrator": {"dt": dt, "t_max": t_max,
+                       "blowup_threshold": record.threshold,
                        "max_halvings": MAX_HALVINGS},
         "weight_radius": radius,
         "constants": constants_manifest(constants),

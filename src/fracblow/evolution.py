@@ -26,7 +26,6 @@ from .spectral import apply_multiplier
 
 __all__ = [
     "ProblemParams",
-    "EvolutionConfig",
     "TrajectoryRecord",
     "UnresolvedFieldError",
     "linear_propagator",
@@ -44,7 +43,7 @@ TAIL_FRACTION_LIMIT = 1e-3
 GROWTH_CAP = 4.0
 #: ... at most this many times in a row before the run is flagged as blown up
 MAX_HALVINGS = 10
-#: blow-up threshold of a sweep row and of ``fracblow evolve``, in units of sup|u0|
+#: ``evolve`` flags blow-up once sup|u| reaches this many times sup|u0|
 THRESHOLD_FACTOR = 25.0
 #: modes with |xi| at or above this share of the largest |xi| form the top band
 TAIL_BAND = 0.85
@@ -86,22 +85,6 @@ class ProblemParams:
         return (self.alpha * self.lam).real
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Step size, horizon and blow-up threshold; the lattice is the initial data's."""
-
-    dt: float
-    t_max: float
-    blowup_threshold: float
-
-    def __post_init__(self):
-        # written so that NaN fails: a NaN dt would be halved forever
-        for name in ("dt", "t_max", "blowup_threshold"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 @dataclass
 class TrajectoryRecord:
     """Time series of the weighted functional and norms for one run."""
@@ -110,9 +93,13 @@ class TrajectoryRecord:
     m_r: np.ndarray
     sup_norm: np.ndarray
     l2_norm: np.ndarray
-    blew_up: bool
     t_num: float | None
-    final: Field | None = field(default=None, repr=False)
+    threshold: float                  # the sup norm at which the run is flagged
+    final: Field = field(repr=False)  # the last accepted step's own output, else a copy of u0
+
+    @property
+    def blew_up(self) -> bool:
+        return self.t_num is not None
 
     def to_csv(self, path: str | Path) -> Path:
         return write_csv(path, ["t", "m_r", "sup_norm", "l2_norm"],
@@ -207,43 +194,54 @@ def weighted_functional(u: Field, alpha: complex, R: float) -> float:
     return _functional(u.grid, alpha, R)(u)
 
 
-def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
-           weight_radius: float) -> TrajectoryRecord:
-    """March the split-step scheme, recording M_R(t) at R = weight_radius.
-
-    Halts at t_max, or flags blow-up when the sup norm crosses the
-    configured threshold; violent steps (non-finite values or sup growth
-    beyond ``GROWTH_CAP``) are retried with halved dt until ``MAX_HALVINGS``
-    halvings run out, at which point the last accepted time is reported as
-    the numerical blow-up time.
-    """
-    tail = spectral_tail_fraction(u0)
+def _require_resolved(f: Field) -> None:
+    """Refuse data whose spectral tail exceeds ``TAIL_FRACTION_LIMIT``."""
+    tail = spectral_tail_fraction(f)
     if tail > TAIL_FRACTION_LIMIT:
         raise UnresolvedFieldError(
             f"grid too coarse: {tail:.2e} of the spectral mass sits in the top band "
             f"(limit {TAIL_FRACTION_LIMIT:.1e}); refine N or enlarge L")
+
+
+def _require_positive(**values: float) -> None:
+    # written so that NaN fails: a NaN dt would be halved forever
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
+           weight_radius: float) -> TrajectoryRecord:
+    """March the split-step scheme from step size dt, recording M_R(t) at R = weight_radius.
+
+    Halts at t_max, or flags blow-up once the sup norm reaches
+    ``THRESHOLD_FACTOR * sup|u0|``; violent steps (non-finite values or sup
+    growth beyond ``GROWTH_CAP``) are retried with halved dt until
+    ``MAX_HALVINGS`` halvings run out, at which point the last accepted
+    time is reported as the numerical blow-up time.
+    """
+    _require_positive(dt=dt, t_max=t_max)
+    _require_resolved(u0)
     sup0 = u0.sup_norm()
-    if sup0 > 0 and config.blowup_threshold <= 10.0 * sup0:
-        raise ValueError("blow-up threshold must exceed 10x the initial sup norm")
+    if not 0.0 < sup0 < math.inf:
+        raise ValueError(f"initial sup norm must be finite and positive, got {sup0!r}")
+    threshold = THRESHOLD_FACTOR * sup0
 
     m_of = _functional(u0.grid, params.alpha, weight_radius)
     u = u0.copy()
     t = 0.0
-    dt = config.dt
-    dt_floor = config.dt / 2**MAX_HALVINGS
-    blew_up = False
+    dt_floor = dt / 2**MAX_HALVINGS
     t_num = None
 
     times, m_r, sups, l2s = [0.0], [m_of(u)], [sup0], [u0.l2_norm()]
     sup = sup0
-    while t < config.t_max:
-        dt_step = min(dt, config.t_max - t)
+    while t < t_max:
+        dt_step = min(dt, t_max - t)
         trial = strang_step(u, dt_step, params)
         trial_sup = trial.sup_norm()
         # non-finite values make the sup NaN or infinite, failing this test too
         if not trial_sup <= GROWTH_CAP * max(sup, 1e-300):
             if dt * 0.5 < dt_floor:
-                blew_up = True
                 t_num = t
                 break
             dt *= 0.5
@@ -254,17 +252,16 @@ def evolve(u0: Field, params: ProblemParams, config: EvolutionConfig,
         m_r.append(m_of(u))
         sups.append(sup)
         l2s.append(u.l2_norm())
-        if sup >= config.blowup_threshold:
-            blew_up = True
+        if sup >= threshold:
             t_num = t
             break
 
     return TrajectoryRecord(times=np.array(times), m_r=np.array(m_r),
                             sup_norm=np.array(sups), l2_norm=np.array(l2s),
-                            blew_up=blew_up, t_num=t_num, final=u)
+                            t_num=t_num, threshold=threshold, final=u)
 
 
-def scaling_check(u0: Field, params: ProblemParams, config: EvolutionConfig,
+def scaling_check(u0: Field, params: ProblemParams, dt: float, t_max: float,
                   rho: float) -> float:
     """Max relative l2 discrepancy of the dilation symmetry over a run.
 
@@ -273,19 +270,16 @@ def scaling_check(u0: Field, params: ProblemParams, config: EvolutionConfig,
     would be exactly equivariant and test nothing), so the discrepancy
     measures the integrator error and shrinks at second order.
     """
-    if rho <= 0:
-        raise ValueError("scale factor must be positive")
+    _require_positive(dt=dt, t_max=t_max, rho=rho)
     grid1 = u0.grid
     amp = rho ** (1.0 / (params.p - 1.0))
     grid2 = GridSpec(grid1.n, grid1.L / rho, grid1.N)
+    # the dilated copy has the same DFT up to the factor amp, so the same tail
+    _require_resolved(u0)
     v1 = u0
     v2 = Field(grid2, amp * u0.values)  # rho^(1/(p-1)) u0(rho x) on the shrunk grid
-    for f in (v1, v2):
-        tail = spectral_tail_fraction(f)
-        if tail > TAIL_FRACTION_LIMIT:
-            raise UnresolvedFieldError(f"scaling run unresolved: tail fraction {tail:.2e}")
 
-    steps2_total = int(round(config.t_max / config.dt / rho))
+    steps2_total = int(round(t_max / dt / rho))
     stride2 = max(1, steps2_total // SCALING_CHECKPOINTS)
     stride1 = rho * stride2
     if abs(stride1 - round(stride1)) > 1e-9:
@@ -295,9 +289,9 @@ def scaling_check(u0: Field, params: ProblemParams, config: EvolutionConfig,
     worst = 0.0
     for _ in range(steps2_total // stride2):
         for _ in range(stride2):
-            v2 = strang_step(v2, config.dt, params)
+            v2 = strang_step(v2, dt, params)
         for _ in range(stride1):
-            v1 = strang_step(v1, config.dt, params)
+            v1 = strang_step(v1, dt, params)
         mapped = amp * v1.values  # rho^(1/(p-1)) u(rho t, rho x) on grid2 sites
         denom = float(np.linalg.norm(mapped))
         if denom == 0.0:

@@ -35,6 +35,10 @@ __all__ = [
     "write_lemma_report",
 ]
 
+#: default radius window of the algebraic-weight decay fits
+FIT_WINDOW = (1e2, 1e4)
+#: radius window of the Gaussian decay fit
+GAUSSIAN_WINDOW = (8.0, 800.0)
 #: exponent-match tolerances per dimension
 EXPONENT_TOL = {1: 0.05, 2: 0.1}
 #: the far cutoff of an algebraic weight sampled at radius r starts at this times 1 + r
@@ -89,7 +93,7 @@ class LemmaVerdict:
     samples: tuple[LemmaSample, ...] = ()
 
 
-def default_radii(window: tuple[float, float] = (1e2, 1e4),
+def default_radii(window: tuple[float, float] = FIT_WINDOW,
                   per_decade: int = 8) -> np.ndarray:
     """Sampling radii: origin, a coarse midrange, and a dense fit window."""
     lo, hi = window
@@ -152,7 +156,7 @@ def _window_samples(samples, window):
 
 def fit_decay(samples: list[LemmaSample], regime: str,
               bound_exponent: float, n: int | None = None,
-              window: tuple[float, float] = (1e2, 1e4)) -> DecayFitResult:
+              window: tuple[float, float] = FIT_WINDOW) -> DecayFitResult:
     """Fit the decay of |g(r)| inside the window.
 
     ``regime`` selects the model: "plain" fits log|g| ~ c + s log<r> and
@@ -211,7 +215,7 @@ def _regime_of(n: int, q: float) -> str:
 
 
 def verify_lemma(n: int, q: float, radii=None,
-                 window: tuple[float, float] = (1e2, 1e4)) -> LemmaVerdict:
+                 window: tuple[float, float] = FIT_WINDOW) -> LemmaVerdict:
     """Sample, fit, and judge the decay regime of the weight's half-Laplacian.
 
     The regime is selected by comparing q with n; the fitted exponent must
@@ -271,16 +275,17 @@ def verify_lemma(n: int, q: float, radii=None,
                         samples=tuple(samples))
 
 
-def verify_gaussian_remark(n: int, window: tuple[float, float] = (8.0, 800.0)) -> LemmaVerdict:
+def verify_gaussian_remark(n: int) -> LemmaVerdict:
     """Negativity and decay of the half-Laplacian of exp(-|x|^2) at large radius.
 
     The Gaussian decays faster than any algebraic weight, so its
     half-Laplacian behaves like the q > n regime: eventually negative with
     decay power -(n+1).  Reports the extracted lower-bound constant as
-    a_hat (the smallest |g| <r>^(n+1) inside the window).
+    a_hat (the smallest |g| <r>^(n+1) inside ``GAUSSIAN_WINDOW``).
     """
     if n not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
+    window = GAUSSIAN_WINDOW
     radii = np.concatenate(([0.0, 0.5, 1.0, 2.0, 4.0],
                             np.geomspace(window[0], window[1], 16)))
     # the Gaussian's tail is negligible a few widths out: a short far cutoff

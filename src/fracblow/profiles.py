@@ -1,6 +1,7 @@
 """Radial profiles with certified tail envelopes."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,8 +49,8 @@ class RadialProfile:
 
 def bracket_profile(q: float, R: float = 1.0) -> RadialProfile:
     """The weight <r/R>^(-q); radially nonincreasing, tail bound is itself."""
-    if q <= 0 or R <= 0:
-        raise ValueError("bracket profile needs q > 0 and R > 0")
+    if not (0.0 < q < math.inf and 0.0 < R < math.inf):
+        raise ValueError(f"bracket profile needs finite q > 0 and R > 0, got q={q!r}, R={R!r}")
     fn = lambda s: (1.0 + s / (R * R)) ** (-0.5 * q)
     return RadialProfile(fn=fn, tail=lambda r: float(fn(max(r, 0.0) ** 2)), floor=0.0,
                          scale=R, label=f"bracket(q={q},R={R})")
@@ -57,8 +58,8 @@ def bracket_profile(q: float, R: float = 1.0) -> RadialProfile:
 
 def gaussian_profile(width: float = 1.0) -> RadialProfile:
     """exp(-(r/width)^2)."""
-    if width <= 0:
-        raise ValueError("width must be positive")
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"gaussian width must be finite and positive, got {width!r}")
     fn = lambda s: np.exp(-s / (width * width))
     return RadialProfile(fn=fn, tail=lambda r: float(fn(max(r, 0.0) ** 2)), floor=0.0,
                          scale=width, label=f"gaussian(w={width})")

@@ -242,7 +242,7 @@ def frac_laplacian_pv(profile: RadialProfile, x, quad: PVQuadratureConfig) -> PV
     value = b * (fine + (f_ax - tail_mid) * omega / y)
     roundoff = np.finfo(float).eps * (16.0 * cmass + 4.0 * abs(f_ax) * omega / y)
     err = b * (3.0 * abs(fine - coarse) + tail_half * omega / y + roundoff)
-    if err > quad.tol:
+    if not err <= quad.tol:  # a NaN error is no certificate
         raise QuadratureError(
             f"shell series not converged at y_max={y} for |x|={ax:.3g}", value, err)
     return PVResult(value, err)

@@ -12,8 +12,7 @@ import numpy as np
 from .blowup import (BlowupConstants, InitialDataSpec, _check_k_against_dimension,
                      _check_k_against_p, adapted_radius, compute_constants, family_exponent,
                      family_i_const, lifespan_bound, make_initial_data, weighted_functional)
-from .evolution import (THRESHOLD_FACTOR, EvolutionConfig, ProblemParams,
-                        UnresolvedFieldError, evolve)
+from .evolution import THRESHOLD_FACTOR, ProblemParams, UnresolvedFieldError, evolve
 from .grid import GridSpec
 from .reporting import write_csv, write_manifest
 
@@ -154,11 +153,9 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
             row.note = f"R*={rr.r_star:.4g} below the grid spacing dx={plan.grid.dx:.4g}"
             return row
 
-        sup0 = u0.sup_norm()
-        dt = plan.dt_factor / sup0 if plan.kind == "inner-singular" else plan.dt_base
+        dt = plan.dt_factor / u0.sup_norm() if plan.kind == "inner-singular" else plan.dt_base
         horizon = HORIZON_FACTOR * min(report.t_bound, rr.t_bound_formula)
-        cfg = EvolutionConfig(dt=dt, t_max=horizon, blowup_threshold=THRESHOLD_FACTOR * sup0)
-        rec = evolve(u0, plan.params, cfg, rr.r_star)
+        rec = evolve(u0, plan.params, dt, horizon, rr.r_star)
         row.blew_up = rec.blew_up
         row.t_num = rec.t_num
         if not rec.blew_up:

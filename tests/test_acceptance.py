@@ -12,7 +12,7 @@ import pytest
 from fracblow.blowup import (InitialDataSpec, adapted_radius, compute_constants,
                              lifespan_bound, make_initial_data, ode_lower_envelope,
                              weighted_functional)
-from fracblow.evolution import EvolutionConfig, ProblemParams, evolve, scaling_check, strang_step
+from fracblow.evolution import ProblemParams, evolve, scaling_check, strang_step
 from fracblow.grid import Field, GridSpec
 from fracblow.lemma import verify_gaussian_remark, verify_lemma
 from fracblow.profiles import bracket_profile
@@ -165,8 +165,7 @@ def test_criterion_05_product_inequality():
 def test_criterion_06_solver_order_and_unitarity():
     g = GridSpec(1, 20.0, 1024)
     u0 = Field.from_function(g, lambda x: np.exp(-x * x) * np.exp(0.5j * x))
-    cfg = EvolutionConfig(dt=0.01, t_max=10.0, blowup_threshold=100.0)
-    rec = evolve(u0, ProblemParams(1, 2.0, 0.0), cfg, 1.0)
+    rec = evolve(u0, ProblemParams(1, 2.0, 0.0), 0.01, 10.0, 1.0)
     drift = float(np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0])
 
     params = ProblemParams(1, 2.0, 1.0 + 0.5j)
@@ -192,10 +191,8 @@ def test_criterion_07_scaling_invariance():
     g = GridSpec(1, 20.0, 2048)
     params = ProblemParams(1, 2.0, 1.0 + 0.5j)
     u0 = Field.from_function(g, lambda x: np.exp(-x * x))
-    d = scaling_check(u0, params, EvolutionConfig(
-        dt=0.01, t_max=0.64, blowup_threshold=100.0), 2.0)
-    d_half = scaling_check(u0, params, EvolutionConfig(
-        dt=0.005, t_max=0.64, blowup_threshold=100.0), 2.0)
+    d = scaling_check(u0, params, 0.01, 0.64, 2.0)
+    d_half = scaling_check(u0, params, 0.005, 0.64, 2.0)
     ratio = d / d_half
     _report(7, d <= 1e-3 and 2.5 <= ratio <= 6.0,
             f"rho=2 discrepancy {d:.2e} (<= 1e-3), improvement x{ratio:.2f} under dt halving")
@@ -212,10 +209,7 @@ def test_criterion_08_ode_envelope(chain_p2):
                                cap_radius=max(0.15 * r_star, 0.75 * grid.dx))
         u0 = make_initial_data(spec, grid, params.alpha)
         report = lifespan_bound(weighted_functional(u0, params.alpha, r_star), constants, r_star)
-        cfg = EvolutionConfig(dt=0.01 / u0.sup_norm(),
-                              t_max=1.3 * report.t_bound,
-                              blowup_threshold=25.0 * u0.sup_norm())
-        rec = evolve(u0, params, cfg, r_star)
+        rec = evolve(u0, params, 0.01 / u0.sup_norm(), 1.3 * report.t_bound, r_star)
         if not rec.blew_up:
             problems.append(f"mu={mu}: no blow-up")
             continue

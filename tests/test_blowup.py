@@ -7,10 +7,9 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from fracblow import lemma, pv
-from fracblow.blowup import (A_MARGIN, InitialDataSpec, LifespanReport, adapted_radius,
-                             compute_constants, family_i_const, lifespan_bound,
-                             make_initial_data, ode_lower_envelope, weight_mass,
-                             weighted_functional)
+from fracblow.blowup import (A_MARGIN, InitialDataSpec, adapted_radius, compute_constants,
+                             family_i_const, lifespan_bound, make_initial_data,
+                             ode_lower_envelope, weight_mass, weighted_functional)
 from fracblow.evolution import ProblemParams
 from fracblow.grid import Field, GridSpec
 from fracblow.sweep import in_regime_amplitude
@@ -139,9 +138,11 @@ class TestLifespanBound:
         rep = lifespan_bound(0.1, constants, 1.0)
         assert not rep.condition_holds and rep.t_bound == math.inf
 
-    def test_report_consistency_enforced(self):
+    @pytest.mark.parametrize("m0, R", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_input_rejected(self, constants, m0, R):
+        # a NaN would otherwise pass as an inconclusive report
         with pytest.raises(ValueError):
-            LifespanReport(R=1.0, m0=1.0, condition_holds=True, t_bound=math.inf)
+            lifespan_bound(m0, constants, R)
 
 
 class TestEnvelope:

@@ -267,6 +267,11 @@ def test_bad_value_exits_one_naming_it(tmp_path, capsys, command, text, section,
                  + "[frac_apply]\npoints = 0, 3.9, 5, 9\n",
                  "[frac_apply] points must lie in [-L, L) of [grid], L = 4; outside: 5, 9",
                  id="frac_apply-points-off-lattice"),
+    # a NaN profile parameter would give NaN values with NaN certificates
+    pytest.param("frac-apply", BASE + "[frac_apply]\nq = nan\n", "q=nan", id="frac_apply-q-nan"),
+    pytest.param("frac-apply", BASE + "[frac_apply]\nr = nan\n", "R=nan", id="frac_apply-r-nan"),
+    pytest.param("frac-apply", BASE + "[frac_apply]\nprofile = gaussian\nwidth = nan\n",
+                 "gaussian width", id="frac_apply-width-nan"),
 ])
 def test_out_of_range_value_exits_one(tmp_path, capsys, command, text, key):
     # rejected when the config is read, before any point, step or row runs

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from fracblow import evolution
-from fracblow.evolution import (EvolutionConfig, ProblemParams, UnresolvedFieldError,
-                                evolve, linear_propagator, nonlinear_step,
-                                scaling_check, spectral_tail_fraction, strang_step)
+from fracblow.evolution import (ProblemParams, UnresolvedFieldError, evolve,
+                                linear_propagator, nonlinear_step, scaling_check,
+                                spectral_tail_fraction, strang_step)
 from fracblow.grid import Field, GridSpec
 
 
@@ -74,8 +74,7 @@ class TestEvolve:
         g = GridSpec(1, 20.0, 1024)
         u0 = Field.from_function(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 0.0)
-        cfg = EvolutionConfig(dt=0.01, t_max=10.0, blowup_threshold=100.0)
-        rec = evolve(u0, params, cfg, 1.0)
+        rec = evolve(u0, params, 0.01, 10.0, 1.0)
         assert not rec.blew_up
         drift = np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0]
         assert drift < 1e-12
@@ -85,50 +84,46 @@ class TestEvolve:
         g = GridSpec(1, 20.0, 1024)
         u0 = Field.from_function(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 0.0)
-        cfg = EvolutionConfig(dt=0.01, t_max=2.0, blowup_threshold=100.0)
-        rec = evolve(u0, params, cfg, 1.0)
+        rec = evolve(u0, params, 0.01, 2.0, 1.0)
         back = linear_propagator(rec.final, -rec.times[-1])
         assert np.max(np.abs(back.values - u0.values)) < 1e-11
 
     def test_times_strictly_increasing(self):
         g = GridSpec(1, 20.0, 512)
         u0 = Field.from_function(g, gaussian_packet)
-        cfg = EvolutionConfig(dt=0.02, t_max=0.5, blowup_threshold=100.0)
-        rec = evolve(u0, ProblemParams(1, 2.0, 1.0), cfg, 1.0)
+        rec = evolve(u0, ProblemParams(1, 2.0, 1.0), 0.02, 0.5, 1.0)
         assert np.all(np.diff(rec.times) > 0)
 
     def test_refusal_on_underresolved_data(self):
         g = GridSpec(1, 20.0, 64)
         rng = np.random.default_rng(0)
         u0 = Field(g, rng.standard_normal(g.shape) + 0j)  # white spectrum
-        cfg = EvolutionConfig(dt=0.01, t_max=1.0, blowup_threshold=1e4)
         with pytest.raises(UnresolvedFieldError):
-            evolve(u0, ProblemParams(1, 2.0, 1j), cfg, 1.0)
+            evolve(u0, ProblemParams(1, 2.0, 1j), 0.01, 1.0, 1.0)
+        with pytest.raises(UnresolvedFieldError):
+            scaling_check(u0, ProblemParams(1, 2.0, 1j), 0.01, 0.32, 2.0)
         assert spectral_tail_fraction(u0) > 1e-3
 
     def test_nonpositive_weight_radius_rejected(self):
         g = GridSpec(1, 20.0, 512)
         u0 = Field.from_function(g, gaussian_packet)
-        cfg = EvolutionConfig(dt=0.01, t_max=1.0, blowup_threshold=100.0)
         with pytest.raises(ValueError, match="weight radius must be positive"):
-            evolve(u0, ProblemParams(1, 2.0, 1j), cfg, 0.0)
+            evolve(u0, ProblemParams(1, 2.0, 1j), 0.01, 1.0, 0.0)
 
-    def test_threshold_must_clear_initial_sup(self):
-        g = GridSpec(1, 20.0, 512)
-        u0 = Field.from_function(g, gaussian_packet)
-        cfg = EvolutionConfig(dt=0.01, t_max=1.0, blowup_threshold=2.0)
-        with pytest.raises(ValueError):
-            evolve(u0, ProblemParams(1, 2.0, 1j), cfg, 1.0)
+    def test_zero_data_rejected(self):
+        # sup|u0| = 0 leaves no blow-up threshold
+        u0 = Field.zeros(GridSpec(1, 20.0, 512))
+        with pytest.raises(ValueError, match="initial sup norm"):
+            evolve(u0, ProblemParams(1, 2.0, 1j), 0.01, 1.0, 1.0)
 
     def test_blowup_flagged_on_focusing_data(self):
         # real positive data with lam = i feeds its own modulus
         g = GridSpec(1, 40.0, 2048)
         u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
         params = ProblemParams(1, 2.0, 1j)
-        cfg = EvolutionConfig(dt=0.002, t_max=2.0,
-                              blowup_threshold=25 * u0.sup_norm())
-        rec = evolve(u0, params, cfg, 1.0)
+        rec = evolve(u0, params, 0.002, 2.0, 1.0)
         assert rec.blew_up and rec.t_num is not None
+        assert rec.threshold == 25 * u0.sup_norm() <= rec.sup_norm[-1]
         assert rec.t_num < 0.5
         # sup-norm nondecreasing once past 10x the initial sup
         sup = rec.sup_norm
@@ -140,8 +135,7 @@ class TestEvolve:
     def test_free_flow_conserves_l2_dim2(self):
         g = GridSpec(2, 10.0, 64)
         u0 = Field.from_function(g, lambda x, y: np.exp(-(x**2 + y**2)) + 0j)
-        cfg = EvolutionConfig(dt=0.02, t_max=1.0, blowup_threshold=100.0)
-        rec = evolve(u0, ProblemParams(2, 2.0, 0.0), cfg, 1.0)
+        rec = evolve(u0, ProblemParams(2, 2.0, 0.0), 0.02, 1.0, 1.0)
         drift = np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0]
         assert drift < 1e-12
 
@@ -214,8 +208,6 @@ class TestStrangKernel:
         g = GridSpec(1, 20.0, 256)
         u0 = Field.from_function(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 1j)
-        cfg = EvolutionConfig(dt=0.02, t_max=0.05,
-                              blowup_threshold=25 * u0.sup_norm())
         kernel, sizes = evolution.strang_step, []
 
         def first_call_bad(f, dt, params):
@@ -228,10 +220,9 @@ class TestStrangKernel:
             return out
 
         monkeypatch.setattr(evolution, "strang_step", first_call_bad)
-        rec = evolve(u0, params, cfg, 1.0)
+        rec = evolve(u0, params, 0.02, 0.05, 1.0)
         monkeypatch.setattr(evolution, "strang_step", kernel)
-        ref = evolve(u0, params, EvolutionConfig(dt=0.01, t_max=0.05,
-                                                 blowup_threshold=cfg.blowup_threshold), 1.0)
+        ref = evolve(u0, params, 0.01, 0.05, 1.0)
 
         assert sizes[:2] == [0.02, 0.01]
         assert np.all(np.isfinite(rec.final.values))
@@ -247,8 +238,6 @@ class TestStrangKernel:
         g = GridSpec(1, 20.0, 512)
         u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
         params = ProblemParams(1, 2.0, 1j)
-        cfg = EvolutionConfig(dt=0.02, t_max=0.037,
-                              blowup_threshold=25 * u0.sup_norm())
         kernel, sizes = evolution.strang_step, []
 
         def spy(f, dt, params):
@@ -256,9 +245,9 @@ class TestStrangKernel:
             return kernel(f, dt, params)
 
         monkeypatch.setattr(evolution, "strang_step", spy)
-        rec = evolve(u0, params, cfg, 1.0)
+        rec = evolve(u0, params, 0.02, 0.037, 1.0)
         monkeypatch.setattr(evolution, "strang_step", reference_step)
-        ref = evolve(u0, params, cfg, 1.0)
+        ref = evolve(u0, params, 0.02, 0.037, 1.0)
 
         assert len(sizes) > len(rec.times) - 1        # a step was rejected
         assert len(set(sizes)) >= 3                   # 0.02, 0.01 and the last step
@@ -272,31 +261,29 @@ class TestStrangKernel:
 class TestScalingCheck:
     def test_identity_scale_exact_zero(self):
         g = GridSpec(1, 20.0, 512)
-        cfg = EvolutionConfig(dt=0.01, t_max=0.32, blowup_threshold=100.0)
         u0 = Field.from_function(g, lambda x: np.exp(-x * x))
-        d = scaling_check(u0, ProblemParams(1, 2.0, 1.0), cfg, 1.0)
+        d = scaling_check(u0, ProblemParams(1, 2.0, 1.0), 0.01, 0.32, 1.0)
         assert d == 0.0
 
     def test_dilation_symmetry_and_order(self):
         g = GridSpec(1, 20.0, 2048)
         params = ProblemParams(1, 2.0, 1.0 + 0.5j)
         u0 = Field.from_function(g, lambda x: np.exp(-x * x))
-        d = scaling_check(u0, params, EvolutionConfig(
-            dt=0.01, t_max=0.64, blowup_threshold=100.0), 2.0)
-        d_half = scaling_check(u0, params, EvolutionConfig(
-            dt=0.005, t_max=0.64, blowup_threshold=100.0), 2.0)
+        d = scaling_check(u0, params, 0.01, 0.64, 2.0)
+        d_half = scaling_check(u0, params, 0.005, 0.64, 2.0)
         assert d <= 1e-3
         assert d / d_half == pytest.approx(4.0, rel=0.3)
 
 
-@pytest.mark.parametrize("name", ["dt", "t_max", "blowup_threshold"])
+@pytest.mark.parametrize("name", ["dt", "t_max"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_config_validation(name, bad):
     # a NaN dt would be halved forever inside evolve
-    values = dict(dt=0.01, t_max=1.0, blowup_threshold=100.0)
+    values = dict(dt=0.01, t_max=1.0)
     values[name] = bad
+    u0 = Field.from_function(GridSpec(1, 20.0, 256), gaussian_packet)
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-        EvolutionConfig(**values)
+        evolve(u0, ProblemParams(1, 2.0, 1j), weight_radius=1.0, **values)
 
 
 def test_params_validation():

@@ -10,7 +10,7 @@ from scipy.special import j0
 
 from fracblow import pv
 from fracblow.lemma import sample_frac_weight
-from fracblow.profiles import bracket_profile, constant_profile, gaussian_profile
+from fracblow.profiles import RadialProfile, bracket_profile, constant_profile, gaussian_profile
 from fracblow.pv import (PVQuadratureConfig, QuadratureError, frac_laplacian_pv,
                          frac_laplacian_pv_many, normalization_constant)
 
@@ -137,6 +137,13 @@ class TestPointwiseEvaluator:
             frac_laplacian_pv(bracket_profile(0.5), 0.0, tight)
         assert err.value.residual > 1e-12
         assert math.isfinite(err.value.value)
+
+    def test_nan_values_raise(self, quad):
+        # a NaN error estimate must fail the certificate gate, not pass it
+        nan_profile = RadialProfile(fn=lambda s: np.full_like(s, np.nan), tail=lambda r: 1.0)
+        for x in (0.0, 1.5, (0.5, 0.0)):
+            with pytest.raises(QuadratureError):
+                frac_laplacian_pv(nan_profile, x, quad)
 
     def test_batch_matches_pointwise(self, quad):
         xs = [0.0, 0.5, 2.5]

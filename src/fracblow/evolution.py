@@ -5,10 +5,13 @@ u_t = i Op u - i lam |u|^p.  Each step is a Strang composition: half a
 linear step (exact Fourier multiplier exp(i t |xi|)), a full nonlinear
 step (explicit midpoint on the pointwise ODE), and another half linear
 step.  ``strang_step`` is the one stepping kernel: it builds the half-step
-phase once per grid and step size, and hands each output's spectrum to
-the next step, so a chain of steps costs 3 FFTs a step.  Blow-up is
-detected from the sup norm, with step halving near the singularity; the
-last accepted time is the numerical blow-up time.
+phase once per grid and step size, and its output holds only its
+spectrum, which the next step starts from, so a chain of steps costs 2
+FFTs a step.  ``evolve`` reads each output without leaving the spectrum:
+the sup norm of the step's post-source stage, ``M_R`` as a pairing with
+the weight's DFT, and the L2 norm by Parseval.  Blow-up is detected from
+the sup norm, with step halving near the singularity; the last accepted
+time is the numerical blow-up time.
 """
 from __future__ import annotations
 
@@ -95,7 +98,7 @@ class TrajectoryRecord:
     l2_norm: np.ndarray
     t_num: float | None
     threshold: float                  # the sup norm at which the run is flagged
-    final: Field = field(repr=False)  # the last accepted step's own output, else a copy of u0
+    final: Field = field(repr=False)  # the last accepted step's own output, else u0's samples
 
     @property
     def blew_up(self) -> bool:
@@ -150,25 +153,25 @@ def _half_step_phase(grid: GridSpec, dt: float) -> np.ndarray:
 def strang_step(f: Field, dt: float, params: ProblemParams) -> Field:
     """Linear half step, nonlinear full step, linear half step.
 
-    The output carries its spectrum; the input's DFT is taken only when it
-    carries none, so a chain of steps costs 3 FFTs a step.
+    The output holds only its spectrum, read-only, and the sup of the
+    post-source stage; its values are one inverse DFT, taken on first
+    read.  The input's DFT is taken only when it carries none, so a chain
+    of steps costs 2 FFTs a step.
     """
     phase = _half_step_phase(f.grid, dt)
     spec = np.fft.fftn(f.values) if f.spectrum is None else f.spectrum
     u = np.fft.ifftn(phase * spec)
     _midpoint_source(u, dt, params)
+    stage_sup = float(np.max(np.abs(u)))
     spec = np.fft.fftn(u)
     spec *= phase
-    values = np.fft.ifftn(spec)
-    # read-only, so an in-place edit cannot leave the spectrum stale
-    values.setflags(write=False)
     spec.setflags(write=False)
-    return Field(f.grid, values, spectrum=spec)
+    return Field(f.grid, spectrum=spec, stage_sup=stage_sup)
 
 
 def spectral_tail_fraction(f: Field) -> float:
     """Fraction of spectral l2 mass carried by modes with |xi| >= TAIL_BAND * max."""
-    spec = np.abs(np.fft.fftn(f.values)) ** 2
+    spec = np.abs(np.fft.fftn(f.values) if f.spectrum is None else f.spectrum) ** 2
     absxi = f.grid.abs_freq()
     total = float(spec.sum())
     if total == 0.0:
@@ -176,22 +179,29 @@ def spectral_tail_fraction(f: Field) -> float:
     return float(spec[absxi >= TAIL_BAND * absxi.max()].sum() / total)
 
 
-def _functional(grid: GridSpec, alpha: complex, R: float):
-    """u -> -Im(alpha * lattice integral of u against the test weight <x/R>^(-n-1))."""
+def _test_weight(grid: GridSpec, R: float) -> np.ndarray:
+    """The test weight <x/R>^(-n-1) at every lattice site."""
     if not R > 0:
         raise ValueError(f"weight radius must be positive, got {R}")
-    radii = grid.radii()
-    weight = bracket(radii / R) ** -(grid.n + 1)
-
-    def m(u: Field) -> float:
-        acc = complex(np.sum(u.values * weight)) * grid.cell_volume
-        return -(alpha * acc).imag
-    return m
+    return bracket(grid.radii() / R) ** -(grid.n + 1)
 
 
 def weighted_functional(u: Field, alpha: complex, R: float) -> float:
     """M_R(u) = -Im(alpha * integral of u against <x/R>^(-n-1)), by lattice quadrature."""
-    return _functional(u.grid, alpha, R)(u)
+    acc = complex(np.sum(u.values * _test_weight(u.grid, R))) * u.grid.cell_volume
+    return -(alpha * acc).imag
+
+
+def _spectral_readings(u: Field, alpha: complex, w_hat: np.ndarray) -> tuple[float, float]:
+    """(M_R, L2 norm) of u from its spectrum alone, by Parseval.
+
+    ``w_hat`` is the test weight's DFT times dx^n / N^n, real and contiguous.
+    """
+    spec = u.spectrum
+    # real and imaginary parts side by side, so that w_hat needs no complex copy
+    re, im = w_hat.ravel() @ spec.view(np.float64).reshape(-1, 2)
+    l2_sq = np.vdot(spec, spec).real * u.grid.cell_volume / spec.size
+    return -(alpha * complex(re, im)).imag, math.sqrt(l2_sq)
 
 
 def _require_resolved(f: Field) -> None:
@@ -215,43 +225,53 @@ def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
     """March the split-step scheme from step size dt, recording M_R(t) at R = weight_radius.
 
     Halts at t_max, or flags blow-up once the sup norm reaches
-    ``THRESHOLD_FACTOR * sup|u0|``; violent steps (non-finite values or sup
-    growth beyond ``GROWTH_CAP``) are retried with halved dt until
-    ``MAX_HALVINGS`` halvings run out, at which point the last accepted
-    time is reported as the numerical blow-up time.
+    ``THRESHOLD_FACTOR * sup|u0|``.  A step's sup norm is that of its
+    post-source stage, half a linear step before the step's end; M_R and
+    the L2 norm are read from the output's spectrum.  Violent steps
+    (non-finite values or sup growth beyond ``GROWTH_CAP``) are retried
+    with halved dt until ``MAX_HALVINGS`` halvings run out, at which point
+    the last accepted time is reported as the numerical blow-up time.
     """
     _require_positive(dt=dt, t_max=t_max)
-    _require_resolved(u0)
+    # one DFT of u0 serves the resolution check, M_R(0) and the first step;
+    # u0's samples are shared, not copied: the loop reads only the spectrum
+    spec = np.fft.fftn(u0.values)
+    spec.setflags(write=False)
+    u = Field(u0.grid, u0.values, spectrum=spec)
+    _require_resolved(u)
     sup0 = u0.sup_norm()
     if not 0.0 < sup0 < math.inf:
         raise ValueError(f"initial sup norm must be finite and positive, got {sup0!r}")
     threshold = THRESHOLD_FACTOR * sup0
 
-    m_of = _functional(u0.grid, params.alpha, weight_radius)
-    u = u0.copy()
+    # the weight is even on the lattice, so its DFT is real; a real copy
+    # lets the complex transform go
+    w_hat = np.fft.fftn(_test_weight(u0.grid, weight_radius)).real.copy()
+    w_hat *= u0.grid.cell_volume / w_hat.size
     t = 0.0
     dt_floor = dt / 2**MAX_HALVINGS
     t_num = None
 
-    times, m_r, sups, l2s = [0.0], [m_of(u)], [sup0], [u0.l2_norm()]
+    m0, l2_0 = _spectral_readings(u, params.alpha, w_hat)
+    times, m_r, sups, l2s = [0.0], [m0], [sup0], [l2_0]
     sup = sup0
     while t < t_max:
         dt_step = min(dt, t_max - t)
         trial = strang_step(u, dt_step, params)
-        trial_sup = trial.sup_norm()
-        # non-finite values make the sup NaN or infinite, failing this test too
-        if not trial_sup <= GROWTH_CAP * max(sup, 1e-300):
+        # a non-finite stage makes its sup NaN or infinite, failing this test too
+        if not trial.stage_sup <= GROWTH_CAP * max(sup, 1e-300):
             if dt * 0.5 < dt_floor:
                 t_num = t
                 break
             dt *= 0.5
             continue
-        u, sup = trial, trial_sup
+        u, sup = trial, trial.stage_sup
         t += dt_step
+        m, l2 = _spectral_readings(u, params.alpha, w_hat)
         times.append(t)
-        m_r.append(m_of(u))
+        m_r.append(m)
         sups.append(sup)
-        l2s.append(u.l2_norm())
+        l2s.append(l2)
         if sup >= threshold:
             t_num = t
             break

@@ -1,7 +1,7 @@
 """Periodic sampling lattices and complex-valued sampled fields."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,25 +68,43 @@ class GridSpec:
         return (self.N,) * self.n
 
 
-@dataclass
 class Field:
     """Complex scalar samples on a GridSpec lattice.
 
-    ``spectrum`` is the DFT of ``values`` when the code that made the field
-    already holds it (the time stepper does), else None.  The stepper makes
-    both arrays read-only, so that they cannot fall out of step; ``copy()``
-    gives writable values without a spectrum.
+    A field is made from its samples, or from its DFT alone, as the time
+    stepper makes its outputs: then ``values`` is the inverse DFT, taken on
+    first read, kept and read-only.  ``spectrum`` is the DFT when the code
+    that made the field holds it, else None; the stepper makes it read-only,
+    so that values and spectrum cannot fall out of step.  ``copy()`` gives
+    writable values without a spectrum.  ``stage_sup`` is set on a time
+    step's output only: the sup norm of the step's post-source stage, half
+    a linear step before the output.
     """
 
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    def __init__(self, grid: GridSpec, values: np.ndarray | None = None, *,
+                 spectrum: np.ndarray | None = None, stage_sup: float | None = None):
+        if values is not None:
+            values = np.asarray(values, dtype=np.complex128)
+        elif spectrum is None:
+            raise ValueError("a field needs its values or its spectrum")
+        shape = (values if values is not None else spectrum).shape
+        if shape != grid.shape:
+            raise ValueError(f"field shape {shape} != grid shape {grid.shape}")
+        self.grid = grid
+        self._values = values
+        self.spectrum = spectrum
+        self.stage_sup = stage_sup
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        self.values = v
+    def __repr__(self) -> str:
+        return f"Field(grid={self.grid!r})"
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            values = np.fft.ifftn(self.spectrum)
+            values.setflags(write=False)
+            self._values = values
+        return self._values
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "Field":

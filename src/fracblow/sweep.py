@@ -99,9 +99,12 @@ class SweepRow:
     m0: float = math.nan
     condition_holds: bool = False
     in_regime: bool = False
-    blew_up: bool = False
     failed: bool = False
     note: str = ""
+
+    @property
+    def blew_up(self) -> bool:
+        return self.t_num is not None
 
 
 @dataclass
@@ -156,7 +159,6 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
         dt = plan.dt_factor / u0.sup_norm() if plan.kind == "inner-singular" else plan.dt_base
         horizon = HORIZON_FACTOR * min(report.t_bound, rr.t_bound_formula)
         rec = evolve(u0, plan.params, dt, horizon, rr.r_star)
-        row.blew_up = rec.blew_up
         row.t_num = rec.t_num
         if not rec.blew_up:
             row.note = f"no blow-up before horizon {horizon:.4g}"

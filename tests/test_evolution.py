@@ -132,6 +132,34 @@ class TestEvolve:
             start = int(np.argmax(hot))
             assert np.all(np.diff(sup[start:]) >= -1e-9 * sup[start:][:-1])
 
+    def test_two_ffts_per_step(self, monkeypatch):
+        # one DFT of u0, one of the weight, then one transform each way a step
+        g = GridSpec(1, 20.0, 512)
+        u0 = Field.from_function(g, gaussian_packet)
+        calls = []
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        rec = evolve(u0, ProblemParams(1, 2.0, 1j), 0.01, 0.2, 1.0)
+        monkeypatch.undo()
+        k = len(rec.times) - 1
+        assert k == 20 and not rec.blew_up
+        assert len(calls) <= 2 * k + 2
+
+    @pytest.mark.parametrize("grid, data", [
+        (GridSpec(1, 20.0, 1024), lambda x: 1.5 * np.exp(-x * x) * np.exp(0.5j * x)),
+        (GridSpec(2, 10.0, 64), lambda x, y: 1.5 * np.exp(-(x**2 + y**2)) * np.exp(0.5j * x)),
+    ])
+    def test_spectral_readings_match_the_final_state(self, grid, data):
+        # M_R and L2 come from the spectrum; the final values give the same numbers
+        params = ProblemParams(grid.n, 2.0, 1j)
+        rec = evolve(Field.from_function(grid, data), params, 0.01, 0.3, 1.5)
+        want_m = evolution.weighted_functional(rec.final, params.alpha, 1.5)
+        assert rec.m_r[-1] == pytest.approx(want_m, rel=1e-12)
+        assert rec.l2_norm[-1] == pytest.approx(rec.final.l2_norm(), rel=1e-12)
+
     def test_free_flow_conserves_l2_dim2(self):
         g = GridSpec(2, 10.0, 64)
         u0 = Field.from_function(g, lambda x, y: np.exp(-(x**2 + y**2)) + 0j)
@@ -158,8 +186,10 @@ class TestEvolve:
 
 def reference_step(f, dt, params):
     """The Strang composition spelled out with the public building blocks."""
-    half = linear_propagator(f, 0.5 * dt)
-    return linear_propagator(nonlinear_step(half, dt, params), 0.5 * dt)
+    stage = nonlinear_step(linear_propagator(f, 0.5 * dt), dt, params)
+    out = linear_propagator(stage, 0.5 * dt)
+    return Field(f.grid, out.values, spectrum=np.fft.fftn(out.values),
+                 stage_sup=stage.sup_norm())
 
 
 class TestStrangKernel:
@@ -189,6 +219,26 @@ class TestStrangKernel:
             <= 1e-12 * np.max(np.abs(out.spectrum))
         assert u.copy().spectrum is None
 
+    def test_values_are_one_lazy_inverse_dft(self):
+        g = GridSpec(1, 20.0, 256)
+        out = strang_step(Field.from_function(g, gaussian_packet), 0.05,
+                          ProblemParams(1, 2.0, 1j))
+        values = out.values
+        assert np.array_equal(values, np.fft.ifftn(out.spectrum))
+        assert not values.flags.writeable
+        assert out.values is values
+
+    def test_stage_sup_is_the_post_source_sup(self):
+        g = GridSpec(1, 20.0, 512)
+        params = ProblemParams(1, 2.0, 1.0 + 0.5j)
+        u = Field.from_function(g, lambda x: 1.2 * np.exp(-x * x) * np.exp(0.5j * x))
+        for _ in range(3):
+            out = strang_step(u, 0.05, params)
+            want = nonlinear_step(linear_propagator(u, 0.025), 0.05, params).sup_norm()
+            # the kernel reuses a carried spectrum where the reference takes a new DFT
+            assert out.stage_sup == pytest.approx(want, rel=1e-12)
+            u = out
+
     def test_output_is_read_only(self):
         # an in-place edit would leave the carried spectrum stale
         g = GridSpec(1, 20.0, 256)
@@ -216,7 +266,7 @@ class TestStrangKernel:
             if len(sizes) == 1:
                 values = out.values.copy()
                 values[7] = bad
-                return Field(f.grid, values)
+                return Field(f.grid, values, stage_sup=bad)
             return out
 
         monkeypatch.setattr(evolution, "strang_step", first_call_bad)

@@ -8,8 +8,10 @@ of a checkout).  Both trees run the same jobs, one process each, in a
 temporary directory: the three benchmark workloads of
 ``fracbench/inputs.py`` at seeds 0-3, and the README's example config
 through all five commands.  Every CSV, JSON and NPY file a job writes is
-compared byte for byte, and so is its exit code.  Prints one line per job
-and exits 0 when everything matches, 1 on any difference.
+compared byte for byte, and so is its exit code.  Prints one line per job,
+and for each CSV that differs the columns that moved, each with its
+largest relative difference; exits 0 when everything matches, 1 on any
+difference.
 
 Standard library only.  The configs come from the checkout holding this
 script; the code under test comes only from the two arguments.
@@ -17,6 +19,9 @@ script; the code under test comes only from the two arguments.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +70,31 @@ def outputs(out: Path) -> dict[str, bytes]:
             for p in sorted(out.rglob("*")) if p.suffix in SUFFIXES}
 
 
+def moved_columns(old: bytes, new: bytes) -> str:
+    """The columns in which two CSV tables differ, each with its largest
+    relative difference (``text`` when a differing cell is not a number)."""
+    a = list(csv.reader(io.StringIO(old.decode())))
+    b = list(csv.reader(io.StringIO(new.decode())))
+    if not a or not b or a[0] != b[0] or len(a) != len(b):
+        return "header or row count differs"
+    moved = {}
+    for row_a, row_b in zip(a[1:], b[1:]):
+        for name, x, y in zip(a[0], row_a, row_b):
+            if x == y:
+                continue
+            try:
+                fx, fy = float(x), float(y)
+                scale = max(abs(fx), abs(fy))
+                rel = abs(fx - fy) / scale if scale > 0 else math.inf
+            except ValueError:
+                rel = math.nan
+            worst = moved.get(name, 0.0)
+            # a text difference (NaN) sticks
+            moved[name] = worst if math.isnan(worst) or rel <= worst else rel
+    return ", ".join(f"{name} " + ("text" if math.isnan(rel) else f"max rel {rel:.3g}")
+                     for name, rel in moved.items())
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_src", type=Path)
@@ -89,7 +119,9 @@ def main(argv=None) -> int:
             problems = [] if code_a == code_b else [f"exit code {code_a} -> {code_b}"]
             names = sorted(out_a.keys() | out_b.keys())
             problems += [f"{f}: " + ("missing" if f not in out_b else
-                                     "added" if f not in out_a else "differs")
+                                     "added" if f not in out_a else
+                                     f"differs ({moved_columns(out_a[f], out_b[f])})"
+                                     if f.endswith(".csv") else "differs")
                          for f in names if out_a.get(f) != out_b.get(f)]
             files += len(names)
             differences += len(problems)

@@ -1,9 +1,8 @@
 """Numerical laboratory for half-Laplacian decay estimates and blow-up bounds."""
 
 from .grid import Field, GridSpec
-from .profiles import RadialProfile, bracket, bracket_profile, constant_profile, gaussian_profile
+from .profiles import RadialProfile, bracket, bracket_profile, gaussian_profile
 from .pv import (
-    PVQuadratureConfig,
     PVResult,
     QuadratureError,
     frac_laplacian_pv,
@@ -11,7 +10,7 @@ from .pv import (
     normalization_constant,
     sphere_measure,
 )
-from .spectral import apply_multiplier, cordoba_violation, frac_laplacian_spectral
+from .spectral import cordoba_violation, frac_laplacian_spectral
 from .evolution import (
     ProblemParams,
     TrajectoryRecord,

@@ -144,7 +144,11 @@ def nonlinear_step(f: Field, dt: float, params: ProblemParams) -> Field:
 
 @functools.lru_cache(maxsize=2)
 def _half_step_phase(grid: GridSpec, dt: float) -> np.ndarray:
-    """exp(i dt/2 |xi|), the multiplier of a linear half step (read-only)."""
+    """exp(i dt/2 |xi|), the multiplier of a linear half step (read-only).
+
+    Two entries, because ``scaling_check`` alternates two grids; ``evolve``
+    empties the cache when it ends.
+    """
     phase = np.exp(1j * (0.5 * dt) * grid.abs_freq())
     phase.setflags(write=False)
     return phase
@@ -255,26 +259,30 @@ def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
     m0, l2_0 = _spectral_readings(u, params.alpha, w_hat)
     times, m_r, sups, l2s = [0.0], [m0], [sup0], [l2_0]
     sup = sup0
-    while t < t_max:
-        dt_step = min(dt, t_max - t)
-        trial = strang_step(u, dt_step, params)
-        # a non-finite stage makes its sup NaN or infinite, failing this test too
-        if not trial.stage_sup <= GROWTH_CAP * max(sup, 1e-300):
-            if dt * 0.5 < dt_floor:
+    try:
+        while t < t_max:
+            dt_step = min(dt, t_max - t)
+            trial = strang_step(u, dt_step, params)
+            # a non-finite stage makes its sup NaN or infinite, failing this test too
+            if not trial.stage_sup <= GROWTH_CAP * max(sup, 1e-300):
+                if dt * 0.5 < dt_floor:
+                    t_num = t
+                    break
+                dt *= 0.5
+                continue
+            u, sup = trial, trial.stage_sup
+            t += dt_step
+            m, l2 = _spectral_readings(u, params.alpha, w_hat)
+            times.append(t)
+            m_r.append(m)
+            sups.append(sup)
+            l2s.append(l2)
+            if sup >= threshold:
                 t_num = t
                 break
-            dt *= 0.5
-            continue
-        u, sup = trial, trial.stage_sup
-        t += dt_step
-        m, l2 = _spectral_readings(u, params.alpha, w_hat)
-        times.append(t)
-        m_r.append(m)
-        sups.append(sup)
-        l2s.append(l2)
-        if sup >= threshold:
-            t_num = t
-            break
+    finally:
+        # kept, a run's phases would outlive it as dead lattice-sized arrays
+        _half_step_phase.cache_clear()
 
     return TrajectoryRecord(times=np.array(times), m_r=np.array(m_r),
                             sup_norm=np.array(sups), l2_norm=np.array(l2s),

@@ -130,9 +130,6 @@ class Field:
         """Lattice L2 norm, sqrt(sum |v|^2 dx^n)."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
 
-    def l1_norm(self) -> float:
-        return float(np.sum(np.abs(self.values)) * self.grid.cell_volume)
-
     def boundary_max(self) -> float:
         """Largest |value| on the outermost lattice ring."""
         v = np.abs(self.values)

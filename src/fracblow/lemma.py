@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .profiles import RadialProfile, bracket, bracket_profile, gaussian_profile
-from .pv import PVQuadratureConfig, frac_laplacian_pv, normalization_constant, sphere_measure
+from .pv import TOL, Y_MAX, frac_laplacian_pv, normalization_constant, sphere_measure
 from .reporting import write_csv, write_manifest
 
 __all__ = [
@@ -93,13 +93,12 @@ class LemmaVerdict:
     samples: tuple[LemmaSample, ...] = ()
 
 
-def default_radii(window: tuple[float, float] = FIT_WINDOW,
-                  per_decade: int = 8) -> np.ndarray:
-    """Sampling radii: origin, a coarse midrange, and a dense fit window."""
+def default_radii(window: tuple[float, float] = FIT_WINDOW) -> np.ndarray:
+    """Sampling radii: origin, a coarse midrange, and 8 a decade in the fit window."""
     lo, hi = window
     mid = np.geomspace(0.25, lo, 10, endpoint=False)
     decades = math.log10(hi / lo)
-    fit = np.geomspace(lo, hi, max(8, int(round(per_decade * decades)) + 1))
+    fit = np.geomspace(lo, hi, max(8, int(round(8 * decades)) + 1))
     return np.concatenate(([0.0], mid, fit))
 
 
@@ -114,16 +113,14 @@ def _sample(n: int, profile: RadialProfile, radii, decay: float,
     the larger domains they need.  Everything else is the default rule.
     """
     b, omega = normalization_constant(n).value, sphere_measure(n)
-    rule = PVQuadratureConfig()
     out = []
     for r in radii:
         r = float(r)
-        tol = max(rule.tol * float(bracket(r) ** -decay) * 50.0, 1e-13)
-        y = max(rule.y_max, cutoff_factor * (1.0 + r))
+        tol = max(TOL * float(bracket(r) ** -decay) * 50.0, 1e-13)
+        y = max(Y_MAX, cutoff_factor * (1.0 + r))
         while b * omega * profile.tail(y - r) / (2.0 * y) > tol / 3.0 and y < 1e9:
             y *= 2.0
-        cfg = PVQuadratureConfig(y_max=y, tol=tol)
-        res = frac_laplacian_pv(profile, r if n == 1 else (r, 0.0), cfg)
+        res = frac_laplacian_pv(profile, r if n == 1 else (r, 0.0), y, tol)
         out.append(LemmaSample(r, res.value, res.error))
     return out
 
@@ -214,7 +211,7 @@ def _regime_of(n: int, q: float) -> str:
     return "q<n" if q < n else "q>n"
 
 
-def verify_lemma(n: int, q: float, radii=None,
+def verify_lemma(n: int, q: float,
                  window: tuple[float, float] = FIT_WINDOW) -> LemmaVerdict:
     """Sample, fit, and judge the decay regime of the weight's half-Laplacian.
 
@@ -229,9 +226,7 @@ def verify_lemma(n: int, q: float, radii=None,
     """
     if n not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
-    if radii is None:
-        radii = default_radii(window)
-    samples = sample_frac_weight(n, q, radii)
+    samples = sample_frac_weight(n, q, default_radii(window))
     regime = _regime_of(n, q)
     tol = EXPONENT_TOL[n]
 

@@ -20,31 +20,20 @@ class RadialProfile:
     ``fn`` takes the squared radius s = r^2 and returns f(sqrt(s)), so the
     singular quadrature evaluates it on |x + y|^2 without a square root;
     calling the profile takes the radius itself.  ``tail(r)`` takes the
-    radius: it must bound sup_{|z| >= r} |f(z)| from above, and ``floor``
-    must bound inf over the same set from below (0 for decaying profiles).
-    These drive the certified far-field error in the singular quadrature.
-    ``scale`` is the radius over which f varies near its core; it controls
-    feature refinement in the quadrature.
+    radius: it must bound sup_{|z| >= r} |f(z)| from above.  Every profile
+    is nonnegative and decays, so the far field beyond radius r lies in
+    [0, tail(r)]; that bracket is the certified far-field error of the
+    singular quadrature.  ``scale`` is the radius over which f varies near
+    its core; it controls feature refinement in the quadrature.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     tail: Callable[[float], float]
-    floor: float = 0.0
     scale: float = 1.0
     label: str = ""
 
     def __call__(self, r):
         return self.fn(np.square(np.asarray(r, dtype=np.float64)))
-
-    def combine(self, other: "RadialProfile", a: float = 1.0, b: float = 1.0) -> "RadialProfile":
-        """a*self + b*other, with a crude (triangle-inequality) tail bound."""
-        return RadialProfile(
-            fn=lambda s: a * self.fn(s) + b * other.fn(s),
-            tail=lambda r: abs(a) * self.tail(r) + abs(b) * other.tail(r),
-            floor=min(a * self.floor, b * other.floor, 0.0),
-            scale=max(self.scale, other.scale),
-            label=f"{a}*{self.label}+{b}*{other.label}",
-        )
 
 
 def bracket_profile(q: float, R: float = 1.0) -> RadialProfile:
@@ -52,7 +41,7 @@ def bracket_profile(q: float, R: float = 1.0) -> RadialProfile:
     if not (0.0 < q < math.inf and 0.0 < R < math.inf):
         raise ValueError(f"bracket profile needs finite q > 0 and R > 0, got q={q!r}, R={R!r}")
     fn = lambda s: (1.0 + s / (R * R)) ** (-0.5 * q)
-    return RadialProfile(fn=fn, tail=lambda r: float(fn(max(r, 0.0) ** 2)), floor=0.0,
+    return RadialProfile(fn=fn, tail=lambda r: float(fn(max(r, 0.0) ** 2)),
                          scale=R, label=f"bracket(q={q},R={R})")
 
 
@@ -61,11 +50,5 @@ def gaussian_profile(width: float = 1.0) -> RadialProfile:
     if not 0.0 < width < math.inf:
         raise ValueError(f"gaussian width must be finite and positive, got {width!r}")
     fn = lambda s: np.exp(-s / (width * width))
-    return RadialProfile(fn=fn, tail=lambda r: float(fn(max(r, 0.0) ** 2)), floor=0.0,
+    return RadialProfile(fn=fn, tail=lambda r: float(fn(max(r, 0.0) ** 2)),
                          scale=width, label=f"gaussian(w={width})")
-
-
-def constant_profile(c: float = 1.0) -> RadialProfile:
-    return RadialProfile(fn=lambda s: np.full_like(s, c, dtype=np.float64),
-                         tail=lambda r: c, floor=c, scale=1.0, label=f"const({c})")
-

@@ -16,8 +16,12 @@ accumulating at the antipodal direction, where the integrand develops an
 O(scale/|x|) feature.  Profiles are evaluated on the squared radius
 |x + r w|^2, and the n = 2 (radial x angular) table is swept in row blocks
 that stay in cache.  Everything past the far cutoff is handled with an
-exact term for the f(x) part and a certified bracket for the rest, so each
-returned value carries a defensible error estimate.
+exact term for the f(x) part and a certified bracket [0, tail] for the
+rest (every profile decays), so each returned value carries a defensible
+error estimate.
+
+The rule is fixed in code: only the far cutoff ``y_max`` and the tolerance
+``tol`` are arguments, and only the lemma's sampler varies them.
 """
 from __future__ import annotations
 
@@ -30,7 +34,6 @@ import numpy as np
 from .profiles import RadialProfile
 
 __all__ = [
-    "PVQuadratureConfig",
     "PVResult",
     "QuadratureError",
     "sphere_measure",
@@ -40,26 +43,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PVQuadratureConfig:
-    """Shell decomposition and tolerance policy for the singular integral."""
-
-    eps0: float = 1e-3        # innermost shell boundary
-    growth: float = 1.7       # geometric shell ratio
-    y_max: float = 256.0      # far cutoff of the explicit shells
-    radial_nodes: int = 12    # Gauss nodes per radial shell
-    angular_nodes: int = 12   # Gauss nodes per angular segment (n = 2)
-    tol: float = 1e-6         # target absolute tolerance per point value
-
-    def __post_init__(self):
-        if not (0.0 < self.eps0 < 1.0 <= self.y_max):
-            raise ValueError("need 0 < eps0 < 1 <= y_max")
-        if not 1.0 < self.growth < math.inf:
-            raise ValueError("shell growth factor must be finite and exceed 1")
-        if self.radial_nodes < 2 or self.angular_nodes < 2:
-            raise ValueError("need at least 2 nodes per shell")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tolerance must be finite and positive")
+#: innermost shell boundary
+EPS0 = 1e-3
+#: geometric ratio of the radial shells and of the angular segments
+GROWTH = 1.7
+#: Gauss nodes per radial shell, and per angular segment for n = 2
+RADIAL_NODES = ANGULAR_NODES = 12
+#: default far cutoff of the explicit shells, and default target tolerance
+Y_MAX, TOL = 256.0, 1e-6
 
 
 @dataclass(frozen=True)
@@ -124,20 +115,20 @@ def _geometric_ladder(lo: float, hi: float, g: float) -> list[float]:
     return out
 
 
-def _radial_breaks(quad: PVQuadratureConfig, ax: float, scale: float, y: float) -> np.ndarray:
+def _radial_breaks(ax: float, scale: float, y: float) -> np.ndarray:
     """Shell boundaries on [0, y], refined around the feature at r = ax.
 
     The innermost boundary never drops below 2% of the profile scale: the
     symmetrized integrand is smooth there, and smaller first shells only
     amplify the r^(-2) roundoff of the cancellation in S.
     """
-    eps_eff = max(quad.eps0, 0.02 * scale)
+    eps_eff = max(EPS0, 0.02 * scale)
     pts = {0.0, y}
-    pts.update(_geometric_ladder(eps_eff, y, quad.growth))
+    pts.update(_geometric_ladder(eps_eff, y, GROWTH))
     if ax > 0 and ax < y:
         # resolve the profile core (width ~ scale) seen at radius ax
-        delta0 = min(quad.eps0 * scale, 0.25 * ax)
-        for d in _geometric_ladder(delta0, 0.75 * ax, quad.growth):
+        delta0 = min(EPS0 * scale, 0.25 * ax)
+        for d in _geometric_ladder(delta0, 0.75 * ax, GROWTH):
             pts.add(ax - d)
             if ax + d < y:
                 pts.add(ax + d)
@@ -147,10 +138,10 @@ def _radial_breaks(quad: PVQuadratureConfig, ax: float, scale: float, y: float) 
     return b[keep]
 
 
-def _theta_breaks(ax: float, scale: float, g: float) -> np.ndarray:
+def _theta_breaks(ax: float, scale: float) -> np.ndarray:
     """Angular segment boundaries on [0, pi], accumulating at pi."""
     width = math.pi * min(1.0, 0.05 * scale / max(ax, scale))
-    offs = _geometric_ladder(width, math.pi, g)
+    offs = _geometric_ladder(width, math.pi, GROWTH)
     pts = sorted({0.0, math.pi} | {math.pi - d for d in offs})
     return np.array(pts)
 
@@ -204,45 +195,45 @@ def _sphere_integral_2d(profile: RadialProfile, ax: float, f_ax: float, r: np.nd
     return 2.0 * s, 2.0 * (abs(f_ax) * float(np.sum(awt)) + smag)
 
 
-def frac_laplacian_pv(profile: RadialProfile, x, quad: PVQuadratureConfig) -> PVResult:
+def frac_laplacian_pv(profile: RadialProfile, x, y_max: float = Y_MAX,
+                      tol: float = TOL) -> PVResult:
     """Half-Laplacian of a radial profile at point x via singular quadrature.
 
     The kernel normalization is :func:`normalization_constant` of the
     point's dimension.  The reported error combines a node-refinement
-    difference, the certified bracket of the far field beyond
-    ``quad.y_max``, and a cancellation roundoff term; if it misses
-    ``quad.tol`` a :class:`QuadratureError` carries the partial value and
-    residual.
+    difference, the certified bracket of the far field beyond ``y_max``,
+    and a cancellation roundoff term; if it misses ``tol`` a
+    :class:`QuadratureError` carries the partial value and residual.
     """
+    if not 1.0 <= y_max < math.inf:
+        raise ValueError(f"y_max must be finite and at least 1, got {y_max!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     n = xv.size
     if n not in (1, 2):
         raise ValueError("point must have 1 or 2 coordinates")
     ax = float(np.linalg.norm(xv))
-    b = normalization_constant(n).value
-    y = quad.y_max
-    omega = sphere_measure(n)
+    b, omega = normalization_constant(n).value, sphere_measure(n)
+    y = y_max
 
     # the coarse and the fine rule share the breaks and f(|x|)
     f_ax = float(profile(ax))
-    rb = _radial_breaks(quad, ax, profile.scale, y)
-    tb = _theta_breaks(ax, profile.scale, quad.growth) if n == 2 else None
-    coarse, _ = _radial_integral(profile, ax, f_ax, rb, tb,
-                                 quad.radial_nodes, quad.angular_nodes)
+    rb = _radial_breaks(ax, profile.scale, y)
+    tb = _theta_breaks(ax, profile.scale) if n == 2 else None
+    coarse, _ = _radial_integral(profile, ax, f_ax, rb, tb, RADIAL_NODES, ANGULAR_NODES)
     fine, cmass = _radial_integral(profile, ax, f_ax, rb, tb,
-                                   quad.radial_nodes + 6, quad.angular_nodes + 6)
+                                   RADIAL_NODES + 6, ANGULAR_NODES + 6)
 
     # beyond y:  int r^-2 S dr = omega*f(ax)/y - int_{|y'|>y} f(x+y') K dy',
-    # the second term sits inside [floor, tail(y-ax)] * omega / y
-    hi = profile.tail(y - ax) if y > ax else profile.tail(0.0)
-    lo = profile.floor
-    tail_mid = 0.5 * (hi + lo)
-    tail_half = 0.5 * (hi - lo)
+    # the second term sits inside [0, tail(y-ax)] * omega / y: its midpoint
+    # and its half-width are both half the tail bound
+    tail_half = 0.5 * (profile.tail(y - ax) if y > ax else profile.tail(0.0))
 
-    value = b * (fine + (f_ax - tail_mid) * omega / y)
+    value = b * (fine + (f_ax - tail_half) * omega / y)
     roundoff = np.finfo(float).eps * (16.0 * cmass + 4.0 * abs(f_ax) * omega / y)
     err = b * (3.0 * abs(fine - coarse) + tail_half * omega / y + roundoff)
-    if not err <= quad.tol:  # a NaN error is no certificate
+    if not err <= tol:  # a NaN error is no certificate
         raise QuadratureError(
             f"shell series not converged at y_max={y} for |x|={ax:.3g}", value, err)
     return PVResult(value, err)
@@ -252,7 +243,7 @@ def frac_laplacian_pv_many(profile: RadialProfile, xs) -> tuple[np.ndarray, np.n
     """Pointwise PV evaluation at the default rule, in the order of the points."""
     vals, errs = [], []
     for x in xs:
-        res = frac_laplacian_pv(profile, x, PVQuadratureConfig())
+        res = frac_laplacian_pv(profile, x)
         vals.append(res.value)
         errs.append(res.error)
     return np.array(vals), np.array(errs)

@@ -5,7 +5,7 @@ import numpy as np
 
 from .grid import Field
 
-__all__ = ["apply_multiplier", "frac_laplacian_spectral", "cordoba_violation"]
+__all__ = ["frac_laplacian_spectral", "cordoba_violation"]
 
 
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:

@@ -70,7 +70,7 @@ def outer_sweep():
     return plan, result, constants, time.monotonic() - start
 
 
-def test_criterion_01_normalization_constant(quad):
+def test_criterion_01_normalization_constant():
     start = time.monotonic()
     res = normalization_constant(1)
     elapsed = time.monotonic() - start

@@ -167,6 +167,25 @@ class TestEvolve:
         drift = np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0]
         assert drift < 1e-12
 
+    def test_phase_cache_emptied_when_evolve_ends(self, monkeypatch):
+        # no half-step phase outlives its run, whether the run returns or raises
+        g = GridSpec(2, 10.0, 64)
+        u0 = Field.from_function(g, lambda x, y: np.exp(-(x**2 + y**2)) + 0j)
+        params = ProblemParams(2, 2.0, 1j)
+        evolve(u0, params, 0.02, 0.2, 1.0)
+        assert evolution._half_step_phase.cache_info().currsize == 0
+
+        kernel = evolution.strang_step
+
+        def step_then_fail(f, dt, params):
+            kernel(f, dt, params)
+            raise RuntimeError("stepper failed")
+
+        monkeypatch.setattr(evolution, "strang_step", step_then_fail)
+        with pytest.raises(RuntimeError, match="stepper failed"):
+            evolve(u0, params, 0.02, 0.2, 1.0)
+        assert evolution._half_step_phase.cache_info().currsize == 0
+
     def test_strang_self_convergence_second_order(self):
         g = GridSpec(1, 20.0, 1024)
         params = ProblemParams(1, 2.0, 1.0 + 0.5j)

@@ -1,5 +1,4 @@
 """Singular-quadrature evaluator against analytic and brute-force oracles."""
-import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +9,9 @@ from scipy.special import j0
 
 from fracblow import pv
 from fracblow.lemma import sample_frac_weight
-from fracblow.profiles import RadialProfile, bracket_profile, constant_profile, gaussian_profile
-from fracblow.pv import (PVQuadratureConfig, QuadratureError, frac_laplacian_pv,
-                         frac_laplacian_pv_many, normalization_constant)
+from fracblow.profiles import RadialProfile, bracket_profile, gaussian_profile
+from fracblow.pv import (QuadratureError, frac_laplacian_pv, frac_laplacian_pv_many,
+                         normalization_constant)
 
 
 def lorentzian_half_laplacian(x):
@@ -22,7 +21,7 @@ def lorentzian_half_laplacian(x):
 
 
 class TestNormalizationConstant:
-    def test_dim1_analytic_oracle(self, quad):
+    def test_dim1_analytic_oracle(self):
         # oracle: int (1-cos t)/t^2 over R equals pi, so B = 1/pi
         res = normalization_constant(1)
         assert abs(res.value - 1.0 / math.pi) < 1e-6
@@ -37,7 +36,7 @@ class TestNormalizationConstant:
         assert abs(res.value - 1.0 / (n * math.pi)) <= 2 * math.ulp(want)
         assert 0.0 < res.error <= 4 * np.finfo(float).eps * res.value
 
-    def test_dim2_brute_force_oracle(self, quad):
+    def test_dim2_brute_force_oracle(self):
         # independent oracle: 2 pi int_0^inf (1 - J0(r))/r^2 dr by adaptive
         # panels of half a period, plus the coarse 1/Y tail bracket
         y = 3000.0
@@ -52,38 +51,31 @@ class TestNormalizationConstant:
         assert abs(res.value - oracle) < 1e-6
         assert res.error <= 1e-8
 
-    def test_bad_dimension(self, quad):
+    def test_bad_dimension(self):
         with pytest.raises(ValueError):
             normalization_constant(3)
 
 
 class TestPointwiseEvaluator:
-    def test_constant_profile_vanishes(self, quad):
-        for x in (0.0, 1.7, -3.2):
-            res = frac_laplacian_pv(constant_profile(1.0), x, quad)
-            assert res.value == 0.0
-            assert res.error < 1e-9  # roundoff certificate only
-
     @pytest.mark.parametrize("x,expected", [(0.0, 1.0), (1.0, 0.0), (2.0, -3.0 / 25.0)])
-    def test_lorentzian_closed_form(self, quad, x, expected):
-        res = frac_laplacian_pv(bracket_profile(2.0), x, quad)
+    def test_lorentzian_closed_form(self, x, expected):
+        res = frac_laplacian_pv(bracket_profile(2.0), x)
         assert res.value == pytest.approx(expected, abs=1e-6)
         assert abs(res.value - expected) <= 2.0 * res.error + 1e-10
 
     def test_lorentzian_far_field(self):
         for x in (1e2, 1e3, 1e4):
-            cfg = PVQuadratureConfig(y_max=120.0 * (1 + x), tol=1.0)
-            res = frac_laplacian_pv(bracket_profile(2.0), x, cfg)
+            res = frac_laplacian_pv(bracket_profile(2.0), x, y_max=120.0 * (1 + x), tol=1.0)
             want = lorentzian_half_laplacian(x)
             assert res.value == pytest.approx(want, rel=1e-6)
 
-    def test_dim2_bracket_identity(self, quad):
+    def test_dim2_bracket_identity(self):
         # op <x>^(-1) = <x>^(-3) in two dimensions (Poisson-kernel Hankel
         # pair: the weight transforms to 2 pi e^(-s)/s, the multiplier
         # strips the 1/s, and s e^(-s) transforms back to <x>^(-3))
         for r in (0.0, 0.5, 2.0, 10.0, 100.0):
-            cfg = PVQuadratureConfig(y_max=max(256.0, 120.0 * (1 + r)), tol=1.0)
-            res = frac_laplacian_pv(bracket_profile(1.0), (r, 0.0), cfg)
+            res = frac_laplacian_pv(bracket_profile(1.0), (r, 0.0),
+                                    y_max=max(256.0, 120.0 * (1 + r)), tol=1.0)
             want = (1 + r * r) ** -1.5
             assert abs(res.value - want) <= res.error + 1e-12
             assert res.value == pytest.approx(want, rel=1e-4)
@@ -101,55 +93,57 @@ class TestPointwiseEvaluator:
         vals, _ = frac_laplacian_pv_many(gaussian_profile(), x[idx])
         assert np.max(np.abs(vals - spectral[idx])) < 1e-4
 
-    def test_gaussian_at_origin(self, quad):
+    def test_gaussian_at_origin(self):
         # 2/sqrt(pi), from integrating |xi| against the Gaussian transform
-        res = frac_laplacian_pv(gaussian_profile(), 0.0, quad)
+        res = frac_laplacian_pv(gaussian_profile(), 0.0)
         assert res.value == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-8)
 
-    def test_evenness_bitwise(self, quad):
-        a = frac_laplacian_pv(bracket_profile(2.0), 1.3, quad)
-        b = frac_laplacian_pv(bracket_profile(2.0), -1.3, quad)
+    def test_evenness_bitwise(self):
+        a = frac_laplacian_pv(bracket_profile(2.0), 1.3)
+        b = frac_laplacian_pv(bracket_profile(2.0), -1.3)
         assert a.value == b.value
 
-    def test_linearity(self, quad):
+    def test_linearity(self):
         f, g = bracket_profile(2.0), gaussian_profile()
-        combo = f.combine(g, a=0.7, b=-0.4)
+        combo = RadialProfile(fn=lambda s: 0.7 * f.fn(s) - 0.4 * g.fn(s),
+                              tail=lambda r: 0.7 * f.tail(r) + 0.4 * g.tail(r))
         for x in (0.0, 0.9, 3.0):
-            lhs = frac_laplacian_pv(combo, x, dataclasses.replace(quad, tol=1.0))
-            rhs = 0.7 * frac_laplacian_pv(f, x, quad).value \
-                - 0.4 * frac_laplacian_pv(g, x, quad).value
+            lhs = frac_laplacian_pv(combo, x, tol=1.0)
+            rhs = 0.7 * frac_laplacian_pv(f, x).value \
+                - 0.4 * frac_laplacian_pv(g, x).value
             assert lhs.value == pytest.approx(rhs, abs=1e-10)
 
-    def test_refinement_stability(self, quad):
-        # halving eps0 and doubling nodes moves the value by less than the
-        # reported certificate
-        refined = dataclasses.replace(quad, eps0=quad.eps0 / 2,
-                                      radial_nodes=2 * quad.radial_nodes)
-        for prof in (bracket_profile(2.0), gaussian_profile(), bracket_profile(3.0)):
-            for x in (0.0, 0.3, 1.5, 4.0, 9.0):
-                a = frac_laplacian_pv(prof, x, quad)
-                b = frac_laplacian_pv(prof, x, refined)
+    def test_refinement_stability(self, monkeypatch):
+        # halving EPS0 and doubling the radial nodes moves the value by less
+        # than the reported certificate
+        profiles = (bracket_profile(2.0), gaussian_profile(), bracket_profile(3.0))
+        points = (0.0, 0.3, 1.5, 4.0, 9.0)
+        default = [[frac_laplacian_pv(prof, x) for x in points] for prof in profiles]
+        monkeypatch.setattr(pv, "EPS0", pv.EPS0 / 2)
+        monkeypatch.setattr(pv, "RADIAL_NODES", 2 * pv.RADIAL_NODES)
+        for prof, row in zip(profiles, default):
+            for x, a in zip(points, row):
+                b = frac_laplacian_pv(prof, x)
                 assert abs(a.value - b.value) <= a.error
 
     def test_nonconvergence_raises_with_residual(self):
-        tight = PVQuadratureConfig(y_max=8.0, tol=1e-12)
         with pytest.raises(QuadratureError) as err:
-            frac_laplacian_pv(bracket_profile(0.5), 0.0, tight)
+            frac_laplacian_pv(bracket_profile(0.5), 0.0, y_max=8.0, tol=1e-12)
         assert err.value.residual > 1e-12
         assert math.isfinite(err.value.value)
 
-    def test_nan_values_raise(self, quad):
+    def test_nan_values_raise(self):
         # a NaN error estimate must fail the certificate gate, not pass it
         nan_profile = RadialProfile(fn=lambda s: np.full_like(s, np.nan), tail=lambda r: 1.0)
         for x in (0.0, 1.5, (0.5, 0.0)):
             with pytest.raises(QuadratureError):
-                frac_laplacian_pv(nan_profile, x, quad)
+                frac_laplacian_pv(nan_profile, x)
 
-    def test_batch_matches_pointwise(self, quad):
+    def test_batch_matches_pointwise(self):
         xs = [0.0, 0.5, 2.5]
         vals, errs = frac_laplacian_pv_many(bracket_profile(2.0), xs)
         for x, v, e in zip(xs, vals, errs):
-            res = frac_laplacian_pv(bracket_profile(2.0), x, quad)
+            res = frac_laplacian_pv(bracket_profile(2.0), x)
             assert res.value == v and res.error == e
 
 
@@ -190,20 +184,13 @@ class TestClosedFormCertificates:
                 assert abs(s.value - t.value) <= 1e-3 * t.error
 
 
-_quad_configs = st.builds(
-    PVQuadratureConfig,
-    eps0=st.floats(1e-5, 0.5),
-    growth=st.floats(1.2, 3.0),
-    y_max=st.floats(1.0, 4096.0),
-    radial_nodes=st.integers(2, 16),
-    angular_nodes=st.integers(2, 16),
-    tol=st.floats(-10.0, -2.0).map(lambda e: 10.0 ** e),
-)
+_y_max = st.floats(1.0, 4096.0)
+_tols = st.floats(-10.0, -2.0).map(lambda e: 10.0 ** e)
 _radii = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e4))
 
 
 class TestCertificateProperty:
-    """Over random quadrature settings and points, a returned value lies
+    """Over random far cutoffs, tolerances and points, a returned value lies
     within its certificate of the exact one; refusing is allowed.
 
     The Gaussian is left out: its certificates are known to miss.
@@ -211,11 +198,11 @@ class TestCertificateProperty:
 
     @pytest.mark.parametrize("n, q, exact", POISSON_CLOSED_FORMS)
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(config=_quad_configs, r=_radii, angle=st.floats(0.0, 2.0 * math.pi))
-    def test_value_within_certificate(self, n, q, exact, config, r, angle):
+    @given(y_max=_y_max, tol=_tols, r=_radii, angle=st.floats(0.0, 2.0 * math.pi))
+    def test_value_within_certificate(self, n, q, exact, y_max, tol, r, angle):
         x = r if n == 1 else (r * math.cos(angle), r * math.sin(angle))
         try:
-            res = frac_laplacian_pv(bracket_profile(q), x, config)
+            res = frac_laplacian_pv(bracket_profile(q), x, y_max, tol)
         except QuadratureError:
             return
         assert abs(res.value - exact(r)) <= res.error
@@ -240,20 +227,17 @@ class TestSquaredRadiusProfiles:
         assert profile.tail(-3.0) == profile.tail(0.0) == 1.0
 
 
-@pytest.mark.parametrize("key", ["tol", "growth"])
+@pytest.mark.parametrize("key", ["tol", "y_max"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_config_rejects_non_finite(key, bad):
-    # a NaN tol would switch off the certificate gate err > tol
+    # the rule's two arguments: a NaN or infinite tol would switch off the
+    # certificate gate err > tol
     with pytest.raises(ValueError, match="finite"):
-        PVQuadratureConfig(**{key: bad})
+        frac_laplacian_pv(bracket_profile(2.0), 1.0, **{key: bad})
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PVQuadratureConfig(eps0=2.0)
+        frac_laplacian_pv(bracket_profile(2.0), 1.0, tol=0.0)
     with pytest.raises(ValueError):
-        PVQuadratureConfig(growth=0.9)
-    with pytest.raises(ValueError):
-        PVQuadratureConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        PVQuadratureConfig(y_max=0.5)
+        frac_laplacian_pv(bracket_profile(2.0), 1.0, y_max=0.5)

@@ -11,7 +11,9 @@ through all five commands.  Every CSV, JSON and NPY file a job writes is
 compared byte for byte, and so is its exit code.  Prints one line per job,
 and for each CSV that differs the columns that moved, each with its
 largest relative difference; exits 0 when everything matches, 1 on any
-difference.
+difference.  Each job's line also gives the peak RSS of its process,
+parent -> change, from ``os.wait4``, and flags a rise above 2%; memory does
+not enter the exit code.
 
 Standard library only.  The configs come from the checkout holding this
 script; the code under test comes only from the two arguments.
@@ -35,6 +37,8 @@ import inputs  # noqa: E402  (standard library only)
 SEEDS = range(4)
 COMMANDS = ("constants", "frac-apply", "verify-lemma", "evolve", "sweep")
 SUFFIXES = (".csv", ".json", ".npy")
+#: a change's peak RSS above the parent's by more than this share is flagged
+RSS_RISE = 0.02
 
 
 def readme_config() -> str:
@@ -53,14 +57,19 @@ def jobs():
         yield f"readme-{command}", command, readme_config()
 
 
-def run(src: Path, command: str, config: Path, out: Path) -> int:
-    """Exit code of ``fracblow COMMAND`` with only ``src`` on the import path."""
+def run(src: Path, command: str, config: Path, out: Path) -> tuple[int, float]:
+    """Exit code and peak RSS (MB) of ``fracblow COMMAND`` with only ``src``
+    on the import path."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "fracblow.cli", command, "--config", str(config),
          "--out", str(out)],
         cwd=out.parent, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
+    )
+    # reap the job here, so that its resource usage comes with its status
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024.0
 
 
 def outputs(out: Path) -> dict[str, bytes]:
@@ -113,9 +122,9 @@ def main(argv=None) -> int:
                 job = Path(tmp) / side / name
                 job.mkdir(parents=True)
                 (job / "run.ini").write_text(text)
-                code = run(src, command, job / "run.ini", job / "out")
-                results[side] = code, outputs(job / "out")
-            (code_a, out_a), (code_b, out_b) = results.values()
+                code, rss = run(src, command, job / "run.ini", job / "out")
+                results[side] = code, rss, outputs(job / "out")
+            (code_a, rss_a, out_a), (code_b, rss_b, out_b) = results.values()
             problems = [] if code_a == code_b else [f"exit code {code_a} -> {code_b}"]
             names = sorted(out_a.keys() | out_b.keys())
             problems += [f"{f}: " + ("missing" if f not in out_b else
@@ -126,7 +135,10 @@ def main(argv=None) -> int:
             files += len(names)
             differences += len(problems)
             verdict = "; ".join(problems) if problems else f"{len(out_b)} files identical"
-            print(f"{'DIFF' if problems else 'same'}  {name} (exit {code_b}): {verdict}")
+            rss = f"peak RSS {rss_a:.1f} -> {rss_b:.1f} MB"
+            if rss_b > (1.0 + RSS_RISE) * rss_a:
+                rss += f" (RISE {100.0 * (rss_b / rss_a - 1.0):+.1f}%)"
+            print(f"{'DIFF' if problems else 'same'}  {name} (exit {code_b}): {verdict}; {rss}")
     print(f"{files} files compared, {differences} differences")
     return 1 if differences else 0
 

@@ -9,6 +9,7 @@ from .pv import (
     frac_laplacian_pv_many,
     normalization_constant,
     sphere_measure,
+    weight_mass,
 )
 from .spectral import cordoba_violation, frac_laplacian_spectral
 from .evolution import (
@@ -24,14 +25,12 @@ from .evolution import (
 from .blowup import (
     BlowupConstants,
     InitialDataSpec,
-    LifespanReport,
     RadiusReport,
     adapted_radius,
     compute_constants,
     lifespan_bound,
     make_initial_data,
     ode_lower_envelope,
-    weight_mass,
     weighted_functional,
 )
 from .lemma import (

@@ -24,14 +24,12 @@ import numpy as np
 
 from .grid import Field, GridSpec
 from .evolution import ProblemParams, weighted_functional
-from .pv import PVResult, sphere_measure
+from .pv import sphere_measure, weight_mass
 
 __all__ = [
     "BlowupConstants",
     "InitialDataSpec",
-    "LifespanReport",
     "RadiusReport",
-    "weight_mass",
     "compute_constants",
     "weighted_functional",
     "lifespan_bound",
@@ -39,17 +37,6 @@ __all__ = [
     "make_initial_data",
     "adapted_radius",
 ]
-
-
-def weight_mass(n: int) -> PVResult:
-    """Integral of <x>^(-n-1) over the whole space: pi (n=1) or 2 pi (n=2).
-
-    Closed form; the error is a roundoff allowance.
-    """
-    if n not in (1, 2):
-        raise ValueError("dimension must be 1 or 2")
-    val = n * math.pi
-    return PVResult(val, 64.0 * np.finfo(float).eps * abs(val))
 
 
 #: A = A_MARGIN * n.  n is the proven sup of |op w / w|, reached at r = 0:
@@ -72,15 +59,12 @@ class BlowupConstants:
 
     n: int
     p: float
-    sphere: float          # surface measure of the unit sphere
-    w_mass: float          # integral of <x>^(-n-1)
-    w_mass_error: float
     a_bound: float         # |op weight| <= a_bound * weight: A_MARGIN * n
     c_threshold: float
     d_rate: float
 
     def __post_init__(self):
-        for name in ("sphere", "w_mass", "a_bound", "c_threshold", "d_rate"):
+        for name in ("a_bound", "c_threshold", "d_rate"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"constant {name} must be positive")
 
@@ -102,29 +86,14 @@ def compute_constants(params: ProblemParams) -> BlowupConstants:
             f"(alpha={params.alpha}, lam={params.lam})")
     p, pc = params.p, params.p_conj
     a_bound = A_MARGIN * params.n
-    wm = weight_mass(params.n)
+    w_mass = weight_mass(params.n).value
     aa = abs(params.alpha)
     c_pow_p = (2.0 ** (1.0 + pc / p) * p ** (-pc / p) / pc
-               * ral ** (-pc) * aa ** (p + pc) * a_bound ** pc * wm.value ** p)
+               * ral ** (-pc) * aa ** (p + pc) * a_bound ** pc * w_mass ** p)
     c_threshold = c_pow_p ** (1.0 / p)
-    d_rate = 0.5 * ral * aa ** (-p) * wm.value ** (-(p - 1.0))
-    return BlowupConstants(n=params.n, p=p, sphere=sphere_measure(params.n),
-                           w_mass=wm.value, w_mass_error=wm.error,
-                           a_bound=a_bound, c_threshold=c_threshold,
-                           d_rate=d_rate)
-
-
-@dataclass(frozen=True)
-class LifespanReport:
-    """Threshold verdict and induced bound at one weight radius."""
-
-    R: float
-    m0: float
-    t_bound: float                 # inf when the condition fails
-
-    @property
-    def condition_holds(self) -> bool:
-        return math.isfinite(self.t_bound)
+    d_rate = 0.5 * ral * aa ** (-p) * w_mass ** (-(p - 1.0))
+    return BlowupConstants(n=params.n, p=p, a_bound=a_bound,
+                           c_threshold=c_threshold, d_rate=d_rate)
 
 
 def _lifespan(constants: BlowupConstants, R: float, gap: float) -> float:
@@ -134,16 +103,14 @@ def _lifespan(constants: BlowupConstants, R: float, gap: float) -> float:
             * R ** (constants.n * (p - 1.0)) * gap ** (-(p - 1.0)))
 
 
-def lifespan_bound(m0: float, constants: BlowupConstants, R: float) -> LifespanReport:
-    """Check M_R(0) against the threshold; return the bound or 'no conclusion'."""
+def lifespan_bound(m0: float, constants: BlowupConstants, R: float) -> float:
+    """The bound T from M_R(0) at radius R, or inf ('no conclusion') below the threshold."""
     if not R > 0:
         raise ValueError("weight radius must be positive")
     if not math.isfinite(m0):
         raise ValueError(f"M_R(0) must be finite, got {m0!r}")
     gap = m0 - constants.threshold(R)
-    if gap <= 0:
-        return LifespanReport(R=R, m0=m0, t_bound=math.inf)
-    return LifespanReport(R=R, m0=m0, t_bound=_lifespan(constants, R, gap))
+    return math.inf if gap <= 0 else _lifespan(constants, R, gap)
 
 
 def ode_lower_envelope(m0: float, constants: BlowupConstants, R: float,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from .config import (ConfigError, HarnessConfig, dimensions, flag, float_list,
                      increasing_pair, load_config)
 from .evolution import MAX_HALVINGS, UnresolvedFieldError, evolve
 from .grid import Field
-from .lemma import FIT_WINDOW, verify_gaussian_remark, verify_lemma, write_lemma_report
+from .lemma import (FIT_WINDOW, lemma_csv_name, verify_gaussian_remark, verify_lemma,
+                    write_lemma_report)
 from .profiles import bracket_profile, gaussian_profile
 from .pv import QuadratureError, frac_laplacian_pv_many, normalization_constant
 from .reporting import constants_manifest, save_field, write_csv, write_manifest
@@ -119,17 +121,23 @@ def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
     include_gaussian = cfg.get("lemma", "gaussian", flag, True)
     window = cfg.get("lemma", "fit_window", increasing_pair, FIT_WINDOW)
     q_values = cfg.get("lemma", "q_values", float_list, None)
+    # q = None is the Gaussian remark
+    cases = [(n, q) for n in dims
+             for q in [*(q_values or [0.5 * n, float(n), float(n + 1), float(n + 2)]),
+                       *([None] if include_gaussian else [])]]
+    claimed = {}
+    for n, q in cases:
+        name = lemma_csv_name(n, q)
+        case = f"n={n} " + ("gaussian" if q is None else f"q={q!r}")
+        if name in claimed:
+            raise ConfigError(f"[lemma] cases {claimed[name]} and {case} would both write {name}")
+        claimed[name] = case
 
     verdicts = []
-    for n in dims:
-        qs = q_values or [0.5 * n, float(n), float(n + 1), float(n + 2)]
-        for q in qs:
-            v = verify_lemma(n, q, window=window)
-            verdicts.append(v)
-            print(v.diagnostics)
-        if include_gaussian:
-            verdicts.append(verify_gaussian_remark(n))
-            print(verdicts[-1].diagnostics)
+    for n, q in cases:
+        v = verify_gaussian_remark(n) if q is None else verify_lemma(n, q, window=window)
+        verdicts.append(v)
+        print(v.diagnostics)
 
     files = write_lemma_report(verdicts, out)
     write_csv(out / "a_hat_table.csv", ["n", "q", "regime", "a_hat", "matched"],
@@ -153,7 +161,7 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
     u0 = make_initial_data(spec, grid, params.alpha)
 
     radius = adapted_radius(spec, constants).r_star if r_fixed is None else r_fixed
-    report = lifespan_bound(weighted_functional(u0, params.alpha, radius), constants, radius)
+    t_bound = lifespan_bound(weighted_functional(u0, params.alpha, radius), constants, radius)
 
     record = evolve(u0, params, dt, t_max, radius)
 
@@ -169,8 +177,8 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
                        "max_halvings": MAX_HALVINGS},
         "weight_radius": radius,
         "constants": constants_manifest(constants),
-        "threshold_condition_holds": report.condition_holds,
-        "t_bound": None if not report.condition_holds else report.t_bound,
+        "threshold_condition_holds": math.isfinite(t_bound),
+        "t_bound": t_bound if math.isfinite(t_bound) else None,
         "blew_up": record.blew_up,
         "t_num": record.t_num,
         "outputs": ["trajectory.csv", "final_state.npy", "final_state.json"],
@@ -215,7 +223,7 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
     })
     if result.fitted_exponent_num is not None:
         print(f"fitted t_num exponent {result.fitted_exponent_num:.4f} "
-              f"(predicted {result.predicted_exponent:.4f})")
+              f"(predicted {plan.predicted_exponent:.4f})")
     for note in result.warnings:
         print(f"warning: {note}", file=sys.stderr)
     print(f"wrote {files[0]}")

@@ -44,7 +44,8 @@ __all__ = [
 TAIL_FRACTION_LIMIT = 1e-3
 #: a step whose sup grows past this factor is retried at half the step size ...
 GROWTH_CAP = 4.0
-#: ... at most this many times in a row before the run is flagged as blown up
+#: ... at most this many times in the whole run (dt never grows back) before
+#: the run is flagged as blown up
 MAX_HALVINGS = 10
 #: ``evolve`` flags blow-up once sup|u| reaches this many times sup|u0|
 THRESHOLD_FACTOR = 25.0
@@ -233,8 +234,9 @@ def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
     post-source stage, half a linear step before the step's end; M_R and
     the L2 norm are read from the output's spectrum.  Violent steps
     (non-finite values or sup growth beyond ``GROWTH_CAP``) are retried
-    with halved dt until ``MAX_HALVINGS`` halvings run out, at which point
-    the last accepted time is reported as the numerical blow-up time.
+    with halved dt, which then holds for the rest of the run; once
+    ``MAX_HALVINGS`` halvings in all are spent, the last accepted time is
+    reported as the numerical blow-up time.
     """
     _require_positive(dt=dt, t_max=t_max)
     # one DFT of u0 serves the resolution check, M_R(0) and the first step;

@@ -32,6 +32,7 @@ __all__ = [
     "fit_decay",
     "verify_lemma",
     "verify_gaussian_remark",
+    "lemma_csv_name",
     "write_lemma_report",
 ]
 
@@ -67,11 +68,8 @@ class DecayFitResult:
     log_coeff: float
     a_hat: float
     residual: float
-    window: tuple[float, float]
 
     def __post_init__(self):
-        if not (self.window[0] < self.window[1]):
-            raise ValueError("fit window must be increasing")
         if self.residual < 0 or self.a_hat <= 0:
             raise ValueError("residual must be >= 0 and a_hat > 0")
 
@@ -85,12 +83,15 @@ class LemmaVerdict:
     fit: DecayFitResult
     matched: bool
     a_hat: float
-    negativity_required: bool
-    negativity_ok: bool | None
     r_neg: float | None
     residual_ratio: float | None   # plain rms / log-model rms, q = n only
     diagnostics: str
     samples: tuple[LemmaSample, ...] = ()
+
+    @property
+    def negativity_ok(self) -> bool | None:
+        """None where no sign is required (q < n), else whether a sign-change radius was found."""
+        return None if self.q < self.n - 1e-12 else self.r_neg is not None
 
 
 def default_radii(window: tuple[float, float] = FIT_WINDOW) -> np.ndarray:
@@ -191,7 +192,7 @@ def fit_decay(samples: list[LemmaSample], regime: str,
         if regime == "logarithmic" else (lambda rr: bracket(rr) ** bound_exponent)
     a_hat = max((abs(s.value) + s.error) / float(shape(s.r)) for s in samples)
     return DecayFitResult(exponent=exponent, log_coeff=log_coeff, a_hat=float(a_hat),
-                          residual=resid, window=window)
+                          residual=resid)
 
 
 def _negativity(samples):
@@ -249,8 +250,7 @@ def verify_lemma(n: int, q: float,
 
     negativity_required = q >= n - 1e-12
     r_neg = _negativity(samples) if negativity_required else None
-    negativity_ok = (r_neg is not None) if negativity_required else None
-    if negativity_required and not negativity_ok:
+    if negativity_required and r_neg is None:
         matched = False
 
     diag = (f"n={n} q={q} regime {regime}: fitted exponent {fit.exponent:.4f} "
@@ -263,9 +263,7 @@ def verify_lemma(n: int, q: float,
     if negativity_required:
         diag += f", negative beyond r={r_neg}" if r_neg is not None else ", no negativity radius found"
     return LemmaVerdict(n=n, q=q, regime=regime, predicted_exponent=predicted,
-                        fit=fit, matched=matched, a_hat=fit.a_hat,
-                        negativity_required=negativity_required,
-                        negativity_ok=negativity_ok, r_neg=r_neg,
+                        fit=fit, matched=matched, a_hat=fit.a_hat, r_neg=r_neg,
                         residual_ratio=ratio, diagnostics=diag,
                         samples=tuple(samples))
 
@@ -296,10 +294,14 @@ def verify_gaussian_remark(n: int) -> LemmaVerdict:
     diag = (f"gaussian n={n}: fitted exponent {fit.exponent:.4f} vs {predicted} "
             f"(tol 0.1), negative beyond r={r_neg}, C_hat={c_hat:.5f}")
     return LemmaVerdict(n=n, q=math.inf, regime="gaussian", predicted_exponent=predicted,
-                        fit=fit, matched=matched, a_hat=c_hat,
-                        negativity_required=True, negativity_ok=r_neg is not None,
-                        r_neg=r_neg, residual_ratio=None, diagnostics=diag,
+                        fit=fit, matched=matched, a_hat=c_hat, r_neg=r_neg,
+                        residual_ratio=None, diagnostics=diag,
                         samples=tuple(samples))
+
+
+def lemma_csv_name(n: int, q: float | None) -> str:
+    """File name of one case's samples; q is None for the Gaussian."""
+    return f"lemma_n{n}_{'gaussian' if q is None else f'q{q:g}'}.csv"
 
 
 def write_lemma_report(verdicts: list[LemmaVerdict], out_dir: str | Path) -> list[Path]:
@@ -309,8 +311,8 @@ def write_lemma_report(verdicts: list[LemmaVerdict], out_dir: str | Path) -> lis
     written = []
     entries = []
     for v in verdicts:
-        tag = "gaussian" if v.regime == "gaussian" else f"q{v.q:g}"
-        written.append(write_csv(out / f"lemma_n{v.n}_{tag}.csv",
+        name = lemma_csv_name(v.n, None if v.regime == "gaussian" else v.q)
+        written.append(write_csv(out / name,
                                  ["r", "g", "certified_error", "bound_case"],
                                  ([s.r, s.value, s.error, v.regime] for s in v.samples)))
         entries.append({

@@ -38,6 +38,7 @@ __all__ = [
     "QuadratureError",
     "sphere_measure",
     "normalization_constant",
+    "weight_mass",
     "frac_laplacian_pv",
     "frac_laplacian_pv_many",
 ]
@@ -250,7 +251,7 @@ def frac_laplacian_pv_many(profile: RadialProfile, xs) -> tuple[np.ndarray, np.n
 
 
 # ---------------------------------------------------------------------------
-# kernel normalization
+# closed-form constants: kernel normalization and weight mass
 # ---------------------------------------------------------------------------
 
 def normalization_constant(n: int) -> PVResult:
@@ -264,3 +265,14 @@ def normalization_constant(n: int) -> PVResult:
         raise ValueError(f"dimension must be 1 or 2, got {n}")
     b = math.gamma(0.5 * (n + 1)) / math.pi ** (0.5 * (n + 1))
     return PVResult(b, 4.0 * math.ulp(1.0) * b)
+
+
+def weight_mass(n: int) -> PVResult:
+    """Integral of <x>^(-n-1) over the whole space: pi (n=1) or 2 pi (n=2).
+
+    Closed form; the error is a roundoff allowance.
+    """
+    if n not in (1, 2):
+        raise ValueError("dimension must be 1 or 2")
+    val = n * math.pi
+    return PVResult(val, 64.0 * np.finfo(float).eps * abs(val))

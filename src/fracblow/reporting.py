@@ -8,22 +8,22 @@ from pathlib import Path
 import numpy as np
 
 from .grid import Field, GridSpec
-from .pv import normalization_constant
+from .pv import normalization_constant, sphere_measure, weight_mass
 
 SCHEMA = "fracblow/1"
 
 
 def constants_manifest(constants) -> dict:
     """Echo every constant used, with tolerances, for the run manifest."""
-    b = normalization_constant(constants.n)
+    b, w_mass = normalization_constant(constants.n), weight_mass(constants.n)
     margin = constants.a_bound / constants.n
     return {
         "A_hat": {"value": constants.a_bound,
                   "source": f"closed form sup |op w/w| = n, x margin {margin:g}"},
         "C": {"value": constants.c_threshold},
         "D": {"value": constants.d_rate},
-        "W_n": {"value": constants.w_mass, "error": constants.w_mass_error},
-        "omega_n": {"value": constants.sphere},
+        "W_n": {"value": w_mass.value, "error": w_mass.error},
+        "omega_n": {"value": sphere_measure(constants.n)},
         "B": {"value": b.value, "error": b.error},
     }
 

@@ -97,10 +97,14 @@ class SweepRow:
     t_prop: float = math.nan          # bound from the lattice functional at R*
     t_num: float | None = None
     m0: float = math.nan
-    condition_holds: bool = False
     in_regime: bool = False
     failed: bool = False
     note: str = ""
+
+    @property
+    def condition_holds(self) -> bool:
+        # NaN (the verdict never ran) counts as not holding
+        return math.isfinite(self.t_prop)
 
     @property
     def blew_up(self) -> bool:
@@ -113,7 +117,6 @@ class SweepResult:
     rows: list[SweepRow]
     fitted_exponent_num: float | None
     fitted_exponent_bound: float | None
-    predicted_exponent: float
     fit_residual_num: float | None
     warnings: list[str]
 
@@ -139,14 +142,10 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
             cap = max(CAP_FRACTION * rr.r_star, 0.75 * plan.grid.dx)
             spec = dataclasses.replace(spec, cap_radius=cap)
         u0 = make_initial_data(spec, plan.grid, plan.params.alpha)
-        report = lifespan_bound(weighted_functional(u0, plan.params.alpha, rr.r_star),
-                                constants, rr.r_star)
-        row.r_star = rr.r_star
-        row.t_bound = rr.t_bound_formula
-        row.t_prop = report.t_bound
-        row.m0 = report.m0
-        row.condition_holds = report.condition_holds
-        row.in_regime = rr.in_regime_strict and report.condition_holds
+        m0 = weighted_functional(u0, plan.params.alpha, rr.r_star)
+        t_prop = lifespan_bound(m0, constants, rr.r_star)
+        row.r_star, row.t_bound, row.t_prop, row.m0 = rr.r_star, rr.t_bound_formula, t_prop, m0
+        row.in_regime = rr.in_regime_strict and row.condition_holds
         if not rr.regime_ok:
             row.note = rr.boundary
             return row
@@ -157,7 +156,7 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
             return row
 
         dt = plan.dt_factor / u0.sup_norm() if plan.kind == "inner-singular" else plan.dt_base
-        horizon = HORIZON_FACTOR * min(report.t_bound, rr.t_bound_formula)
+        horizon = HORIZON_FACTOR * min(row.t_prop, rr.t_bound_formula)
         rec = evolve(u0, plan.params, dt, horizon, rr.r_star)
         row.t_num = rec.t_num
         if not rec.blew_up:
@@ -192,9 +191,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     if skipped:
         notes.append(f"amplitudes outside the strict regime excluded from fits: {skipped}")
     return SweepResult(plan=plan, rows=rows, fitted_exponent_num=fit_num,
-                       fitted_exponent_bound=fit_bound,
-                       predicted_exponent=plan.predicted_exponent,
-                       fit_residual_num=resid, warnings=notes)
+                       fitted_exponent_bound=fit_bound, fit_residual_num=resid, warnings=notes)
 
 
 def write_sweep_outputs(result: SweepResult, out_dir: str | Path,
@@ -220,7 +217,7 @@ def write_sweep_outputs(result: SweepResult, out_dir: str | Path,
             "horizon_factor": HORIZON_FACTOR,
             "cap_fraction": CAP_FRACTION,
         },
-        "predicted_exponent": result.predicted_exponent,
+        "predicted_exponent": plan.predicted_exponent,
         "fitted_exponent_t_num": result.fitted_exponent_num,
         "fitted_exponent_t_bound": result.fitted_exponent_bound,
         "fit_residual": result.fit_residual_num,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fracblow import cli
 from fracblow.cli import main
 from fracblow.reporting import load_field, save_field
 from fracblow.grid import Field, GridSpec
@@ -54,7 +55,8 @@ def test_cli_process_runs_without_scipy(tmp_path):
         "import sys\n"
         "from fracblow.cli import main\n"
         f"assert main(['constants', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'concurrent', 'mpmath')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -108,6 +110,42 @@ gaussian = false
     assert report["verdicts"][0]["matched"] is True
     assert (out / "lemma_n1_q2.csv").exists()
     assert (out / "a_hat_table.csv").exists()
+
+
+def test_verify_lemma_negativity_only_judged_from_q_equals_n(tmp_path):
+    cfg = write_config(tmp_path, """
+[lemma]
+dims = 1
+q_values = 0.5, 1, 2
+""")
+    out = tmp_path / "out"
+    assert main(["verify-lemma", "--config", cfg, "--out", str(out)]) == 0
+    verdicts = json.loads((out / "lemma_report.json").read_text())["verdicts"]
+    assert [v["regime"] for v in verdicts] == ["q<n", "q=n", "q>n", "gaussian"]
+    assert verdicts[0]["negativity_ok"] is None
+    assert all(isinstance(v["negativity_ok"], bool) for v in verdicts[1:])
+
+
+@pytest.mark.parametrize("lemma, values", [
+    pytest.param("dims = 1\nq_values = 1, 1.0000001\ngaussian = false\n",
+                 "n=1 q=1.0 and n=1 q=1.0000001", id="same-q-to-6-digits"),
+    pytest.param("dims = 1, 1\nq_values = 2, 2\n", "n=1 q=2.0 and n=1 q=2.0",
+                 id="repeated-dims-and-q"),
+])
+def test_verify_lemma_cases_sharing_a_csv_exit_one(tmp_path, capsys, monkeypatch,
+                                                   lemma, values):
+    # refused before any sampling: the verdict functions are never called
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a case was sampled")
+
+    monkeypatch.setattr(cli, "verify_lemma", no_sampling)
+    monkeypatch.setattr(cli, "verify_gaussian_remark", no_sampling)
+    cfg = write_config(tmp_path, "[lemma]\n" + lemma)
+    out = tmp_path / "out"
+    assert main(["verify-lemma", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: [lemma]" in err and values in err
+    assert not list(out.glob("*"))
 
 
 def test_verify_lemma_default_suite(tmp_path):

@@ -64,8 +64,7 @@ class TestFitDecay:
 
     def test_result_validation(self):
         with pytest.raises(ValueError):
-            DecayFitResult(exponent=-2.0, log_coeff=0.0, a_hat=1.0, residual=-1.0,
-                           window=(1e2, 1e4))
+            DecayFitResult(exponent=-2.0, log_coeff=0.0, a_hat=1.0, residual=-1.0)
 
 
 class TestVerdicts:

@@ -1,4 +1,6 @@
 """Power-law fitting and the sweep driver."""
+import csv
+import math
 import re
 
 import numpy as np
@@ -62,9 +64,9 @@ class TestRunSweep:
         assert len(result.rows) == 4
         assert all(r.blew_up and r.in_regime for r in result.rows)
         assert result.fitted_exponent_bound == pytest.approx(
-            result.predicted_exponent, rel=1e-10)
+            plan.predicted_exponent, rel=1e-10)
         assert result.fitted_exponent_num == pytest.approx(
-            result.predicted_exponent, rel=0.2)
+            plan.predicted_exponent, rel=0.2)
         for r in result.rows:
             assert r.t_num <= 1.1 * r.t_prop
 
@@ -98,6 +100,30 @@ class TestRunSweep:
                                      mu_values=(30.0,), grid=grid))
         assert result.rows[0].failed
         assert result.rows[0].note == "FloatingPointError: overflow in the stepper"
+
+    def test_condition_column_follows_the_verdict(self, inner_setup, monkeypatch, tmp_path):
+        # three rows out of regime (R* > 1), so none is evolved: the first
+        # verdict raises, the second is inconclusive (M_R(0) = 0 is below the
+        # threshold) and the third is conclusive
+        params, _, grid = inner_setup
+        readings = iter([None, 0.0, 1e6])
+
+        def reading(*args):
+            m0 = next(readings)
+            if m0 is None:
+                raise ValueError("no reading")
+            return m0
+
+        monkeypatch.setattr(sweep, "weighted_functional", reading)
+        result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
+                                     mu_values=(1.0, 1.5, 2.0), grid=grid))
+        write_sweep_outputs(result, tmp_path)
+        with open(tmp_path / "sweep_rows.csv", newline="") as fh:
+            failed, inconclusive, conclusive = csv.DictReader(fh)
+        assert (failed["failed"], failed["t_prop"], failed["condition_holds"]) == ("1", "nan", "0")
+        assert (inconclusive["t_prop"], inconclusive["condition_holds"]) == ("inf", "0")
+        assert math.isfinite(float(conclusive["t_prop"]))
+        assert conclusive["condition_holds"] == "1"
 
     def test_programming_error_propagates(self, inner_setup, monkeypatch):
         params, constants, grid = inner_setup
@@ -188,7 +214,7 @@ class TestRunSweep:
         spec = InitialDataSpec(kind="inner-singular", mu=mu, k=0.25)
         assert result.rows[0].r_star == pytest.approx(2.0, rel=1e-12)
         assert adapted_radius(spec, p2_constants).r_star != pytest.approx(2.0, rel=0.1)
-        assert result.predicted_exponent == pytest.approx(-1.0 / (2.0 - 0.25), rel=1e-12)
+        assert result.plan.predicted_exponent == pytest.approx(-1.0 / (2.0 - 0.25), rel=1e-12)
 
     def test_plan_validation(self, inner_setup):
         params, _, grid = inner_setup

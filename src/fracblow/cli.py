@@ -17,12 +17,10 @@ import numpy as np
 
 from .blowup import (InitialDataSpec, adapted_radius, compute_constants, lifespan_bound,
                      make_initial_data, weighted_functional)
-from .config import (ConfigError, HarnessConfig, dimensions, flag, float_list,
-                     increasing_pair, load_config)
+from .config import ConfigError, load_config
 from .evolution import MAX_HALVINGS, UnresolvedFieldError, evolve
 from .grid import Field
-from .lemma import (FIT_WINDOW, lemma_csv_name, verify_gaussian_remark, verify_lemma,
-                    write_lemma_report)
+from .lemma import lemma_csv_name, verify_gaussian_remark, verify_lemma, write_lemma_report
 from .profiles import bracket_profile, gaussian_profile
 from .pv import QuadratureError, frac_laplacian_pv_many, normalization_constant
 from .reporting import constants_manifest, save_field, write_csv, write_manifest
@@ -57,15 +55,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require(cfg: HarnessConfig, what: str):
-    value = getattr(cfg, what)
-    if value is None:
-        raise ConfigError(f"this command needs a [{'problem' if what == 'params' else what}] section")
-    return value
-
-
-def _cmd_constants(cfg: HarnessConfig, out: Path) -> int:
-    params = _require(cfg, "params")
+def _cmd_constants(cfg: dict, out: Path) -> int:
+    params = cfg["problem"]
     constants = compute_constants(params)
     write_manifest(out / "constants.json", "constants", {
         "problem": {"n": params.n, "p": params.p, "lambda": params.lam,
@@ -76,33 +67,26 @@ def _cmd_constants(cfg: HarnessConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_frac_apply(cfg: HarnessConfig, out: Path) -> int:
-    params = _require(cfg, "params")
-    name = cfg.get("frac_apply", "profile", str, "bracket")
-    if name == "bracket":
-        profile = bracket_profile(cfg.get("frac_apply", "q", float, 2.0),
-                                  cfg.get("frac_apply", "r", float, 1.0))
-    elif name == "gaussian":
-        profile = gaussian_profile(cfg.get("frac_apply", "width", float, 1.0))
-    else:
-        raise ConfigError(f"unknown profile {name!r} in [frac_apply]")
-    points = (cfg.get("frac_apply", "points", float_list, None)
-              or list(np.linspace(0.0, 5.0, 11)))
-    outside = [f"{x:g}" for x in points if cfg.grid and not -cfg.grid.L <= x < cfg.grid.L]
+def _cmd_frac_apply(cfg: dict, out: Path) -> int:
+    params, grid, opts = cfg["problem"], cfg["grid"], cfg["frac_apply"]
+    profile = (bracket_profile(opts["q"], opts["r"]) if opts["profile"] == "bracket"
+               else gaussian_profile(opts["width"]))
+    points = opts["points"]
+    outside = [f"{x:g}" for x in points if grid and not -grid.L <= x < grid.L]
     if outside:
         raise ConfigError(f"[frac_apply] points must lie in [-L, L) of [grid], "
-                          f"L = {cfg.grid.L:g}; outside: {', '.join(outside)}")
+                          f"L = {grid.L:g}; outside: {', '.join(outside)}")
     b = normalization_constant(params.n)
     xs = [(x, 0.0) if params.n == 2 else x for x in points]
     values, errors = frac_laplacian_pv_many(profile, xs)
 
     spectral = None
-    if cfg.grid is not None:
-        field = Field.from_radial(cfg.grid, profile)
+    if grid is not None:
+        field = Field.from_radial(grid, profile)
         spec_vals = frac_laplacian_spectral(field).values.real
-        axis = cfg.grid.axis()
+        axis = grid.axis()
         idx = np.argmin(np.abs(axis[None, :] - np.asarray(points)[:, None]), axis=1)
-        spectral = spec_vals[idx] if params.n == 1 else spec_vals[idx, cfg.grid.N // 2]
+        spectral = spec_vals[idx] if params.n == 1 else spec_vals[idx, grid.N // 2]
 
     rows_path = write_csv(out / "frac_apply.csv", ["x", "pv_value", "pv_error", "spectral_value"],
                           ([x, values[i], errors[i], None if spectral is None else spectral[i]]
@@ -116,15 +100,12 @@ def _cmd_frac_apply(cfg: HarnessConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
-    dims = cfg.get("lemma", "dims", dimensions, None) or [1, 2]
-    include_gaussian = cfg.get("lemma", "gaussian", flag, True)
-    window = cfg.get("lemma", "fit_window", increasing_pair, FIT_WINDOW)
-    q_values = cfg.get("lemma", "q_values", float_list, None)
+def _cmd_verify_lemma(cfg: dict, out: Path) -> int:
+    opts = cfg["lemma"]
     # q = None is the Gaussian remark
-    cases = [(n, q) for n in dims
-             for q in [*(q_values or [0.5 * n, float(n), float(n + 1), float(n + 2)]),
-                       *([None] if include_gaussian else [])]]
+    cases = [(n, q) for n in opts["dims"]
+             for q in [*(opts["q_values"] or [0.5 * n, float(n), float(n + 1), float(n + 2)]),
+                       *([None] if opts["gaussian"] else [])]]
     claimed = {}
     for n, q in cases:
         name = lemma_csv_name(n, q)
@@ -133,7 +114,7 @@ def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
             raise ConfigError(f"[lemma] cases {claimed[name]} and {case} would both write {name}")
         claimed[name] = case
 
-    verdicts = []
+    verdicts, window = [], opts["fit_window"]
     for n, q in cases:
         v = verify_gaussian_remark(n) if q is None else verify_lemma(n, q, window=window)
         verdicts.append(v)
@@ -147,20 +128,15 @@ def _cmd_verify_lemma(cfg: HarnessConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
-    params = _require(cfg, "params")
-    grid = _require(cfg, "grid")
-    cap = cfg.get("evolve", "cap_radius", lambda raw: float(raw) if raw else None, None)
-    spec = InitialDataSpec(kind=cfg.get("evolve", "data", str, "inner-singular"),
-                           mu=cfg.get("evolve", "mu", float, 1.0),
-                           k=cfg.get("evolve", "k", float, 0.25), cap_radius=cap)
-    r_fixed = cfg.get("evolve", "r", lambda raw: None if raw == "auto" else float(raw), None)
-    dt = cfg.get("evolve", "dt", float, 0.01)
-    t_max = cfg.get("evolve", "t_max", float, 1.0)
+def _cmd_evolve(cfg: dict, out: Path) -> int:
+    params, grid, opts = cfg["problem"], cfg["grid"], cfg["evolve"]
+    spec = InitialDataSpec(kind=opts["data"], mu=opts["mu"], k=opts["k"],
+                           cap_radius=opts["cap_radius"])
+    dt, t_max = opts["dt"], opts["t_max"]
     constants = compute_constants(params)
     u0 = make_initial_data(spec, grid, params.alpha)
 
-    radius = adapted_radius(spec, constants).r_star if r_fixed is None else r_fixed
+    radius = adapted_radius(spec, constants).r_star if opts["r"] is None else opts["r"]
     t_bound = lifespan_bound(weighted_functional(u0, params.alpha, radius), constants, radius)
 
     record = evolve(u0, params, dt, t_max, radius)
@@ -188,18 +164,10 @@ def _cmd_evolve(cfg: HarnessConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
-    params = _require(cfg, "params")
-    grid = _require(cfg, "grid")
-    kind = cfg.get("sweep", "kind", str, "inner-singular")
-    k = cfg.get("sweep", "k", float, 0.25)
-    count = cfg.get("sweep", "count", int, 8)
-    mu_min = cfg.get("sweep", "mu_min", float, None)
-    mu_max = cfg.get("sweep", "mu_max", float, None)
-    dt_factor = cfg.get("sweep", "dt_factor", float, 0.02)
-    dt_base = cfg.get("sweep", "dt_base", float, 0.05)
-    if cfg.get("sweep", "workers", int, 1) != 1:
-        raise ConfigError("[sweep] workers: rows run in order, so 1 is the only accepted value")
+def _cmd_sweep(cfg: dict, out: Path) -> int:
+    params, grid, opts = cfg["problem"], cfg["grid"], cfg["sweep"]
+    kind, k, count = opts["kind"], opts["k"], opts["count"]
+    mu_min, mu_max = opts["mu_min"], opts["mu_max"]
     if (mu_min is None) != (mu_max is None):
         raise ConfigError("[sweep] mu_min and mu_max go together: give both, "
                           "or omit both for the automatic range")
@@ -213,7 +181,7 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
         mu = np.geomspace(edge, 10.0 * edge, count) if kind == "inner-singular" \
             else np.geomspace(edge / 10.0, edge, count)
     plan = SweepPlan(params=params, kind=kind, k=k, mu_values=tuple(mu), grid=grid,
-                     dt_factor=dt_factor, dt_base=dt_base)
+                     dt_factor=opts["dt_factor"], dt_base=opts["dt_base"])
     result = run_sweep(plan)
     files = write_sweep_outputs(result, out, manifest_extra={
         "constants": constants_manifest(constants),
@@ -230,12 +198,13 @@ def _cmd_sweep(cfg: HarnessConfig, out: Path) -> int:
     return 0
 
 
+#: each command, and the sections it cannot run without
 _COMMANDS = {
-    "constants": _cmd_constants,
-    "frac-apply": _cmd_frac_apply,
-    "verify-lemma": _cmd_verify_lemma,
-    "evolve": _cmd_evolve,
-    "sweep": _cmd_sweep,
+    "constants": (_cmd_constants, ("problem",)),
+    "frac-apply": (_cmd_frac_apply, ("problem",)),
+    "verify-lemma": (_cmd_verify_lemma, ()),
+    "evolve": (_cmd_evolve, ("problem", "grid")),
+    "sweep": (_cmd_sweep, ("problem", "grid")),
 }
 
 
@@ -265,12 +234,13 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         cfg = load_config(args.config)
+        command, needs = _COMMANDS[args.command]
+        for section in needs:
+            if cfg[section] is None:
+                raise ConfigError(f"this command needs a [{section}] section")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return command(cfg, out)
     except (QuadratureError, UnresolvedFieldError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

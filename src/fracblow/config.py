@@ -2,112 +2,110 @@
 
 Sections [problem] and [grid], plus command-specific [lemma], [frac_apply],
 [evolve] and [sweep]: the problem and the experiment only, as the PV rule,
-the blow-up factor and the row order are fixed in code.  Parse failures,
-bad values, unknown sections and unknown keys carry the section and field
-name: commands read every key through ``HarnessConfig.get``.
+the blow-up factor and the row order are fixed in code.  ``KEYS`` declares
+every key once, with its cast and its default, and ``load_config`` checks
+the whole file against it whichever command reads it.  A parse failure is
+a ConfigError, and so is an unknown section or key, a bad value or a
+missing field, each named in the message.
 """
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .evolution import ProblemParams
 from .grid import GridSpec
+from .lemma import FIT_WINDOW
 
 
 class ConfigError(ValueError):
     """Bad or missing configuration content."""
 
 
-_sentinel = object()
-
-#: the keys each section accepts; any other key or section is an error, so a
-#: misspelt key cannot fall back silently to its default
-_KNOWN_KEYS = {
-    "problem": ("n", "p", "lambda", "alpha"),
-    "grid": ("L", "N"),
-    "frac_apply": ("profile", "q", "r", "width", "points"),
-    "lemma": ("dims", "q_values", "fit_window", "gaussian"),
-    "evolve": ("data", "mu", "k", "cap_radius", "r", "dt", "t_max"),
-    "sweep": ("kind", "k", "count", "mu_min", "mu_max", "dt_factor", "dt_base", "workers"),
-}
-
-
-def _check_known_keys(parser: configparser.ConfigParser):
-    for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown section [{section}]; known sections: "
-                              f"{', '.join(_KNOWN_KEYS)}")
-        known = {parser.optionxform(k) for k in _KNOWN_KEYS[section]}
-        for key in parser.options(section):
-            if key not in known:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]; known keys: "
-                                  f"{', '.join(_KNOWN_KEYS[section])}")
-
-
-def _get(parser, section, key, cast, default=_sentinel):
-    if not parser.has_section(section):
-        if default is not _sentinel:
-            return default
-        raise ConfigError(f"missing section [{section}]")
-    if not parser.has_option(section, key):
-        if default is not _sentinel:
-            return default
-        raise ConfigError(f"missing field {key!r} in section [{section}]")
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except Exception as exc:
-        raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
-
-
 def _complex(raw: str) -> complex:
     return complex(raw.replace(" ", "").replace("i", "j"))
 
 
-def float_list(raw: str) -> list[float]:
-    """Comma-separated floats; an empty value is an empty list."""
-    items = [s for s in (t.strip() for t in raw.split(",")) if s]
-    return [float(s) for s in items]
+def _float_list(raw: str) -> list[float] | None:
+    """Comma-separated floats; an empty value is None, the key's default."""
+    return [float(s) for s in (t.strip() for t in raw.split(",")) if s] or None
 
 
-def dimensions(raw: str) -> list[int]:
-    values = float_list(raw)
+def _dimensions(raw: str) -> list[int] | None:
+    values = _float_list(raw) or []
     if any(v not in (1, 2) for v in values):
         raise ValueError("dimensions must be 1 or 2")
-    return [int(v) for v in values]
+    return [int(v) for v in values] or None
 
 
-def increasing_pair(raw: str) -> tuple[float, float]:
-    values = float_list(raw)
+def _increasing_pair(raw: str) -> tuple[float, float]:
+    values = _float_list(raw) or []
     if len(values) != 2 or not values[0] < values[1]:
         raise ValueError("need exactly two increasing values")
     return values[0], values[1]
 
 
-def flag(raw: str) -> bool:
+def _flag(raw: str) -> bool:
     word = raw.lower()
     if word not in ("1", "true", "yes", "0", "false", "no"):
         raise ValueError("need one of 1, true, yes, 0, false, no")
     return word in ("1", "true", "yes")
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Everything a subcommand may need, parsed and validated."""
-
-    params: ProblemParams | None
-    grid: GridSpec | None
-    raw: configparser.ConfigParser
-
-    def get(self, section: str, key: str, cast, default=_sentinel):
-        """[section] key through cast, or default when absent; a bad value
-        is a ConfigError naming the section and key."""
-        return _get(self.raw, section, key, cast, default)
+def _invalid(why: str):
+    raise ValueError(why)
 
 
-def load_config(path: str | Path) -> HarnessConfig:
+#: section -> key -> (cast, default) for every key a config file may hold;
+#: any other section or key is an error, so a misspelt key cannot fall back
+#: silently to its default.  A cast takes the raw text and raises ValueError
+#: on a bad value; where it returns None the key keeps its default.  A
+#: default of ... marks a key its section cannot do without.
+KEYS = {
+    "problem": {
+        "n": (int, ...), "p": (float, ...), "lambda": (_complex, ...),
+        # auto = conj(lambda)/|lambda|, set by ProblemParams
+        "alpha": (lambda raw: None if raw in ("auto", "") else _complex(raw), None),
+    },
+    "grid": {"L": (float, ...), "N": (int, ...)},
+    "frac_apply": {
+        "profile": (lambda raw: raw if raw in ("bracket", "gaussian")
+                    else _invalid("need bracket or gaussian"), "bracket"),
+        "q": (float, 2.0), "r": (float, 1.0), "width": (float, 1.0),
+        "points": (_float_list, list(np.linspace(0.0, 5.0, 11))),
+    },
+    "lemma": {
+        "dims": (_dimensions, [1, 2]),
+        "q_values": (_float_list, None),  # None: n/2, n, n + 1 and n + 2 for each n
+        "fit_window": (_increasing_pair, FIT_WINDOW),
+        "gaussian": (_flag, True),
+    },
+    "evolve": {
+        "data": (str, "inner-singular"), "mu": (float, 1.0), "k": (float, 0.25),
+        # None: half the grid spacing
+        "cap_radius": (lambda raw: float(raw) if raw else None, None),
+        # None: the adapted radius of the family
+        "r": (lambda raw: None if raw == "auto" else float(raw), None),
+        "dt": (float, 0.01), "t_max": (float, 1.0),
+    },
+    "sweep": {
+        "kind": (str, "inner-singular"), "k": (float, 0.25),
+        "count": (lambda raw: int(raw) if int(raw) >= 1 else _invalid("need at least 1 row"), 8),
+        # both None: the automatic range
+        "mu_min": (float, None), "mu_max": (float, None),
+        "dt_factor": (float, 0.02), "dt_base": (float, 0.05),
+        "workers": (lambda raw: 1 if int(raw) == 1 else _invalid(
+            "rows run in order, so 1 is the only accepted value"), 1),
+    },
+}
+
+
+def load_config(path: str | Path) -> dict:
+    """The checked config file, by section: [problem] as a ProblemParams and
+    [grid] as a GridSpec, each None where the file has no such section, and
+    every other section as its values by key, defaults filled in."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     path = Path(path)
     if not path.exists():
@@ -117,28 +115,43 @@ def load_config(path: str | Path) -> HarnessConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
-    _check_known_keys(parser)
+    values = {section: {key: default for key, (_, default) in keys.items()}
+              for section, keys in KEYS.items()}
+    for section in parser.sections():
+        if section not in KEYS:
+            raise ConfigError(f"unknown section [{section}]; known sections: "
+                              f"{', '.join(KEYS)}")
+        known = {parser.optionxform(k) for k in KEYS[section]}
+        for key in parser.options(section):
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]; known keys: "
+                                  f"{', '.join(KEYS[section])}")
+        for key, (cast, default) in KEYS[section].items():
+            if not parser.has_option(section, key):
+                if default is ...:
+                    raise ConfigError(f"missing field {key!r} in section [{section}]")
+                continue
+            raw = parser.get(section, key)
+            try:
+                value = cast(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
+            if value is not None:
+                values[section][key] = value
 
-    params = None
+    params = grid = None
     if parser.has_section("problem"):
-        n = _get(parser, "problem", "n", int)
-        p = _get(parser, "problem", "p", float)
-        lam = _get(parser, "problem", "lambda", _complex)
-        alpha = _get(parser, "problem", "alpha",
-                     lambda raw: None if raw in ("auto", "") else _complex(raw), default=None)
+        problem = values["problem"]
         try:
-            params = ProblemParams(n=n, p=p, lam=lam, alpha=alpha)
+            params = ProblemParams(n=problem["n"], p=problem["p"], lam=problem["lambda"],
+                                   alpha=problem["alpha"])
         except ValueError as exc:
             raise ConfigError(f"bad [problem] section: {exc}") from exc
-
-    grid = None
     if parser.has_section("grid"):
         if params is None:
             raise ConfigError("[grid] needs a [problem] section, which sets the dimension n")
         try:
-            grid = GridSpec(n=params.n, L=_get(parser, "grid", "L", float),
-                            N=_get(parser, "grid", "N", int))
+            grid = GridSpec(n=params.n, L=values["grid"]["L"], N=values["grid"]["N"])
         except ValueError as exc:
             raise ConfigError(f"bad [grid] section: {exc}") from exc
-
-    return HarnessConfig(params=params, grid=grid, raw=parser)
+    return {**values, "problem": params, "grid": grid}

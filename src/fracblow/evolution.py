@@ -15,6 +15,7 @@ time is the numerical blow-up time.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -73,8 +74,10 @@ class ProblemParams:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
-        if not self.p > 1.0:
-            raise ValueError(f"nonlinearity power must exceed 1, got {self.p}")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"nonlinearity power must be finite and exceed 1, got {self.p}")
+        if not (cmath.isfinite(self.lam) and cmath.isfinite(self.alpha or 0)):
+            raise ValueError(f"lambda and alpha must be finite, got {self.lam} and {self.alpha}")
         if self.alpha is None:
             default = self.lam.conjugate() / abs(self.lam) if self.lam != 0 else 1.0
             object.__setattr__(self, "alpha", default)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .profiles import RadialProfile, bracket, bracket_profile, gaussian_profile
-from .pv import TOL, Y_MAX, frac_laplacian_pv, normalization_constant, sphere_measure
+from .pv import TOL, Y_MAX, far_cutoff, frac_laplacian_pv
 from .reporting import write_csv, write_manifest
 
 __all__ = [
@@ -113,14 +113,11 @@ def _sample(n: int, profile: RadialProfile, radii, decay: float,
     certifies a third of that tolerance, so slowly decaying profiles get
     the larger domains they need.  Everything else is the default rule.
     """
-    b, omega = normalization_constant(n).value, sphere_measure(n)
     out = []
     for r in radii:
         r = float(r)
         tol = max(TOL * float(bracket(r) ** -decay) * 50.0, 1e-13)
-        y = max(Y_MAX, cutoff_factor * (1.0 + r))
-        while b * omega * profile.tail(y - r) / (2.0 * y) > tol / 3.0 and y < 1e9:
-            y *= 2.0
+        y = far_cutoff(profile, r, n, max(Y_MAX, cutoff_factor * (1.0 + r)), tol / 3.0)
         res = frac_laplacian_pv(profile, r if n == 1 else (r, 0.0), y, tol)
         out.append(LemmaSample(r, res.value, res.error))
     return out

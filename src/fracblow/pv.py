@@ -196,6 +196,22 @@ def _sphere_integral_2d(profile: RadialProfile, ax: float, f_ax: float, r: np.nd
     return 2.0 * s, 2.0 * (abs(f_ax) * float(np.sum(awt)) + smag)
 
 
+def _tail_half(profile: RadialProfile, ax: float, y: float) -> float:
+    # beyond y:  int r^-2 S dr = omega*f(ax)/y - int_{|y'|>y} f(x+y') K dy',
+    # the second term sits inside [0, tail(y-ax)] * omega / y: its midpoint
+    # and its half-width are both half the tail bound times omega / y
+    return 0.5 * (profile.tail(y - ax) if y > ax else profile.tail(0.0))
+
+
+def far_cutoff(profile: RadialProfile, x_norm: float, n: int, y: float, tol: float) -> float:
+    """y, doubled until the far field's share of the certified error at a
+    point of radius x_norm in n dimensions is within tol, or y reaches 1e9."""
+    b, omega = normalization_constant(n).value, sphere_measure(n)
+    while b * omega * _tail_half(profile, x_norm, y) / y > tol and y < 1e9:
+        y *= 2.0
+    return y
+
+
 def frac_laplacian_pv(profile: RadialProfile, x, y_max: float = Y_MAX,
                       tol: float = TOL) -> PVResult:
     """Half-Laplacian of a radial profile at point x via singular quadrature.
@@ -226,11 +242,7 @@ def frac_laplacian_pv(profile: RadialProfile, x, y_max: float = Y_MAX,
     fine, cmass = _radial_integral(profile, ax, f_ax, rb, tb,
                                    RADIAL_NODES + 6, ANGULAR_NODES + 6)
 
-    # beyond y:  int r^-2 S dr = omega*f(ax)/y - int_{|y'|>y} f(x+y') K dy',
-    # the second term sits inside [0, tail(y-ax)] * omega / y: its midpoint
-    # and its half-width are both half the tail bound
-    tail_half = 0.5 * (profile.tail(y - ax) if y > ax else profile.tail(0.0))
-
+    tail_half = _tail_half(profile, ax, y)
     value = b * (fine + (f_ax - tail_half) * omega / y)
     roundoff = np.finfo(float).eps * (16.0 * cmass + 4.0 * abs(f_ax) * omega / y)
     err = b * (3.0 * abs(fine - coarse) + tail_half * omega / y + roundoff)

@@ -257,6 +257,9 @@ def test_unknown_key_exits_one_naming_it(tmp_path, capsys, extra, section, key):
     pytest.param("sweep", BASE + "[sweep]\ndt_factor = 0.08x\n", "sweep", "dt_factor",
                  id="sweep-dt_factor"),
     pytest.param("sweep", BASE + "[sweep]\ncount = 2.5\n", "sweep", "count", id="sweep-count"),
+    pytest.param("sweep", BASE + "[sweep]\ncount = 0\n", "sweep", "count", id="sweep-count-0"),
+    pytest.param("sweep", BASE + "[sweep]\ncount = -1\n", "sweep", "count",
+                 id="sweep-count-negative"),
     pytest.param("evolve", BASE + "[evolve]\nmu = thirty\n", "evolve", "mu", id="evolve-mu"),
     pytest.param("evolve", BASE + "[evolve]\nr = automatic\n", "evolve", "r", id="evolve-r"),
     pytest.param("verify-lemma", "[lemma]\nfit_window = 100\n", "lemma", "fit_window",
@@ -270,6 +273,13 @@ def test_unknown_key_exits_one_naming_it(tmp_path, capsys, extra, section, key):
                  id="frac_apply-points"),
     pytest.param("constants", BASE.replace("alpha = auto", "alpha = 1+x"), "problem", "alpha",
                  id="problem-alpha"),
+    pytest.param("frac-apply", BASE + "[frac_apply]\nprofile = box\n", "frac_apply", "profile",
+                 id="frac_apply-profile"),
+    # every section is checked, whichever command reads the file
+    pytest.param("constants", BASE + "[sweep]\ncount = 2.5\n", "sweep", "count",
+                 id="constants-sweep-count"),
+    pytest.param("constants", BASE + "[evolve]\nr = automatic\n", "evolve", "r",
+                 id="constants-evolve-r"),
 ])
 def test_bad_value_exits_one_naming_it(tmp_path, capsys, command, text, section, key):
     path = tmp_path / "run.ini"
@@ -310,6 +320,19 @@ def test_bad_value_exits_one_naming_it(tmp_path, capsys, command, text, section,
     pytest.param("frac-apply", BASE + "[frac_apply]\nr = nan\n", "R=nan", id="frac_apply-r-nan"),
     pytest.param("frac-apply", BASE + "[frac_apply]\nprofile = gaussian\nwidth = nan\n",
                  "gaussian width", id="frac_apply-width-nan"),
+    pytest.param("frac-apply", BASE.replace("p = 2.0", "p = inf"),
+                 "bad [problem] section: nonlinearity power", id="frac_apply-p-inf"),
+    pytest.param("constants", BASE.replace("p = 2.0", "p = inf"),
+                 "bad [problem] section: nonlinearity power", id="constants-p-inf"),
+    pytest.param("constants", BASE.replace("lambda = 1j", "lambda = nan"),
+                 "bad [problem] section: lambda and alpha must be finite",
+                 id="constants-lambda-nan"),
+    pytest.param("constants", BASE.replace("alpha = auto", "alpha = nan"),
+                 "bad [problem] section: lambda and alpha must be finite",
+                 id="constants-alpha-nan"),
+    pytest.param("constants", BASE.replace("alpha = auto", "alpha = 1e400"),
+                 "bad [problem] section: lambda and alpha must be finite",
+                 id="constants-alpha-inf"),
 ])
 def test_out_of_range_value_exits_one(tmp_path, capsys, command, text, key):
     # rejected when the config is read, before any point, step or row runs
@@ -322,6 +345,21 @@ def test_out_of_range_value_exits_one(tmp_path, capsys, command, text, key):
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("command, text, section", [
+    pytest.param("sweep", "[sweep]\ncount = 4\n", "problem", id="sweep-problem"),
+    pytest.param("sweep", BASE.split("[grid]")[0], "grid", id="sweep-grid"),
+    pytest.param("evolve", BASE.split("[grid]")[0], "grid", id="evolve-grid"),
+    pytest.param("constants", "[lemma]\ndims = 1\n", "problem", id="constants-problem"),
+])
+def test_missing_section_exits_one_naming_it(tmp_path, capsys, command, text, section):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert f"config error: this command needs a [{section}] section" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_readme_library_sketch_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
@@ -331,14 +369,14 @@ def test_readme_library_sketch_runs():
 def test_readme_example_lists_every_known_key():
     import configparser
 
-    from fracblow.config import _KNOWN_KEYS
+    from fracblow.config import KEYS
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str
     parser.read_string(readme.split("```ini\n", 1)[1].split("```", 1)[0])
     listed = {section: set(parser.options(section)) for section in parser.sections()}
-    assert listed == {section: set(keys) for section, keys in _KNOWN_KEYS.items()}
+    assert listed == {section: set(keys) for section, keys in KEYS.items()}
 
 
 def test_unknown_section_exits_one(tmp_path, capsys):
@@ -366,7 +404,7 @@ def test_shipped_configs_load(tmp_path):
     for i, text in enumerate(texts):
         path = tmp_path / f"shipped_{i}.ini"
         path.write_text(text)
-        assert load_config(path).raw.sections()
+        load_config(path)
 
 
 def test_missing_config_file_exits_one(tmp_path):

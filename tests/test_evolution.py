@@ -364,3 +364,13 @@ def test_params_validation():
     assert p.alpha == pytest.approx(-1j)
     assert p.re_alpha_lam == pytest.approx(2.0)
     assert p.p_conj == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("p, lam, alpha", [
+    (math.inf, 1j, None), (math.nan, 1j, None), (2.0, complex(math.nan, 0.0), None),
+    (2.0, complex(0.0, math.inf), None), (2.0, 1j, complex(math.nan, 1.0)),
+    (2.0, 1j, complex(math.inf, 0.0)),
+])
+def test_params_reject_non_finite(p, lam, alpha):
+    with pytest.raises(ValueError, match="finite"):
+        ProblemParams(1, p, lam, alpha)

@@ -13,7 +13,8 @@ the value is many orders below the profile's scale.
 """
 import pytest
 
-from fracblow.lemma import default_radii, sample_frac_weight, verify_gaussian_remark
+from fracblow.lemma import (EXPONENT_TOL, FIT_WINDOW, LemmaSample, default_radii, fit_decay,
+                            sample_frac_weight, verify_gaussian_remark, verify_lemma)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -69,3 +70,31 @@ def test_gaussian_within_certificate(n):
     samples = verify_gaussian_remark(n).samples
     assert len(samples) == 21
     assert _misses(samples, _gaussian_exact(n)) == []
+
+
+def _two_term_far_field(n, q):
+    """The leading two terms K (c1 r^-(q+1) + c2 r^-(n+1)) of the bracket
+    weight's half-Laplacian at large r, from the connection formula of 2F1
+    at -infinity; c1 vanishes at q = n - 1."""
+    a, b, c = (mpmath.mpf(q) + 1) / 2, mpmath.mpf(n + 1) / 2, mpmath.mpf(n) / 2
+    k = 2 * mpmath.gamma(a) * mpmath.gamma(b) / (mpmath.gamma(mpmath.mpf(q) / 2)
+                                                 * mpmath.gamma(c))
+    c1 = mpmath.gamma(c) * mpmath.gamma(b - a) / (mpmath.gamma(b) * mpmath.gamma(c - a))
+    c2 = mpmath.gamma(c) * mpmath.gamma(a - b) / (mpmath.gamma(a) * mpmath.gamma(c - b))
+    return lambda r: k * (c1 * r ** (-2 * a) + c2 * r ** (-2 * b))
+
+
+@pytest.mark.parametrize("q, exponent", [
+    (0.9, -1.911), (0.99, -2.116), (0.999, -2.498), (1.001, -2.504), (1.01, -1.616),
+    (1.1, -2.071),
+])
+def test_two_term_far_field_explains_near_degenerate_fits(q, exponent):
+    # near q = n - 1 the r^-(n+1) term competes with r^-(q+1) inside the fit
+    # window, and the two-term form alone reproduces the fitted exponent
+    with mpmath.workdps(40):
+        far = _two_term_far_field(2, q)
+        samples = [LemmaSample(float(r), float(far(mpmath.mpf(float(r)))), 0.0)
+                   for r in default_radii(FIT_WINDOW) if r > 0]
+    fitted = fit_decay(samples, "plain", -(q + 1.0), n=2).exponent
+    assert fitted == pytest.approx(exponent, abs=5e-4)
+    assert abs(fitted - verify_lemma(2, q).fit.exponent) <= EXPONENT_TOL[2]

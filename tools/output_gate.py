@@ -12,8 +12,9 @@ compared byte for byte, and so is its exit code.  Prints one line per job,
 and for each CSV that differs the columns that moved, each with its
 largest relative difference; exits 0 when everything matches, 1 on any
 difference.  Each job's line also gives the peak RSS of its process,
-parent -> change, from ``os.wait4``, and flags a rise above 2%; memory does
-not enter the exit code.
+parent -> change, from ``os.wait4``, and flags a rise above 2%.  A last
+line gives the size of each tree's ``fracblow`` package in lines, parent ->
+change.  Neither memory nor size enters the exit code.
 
 Standard library only.  The configs come from the checkout holding this
 script; the code under test comes only from the two arguments.
@@ -70,6 +71,11 @@ def run(src: Path, command: str, config: Path, out: Path) -> tuple[int, float]:
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, usage.ru_maxrss / 1024.0
+
+
+def package_lines(src: Path) -> int:
+    """Lines in the Python files of the ``fracblow`` package under ``src``."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "fracblow").rglob("*.py"))
 
 
 def outputs(out: Path) -> dict[str, bytes]:
@@ -139,6 +145,7 @@ def main(argv=None) -> int:
             if rss_b > (1.0 + RSS_RISE) * rss_a:
                 rss += f" (RISE {100.0 * (rss_b / rss_a - 1.0):+.1f}%)"
             print(f"{'DIFF' if problems else 'same'}  {name} (exit {code_b}): {verdict}; {rss}")
+    print("fracblow package: {} -> {} lines".format(*map(package_lines, sides.values())))
     print(f"{files} files compared, {differences} differences")
     return 1 if differences else 0
 

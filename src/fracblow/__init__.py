@@ -25,7 +25,6 @@ from .evolution import (
 from .blowup import (
     BlowupConstants,
     InitialDataSpec,
-    RadiusReport,
     adapted_radius,
     compute_constants,
     lifespan_bound,

@@ -29,7 +29,6 @@ from .pv import sphere_measure, weight_mass
 __all__ = [
     "BlowupConstants",
     "InitialDataSpec",
-    "RadiusReport",
     "compute_constants",
     "weighted_functional",
     "lifespan_bound",
@@ -59,14 +58,17 @@ class BlowupConstants:
 
     n: int
     p: float
-    a_bound: float         # |op weight| <= a_bound * weight: A_MARGIN * n
     c_threshold: float
     d_rate: float
 
     def __post_init__(self):
-        for name in ("a_bound", "c_threshold", "d_rate"):
+        for name in ("c_threshold", "d_rate"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"constant {name} must be positive")
+
+    @property
+    def a_bound(self) -> float:  # |op weight| <= a_bound * weight
+        return A_MARGIN * self.n
 
     def threshold(self, R: float) -> float:
         """C * R^(n - 1/(p-1))."""
@@ -74,7 +76,7 @@ class BlowupConstants:
 
 
 def compute_constants(params: ProblemParams) -> BlowupConstants:
-    """Weight bound A = ``A_MARGIN`` * n, threshold constant C and ODE rate D.
+    """Threshold constant C and ODE rate D, from the weight bound A = ``A_MARGIN`` * n.
 
     Requires Re(alpha * lam) > 0; anything else cannot drive the weighted
     functional upward and is rejected.
@@ -85,15 +87,13 @@ def compute_constants(params: ProblemParams) -> BlowupConstants:
             f"need Re(alpha*lam) > 0, got {ral:.3g} "
             f"(alpha={params.alpha}, lam={params.lam})")
     p, pc = params.p, params.p_conj
-    a_bound = A_MARGIN * params.n
     w_mass = weight_mass(params.n).value
     aa = abs(params.alpha)
     c_pow_p = (2.0 ** (1.0 + pc / p) * p ** (-pc / p) / pc
-               * ral ** (-pc) * aa ** (p + pc) * a_bound ** pc * w_mass ** p)
+               * ral ** (-pc) * aa ** (p + pc) * (A_MARGIN * params.n) ** pc * w_mass ** p)
     c_threshold = c_pow_p ** (1.0 / p)
     d_rate = 0.5 * ral * aa ** (-p) * w_mass ** (-(p - 1.0))
-    return BlowupConstants(n=params.n, p=p, a_bound=a_bound,
-                           c_threshold=c_threshold, d_rate=d_rate)
+    return BlowupConstants(n=params.n, p=p, c_threshold=c_threshold, d_rate=d_rate)
 
 
 def _lifespan(constants: BlowupConstants, R: float, gap: float) -> float:
@@ -140,6 +140,9 @@ def ode_lower_envelope(m0: float, constants: BlowupConstants, R: float,
 #: and of the collar the outer-decay ramp crosses inside it
 RAMP_WIDTH = 0.5
 
+#: every data family ``InitialDataSpec`` accepts
+DATA_KINDS = ("integrable", "inner-singular", "outer-decay")
+
 
 @dataclass(frozen=True)
 class InitialDataSpec:
@@ -160,7 +163,7 @@ class InitialDataSpec:
     cap_radius: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("integrable", "inner-singular", "outer-decay"):
+        if self.kind not in DATA_KINDS:
             raise ValueError(f"unknown data kind {self.kind!r}")
         if not 0.0 < self.mu < math.inf:
             raise ValueError(f"amplitude mu must be finite and positive, got {self.mu}")
@@ -170,17 +173,14 @@ class InitialDataSpec:
             raise ValueError(f"cap_radius must be finite and positive, got {self.cap_radius}")
 
 
-def _check_k_against_dimension(spec: InitialDataSpec, n: int):
+def _check_k(spec: InitialDataSpec, n: int, p: float | None = None):
+    """The family's k against n/2, then against 1/(p-1) when p is given."""
     if spec.kind == "inner-singular" and not spec.k < 0.5 * n:
         raise ValueError(f"inner-singular needs k < n/2: k={spec.k}, n/2={0.5 * n}")
     if spec.kind == "outer-decay" and not spec.k > 0.5 * n:
         raise ValueError(f"outer-decay needs k > n/2: k={spec.k}, n/2={0.5 * n}")
-
-
-def _check_k_against_p(spec: InitialDataSpec, p: float):
-    lim = 1.0 / (p - 1.0)
-    if spec.kind != "integrable" and not spec.k < lim:
-        raise ValueError(f"{spec.kind} needs k < 1/(p-1): k={spec.k}, 1/(p-1)={lim}")
+    if p is not None and spec.kind != "integrable" and not spec.k < 1.0 / (p - 1.0):
+        raise ValueError(f"{spec.kind} needs k < 1/(p-1): k={spec.k}, 1/(p-1)={1.0 / (p - 1.0)}")
 
 
 def data_profile(spec: InitialDataSpec, grid: GridSpec) -> np.ndarray:
@@ -209,20 +209,9 @@ def make_initial_data(spec: InitialDataSpec, grid: GridSpec, alpha: complex) -> 
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    _check_k_against_dimension(spec, grid.n)
+    _check_k(spec, grid.n)
     phase = -1j * np.conjugate(alpha) / abs(alpha) ** 2
     return Field(grid, spec.mu * phase * data_profile(spec, grid))
-
-
-@dataclass(frozen=True)
-class RadiusReport:
-    """Closed-form adapted weight radius and induced bound of a scaled data family."""
-
-    r_star: float
-    t_bound_formula: float      # exact power law in mu by construction
-    regime_ok: bool             # R1 < 1 (inner) or R2 > 10 (outer)
-    in_regime_strict: bool      # R1 < 0.5 or R2 > 20 (sweep-fit inclusion)
-    boundary: str
 
 
 def family_i_const(spec: InitialDataSpec, n: int) -> float:
@@ -248,33 +237,22 @@ def family_exponent(kind: str, k: float, n: int, p: float) -> float:
     return 1.0 / (p - 1.0) - kk
 
 
-def adapted_radius(spec: InitialDataSpec, constants: BlowupConstants) -> RadiusReport:
-    """Closed-form adapted radius R* and formula bound, for the n and p of ``constants``.
+def adapted_radius(spec: InitialDataSpec, constants: BlowupConstants) -> tuple[float, float]:
+    """Closed-form adapted radius R* and formula bound T, for the n and p of ``constants``.
 
     R* solves mu*I/2 = C R^(k' - 1/(p-1)) with I = ``family_i_const``; the
-    formula bound uses the family lower bound for M and is an exact power
+    formula bound T uses the family lower bound for M and is an exact power
     law in mu.  R* does not depend on the inner cap, and no lattice data is
     built: the verdict at R* is ``lifespan_bound`` of the data's M_R(0).
     """
     n = constants.n
-    _check_k_against_dimension(spec, n)
-    _check_k_against_p(spec, constants.p)
+    _check_k(spec, n, constants.p)
     i_const = family_i_const(spec, n)
     expo = family_exponent(spec.kind, spec.k, n, constants.p)  # > 0, as k' <= k < 1/(p-1)
     r_star = (spec.mu * i_const / (2.0 * constants.c_threshold)) ** (-1.0 / expo)
 
-    if spec.kind == "inner-singular":
-        regime_ok, strict = r_star < 1.0, r_star < 0.5
-        boundary = f"R*={r_star:.4g} (regime needs R* < 1, strict < 0.5)"
-        growth = n - spec.k
-    else:
-        regime_ok, strict = r_star > 10.0, r_star > 20.0
-        boundary = f"R*={r_star:.4g} (regime needs R* > 10, strict > 20)"
-        growth = max(n - spec.k, 0.0)
-
+    growth = n - spec.k if spec.kind == "inner-singular" else max(n - spec.k, 0.0)
     # family lower bound for the gap: M - C R^(n-1/(p-1)) >= R^growth * mu I/2
     gap_formula = r_star ** growth * spec.mu * i_const / 2.0
-    t_formula = _lifespan(constants, r_star, gap_formula)
-    return RadiusReport(r_star=r_star, t_bound_formula=t_formula, regime_ok=regime_ok,
-                        in_regime_strict=strict, boundary=boundary)
+    return r_star, _lifespan(constants, r_star, gap_formula)
 

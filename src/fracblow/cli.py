@@ -136,7 +136,7 @@ def _cmd_evolve(cfg: dict, out: Path) -> int:
     constants = compute_constants(params)
     u0 = make_initial_data(spec, grid, params.alpha)
 
-    radius = adapted_radius(spec, constants).r_star if opts["r"] is None else opts["r"]
+    radius = adapted_radius(spec, constants)[0] if opts["r"] is None else opts["r"]
     t_bound = lifespan_bound(weighted_functional(u0, params.alpha, radius), constants, radius)
 
     record = evolve(u0, params, dt, t_max, radius)
@@ -167,13 +167,9 @@ def _cmd_evolve(cfg: dict, out: Path) -> int:
 def _cmd_sweep(cfg: dict, out: Path) -> int:
     params, grid, opts = cfg["problem"], cfg["grid"], cfg["sweep"]
     kind, k, count = opts["kind"], opts["k"], opts["count"]
-    mu_min, mu_max = opts["mu_min"], opts["mu_max"]
-    if (mu_min is None) != (mu_max is None):
-        raise ConfigError("[sweep] mu_min and mu_max go together: give both, "
-                          "or omit both for the automatic range")
     constants = compute_constants(params)
-    if mu_min is not None:
-        mu = np.geomspace(mu_min, mu_max, count)
+    if opts["mu_min"] is not None:
+        mu = np.geomspace(opts["mu_min"], opts["mu_max"], count)
     else:
         # pick the decade ending just inside the strict scaling regime
         r_target = 0.45 if kind == "inner-singular" else 22.0

@@ -4,20 +4,24 @@ Sections [problem] and [grid], plus command-specific [lemma], [frac_apply],
 [evolve] and [sweep]: the problem and the experiment only, as the PV rule,
 the blow-up factor and the row order are fixed in code.  ``KEYS`` declares
 every key once, with its cast and its default, and ``load_config`` checks
-the whole file against it whichever command reads it.  A parse failure is
-a ConfigError, and so is an unknown section or key, a bad value or a
-missing field, each named in the message.
+the whole file against it, and the rules across keys of one section,
+whichever command reads it; rules that need n and p wait for the data or
+plan.  A ConfigError names each parse failure, unknown section or key, bad
+value or missing field.
 """
 from __future__ import annotations
 
 import configparser
+import re
 from pathlib import Path
 
 import numpy as np
 
+from .blowup import DATA_KINDS
 from .evolution import ProblemParams
 from .grid import GridSpec
 from .lemma import FIT_WINDOW
+from .sweep import REGIME_EDGES
 
 
 class ConfigError(ValueError):
@@ -25,7 +29,8 @@ class ConfigError(ValueError):
 
 
 def _complex(raw: str) -> complex:
-    return complex(raw.replace(" ", "").replace("i", "j"))
+    # an i that ends a term is the imaginary unit, so inf and 1+infi parse
+    return complex(re.sub(r"i(?=$|[+\-)])", "j", raw.replace(" ", "")))
 
 
 def _float_list(raw: str) -> list[float] | None:
@@ -47,15 +52,16 @@ def _increasing_pair(raw: str) -> tuple[float, float]:
     return values[0], values[1]
 
 
-def _flag(raw: str) -> bool:
-    word = raw.lower()
-    if word not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError("need one of 1, true, yes, 0, false, no")
-    return word in ("1", "true", "yes")
-
-
 def _invalid(why: str):
     raise ValueError(why)
+
+
+def _one_of(*choices: str):
+    return lambda raw: raw if raw in choices else _invalid(f"need one of {', '.join(choices)}")
+
+
+def _flag(raw: str) -> bool:
+    return _one_of("1", "true", "yes", "0", "false", "no")(raw.lower()) in ("1", "true", "yes")
 
 
 #: section -> key -> (cast, default) for every key a config file may hold;
@@ -71,8 +77,7 @@ KEYS = {
     },
     "grid": {"L": (float, ...), "N": (int, ...)},
     "frac_apply": {
-        "profile": (lambda raw: raw if raw in ("bracket", "gaussian")
-                    else _invalid("need bracket or gaussian"), "bracket"),
+        "profile": (_one_of("bracket", "gaussian"), "bracket"),
         "q": (float, 2.0), "r": (float, 1.0), "width": (float, 1.0),
         "points": (_float_list, list(np.linspace(0.0, 5.0, 11))),
     },
@@ -83,7 +88,7 @@ KEYS = {
         "gaussian": (_flag, True),
     },
     "evolve": {
-        "data": (str, "inner-singular"), "mu": (float, 1.0), "k": (float, 0.25),
+        "data": (_one_of(*DATA_KINDS), "inner-singular"), "mu": (float, 1.0), "k": (float, 0.25),
         # None: half the grid spacing
         "cap_radius": (lambda raw: float(raw) if raw else None, None),
         # None: the adapted radius of the family
@@ -91,7 +96,7 @@ KEYS = {
         "dt": (float, 0.01), "t_max": (float, 1.0),
     },
     "sweep": {
-        "kind": (str, "inner-singular"), "k": (float, 0.25),
+        "kind": (_one_of(*REGIME_EDGES), "inner-singular"), "k": (float, 0.25),
         "count": (lambda raw: int(raw) if int(raw) >= 1 else _invalid("need at least 1 row"), 8),
         # both None: the automatic range
         "mu_min": (float, None), "mu_max": (float, None),
@@ -138,6 +143,17 @@ def load_config(path: str | Path) -> dict:
                 raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
             if value is not None:
                 values[section][key] = value
+
+    # rules across the keys of one section
+    sweep, evolve = values["sweep"], values["evolve"]
+    if (sweep["mu_min"] is None) != (sweep["mu_max"] is None):
+        key = "mu_min" if sweep["mu_min"] is not None else "mu_max"
+        raw = parser.get("sweep", key)
+        raise ConfigError(f"bad value for [sweep] {key} = {raw!r}: mu_min and mu_max go "
+                          "together: give both, or omit both for the automatic range")
+    if evolve["data"] == "integrable" and evolve["r"] is None:
+        raise ConfigError("bad value for [evolve] r = 'auto': integrable data has no adapted "
+                          "radius; give r as a number")
 
     params = grid = None
     if parser.has_section("problem"):

@@ -101,8 +101,11 @@ class TrajectoryRecord:
     sup_norm: np.ndarray
     l2_norm: np.ndarray
     t_num: float | None
-    threshold: float                  # the sup norm at which the run is flagged
     final: Field = field(repr=False)  # the last accepted step's own output, else u0's samples
+
+    @property
+    def threshold(self) -> float:  # the sup norm at which the run is flagged
+        return THRESHOLD_FACTOR * self.sup_norm[0]
 
     @property
     def blew_up(self) -> bool:
@@ -291,7 +294,7 @@ def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
 
     return TrajectoryRecord(times=np.array(times), m_r=np.array(m_r),
                             sup_norm=np.array(sups), l2_norm=np.array(l2s),
-                            t_num=t_num, threshold=threshold, final=u)
+                            t_num=t_num, final=u)
 
 
 def scaling_check(u0: Field, params: ProblemParams, dt: float, t_max: float,

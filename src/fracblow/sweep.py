@@ -3,15 +3,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .blowup import (BlowupConstants, InitialDataSpec, _check_k_against_dimension,
-                     _check_k_against_p, adapted_radius, compute_constants, family_exponent,
-                     family_i_const, lifespan_bound, make_initial_data, weighted_functional)
+from .blowup import (BlowupConstants, InitialDataSpec, _check_k, adapted_radius,
+                     compute_constants, family_exponent, family_i_const, lifespan_bound,
+                     make_initial_data, weighted_functional)
 from .evolution import THRESHOLD_FACTOR, ProblemParams, UnresolvedFieldError, evolve
 from .grid import GridSpec
 from .reporting import write_csv, write_manifest
@@ -44,6 +45,9 @@ HORIZON_FACTOR = 1.3
 #: capped family stays self-similar across the sweep (a fixed grid-scale cap
 #: would pin the lifespan to the cap scale instead of the amplitude law)
 CAP_FRACTION = 0.15
+#: family -> (loose, strict) edges on R*: a row is evolved only inside the loose
+#: edge and fitted only inside the strict one; inner lies below, outer above
+REGIME_EDGES = {"inner-singular": (1.0, 0.5), "outer-decay": (10.0, 20.0)}
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,9 @@ class SweepPlan:
     dt_base: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in ("inner-singular", "outer-decay"):
+        if self.kind not in REGIME_EDGES:
             raise ValueError(f"sweep kind must be a scaled family, got {self.kind!r}")
-        family = InitialDataSpec(kind=self.kind, mu=1.0, k=self.k)
-        _check_k_against_dimension(family, self.params.n)
-        _check_k_against_p(family, self.params.p)
+        _check_k(InitialDataSpec(kind=self.kind, mu=1.0, k=self.k), self.params.n, self.params.p)
         if self.grid.n != self.params.n:
             raise ValueError(f"grid dimension {self.grid.n} differs from n = {self.params.n}")
         # plain floats, so that notes and manifests print them as numbers
@@ -137,27 +139,30 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
     row = SweepRow(mu=mu)
     try:
         spec = InitialDataSpec(kind=plan.kind, mu=mu, k=plan.k)
-        rr = adapted_radius(spec, constants)
+        r_star, t_bound = adapted_radius(spec, constants)
         if plan.kind == "inner-singular":
-            cap = max(CAP_FRACTION * rr.r_star, 0.75 * plan.grid.dx)
+            cap = max(CAP_FRACTION * r_star, 0.75 * plan.grid.dx)
             spec = dataclasses.replace(spec, cap_radius=cap)
         u0 = make_initial_data(spec, plan.grid, plan.params.alpha)
-        m0 = weighted_functional(u0, plan.params.alpha, rr.r_star)
-        t_prop = lifespan_bound(m0, constants, rr.r_star)
-        row.r_star, row.t_bound, row.t_prop, row.m0 = rr.r_star, rr.t_bound_formula, t_prop, m0
-        row.in_regime = rr.in_regime_strict and row.condition_holds
-        if not rr.regime_ok:
-            row.note = rr.boundary
+        m0 = weighted_functional(u0, plan.params.alpha, r_star)
+        t_prop = lifespan_bound(m0, constants, r_star)
+        row.r_star, row.t_bound, row.t_prop, row.m0 = r_star, t_bound, t_prop, m0
+        loose, strict = REGIME_EDGES[plan.kind]
+        sign, inside = ("<", operator.lt) if plan.kind == "inner-singular" else (">", operator.gt)
+        row.in_regime = inside(r_star, strict) and row.condition_holds
+        if not inside(r_star, loose):
+            row.note = (f"R*={r_star:.4g} (regime needs R* {sign} {loose:g}, "
+                        f"strict {sign} {strict:g})")
             return row
-        if rr.r_star < plan.grid.dx:
+        if r_star < plan.grid.dx:
             # the weight's scale falls between lattice sites: nothing to resolve
             row.in_regime = False
-            row.note = f"R*={rr.r_star:.4g} below the grid spacing dx={plan.grid.dx:.4g}"
+            row.note = f"R*={r_star:.4g} below the grid spacing dx={plan.grid.dx:.4g}"
             return row
 
         dt = plan.dt_factor / u0.sup_norm() if plan.kind == "inner-singular" else plan.dt_base
-        horizon = HORIZON_FACTOR * min(row.t_prop, rr.t_bound_formula)
-        rec = evolve(u0, plan.params, dt, horizon, rr.r_star)
+        horizon = HORIZON_FACTOR * min(row.t_prop, t_bound)
+        rec = evolve(u0, plan.params, dt, horizon, r_star)
         row.t_num = rec.t_num
         if not rec.blew_up:
             row.note = f"no blow-up before horizon {horizon:.4g}"

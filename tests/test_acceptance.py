@@ -203,8 +203,8 @@ def test_criterion_08_ode_envelope(chain_p2):
     grid = GridSpec(1, 40.0, 16384)
     problems = []
     for mu in (20.0, 28.0, 40.0, 56.0, 80.0):
-        r_star = adapted_radius(InitialDataSpec(kind="inner-singular", mu=mu, k=0.25),
-                                constants).r_star
+        r_star, _ = adapted_radius(InitialDataSpec(kind="inner-singular", mu=mu, k=0.25),
+                                   constants)
         spec = InitialDataSpec(kind="inner-singular", mu=mu, k=0.25,
                                cap_radius=max(0.15 * r_star, 0.75 * grid.dx))
         u0 = make_initial_data(spec, grid, params.alpha)

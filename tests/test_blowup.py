@@ -12,7 +12,7 @@ from fracblow.blowup import (A_MARGIN, InitialDataSpec, adapted_radius, compute_
                              ode_lower_envelope, weighted_functional)
 from fracblow.evolution import ProblemParams
 from fracblow.grid import Field, GridSpec
-from fracblow.sweep import in_regime_amplitude
+from fracblow.sweep import REGIME_EDGES, in_regime_amplitude
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def constants(params):
 
 def _verdict(spec, constants, params, grid):
     """Bound at the adapted radius (inf: no verdict), for the family member built on grid."""
-    r_star = adapted_radius(spec, constants).r_star
+    r_star, _ = adapted_radius(spec, constants)
     u0 = make_initial_data(spec, grid, params.alpha)
     return lifespan_bound(weighted_functional(u0, params.alpha, r_star), constants, r_star)
 
@@ -239,8 +239,8 @@ class TestAdaptedRadius:
         constants = compute_constants(params)
         mu = in_regime_amplitude(kind, k, constants, r_target)
         spec = InitialDataSpec(kind=kind, mu=mu, k=k)
-        closed = adapted_radius(spec, constants)
-        assert closed.r_star == pytest.approx(r_target, rel=1e-12)
+        r_star, _ = adapted_radius(spec, constants)
+        assert r_star == pytest.approx(r_target, rel=1e-12)
 
     def test_inner_overlap_constant(self, params, constants):
         # n = 1, k = 1/4: I = (n-k)^(-1) 2^(-n-1) omega_n = 2/3
@@ -248,14 +248,14 @@ class TestAdaptedRadius:
         spec = InitialDataSpec(kind="inner-singular", mu=30.0, k=0.25)
         assert family_i_const(spec, 1) == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert math.isfinite(_verdict(spec, constants, params, g))
-        assert adapted_radius(spec, constants).regime_ok
+        assert adapted_radius(spec, constants)[0] < REGIME_EDGES["inner-singular"][0]
 
     def test_amplitude_scaling_exact(self, params, constants):
         k = 0.25
-        t1 = adapted_radius(InitialDataSpec(kind="inner-singular", mu=30.0, k=k),
-                            constants).t_bound_formula
-        t2 = adapted_radius(InitialDataSpec(kind="inner-singular", mu=60.0, k=k),
-                            constants).t_bound_formula
+        _, t1 = adapted_radius(InitialDataSpec(kind="inner-singular", mu=30.0, k=k),
+                               constants)
+        _, t2 = adapted_radius(InitialDataSpec(kind="inner-singular", mu=60.0, k=k),
+                               constants)
         predicted = t1 * 2.0 ** (-1.0 / (1.0 / (params.p - 1.0) - k))
         assert t2 == pytest.approx(predicted, rel=1e-13)
 
@@ -264,17 +264,12 @@ class TestAdaptedRadius:
         params = ProblemParams(n=1, p=1.25, lam=1j)
         constants = compute_constants(params)
         k = 1.5
-        t1 = adapted_radius(InitialDataSpec(kind="outer-decay", mu=1e-4, k=k),
-                            constants).t_bound_formula
-        t2 = adapted_radius(InitialDataSpec(kind="outer-decay", mu=2e-4, k=k),
-                            constants).t_bound_formula
+        _, t1 = adapted_radius(InitialDataSpec(kind="outer-decay", mu=1e-4, k=k),
+                               constants)
+        _, t2 = adapted_radius(InitialDataSpec(kind="outer-decay", mu=2e-4, k=k),
+                               constants)
         expo = -1.0 / (1.0 / (params.p - 1.0) - min(params.n, k))
         assert t2 / t1 == pytest.approx(2.0 ** expo, rel=1e-12)
-
-    def test_out_of_regime_reports_boundary(self, constants):
-        rr = adapted_radius(InitialDataSpec(kind="inner-singular", mu=1.0, k=0.25), constants)
-        assert not rr.regime_ok
-        assert "R*" in rr.boundary
 
     def test_chain_consistency(self, params, constants):
         # whenever the adapted radius is in its regime and the threshold
@@ -282,10 +277,10 @@ class TestAdaptedRadius:
         g = GridSpec(1, 40.0, 8192)
         for mu in (25.0, 50.0, 100.0):
             spec = InitialDataSpec(kind="inner-singular", mu=mu, k=0.25)
-            rr = adapted_radius(spec, constants)
+            r_star, t_formula = adapted_radius(spec, constants)
             t_bound = _verdict(spec, constants, params, g)
-            if rr.regime_ok and math.isfinite(t_bound):
-                assert t_bound <= rr.t_bound_formula * 1.001
+            if r_star < REGIME_EDGES["inner-singular"][0] and math.isfinite(t_bound):
+                assert t_bound <= t_formula * 1.001
 
     def test_p_constraint_named(self, constants):
         steep = ProblemParams(n=1, p=6.0, lam=1j)  # 1/(p-1) = 0.2 < k

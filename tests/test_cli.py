@@ -280,6 +280,15 @@ def test_unknown_key_exits_one_naming_it(tmp_path, capsys, extra, section, key):
                  id="constants-sweep-count"),
     pytest.param("constants", BASE + "[evolve]\nr = automatic\n", "evolve", "r",
                  id="constants-evolve-r"),
+    # family rules and rules across keys are checked on read as well
+    pytest.param("constants", BASE + "[sweep]\nkind = bogus\n", "sweep", "kind",
+                 id="constants-sweep-kind"),
+    pytest.param("constants", BASE + "[evolve]\ndata = bogus\n", "evolve", "data",
+                 id="constants-evolve-data"),
+    pytest.param("constants", BASE + "[sweep]\nmu_min = 20\n", "sweep", "mu_min",
+                 id="constants-sweep-mu_min-alone"),
+    pytest.param("evolve", BASE + "[evolve]\ndata = integrable\nr = auto\n", "evolve", "r",
+                 id="evolve-integrable-r-auto"),
 ])
 def test_bad_value_exits_one_naming_it(tmp_path, capsys, command, text, section, key):
     path = tmp_path / "run.ini"
@@ -333,6 +342,12 @@ def test_bad_value_exits_one_naming_it(tmp_path, capsys, command, text, section,
     pytest.param("constants", BASE.replace("alpha = auto", "alpha = 1e400"),
                  "bad [problem] section: lambda and alpha must be finite",
                  id="constants-alpha-inf"),
+    pytest.param("constants", BASE.replace("lambda = 1j", "lambda = inf"),
+                 "bad [problem] section: lambda and alpha must be finite",
+                 id="constants-lambda-inf"),
+    pytest.param("constants", BASE.replace("alpha = auto", "alpha = 1+infi"),
+                 "bad [problem] section: lambda and alpha must be finite",
+                 id="constants-alpha-inf-literal"),
 ])
 def test_out_of_range_value_exits_one(tmp_path, capsys, command, text, key):
     # rejected when the config is read, before any point, step or row runs

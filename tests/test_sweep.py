@@ -213,8 +213,31 @@ class TestRunSweep:
                                      mu_values=(mu,), grid=grid))
         spec = InitialDataSpec(kind="inner-singular", mu=mu, k=0.25)
         assert result.rows[0].r_star == pytest.approx(2.0, rel=1e-12)
-        assert adapted_radius(spec, p2_constants).r_star != pytest.approx(2.0, rel=0.1)
+        assert adapted_radius(spec, p2_constants)[0] != pytest.approx(2.0, rel=0.1)
         assert result.plan.predicted_exponent == pytest.approx(-1.0 / (2.0 - 0.25), rel=1e-12)
+
+    @pytest.mark.parametrize("p, kind, k, grid, r_star, note", [
+        pytest.param(2.0, "inner-singular", 0.25, GridSpec(1, 40.0, 32768), 2.0,
+                     "R*=2 (regime needs R* < 1, strict < 0.5)", id="inner"),
+        pytest.param(1.25, "outer-decay", 0.6, GridSpec(1, 256.0, 16384), 5.0,
+                     "R*=5 (regime needs R* > 10, strict > 20)", id="outer"),
+    ])
+    def test_out_of_regime_row_is_noted_and_not_evolved(self, monkeypatch, p, kind, k, grid,
+                                                        r_star, note):
+        # one amplitude beyond the loose edge of each family, on the lattices
+        # of the acceptance sweeps
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("an out-of-regime row was evolved")
+
+        monkeypatch.setattr(sweep, "evolve", no_evolution)
+        params = ProblemParams(n=1, p=p, lam=1j)
+        mu = in_regime_amplitude(kind, k, compute_constants(params), r_star)
+        result = run_sweep(SweepPlan(params=params, kind=kind, k=k, mu_values=(mu,),
+                                     grid=grid))
+        (row,) = result.rows
+        assert row.r_star == pytest.approx(r_star, rel=1e-12)
+        assert row.note == note
+        assert row.in_regime is False and row.t_num is None and not row.failed
 
     def test_plan_validation(self, inner_setup):
         params, _, grid = inner_setup

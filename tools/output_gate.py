@@ -6,15 +6,19 @@
 Each argument is a directory holding the ``fracblow`` package (the ``src``
 of a checkout).  Both trees run the same jobs, one process each, in a
 temporary directory: the three benchmark workloads of
-``fracbench/inputs.py`` at seeds 0-3, and the README's example config
-through all five commands.  Every CSV, JSON and NPY file a job writes is
+``fracbench/inputs.py`` at seeds 0-3, the README's example config
+through all five commands, and one sweep per family whose amplitudes
+straddle the loose regime edge, so that rows skipped at the edge and
+their notes are compared too.  Every CSV, JSON and NPY file a job writes is
 compared byte for byte, and so is its exit code.  Prints one line per job,
 and for each CSV that differs the columns that moved, each with its
 largest relative difference; exits 0 when everything matches, 1 on any
 difference.  Each job's line also gives the peak RSS of its process,
 parent -> change, from ``os.wait4``, and flags a rise above 2%.  A last
-line gives the size of each tree's ``fracblow`` package in lines, parent ->
-change.  Neither memory nor size enters the exit code.
+line gives the size of each tree's ``fracblow`` package, parent -> change:
+its lines, its dataclasses and their stored fields (``dataclasses.fields``
+of each class its own module defines).  Neither memory nor size enters the
+exit code.
 
 Standard library only.  The configs come from the checkout holding this
 script; the code under test comes only from the two arguments.
@@ -40,6 +44,22 @@ COMMANDS = ("constants", "frac-apply", "verify-lemma", "evolve", "sweep")
 SUFFIXES = (".csv", ".json", ".npy")
 #: a change's peak RSS above the parent's by more than this share is flagged
 RSS_RISE = 0.02
+#: (name, p, kind, k, L, mu_min, mu_max) of the sweeps across a loose regime
+#: edge, n = 1 and N = 4096: two of the four rows of each lie outside it
+EDGE_SWEEPS = (
+    ("edge-inner", 2.0, "inner-singular", 0.25, 40.0, 5.0, 25.0),
+    ("edge-outer", 1.25, "outer-decay", 0.6, 256.0, 1e-3, 0.2),
+)
+#: prints the number of dataclasses of the importable ``fracblow`` and of
+#: their stored fields
+COUNT_FIELDS = """
+import dataclasses, importlib, pkgutil, fracblow
+modules = [importlib.import_module("fracblow." + m.name)
+           for m in pkgutil.iter_modules(fracblow.__path__)]
+classes = [c for m in modules for c in vars(m).values() if isinstance(c, type)
+           and dataclasses.is_dataclass(c) and c.__module__ == m.__name__]
+print(len(classes), sum(len(dataclasses.fields(c)) for c in classes))
+"""
 
 
 def readme_config() -> str:
@@ -56,6 +76,12 @@ def jobs():
                    inputs.config_text(workload, seed))
     for command in COMMANDS:
         yield f"readme-{command}", command, readme_config()
+    for name, p, kind, k, half_width, mu_min, mu_max in EDGE_SWEEPS:
+        yield name, "sweep", (
+            f"[problem]\nn = 1\np = {p}\nlambda = 1j\nalpha = auto\n\n"
+            f"[grid]\nL = {half_width}\nN = 4096\n\n"
+            f"[sweep]\nkind = {kind}\nk = {k}\ncount = 4\n"
+            f"mu_min = {mu_min}\nmu_max = {mu_max}\n")
 
 
 def run(src: Path, command: str, config: Path, out: Path) -> tuple[int, float]:
@@ -73,9 +99,14 @@ def run(src: Path, command: str, config: Path, out: Path) -> tuple[int, float]:
     return proc.returncode, usage.ru_maxrss / 1024.0
 
 
-def package_lines(src: Path) -> int:
-    """Lines in the Python files of the ``fracblow`` package under ``src``."""
-    return sum(p.read_bytes().count(b"\n") for p in (src / "fracblow").rglob("*.py"))
+def package_size(src: Path) -> tuple[str, str, str]:
+    """Lines in the Python files of the ``fracblow`` package under ``src``,
+    its dataclasses and their stored fields (``?`` where it fails to import)."""
+    lines = sum(p.read_bytes().count(b"\n") for p in (src / "fracblow").rglob("*.py"))
+    proc = subprocess.run([sys.executable, "-c", COUNT_FIELDS], capture_output=True, text=True,
+                          cwd=src, env=dict(os.environ, PYTHONPATH=str(src)))
+    counts = proc.stdout.split() if proc.returncode == 0 else ["?", "?"]
+    return str(lines), *counts
 
 
 def outputs(out: Path) -> dict[str, bytes]:
@@ -145,7 +176,10 @@ def main(argv=None) -> int:
             if rss_b > (1.0 + RSS_RISE) * rss_a:
                 rss += f" (RISE {100.0 * (rss_b / rss_a - 1.0):+.1f}%)"
             print(f"{'DIFF' if problems else 'same'}  {name} (exit {code_b}): {verdict}; {rss}")
-    print("fracblow package: {} -> {} lines".format(*map(package_lines, sides.values())))
+    sizes = zip(*map(package_size, sides.values()))
+    print("fracblow package: " + ", ".join(
+        f"{a} -> {b} {what}" for (a, b), what in zip(
+            sizes, ("lines", "dataclasses", "stored fields"))))
     print(f"{files} files compared, {differences} differences")
     return 1 if differences else 0
 

@@ -20,7 +20,8 @@ from .blowup import (InitialDataSpec, adapted_radius, compute_constants, lifespa
 from .config import ConfigError, load_config
 from .evolution import MAX_HALVINGS, UnresolvedFieldError, evolve
 from .grid import Field
-from .lemma import lemma_csv_name, verify_gaussian_remark, verify_lemma, write_lemma_report
+from .lemma import (DegenerateFitError, lemma_csv_name, verify_gaussian_remark, verify_lemma,
+                    write_lemma_report)
 from .profiles import bracket_profile, gaussian_profile
 from .pv import QuadratureError, frac_laplacian_pv_many, normalization_constant
 from .reporting import constants_manifest, save_field, write_csv, write_manifest
@@ -207,10 +208,10 @@ _COMMANDS = {
 def _keep_freed_memory() -> None:
     """Let glibc keep freed arrays on the heap for reuse.
 
-    By default every freed block of 128 KiB or more (PV blocks, 1D fields,
-    2D fields) goes back to the kernel and is page-faulted in again on the
-    next allocation.  Raising both the mmap and the trim threshold keeps
-    them; either one alone does not.  A no-op where mallopt is missing.
+    By default every freed block of 128 KiB or more (1D and 2D fields) goes
+    back to the kernel and is page-faulted in again on the next allocation.
+    Raising both the mmap and the trim threshold keeps them; either one
+    alone does not.  A no-op where mallopt is missing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -237,7 +238,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return command(cfg, out)
-    except (QuadratureError, UnresolvedFieldError, FloatingPointError) as exc:
+    except (QuadratureError, UnresolvedFieldError, FloatingPointError, DegenerateFitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except ValueError as exc:

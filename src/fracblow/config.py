@@ -20,7 +20,7 @@ import numpy as np
 from .blowup import DATA_KINDS
 from .evolution import ProblemParams
 from .grid import GridSpec
-from .lemma import FIT_WINDOW
+from .lemma import FIT_WINDOW, MIN_WINDOW_SPAN
 from .sweep import REGIME_EDGES
 
 
@@ -45,10 +45,11 @@ def _dimensions(raw: str) -> list[int] | None:
     return [int(v) for v in values] or None
 
 
-def _increasing_pair(raw: str) -> tuple[float, float]:
+def _fit_window(raw: str) -> tuple[float, float]:
     values = _float_list(raw) or []
-    if len(values) != 2 or not values[0] < values[1]:
-        raise ValueError("need exactly two increasing values")
+    if len(values) != 2 or not 0.0 < MIN_WINDOW_SPAN * values[0] <= values[1] < np.inf:
+        raise ValueError(f"need two positive finite radii, the second at least "
+                         f"{MIN_WINDOW_SPAN:g} times the first: two decades")
     return values[0], values[1]
 
 
@@ -84,7 +85,7 @@ KEYS = {
     "lemma": {
         "dims": (_dimensions, [1, 2]),
         "q_values": (_float_list, None),  # None: n/2, n, n + 1 and n + 2 for each n
-        "fit_window": (_increasing_pair, FIT_WINDOW),
+        "fit_window": (_fit_window, FIT_WINDOW),
         "gaussian": (_flag, True),
     },
     "evolve": {

@@ -25,6 +25,7 @@ from .reporting import write_csv, write_manifest
 
 __all__ = [
     "DecayFitResult",
+    "DegenerateFitError",
     "LemmaSample",
     "LemmaVerdict",
     "default_radii",
@@ -38,12 +39,18 @@ __all__ = [
 
 #: default radius window of the algebraic-weight decay fits
 FIT_WINDOW = (1e2, 1e4)
+#: the least ratio of a fit window's ends: two decades, less a percent for rounding
+MIN_WINDOW_SPAN = 99.0
 #: radius window of the Gaussian decay fit
 GAUSSIAN_WINDOW = (8.0, 800.0)
 #: exponent-match tolerances per dimension
 EXPONENT_TOL = {1: 0.05, 2: 0.1}
 #: the far cutoff of an algebraic weight sampled at radius r starts at this times 1 + r
 FAR_CUTOFF_FACTOR = 120.0
+
+
+class DegenerateFitError(ValueError):
+    """Every sample inside the fit window is below the noise floor."""
 
 
 @dataclass(frozen=True)
@@ -142,10 +149,10 @@ def _window_samples(samples, window):
     picked = [s for s in samples if lo <= s.r <= hi and s.value != 0.0]
     if len(picked) < 8:
         raise ValueError(f"need >= 8 samples inside window {window}, got {len(picked)}")
-    if picked[-1].r / picked[0].r < 99.0:
+    if picked[-1].r / picked[0].r < MIN_WINDOW_SPAN:
         raise ValueError("fit window must span at least two decades")
     if max(abs(s.value) for s in picked) < 1e3 * np.finfo(float).eps:
-        raise ValueError("degenerate fit: all samples below the noise floor")
+        raise DegenerateFitError("degenerate fit: all samples below the noise floor")
     return picked
 
 

@@ -1,24 +1,25 @@
-"""Singular quadrature for the half-Laplacian.
+"""Singular quadrature for the half-Laplacian of a radial profile.
 
-Evaluates (-Delta)^(1/2) f at a point as B_n times the principal-value
-integral of (f(x) - f(x+y)) / |y|^(n+1).  The integrand is symmetrized in
-y -> -y, which turns the principal value into a proper integral whose
-radial form is
+Evaluates (-Delta)^(1/2) f at a point x, |x| = a, as B_n times the
+principal-value integral of (f(x) - f(z)) / |x - z|^(n+1).  For a radial f
+both dimensions reduce to one integral over the radius rho = |z|, and
+pairing the two radii rho = a +- t turns the principal value into a proper
+integral,
 
-    int_0^inf r^(-2) S(r) dr,
-    S(r) = int_{S^(n-1)} [f(x) - f(x + r w)] dsigma(w),
+    int_0^inf t^(-2) S(t) dt,
+    S(t) = sum over rho = a +- t of (f(a) - f(rho)) kappa_n(a, rho),
 
-so no epsilon-limit is taken numerically.  The radial axis is covered by
-geometric shells refined around the profile feature at r = |x|, each shell
-integrated with a fixed-order Gauss-Legendre rule; for n = 2 the sphere
-integral uses Gauss rules on a geometric ladder of angular segments
-accumulating at the antipodal direction, where the integrand develops an
-O(scale/|x|) feature.  Profiles are evaluated on the squared radius
-|x + r w|^2, and the n = 2 (radial x angular) table is swept in row blocks
-that stay in cache.  Everything past the far cutoff is handled with an
-exact term for the f(x) part and a certified bracket [0, tail] for the
-rest (every profile decays), so each returned value carries a defensible
-error estimate.
+so no epsilon-limit is taken numerically.  In 1D, kappa_1 = 1: the two
+points x +- t.  In 2D the angle integral has a closed form (Ferrari and
+Verbitsky, J. Differential Equations 253 (2012)): kappa_2(a, rho) =
+4 rho E(k) / (rho + a) with k^2 = 4 rho a / (rho + a)^2, zero for rho <= 0,
+and 2 pi at a = 0; E comes from the arithmetic-geometric mean.  The t axis
+is covered by geometric shells refined around the profile core at t = a,
+each shell integrated with a fixed-order Gauss-Legendre rule, and profiles
+are evaluated on the squared radius rho^2.  Everything past the far cutoff
+is handled with an exact term for the f(x) part and a certified bracket
+[0, tail] for the rest (every profile decays), so each returned value
+carries a defensible error estimate.
 
 The rule is fixed in code: only the far cutoff ``y_max`` and the tolerance
 ``tol`` are arguments, and only the lemma's sampler varies them.
@@ -46,10 +47,10 @@ __all__ = [
 
 #: innermost shell boundary
 EPS0 = 1e-3
-#: geometric ratio of the radial shells and of the angular segments
+#: geometric ratio of the radial shells
 GROWTH = 1.7
-#: Gauss nodes per radial shell, and per angular segment for n = 2
-RADIAL_NODES = ANGULAR_NODES = 12
+#: Gauss nodes per radial shell of the coarse rule; the fine rule has 6 more
+RADIAL_NODES = 12
 #: default far cutoff of the explicit shells, and default target tolerance
 Y_MAX, TOL = 256.0, 1e-6
 
@@ -58,9 +59,6 @@ Y_MAX, TOL = 256.0, 1e-6
 class PVResult:
     value: float
     error: float
-
-    def __float__(self):
-        return self.value
 
 
 class QuadratureError(RuntimeError):
@@ -83,11 +81,6 @@ def sphere_measure(n: int) -> float:
     if n == 2:
         return 2.0 * math.pi
     raise ValueError(f"dimension must be 1 or 2, got {n}")
-
-
-#: (radial x angular) elements per row block of the n = 2 sphere integral:
-#: the block and the profile's temporaries on it (256 KiB each) fit in L2
-_BLOCK_ELEMENTS = 32768
 
 
 @functools.lru_cache(maxsize=64)
@@ -117,11 +110,11 @@ def _geometric_ladder(lo: float, hi: float, g: float) -> list[float]:
 
 
 def _radial_breaks(ax: float, scale: float, y: float) -> np.ndarray:
-    """Shell boundaries on [0, y], refined around the feature at r = ax.
+    """Shell boundaries on [0, y], refined around the feature at t = ax.
 
     The innermost boundary never drops below 2% of the profile scale: the
     symmetrized integrand is smooth there, and smaller first shells only
-    amplify the r^(-2) roundoff of the cancellation in S.
+    amplify the t^(-2) roundoff of the cancellation in S.
     """
     eps_eff = max(EPS0, 0.02 * scale)
     pts = {0.0, y}
@@ -139,75 +132,72 @@ def _radial_breaks(ax: float, scale: float, y: float) -> np.ndarray:
     return b[keep]
 
 
-def _theta_breaks(ax: float, scale: float) -> np.ndarray:
-    """Angular segment boundaries on [0, pi], accumulating at pi."""
-    width = math.pi * min(1.0, 0.05 * scale / max(ax, scale))
-    offs = _geometric_ladder(width, math.pi, GROWTH)
-    pts = sorted({0.0, math.pi} | {math.pi - d for d in offs})
-    return np.array(pts)
+def _ellipe(k2, kp):
+    """E(k) from k^2 and the complementary modulus k', both given (k' taken
+    from k would cancel as k -> 1), by the arithmetic-geometric mean (DLMF
+    19.8.6); once every c_j <= 1e-8 a_j the terms left are below roundoff."""
+    a, g, c = np.ones_like(kp), kp, np.sqrt(k2)
+    total, power = 0.5 * k2, 0.5
+    while np.any(c > 1e-8 * a):
+        a, g, c = 0.5 * (a + g), np.sqrt(a * g), 0.5 * (a - g)
+        power *= 2.0
+        total = total + power * c * c
+    return 0.5 * math.pi / a * (1.0 - total)
 
 
-def _radial_integral(profile: RadialProfile, ax: float, f_ax: float, rb: np.ndarray,
-                     tb: np.ndarray | None, mr: int, mt: int) -> tuple[float, float]:
-    """int_0^y r^(-2) S(r) dr at one point |x| = ax, over the radial breaks rb.
+def _kappa_2(a: float, rho: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """kappa_2(a, rho) = 4 rho E(k) / (rho + a) for rho = a +- t > 0: the
+    integral of |x - z|^(-3) over the circle |z| = rho, times rho t^2."""
+    s = rho + a
+    return 4.0 * rho * _ellipe(4.0 * rho * a / (s * s), t / s) / s
 
-    ``tb`` holds the angular breaks for n = 2 and is None for n = 1.  Also
-    returns the kernel-weighted magnitude sum that scales the cancellation
-    roundoff in the error estimate.
+
+def _radial_integral(profile: RadialProfile, n: int, ax: float, f_ax: float, tb: np.ndarray,
+                     m: int) -> tuple[float, float]:
+    """int_0^y t^(-2) S(t) dt at one point |x| = ax, over the shell breaks tb.
+
+    Also returns the kernel-weighted magnitude sum that scales the
+    cancellation roundoff in the error estimate.
     """
-    r, wr = _segment_nodes(rb, mr)
-    if tb is None:
-        fp, fm = profile.fn(np.square(ax + r)), profile.fn(np.square(ax - r))
-        s = 2.0 * f_ax - fp - fm
-        smag = 2.0 * abs(f_ax) + np.abs(fp) + np.abs(fm)
+    t, w = _segment_nodes(tb, m)
+    fp, fm = profile.fn(np.square(ax + t)), profile.fn(np.square(ax - t))
+    if n == 1:
+        kp = km = 1.0
     else:
-        th, wt = _segment_nodes(tb, mt)
-        s, smag = _sphere_integral_2d(profile, ax, f_ax, r, th, wt)
+        # the radius ax - t is a circle only while it is positive
+        kp, km, inner = _kappa_2(ax, ax + t, t), np.zeros_like(t), t < ax
+        km[inner] = _kappa_2(ax, ax - t[inner], t[inner])
+    s = f_ax * (kp + km) - fp * kp - fm * km
+    smag = abs(f_ax) * (kp + km) + np.abs(fp) * kp + np.abs(fm) * km
     # magnitude actually summed against the kernel: scales the roundoff left
-    # by the symmetric cancellation in S near r -> 0
-    cancel_mass = float(np.dot(np.abs(wr), smag / np.square(r)))
-    return float(np.dot(wr, s / np.square(r))), cancel_mass
+    # by the symmetric cancellation in S near t -> 0
+    cancel_mass = float(np.dot(np.abs(w), smag / np.square(t)))
+    return float(np.dot(w, s / np.square(t))), cancel_mass
 
 
-def _sphere_integral_2d(profile: RadialProfile, ax: float, f_ax: float, r: np.ndarray,
-                        th: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S(r) and its magnitude sum on the circle, for every radial node r.
-
-    |x + r w|^2 = (ax^2 + r^2) + 2 ax (r cos(theta)), theta in [0, pi]
-    doubled, feeds the profile as a squared radius.  The (radial x angular)
-    table is swept in row blocks of about _BLOCK_ELEMENTS, built in place in
-    one buffer, so the working set stays in cache whatever the node count.
-    """
-    cos, awt = np.cos(th), np.abs(wt)
-    base, two_ax = ax * ax + np.square(r), 2.0 * ax
-    s, smag = np.empty_like(r), np.empty_like(r)
-    rows = max(1, _BLOCK_ELEMENTS // th.size)
-    buf = np.empty((min(rows, r.size), th.size))
-    for i in range(0, r.size, rows):
-        j = min(i + rows, r.size)
-        rho2 = buf[:j - i]
-        np.multiply(r[i:j, None], cos, out=rho2)
-        rho2 *= two_ax
-        rho2 += base[i:j, None]
-        np.maximum(rho2, 0.0, out=rho2)
-        fv = profile.fn(rho2)
-        smag[i:j] = np.abs(fv) @ awt
-        s[i:j] = np.subtract(f_ax, fv, out=rho2) @ wt
-    return 2.0 * s, 2.0 * (abs(f_ax) * float(np.sum(awt)) + smag)
-
-
-def _tail_half(profile: RadialProfile, ax: float, y: float) -> float:
-    # beyond y:  int r^-2 S dr = omega*f(ax)/y - int_{|y'|>y} f(x+y') K dy',
-    # the second term sits inside [0, tail(y-ax)] * omega / y: its midpoint
-    # and its half-width are both half the tail bound times omega / y
-    return 0.5 * (profile.tail(y - ax) if y > ax else profile.tail(0.0))
+def _far_field(profile: RadialProfile, ax: float, n: int, y: float) -> tuple[float, float, float]:
+    """Half the tail bound past the cutoff, and the kernel mass num / den of
+    the cut-off region: int t^-2 S dt there is f(ax) * mass minus a term in
+    [0, tail * mass].  In 1D the region is |z - x| > y, where |z| >= y - ax,
+    with mass 2 / y; in 2D it is |z| > R = ax + y, with mass
+    4 R E(ax / R) / (R^2 - ax^2).  A ratio, so that c * num / den rounds in
+    1D as c * 2 / y does."""
+    if n == 1:
+        return 0.5 * (profile.tail(y - ax) if y > ax else profile.tail(0.0)), 2.0, y
+    big = ax + y
+    den = y * (big + ax)
+    return (0.5 * profile.tail(big),
+            4.0 * big * float(_ellipe((ax / big) ** 2, math.sqrt(den) / big)), den)
 
 
 def far_cutoff(profile: RadialProfile, x_norm: float, n: int, y: float, tol: float) -> float:
     """y, doubled until the far field's share of the certified error at a
     point of radius x_norm in n dimensions is within tol, or y reaches 1e9."""
-    b, omega = normalization_constant(n).value, sphere_measure(n)
-    while b * omega * _tail_half(profile, x_norm, y) / y > tol and y < 1e9:
+    b = normalization_constant(n).value
+    while y < 1e9:
+        tail_half, num, den = _far_field(profile, x_norm, n, y)
+        if not b * num * tail_half / den > tol:
+            break
         y *= 2.0
     return y
 
@@ -218,8 +208,8 @@ def frac_laplacian_pv(profile: RadialProfile, x, y_max: float = Y_MAX,
 
     The kernel normalization is :func:`normalization_constant` of the
     point's dimension.  The reported error combines a node-refinement
-    difference, the certified bracket of the far field beyond ``y_max``,
-    and a cancellation roundoff term; if it misses ``tol`` a
+    difference, the certified bracket of the far field past the cutoff
+    ``y_max``, and a cancellation roundoff term; if it misses ``tol`` a
     :class:`QuadratureError` carries the partial value and residual.
     """
     if not 1.0 <= y_max < math.inf:
@@ -231,21 +221,21 @@ def frac_laplacian_pv(profile: RadialProfile, x, y_max: float = Y_MAX,
     if n not in (1, 2):
         raise ValueError("point must have 1 or 2 coordinates")
     ax = float(np.linalg.norm(xv))
-    b, omega = normalization_constant(n).value, sphere_measure(n)
-    y = y_max
+    b = normalization_constant(n).value
+    # in 2D the shells run past t = ax, so that the profile core at the
+    # origin, seen at t = ax, is refined
+    y = y_max if n == 1 else max(y_max, 2.0 * ax)
 
     # the coarse and the fine rule share the breaks and f(|x|)
     f_ax = float(profile(ax))
-    rb = _radial_breaks(ax, profile.scale, y)
-    tb = _theta_breaks(ax, profile.scale) if n == 2 else None
-    coarse, _ = _radial_integral(profile, ax, f_ax, rb, tb, RADIAL_NODES, ANGULAR_NODES)
-    fine, cmass = _radial_integral(profile, ax, f_ax, rb, tb,
-                                   RADIAL_NODES + 6, ANGULAR_NODES + 6)
+    tb = _radial_breaks(ax, profile.scale, y)
+    coarse, _ = _radial_integral(profile, n, ax, f_ax, tb, RADIAL_NODES)
+    fine, cmass = _radial_integral(profile, n, ax, f_ax, tb, RADIAL_NODES + 6)
 
-    tail_half = _tail_half(profile, ax, y)
-    value = b * (fine + (f_ax - tail_half) * omega / y)
-    roundoff = np.finfo(float).eps * (16.0 * cmass + 4.0 * abs(f_ax) * omega / y)
-    err = b * (3.0 * abs(fine - coarse) + tail_half * omega / y + roundoff)
+    tail_half, num, den = _far_field(profile, ax, n, y)
+    value = b * (fine + (f_ax - tail_half) * num / den)
+    roundoff = np.finfo(float).eps * (16.0 * cmass + 4.0 * abs(f_ax) * num / den)
+    err = b * (3.0 * abs(fine - coarse) + tail_half * num / den + roundoff)
     if not err <= tol:  # a NaN error is no certificate
         raise QuadratureError(
             f"shell series not converged at y_max={y} for |x|={ax:.3g}", value, err)

@@ -266,6 +266,10 @@ def test_unknown_key_exits_one_naming_it(tmp_path, capsys, extra, section, key):
                  id="lemma-fit_window-one-value"),
     pytest.param("verify-lemma", "[lemma]\nfit_window = 1e4, 1e2\n", "lemma", "fit_window",
                  id="lemma-fit_window-decreasing"),
+    pytest.param("verify-lemma", "[lemma]\nfit_window = 100, 1000\n", "lemma", "fit_window",
+                 id="lemma-fit_window-one-decade"),
+    pytest.param("verify-lemma", "[lemma]\nfit_window = 0, 1e4\n", "lemma", "fit_window",
+                 id="lemma-fit_window-zero"),
     pytest.param("verify-lemma", "[lemma]\ngaussian = maybe\n", "lemma", "gaussian",
                  id="lemma-gaussian"),
     pytest.param("verify-lemma", "[lemma]\ndims = 1, 3\n", "lemma", "dims", id="lemma-dims"),
@@ -280,6 +284,8 @@ def test_unknown_key_exits_one_naming_it(tmp_path, capsys, extra, section, key):
                  id="constants-sweep-count"),
     pytest.param("constants", BASE + "[evolve]\nr = automatic\n", "evolve", "r",
                  id="constants-evolve-r"),
+    pytest.param("constants", BASE + "[lemma]\nfit_window = 100, 1000\n", "lemma", "fit_window",
+                 id="constants-lemma-fit_window-one-decade"),
     # family rules and rules across keys are checked on read as well
     pytest.param("constants", BASE + "[sweep]\nkind = bogus\n", "sweep", "kind",
                  id="constants-sweep-kind"),
@@ -443,6 +449,17 @@ points = 0
     out = tmp_path / "out"
     assert main(["frac-apply", "--config", cfg, "--out", str(out)]) == 2
     assert not (out / "frac_apply.csv").exists()
+
+
+def test_degenerate_fit_exits_two(tmp_path, capsys):
+    # <x>^(-1) in 2D is about 1e-18 to 1e-24 in this window, below the noise
+    # floor of the fit: a numerical failure, not a config error
+    path = tmp_path / "run.ini"
+    path.write_text("[lemma]\ndims = 2\nq_values = 1\ngaussian = false\nfit_window = 1e6, 1e8\n")
+    out = tmp_path / "out"
+    assert main(["verify-lemma", "--config", str(path), "--out", str(out)]) == 2
+    assert "numerical failure: degenerate fit" in capsys.readouterr().err
+    assert not list(out.glob("*"))
 
 
 def test_field_roundtrip(tmp_path):

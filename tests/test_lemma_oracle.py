@@ -9,7 +9,9 @@ of exp(-|x|^2) is 2 G((n+1)/2) / G(n/2) 1F1((n+1)/2; n/2; -|x|^2).  Both are
 evaluated with mpmath at 40 digits.  A sample farther from its exact value
 than its certified error is a miss.  The weights that miss are marked with
 where and by how much: their certificates are too narrow far out, where
-the value is many orders below the profile's scale.
+the value is many orders below the profile's scale and the roundoff of the
+cancellation in S outgrows its allowance.  That one cause is shared by both
+dimensions, since 2D takes the same radial route as 1D.
 """
 import pytest
 
@@ -51,10 +53,9 @@ def _known_miss(where):
 @pytest.mark.parametrize("n, q", [
     (1, 0.5), (1, 1.0), (1, 2.0),
     pytest.param(1, 3.0, marks=_known_miss("6 of 28 radii, r = 2371-1e4, by up to 3.8x")),
-    (2, 1.0), (2, 2.0),
     # <x>^(-3) in 2D is the blow-up test weight itself
-    pytest.param(2, 3.0, marks=_known_miss("4 of 28 radii, r = 3162-7499, by up to 2.65x")),
-    pytest.param(2, 4.0, marks=_known_miss("7 of 28 radii, r = 316-7499, by up to 4.9x")),
+    (2, 1.0), (2, 2.0), (2, 3.0),
+    pytest.param(2, 4.0, marks=_known_miss("3 of 28 radii, r = 5623-1e4, by up to 4.8x")),
 ])
 def test_bracket_weight_within_certificate(n, q):
     samples = sample_frac_weight(n, q, default_radii())
@@ -64,7 +65,7 @@ def test_bracket_weight_within_certificate(n, q):
 
 @pytest.mark.parametrize("n", [
     pytest.param(1, marks=_known_miss("4 of 21 samples, r = 172-800, by up to 3.16x")),
-    pytest.param(2, marks=_known_miss("6 of 21 samples, r = 20-433, by up to 29.1x")),
+    pytest.param(2, marks=_known_miss("4 of 21 samples, r = 172-433, by up to 3.14x")),
 ])
 def test_gaussian_within_certificate(n):
     samples = verify_gaussian_remark(n).samples

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
-from scipy.special import j0
+from scipy.special import ellipe, j0
 
 from fracblow import pv
 from fracblow.lemma import sample_frac_weight
@@ -147,7 +147,7 @@ class TestPointwiseEvaluator:
             assert res.value == v and res.error == e
 
 
-#: radii whose 2D points span one row block (r = 0, coarse rule) up to dozens
+#: radii from the origin through the profile core to far out
 CLOSED_FORM_RADII = (0.0, 0.5, 1.0, 3.0, 30.0, 1e3, 1e4)
 #: (n, q, exact) with exact(r) = (-Delta)^(1/2) <x>^(-q) at |x| = r, from the
 #: Poisson extension
@@ -172,16 +172,36 @@ class TestClosedFormCertificates:
         for s in sample_frac_weight(n, q, CLOSED_FORM_RADII):
             assert abs(s.value - exact(s.r)) <= s.error, s
 
-    def test_row_blocks_do_not_change_the_value(self, monkeypatch):
-        # one row per block, the default budget, and the whole table at once
-        values = {}
-        for budget in (1, pv._BLOCK_ELEMENTS, 10**9):
-            monkeypatch.setattr(pv, "_BLOCK_ELEMENTS", budget)
-            values[budget] = sample_frac_weight(2, 3.0, CLOSED_FORM_RADII)
-        ref = values[pv._BLOCK_ELEMENTS]
-        for samples in values.values():
-            for s, t in zip(samples, ref):
-                assert abs(s.value - t.value) <= 1e-3 * t.error
+    def test_core_refined_when_the_cutoff_is_inside_the_point(self):
+        # y_max = 1 < |x|: the 2D shells must still reach past t = |x|, where
+        # the profile core at the origin is seen
+        res = frac_laplacian_pv(bracket_profile(3.0), (5733.0, 0.0), y_max=1.0, tol=1.0)
+        exact = POISSON_CLOSED_FORMS[2][2]
+        assert abs(res.value - exact(5733.0)) <= res.error
+
+
+class TestRadialKernel2D:
+    """The closed forms the 2D radial route rests on."""
+
+    def test_agm_ellipe_against_scipy(self):
+        kp = np.geomspace(1e-15, 1.0, 46)
+        k2 = 1.0 - kp * kp
+        assert np.allclose(pv._ellipe(k2, kp), ellipe(k2), rtol=1e-13, atol=0.0)
+
+    def test_kernel_at_the_origin_is_the_sphere_measure(self):
+        rho = np.array([1e-3, 0.7, 1.0, 50.0, 1e4])
+        assert np.allclose(pv._kappa_2(0.0, rho, rho), 2.0 * math.pi, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("ax, y", [(0.0, 1.0), (1.0, 2.0), (3.0, 0.5), (40.0, 256.0)])
+    def test_exterior_mass_against_quadrature(self, ax, y):
+        # int_{|z| > ax + y} |x - z|^-3 dz, angle inside, radius outside
+        def ring(rho):
+            inner = scipy_quad(lambda th: (ax * ax + rho * rho - 2.0 * ax * rho * math.cos(th))
+                               ** -1.5, 0.0, math.pi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            return 2.0 * rho * inner
+        direct = scipy_quad(ring, ax + y, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        _, num, den = pv._far_field(bracket_profile(3.0), ax, 2, y)
+        assert num / den == pytest.approx(direct, rel=1e-10)
 
 
 _y_max = st.floats(1.0, 4096.0)

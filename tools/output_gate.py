@@ -12,7 +12,9 @@ straddle the loose regime edge, so that rows skipped at the edge and
 their notes are compared too.  Every CSV, JSON and NPY file a job writes is
 compared byte for byte, and so is its exit code.  Prints one line per job,
 and for each CSV that differs the columns that moved, each with its
-largest relative difference; exits 0 when everything matches, 1 on any
+largest relative difference, and where it holds ``g`` and
+``certified_error`` (the lemma CSVs) the largest ``|g_new - g_old|`` over
+the old ``certified_error``; exits 0 when everything matches, 1 on any
 difference.  Each job's line also gives the peak RSS of its process,
 parent -> change, from ``os.wait4``, and flags a rise above 2%.  A last
 line gives the size of each tree's ``fracblow`` package, parent -> change:
@@ -118,7 +120,9 @@ def outputs(out: Path) -> dict[str, bytes]:
 
 def moved_columns(old: bytes, new: bytes) -> str:
     """The columns in which two CSV tables differ, each with its largest
-    relative difference (``text`` when a differing cell is not a number)."""
+    relative difference (``text`` when a differing cell is not a number),
+    and, for a table of certified values ``g`` with ``certified_error``,
+    the largest move of ``g`` in units of its old certificate."""
     a = list(csv.reader(io.StringIO(old.decode())))
     b = list(csv.reader(io.StringIO(new.decode())))
     if not a or not b or a[0] != b[0] or len(a) != len(b):
@@ -137,8 +141,14 @@ def moved_columns(old: bytes, new: bytes) -> str:
             worst = moved.get(name, 0.0)
             # a text difference (NaN) sticks
             moved[name] = worst if math.isnan(worst) or rel <= worst else rel
-    return ", ".join(f"{name} " + ("text" if math.isnan(rel) else f"max rel {rel:.3g}")
-                     for name, rel in moved.items())
+    summary = ", ".join(f"{name} " + ("text" if math.isnan(rel) else f"max rel {rel:.3g}")
+                        for name, rel in moved.items())
+    if "g" in moved and "certified_error" in a[0]:
+        g, err = a[0].index("g"), a[0].index("certified_error")
+        worst = max(abs(float(row_b[g]) - float(row_a[g])) / float(row_a[err])
+                    for row_a, row_b in zip(a[1:], b[1:]))
+        summary += f"; max |g_new - g_old| / certified_error_old {worst:.3g}"
+    return summary
 
 
 def main(argv=None) -> int:

@@ -4,14 +4,15 @@ The evolution is i u_t + Op u = lam |u|^p with Op the half-Laplacian, so
 u_t = i Op u - i lam |u|^p.  Each step is a Strang composition: half a
 linear step (exact Fourier multiplier exp(i t |xi|)), a full nonlinear
 step (explicit midpoint on the pointwise ODE), and another half linear
-step.  ``strang_step`` is the one stepping kernel: it builds the half-step
-phase once per grid and step size, and its output holds only its
-spectrum, which the next step starts from, so a chain of steps costs 2
-FFTs a step.  ``evolve`` reads each output without leaving the spectrum:
-the sup norm of the step's post-source stage, ``M_R`` as a pairing with
-the weight's DFT, and the L2 norm by Parseval.  Blow-up is detected from
-the sup norm, with step halving near the singularity; the last accepted
-time is the numerical blow-up time.
+step.  ``_step`` is the one stepping kernel: it maps a spectrum to the next
+step's spectrum and the sup norm of its post-source stage, with the
+half-step phase built once per grid and step size.  ``evolve`` carries
+that (spectrum, sup) pair through its loop, so a run costs 2 FFTs a step,
+and reads each step without leaving the spectrum: ``M_R`` as a pairing
+with the weight's DFT, and the L2 norm by Parseval.  ``strang_step`` is
+the same kernel between sampled fields, for fixed-step runs.  Blow-up is
+detected from the sup norm, with step halving near the singularity; the
+last accepted time is the numerical blow-up time.
 """
 from __future__ import annotations
 
@@ -101,7 +102,12 @@ class TrajectoryRecord:
     sup_norm: np.ndarray
     l2_norm: np.ndarray
     t_num: float | None
-    final: Field = field(repr=False)  # the last accepted step's own output, else u0's samples
+    grid: GridSpec
+    final_spectrum: np.ndarray = field(repr=False)  # DFT of the last accepted state
+
+    @property
+    def final(self) -> Field:  # the last accepted state, else u0 to roundoff
+        return Field(self.grid, np.fft.ifftn(self.final_spectrum))
 
     @property
     def threshold(self) -> float:  # the sup norm at which the run is flagged
@@ -161,29 +167,32 @@ def _half_step_phase(grid: GridSpec, dt: float) -> np.ndarray:
     return phase
 
 
-def strang_step(f: Field, dt: float, params: ProblemParams) -> Field:
-    """Linear half step, nonlinear full step, linear half step.
+def _step(spec: np.ndarray, phase: np.ndarray, dt: float,
+          params: ProblemParams) -> tuple[np.ndarray, float]:
+    """Linear half step, nonlinear full step, linear half step, on a spectrum.
 
-    The output holds only its spectrum, read-only, and the sup of the
-    post-source stage; its values are one inverse DFT, taken on first
-    read.  The input's DFT is taken only when it carries none, so a chain
-    of steps costs 2 FFTs a step.
+    Returns the output's spectrum and the sup norm of the post-source
+    stage, half a linear step before the output.  ``spec`` is not written,
+    so a rejected step is retried from it.
     """
-    phase = _half_step_phase(f.grid, dt)
-    spec = np.fft.fftn(f.values) if f.spectrum is None else f.spectrum
     u = np.fft.ifftn(phase * spec)
     _midpoint_source(u, dt, params)
     stage_sup = float(np.max(np.abs(u)))
     spec = np.fft.fftn(u)
     spec *= phase
-    spec.setflags(write=False)
-    return Field(f.grid, spectrum=spec, stage_sup=stage_sup)
+    return spec, stage_sup
 
 
-def spectral_tail_fraction(f: Field) -> float:
+def strang_step(f: Field, dt: float, params: ProblemParams) -> Field:
+    """One Strang step of a sampled field: ``_step`` between two DFTs."""
+    spec, _ = _step(np.fft.fftn(f.values), _half_step_phase(f.grid, dt), dt, params)
+    return Field(f.grid, np.fft.ifftn(spec))
+
+
+def spectral_tail_fraction(spectrum: np.ndarray, grid: GridSpec) -> float:
     """Fraction of spectral l2 mass carried by modes with |xi| >= TAIL_BAND * max."""
-    spec = np.abs(np.fft.fftn(f.values) if f.spectrum is None else f.spectrum) ** 2
-    absxi = f.grid.abs_freq()
+    spec = np.abs(spectrum) ** 2
+    absxi = grid.abs_freq()
     total = float(spec.sum())
     if total == 0.0:
         return 0.0
@@ -203,21 +212,21 @@ def weighted_functional(u: Field, alpha: complex, R: float) -> float:
     return -(alpha * acc).imag
 
 
-def _spectral_readings(u: Field, alpha: complex, w_hat: np.ndarray) -> tuple[float, float]:
-    """(M_R, L2 norm) of u from its spectrum alone, by Parseval.
+def _spectral_readings(spec: np.ndarray, grid: GridSpec, alpha: complex,
+                       w_hat: np.ndarray) -> tuple[float, float]:
+    """(M_R, L2 norm) of the state with DFT ``spec``, by Parseval.
 
     ``w_hat`` is the test weight's DFT times dx^n / N^n, real and contiguous.
     """
-    spec = u.spectrum
     # real and imaginary parts side by side, so that w_hat needs no complex copy
     re, im = w_hat.ravel() @ spec.view(np.float64).reshape(-1, 2)
-    l2_sq = np.vdot(spec, spec).real * u.grid.cell_volume / spec.size
+    l2_sq = np.vdot(spec, spec).real * grid.cell_volume / spec.size
     return -(alpha * complex(re, im)).imag, math.sqrt(l2_sq)
 
 
-def _require_resolved(f: Field) -> None:
+def _require_resolved(spec: np.ndarray, grid: GridSpec) -> None:
     """Refuse data whose spectral tail exceeds ``TAIL_FRACTION_LIMIT``."""
-    tail = spectral_tail_fraction(f)
+    tail = spectral_tail_fraction(spec, grid)
     if tail > TAIL_FRACTION_LIMIT:
         raise UnresolvedFieldError(
             f"grid too coarse: {tail:.2e} of the spectral mass sits in the top band "
@@ -231,6 +240,14 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _initial_sup(u0: Field) -> float:
+    """sup|u0|, refused unless finite and positive: zero data sets no scale."""
+    sup0 = u0.sup_norm()
+    if not 0.0 < sup0 < math.inf:
+        raise ValueError(f"initial sup norm must be finite and positive, got {sup0!r}")
+    return sup0
+
+
 def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
            weight_radius: float) -> TrajectoryRecord:
     """March the split-step scheme from step size dt, recording M_R(t) at R = weight_radius.
@@ -238,49 +255,45 @@ def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
     Halts at t_max, or flags blow-up once the sup norm reaches
     ``THRESHOLD_FACTOR * sup|u0|``.  A step's sup norm is that of its
     post-source stage, half a linear step before the step's end; M_R and
-    the L2 norm are read from the output's spectrum.  Violent steps
+    the L2 norm are read from the step's spectrum.  Violent steps
     (non-finite values or sup growth beyond ``GROWTH_CAP``) are retried
     with halved dt, which then holds for the rest of the run; once
     ``MAX_HALVINGS`` halvings in all are spent, the last accepted time is
     reported as the numerical blow-up time.
     """
     _require_positive(dt=dt, t_max=t_max)
-    # one DFT of u0 serves the resolution check, M_R(0) and the first step;
-    # u0's samples are shared, not copied: the loop reads only the spectrum
+    grid = u0.grid
+    # one DFT of u0 serves the resolution check, M_R(0) and the first step
     spec = np.fft.fftn(u0.values)
-    spec.setflags(write=False)
-    u = Field(u0.grid, u0.values, spectrum=spec)
-    _require_resolved(u)
-    sup0 = u0.sup_norm()
-    if not 0.0 < sup0 < math.inf:
-        raise ValueError(f"initial sup norm must be finite and positive, got {sup0!r}")
+    _require_resolved(spec, grid)
+    sup0 = _initial_sup(u0)
     threshold = THRESHOLD_FACTOR * sup0
 
     # the weight is even on the lattice, so its DFT is real; a real copy
     # lets the complex transform go
-    w_hat = np.fft.fftn(_test_weight(u0.grid, weight_radius)).real.copy()
-    w_hat *= u0.grid.cell_volume / w_hat.size
+    w_hat = np.fft.fftn(_test_weight(grid, weight_radius)).real.copy()
+    w_hat *= grid.cell_volume / w_hat.size
     t = 0.0
     dt_floor = dt / 2**MAX_HALVINGS
     t_num = None
 
-    m0, l2_0 = _spectral_readings(u, params.alpha, w_hat)
+    m0, l2_0 = _spectral_readings(spec, grid, params.alpha, w_hat)
     times, m_r, sups, l2s = [0.0], [m0], [sup0], [l2_0]
     sup = sup0
     try:
         while t < t_max:
             dt_step = min(dt, t_max - t)
-            trial = strang_step(u, dt_step, params)
+            trial, trial_sup = _step(spec, _half_step_phase(grid, dt_step), dt_step, params)
             # a non-finite stage makes its sup NaN or infinite, failing this test too
-            if not trial.stage_sup <= GROWTH_CAP * max(sup, 1e-300):
+            if not trial_sup <= GROWTH_CAP * max(sup, 1e-300):
                 if dt * 0.5 < dt_floor:
                     t_num = t
                     break
                 dt *= 0.5
                 continue
-            u, sup = trial, trial.stage_sup
+            spec, sup = trial, trial_sup
             t += dt_step
-            m, l2 = _spectral_readings(u, params.alpha, w_hat)
+            m, l2 = _spectral_readings(spec, grid, params.alpha, w_hat)
             times.append(t)
             m_r.append(m)
             sups.append(sup)
@@ -294,7 +307,7 @@ def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
 
     return TrajectoryRecord(times=np.array(times), m_r=np.array(m_r),
                             sup_norm=np.array(sups), l2_norm=np.array(l2s),
-                            t_num=t_num, final=u)
+                            t_num=t_num, grid=grid, final_spectrum=spec)
 
 
 def scaling_check(u0: Field, params: ProblemParams, dt: float, t_max: float,
@@ -307,15 +320,19 @@ def scaling_check(u0: Field, params: ProblemParams, dt: float, t_max: float,
     measures the integrator error and shrinks at second order.
     """
     _require_positive(dt=dt, t_max=t_max, rho=rho)
+    steps2_total = int(round(t_max / dt / rho))
+    if steps2_total == 0:
+        raise ValueError(f"t_max = {t_max!r} holds no step of the dilated run "
+                         f"(dt * rho = {dt * rho!r}): nothing would be compared")
     grid1 = u0.grid
     amp = rho ** (1.0 / (params.p - 1.0))
     grid2 = GridSpec(grid1.n, grid1.L / rho, grid1.N)
     # the dilated copy has the same DFT up to the factor amp, so the same tail
-    _require_resolved(u0)
+    _require_resolved(np.fft.fftn(u0.values), grid1)
+    _initial_sup(u0)  # zero data would leave every discrepancy 0/0
     v1 = u0
     v2 = Field(grid2, amp * u0.values)  # rho^(1/(p-1)) u0(rho x) on the shrunk grid
 
-    steps2_total = int(round(t_max / dt / rho))
     stride2 = max(1, steps2_total // SCALING_CHECKPOINTS)
     stride1 = rho * stride2
     if abs(stride1 - round(stride1)) > 1e-9:
@@ -329,8 +346,5 @@ def scaling_check(u0: Field, params: ProblemParams, dt: float, t_max: float,
         for _ in range(stride1):
             v1 = strang_step(v1, dt, params)
         mapped = amp * v1.values  # rho^(1/(p-1)) u(rho t, rho x) on grid2 sites
-        denom = float(np.linalg.norm(mapped))
-        if denom == 0.0:
-            continue
-        worst = max(worst, float(np.linalg.norm(v2.values - mapped)) / denom)
+        worst = max(worst, float(np.linalg.norm(v2.values - mapped) / np.linalg.norm(mapped)))
     return worst

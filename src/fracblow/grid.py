@@ -69,42 +69,17 @@ class GridSpec:
 
 
 class Field:
-    """Complex scalar samples on a GridSpec lattice.
+    """Complex scalar samples on a GridSpec lattice."""
 
-    A field is made from its samples, or from its DFT alone, as the time
-    stepper makes its outputs: then ``values`` is the inverse DFT, taken on
-    first read, kept and read-only.  ``spectrum`` is the DFT when the code
-    that made the field holds it, else None; the stepper makes it read-only,
-    so that values and spectrum cannot fall out of step.  ``copy()`` gives
-    writable values without a spectrum.  ``stage_sup`` is set on a time
-    step's output only: the sup norm of the step's post-source stage, half
-    a linear step before the output.
-    """
-
-    def __init__(self, grid: GridSpec, values: np.ndarray | None = None, *,
-                 spectrum: np.ndarray | None = None, stage_sup: float | None = None):
-        if values is not None:
-            values = np.asarray(values, dtype=np.complex128)
-        elif spectrum is None:
-            raise ValueError("a field needs its values or its spectrum")
-        shape = (values if values is not None else spectrum).shape
-        if shape != grid.shape:
-            raise ValueError(f"field shape {shape} != grid shape {grid.shape}")
+    def __init__(self, grid: GridSpec, values: np.ndarray):
+        values = np.asarray(values, dtype=np.complex128)
+        if values.shape != grid.shape:
+            raise ValueError(f"field shape {values.shape} != grid shape {grid.shape}")
         self.grid = grid
-        self._values = values
-        self.spectrum = spectrum
-        self.stage_sup = stage_sup
+        self.values = values
 
     def __repr__(self) -> str:
         return f"Field(grid={self.grid!r})"
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            values = np.fft.ifftn(self.spectrum)
-            values.setflags(write=False)
-            self._values = values
-        return self._values
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "Field":

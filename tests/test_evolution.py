@@ -102,7 +102,7 @@ class TestEvolve:
             evolve(u0, ProblemParams(1, 2.0, 1j), 0.01, 1.0, 1.0)
         with pytest.raises(UnresolvedFieldError):
             scaling_check(u0, ProblemParams(1, 2.0, 1j), 0.01, 0.32, 2.0)
-        assert spectral_tail_fraction(u0) > 1e-3
+        assert spectral_tail_fraction(np.fft.fftn(u0.values), g) > 1e-3
 
     def test_nonpositive_weight_radius_rejected(self):
         g = GridSpec(1, 20.0, 512)
@@ -175,13 +175,13 @@ class TestEvolve:
         evolve(u0, params, 0.02, 0.2, 1.0)
         assert evolution._half_step_phase.cache_info().currsize == 0
 
-        kernel = evolution.strang_step
+        kernel = evolution._step
 
-        def step_then_fail(f, dt, params):
-            kernel(f, dt, params)
+        def step_then_fail(spec, phase, dt, params):
+            kernel(spec, phase, dt, params)
             raise RuntimeError("stepper failed")
 
-        monkeypatch.setattr(evolution, "strang_step", step_then_fail)
+        monkeypatch.setattr(evolution, "_step", step_then_fail)
         with pytest.raises(RuntimeError, match="stepper failed"):
             evolve(u0, params, 0.02, 0.2, 1.0)
         assert evolution._half_step_phase.cache_info().currsize == 0
@@ -204,11 +204,18 @@ class TestEvolve:
 
 
 def reference_step(f, dt, params):
-    """The Strang composition spelled out with the public building blocks."""
+    """The Strang composition spelled out with the public building blocks:
+    the output and the sup norm of its post-source stage."""
     stage = nonlinear_step(linear_propagator(f, 0.5 * dt), dt, params)
-    out = linear_propagator(stage, 0.5 * dt)
-    return Field(f.grid, out.values, spectrum=np.fft.fftn(out.values),
-                 stage_sup=stage.sup_norm())
+    return linear_propagator(stage, 0.5 * dt), stage.sup_norm()
+
+
+def reference_kernel(grid):
+    """``reference_step`` on the lattice ``grid``, called as ``evolution._step``."""
+    def kernel(spec, phase, dt, params):
+        out, stage_sup = reference_step(Field(grid, np.fft.ifftn(spec)), dt, params)
+        return np.fft.fftn(out.values), stage_sup
+    return kernel
 
 
 class TestStrangKernel:
@@ -221,54 +228,49 @@ class TestStrangKernel:
         u = ref = Field.from_function(grid, data)
         for _ in range(50):
             u = strang_step(u, 0.01, params)
-            ref = reference_step(ref, 0.01, params)
+            ref, _ = reference_step(ref, 0.01, params)
             err = np.linalg.norm(u.values - ref.values) / np.linalg.norm(ref.values)
             assert err <= 1e-12
 
     def test_carries_spectrum_and_leaves_input_alone(self):
-        # a rejected step is retried from the same input, spectrum included
+        # strang_step is the kernel between two DFTs, and leaves its input alone
         g = GridSpec(1, 20.0, 256)
         params = ProblemParams(1, 2.0, 1j)
         u = strang_step(Field.from_function(g, gaussian_packet), 0.05, params)
-        values, spectrum = u.values.copy(), u.spectrum.copy()
+        values = u.values.copy()
         out = strang_step(u, 0.05, params)
         strang_step(u, 0.025, params)
-        assert np.array_equal(u.values, values) and np.array_equal(u.spectrum, spectrum)
-        assert np.max(np.abs(out.spectrum - np.fft.fft(out.values))) \
-            <= 1e-12 * np.max(np.abs(out.spectrum))
-        assert u.copy().spectrum is None
+        assert np.array_equal(u.values, values)
+        spec, _ = evolution._step(np.fft.fftn(values), evolution._half_step_phase(g, 0.05),
+                                  0.05, params)
+        assert np.array_equal(out.values, np.fft.ifftn(spec))
 
-    def test_values_are_one_lazy_inverse_dft(self):
+    def test_kernel_leaves_its_spectrum_for_a_retry(self):
+        # a rejected step is retried from the same spectrum: the kernel must
+        # not write it, and the retry repeats the step bit for bit
         g = GridSpec(1, 20.0, 256)
-        out = strang_step(Field.from_function(g, gaussian_packet), 0.05,
-                          ProblemParams(1, 2.0, 1j))
-        values = out.values
-        assert np.array_equal(values, np.fft.ifftn(out.spectrum))
-        assert not values.flags.writeable
-        assert out.values is values
+        params = ProblemParams(1, 2.0, 1j)
+        spec = np.fft.fftn(Field.from_function(g, gaussian_packet).values)
+        before = spec.copy()
+        phase = evolution._half_step_phase(g, 0.05)
+        out, stage_sup = evolution._step(spec, phase, 0.05, params)
+        evolution._step(spec, evolution._half_step_phase(g, 0.025), 0.025, params)
+        assert np.array_equal(spec, before)
+        again, again_sup = evolution._step(spec, phase, 0.05, params)
+        assert np.array_equal(again, out) and again_sup == stage_sup
 
     def test_stage_sup_is_the_post_source_sup(self):
         g = GridSpec(1, 20.0, 512)
         params = ProblemParams(1, 2.0, 1.0 + 0.5j)
         u = Field.from_function(g, lambda x: 1.2 * np.exp(-x * x) * np.exp(0.5j * x))
+        spec = np.fft.fftn(u.values)
         for _ in range(3):
-            out = strang_step(u, 0.05, params)
+            spec, stage_sup = evolution._step(spec, evolution._half_step_phase(g, 0.05),
+                                              0.05, params)
             want = nonlinear_step(linear_propagator(u, 0.025), 0.05, params).sup_norm()
-            # the kernel reuses a carried spectrum where the reference takes a new DFT
-            assert out.stage_sup == pytest.approx(want, rel=1e-12)
-            u = out
-
-    def test_output_is_read_only(self):
-        # an in-place edit would leave the carried spectrum stale
-        g = GridSpec(1, 20.0, 256)
-        out = strang_step(Field.from_function(g, gaussian_packet), 0.05,
-                          ProblemParams(1, 2.0, 1j))
-        for arr in (out.values, out.spectrum):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-        copy = out.copy()
-        copy.values[0] = 0.0
-        assert out.values[0] != 0.0
+            # the kernel carries the spectrum where the reference takes a new DFT
+            assert stage_sup == pytest.approx(want, rel=1e-12)
+            u = Field(g, np.fft.ifftn(spec))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_evolve_rejects_non_finite_trial(self, monkeypatch, bad):
@@ -277,20 +279,19 @@ class TestStrangKernel:
         g = GridSpec(1, 20.0, 256)
         u0 = Field.from_function(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 1j)
-        kernel, sizes = evolution.strang_step, []
+        kernel, sizes = evolution._step, []
 
-        def first_call_bad(f, dt, params):
+        def first_call_bad(spec, phase, dt, params):
             sizes.append(dt)
-            out = kernel(f, dt, params)
+            out, stage_sup = kernel(spec, phase, dt, params)
             if len(sizes) == 1:
-                values = out.values.copy()
-                values[7] = bad
-                return Field(f.grid, values, stage_sup=bad)
-            return out
+                out[7] = bad
+                return out, bad
+            return out, stage_sup
 
-        monkeypatch.setattr(evolution, "strang_step", first_call_bad)
+        monkeypatch.setattr(evolution, "_step", first_call_bad)
         rec = evolve(u0, params, 0.02, 0.05, 1.0)
-        monkeypatch.setattr(evolution, "strang_step", kernel)
+        monkeypatch.setattr(evolution, "_step", kernel)
         ref = evolve(u0, params, 0.01, 0.05, 1.0)
 
         assert sizes[:2] == [0.02, 0.01]
@@ -307,15 +308,15 @@ class TestStrangKernel:
         g = GridSpec(1, 20.0, 512)
         u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
         params = ProblemParams(1, 2.0, 1j)
-        kernel, sizes = evolution.strang_step, []
+        kernel, sizes = evolution._step, []
 
-        def spy(f, dt, params):
+        def spy(spec, phase, dt, params):
             sizes.append(dt)
-            return kernel(f, dt, params)
+            return kernel(spec, phase, dt, params)
 
-        monkeypatch.setattr(evolution, "strang_step", spy)
+        monkeypatch.setattr(evolution, "_step", spy)
         rec = evolve(u0, params, 0.02, 0.037, 1.0)
-        monkeypatch.setattr(evolution, "strang_step", reference_step)
+        monkeypatch.setattr(evolution, "_step", reference_kernel(g))
         ref = evolve(u0, params, 0.02, 0.037, 1.0)
 
         assert len(sizes) > len(rec.times) - 1        # a step was rejected
@@ -333,6 +334,19 @@ class TestScalingCheck:
         u0 = Field.from_function(g, lambda x: np.exp(-x * x))
         d = scaling_check(u0, ProblemParams(1, 2.0, 1.0), 0.01, 0.32, 1.0)
         assert d == 0.0
+
+    def test_run_without_a_dilated_step_rejected(self):
+        # t_max < dt * rho / 2 leaves no checkpoint to compare
+        g = GridSpec(1, 20.0, 512)
+        u0 = Field.from_function(g, lambda x: np.exp(-x * x))
+        with pytest.raises(ValueError, match="no step of the dilated run"):
+            scaling_check(u0, ProblemParams(1, 2.0, 1.0 + 0.5j), dt=0.01, t_max=0.004, rho=2.0)
+
+    def test_zero_data_rejected(self):
+        # every discrepancy would be 0/0
+        u0 = Field.zeros(GridSpec(1, 20.0, 512))
+        with pytest.raises(ValueError, match="initial sup norm"):
+            scaling_check(u0, ProblemParams(1, 2.0, 1.0 + 0.5j), 0.01, 0.32, 2.0)
 
     def test_dilation_symmetry_and_order(self):
         g = GridSpec(1, 20.0, 2048)

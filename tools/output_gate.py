@@ -7,9 +7,10 @@ Each argument is a directory holding the ``fracblow`` package (the ``src``
 of a checkout).  Both trees run the same jobs, one process each, in a
 temporary directory: the three benchmark workloads of
 ``fracbench/inputs.py`` at seeds 0-3, the README's example config
-through all five commands, and one sweep per family whose amplitudes
+through all five commands, one sweep per family whose amplitudes
 straddle the loose regime edge, so that rows skipped at the edge and
-their notes are compared too.  Every CSV, JSON and NPY file a job writes is
+their notes are compared too, and a 2D ``evolve`` that halves its step
+three times before it blows up.  Every CSV, JSON and NPY file a job writes is
 compared byte for byte, and so is its exit code.  Prints one line per job,
 and for each CSV that differs the columns that moved, each with its
 largest relative difference, and where it holds ``g`` and
@@ -52,6 +53,11 @@ EDGE_SWEEPS = (
     ("edge-inner", 2.0, "inner-singular", 0.25, 40.0, 5.0, 25.0),
     ("edge-outer", 1.25, "outer-decay", 0.6, 256.0, 1e-3, 0.2),
 )
+#: a 2D run that halves its step three times and blows up at t = 0.0019375,
+#: so that a 2D final state and the retry path are compared too
+EVOLVE_2D = ("[problem]\nn = 2\np = 2\nlambda = i\n\n[grid]\nL = 4\nN = 128\n\n"
+             "[evolve]\ndata = inner-singular\nmu = 100\nk = 0.5\ndt = 5e-4\n"
+             "t_max = 0.2\nr = auto\n")
 #: prints the number of dataclasses of the importable ``fracblow`` and of
 #: their stored fields
 COUNT_FIELDS = """
@@ -84,6 +90,7 @@ def jobs():
             f"[grid]\nL = {half_width}\nN = 4096\n\n"
             f"[sweep]\nkind = {kind}\nk = {k}\ncount = 4\n"
             f"mu_min = {mu_min}\nmu_max = {mu_max}\n")
+    yield "evolve-2d-halving", "evolve", EVOLVE_2D
 
 
 def run(src: Path, command: str, config: Path, out: Path) -> tuple[int, float]:

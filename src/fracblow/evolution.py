@@ -4,20 +4,19 @@ The evolution is i u_t + Op u = lam |u|^p with Op the half-Laplacian, so
 u_t = i Op u - i lam |u|^p.  Each step is a Strang composition: half a
 linear step (exact Fourier multiplier exp(i t |xi|)), a full nonlinear
 step (explicit midpoint on the pointwise ODE), and another half linear
-step.  ``_step`` is the one stepping kernel: it maps a spectrum to the next
-step's spectrum and the sup norm of its post-source stage, with the
-half-step phase built once per grid and step size.  ``evolve`` carries
-that (spectrum, sup) pair through its loop, so a run costs 2 FFTs a step,
-and reads each step without leaving the spectrum: ``M_R`` as a pairing
-with the weight's DFT, and the L2 norm by Parseval.  ``strang_step`` is
-the same kernel between sampled fields, for fixed-step runs.  Blow-up is
+step.  ``_step`` is the one stepping kernel: it maps a spectrum and its
+half-step phase to the next step's spectrum and the sup norm of its
+post-source stage.  ``evolve`` carries that (spectrum, sup) pair through
+its loop, so a run costs 2 FFTs a step, and reads each step without
+leaving the spectrum: ``M_R`` as a pairing with the weight's DFT, and the
+L2 norm by Parseval; ``scaling_check`` carries two spectra the same way.
+``strang_step`` is the same kernel between sampled fields.  Blow-up is
 detected from the sup norm, with step halving near the singularity; the
 last accepted time is the numerical blow-up time.
 """
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -155,16 +154,9 @@ def nonlinear_step(f: Field, dt: float, params: ProblemParams) -> Field:
     return Field(f.grid, _midpoint_source(f.values.copy(), dt, params))
 
 
-@functools.lru_cache(maxsize=2)
 def _half_step_phase(grid: GridSpec, dt: float) -> np.ndarray:
-    """exp(i dt/2 |xi|), the multiplier of a linear half step (read-only).
-
-    Two entries, because ``scaling_check`` alternates two grids; ``evolve``
-    empties the cache when it ends.
-    """
-    phase = np.exp(1j * (0.5 * dt) * grid.abs_freq())
-    phase.setflags(write=False)
-    return phase
+    """exp(i dt/2 |xi|), the multiplier of a linear half step."""
+    return np.exp(1j * (0.5 * dt) * grid.abs_freq())
 
 
 def _step(spec: np.ndarray, phase: np.ndarray, dt: float,
@@ -280,30 +272,29 @@ def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
     m0, l2_0 = _spectral_readings(spec, grid, params.alpha, w_hat)
     times, m_r, sups, l2s = [0.0], [m0], [sup0], [l2_0]
     sup = sup0
-    try:
-        while t < t_max:
-            dt_step = min(dt, t_max - t)
-            trial, trial_sup = _step(spec, _half_step_phase(grid, dt_step), dt_step, params)
-            # a non-finite stage makes its sup NaN or infinite, failing this test too
-            if not trial_sup <= GROWTH_CAP * max(sup, 1e-300):
-                if dt * 0.5 < dt_floor:
-                    t_num = t
-                    break
-                dt *= 0.5
-                continue
-            spec, sup = trial, trial_sup
-            t += dt_step
-            m, l2 = _spectral_readings(spec, grid, params.alpha, w_hat)
-            times.append(t)
-            m_r.append(m)
-            sups.append(sup)
-            l2s.append(l2)
-            if sup >= threshold:
+    phase_dt = None  # dt_step changes only at a halving and at the short last step
+    while t < t_max:
+        dt_step = min(dt, t_max - t)
+        if dt_step != phase_dt:
+            phase, phase_dt = _half_step_phase(grid, dt_step), dt_step
+        trial, trial_sup = _step(spec, phase, dt_step, params)
+        # a non-finite stage makes its sup NaN or infinite, failing this test too
+        if not trial_sup <= GROWTH_CAP * max(sup, 1e-300):
+            if dt * 0.5 < dt_floor:
                 t_num = t
                 break
-    finally:
-        # kept, a run's phases would outlive it as dead lattice-sized arrays
-        _half_step_phase.cache_clear()
+            dt *= 0.5
+            continue
+        spec, sup = trial, trial_sup
+        t += dt_step
+        m, l2 = _spectral_readings(spec, grid, params.alpha, w_hat)
+        times.append(t)
+        m_r.append(m)
+        sups.append(sup)
+        l2s.append(l2)
+        if sup >= threshold:
+            t_num = t
+            break
 
     return TrajectoryRecord(times=np.array(times), m_r=np.array(m_r),
                             sup_norm=np.array(sups), l2_norm=np.array(l2s),
@@ -317,7 +308,10 @@ def scaling_check(u0: Field, params: ProblemParams, dt: float, t_max: float,
     A solution u(t, x) maps to rho^(1/(p-1)) u(rho t, rho x) on the grid
     (L/rho, N).  Both runs use the same dt (matched steps per unit time
     would be exactly equivariant and test nothing), so the discrepancy
-    measures the integrator error and shrinks at second order.
+    measures the integrator error and shrinks at second order.  Both runs
+    carry spectra through ``_step``; the grids share N, so by Parseval the
+    spectra's relative l2 discrepancy is the samples'.  A non-finite one
+    raises ``FloatingPointError``.
     """
     _require_positive(dt=dt, t_max=t_max, rho=rho)
     steps2_total = int(round(t_max / dt / rho))
@@ -327,11 +321,11 @@ def scaling_check(u0: Field, params: ProblemParams, dt: float, t_max: float,
     grid1 = u0.grid
     amp = rho ** (1.0 / (params.p - 1.0))
     grid2 = GridSpec(grid1.n, grid1.L / rho, grid1.N)
-    # the dilated copy has the same DFT up to the factor amp, so the same tail
-    _require_resolved(np.fft.fftn(u0.values), grid1)
+    spec1 = np.fft.fftn(u0.values)
+    _require_resolved(spec1, grid1)  # the dilated copy's DFT is amp * spec1: the same tail
     _initial_sup(u0)  # zero data would leave every discrepancy 0/0
-    v1 = u0
-    v2 = Field(grid2, amp * u0.values)  # rho^(1/(p-1)) u0(rho x) on the shrunk grid
+    spec2 = amp * spec1  # rho^(1/(p-1)) u0(rho x) on the shrunk grid
+    phase1, phase2 = _half_step_phase(grid1, dt), _half_step_phase(grid2, dt)
 
     stride2 = max(1, steps2_total // SCALING_CHECKPOINTS)
     stride1 = rho * stride2
@@ -340,11 +334,15 @@ def scaling_check(u0: Field, params: ProblemParams, dt: float, t_max: float,
     stride1 = int(round(stride1))
 
     worst = 0.0
-    for _ in range(steps2_total // stride2):
+    for k in range(1, steps2_total // stride2 + 1):
         for _ in range(stride2):
-            v2 = strang_step(v2, dt, params)
+            spec2, _ = _step(spec2, phase2, dt, params)
         for _ in range(stride1):
-            v1 = strang_step(v1, dt, params)
-        mapped = amp * v1.values  # rho^(1/(p-1)) u(rho t, rho x) on grid2 sites
-        worst = max(worst, float(np.linalg.norm(v2.values - mapped) / np.linalg.norm(mapped)))
+            spec1, _ = _step(spec1, phase1, dt, params)
+        mapped = amp * spec1  # rho^(1/(p-1)) u(rho t, rho x) on grid2 sites
+        d = float(np.linalg.norm(spec2 - mapped) / np.linalg.norm(mapped))
+        if not math.isfinite(d):
+            raise FloatingPointError(f"scaling discrepancy {d} at checkpoint {k}, "
+                                     f"t = {k * stride1 * dt:g}")
+        worst = max(worst, d)
     return worst

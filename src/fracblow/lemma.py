@@ -316,9 +316,9 @@ def write_lemma_report(verdicts: list[LemmaVerdict], out_dir: str | Path) -> lis
     entries = []
     for v in verdicts:
         name = lemma_csv_name(v.n, None if v.regime == "gaussian" else v.q)
-        written.append(write_csv(out / name,
-                                 ["r", "g", "certified_error", "bound_case"],
-                                 ([s.r, s.value, s.error, v.regime] for s in v.samples)))
+        # repr, not %.12g: g must read back within its own certified_error
+        rows = ([*(repr(float(x)) for x in (s.r, s.value, s.error)), v.regime] for s in v.samples)
+        written.append(write_csv(out / name, ["r", "g", "certified_error", "bound_case"], rows))
         entries.append({
             "n": v.n, "q": None if v.regime == "gaussian" else v.q,
             "regime": v.regime, "matched": v.matched,

@@ -1,4 +1,5 @@
 """Command-line harness: exit codes, outputs, config diagnostics."""
+import csv
 import ctypes
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from fracblow import cli
 from fracblow.cli import main
+from fracblow.lemma import verify_lemma
 from fracblow.reporting import load_field, save_field
 from fracblow.grid import Field, GridSpec
 
@@ -110,6 +112,22 @@ gaussian = false
     assert report["verdicts"][0]["matched"] is True
     assert (out / "lemma_n1_q2.csv").exists()
     assert (out / "a_hat_table.csv").exists()
+
+
+def test_verify_lemma_csv_reads_back_exactly(tmp_path):
+    # r, g and certified_error are written in full, so g stays within its certificate
+    cfg = write_config(tmp_path, """
+[lemma]
+dims = 1
+q_values = 3
+gaussian = false
+""")
+    out = tmp_path / "out"
+    assert main(["verify-lemma", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "lemma_n1_q3.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    got = [(float(r["r"]), float(r["g"]), float(r["certified_error"])) for r in rows]
+    assert got == [(s.r, s.value, s.error) for s in verify_lemma(1, 3.0).samples]
 
 
 def test_verify_lemma_negativity_only_judged_from_q_equals_n(tmp_path):

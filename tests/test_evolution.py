@@ -15,6 +15,17 @@ def gaussian_packet(x):
     return np.exp(-x * x) * np.exp(0.5j * x)
 
 
+def count_ffts(monkeypatch):
+    """The list to which every np.fft.fftn and ifftn call appends, until monkeypatch.undo()."""
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 class TestLinearPropagator:
     def test_zero_duration_is_identity(self):
         g = GridSpec(1, 10.0, 128)
@@ -136,12 +147,7 @@ class TestEvolve:
         # one DFT of u0, one of the weight, then one transform each way a step
         g = GridSpec(1, 20.0, 512)
         u0 = Field.from_function(g, gaussian_packet)
-        calls = []
-        for name in ("fftn", "ifftn"):
-            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-                calls.append(_fn)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
+        calls = count_ffts(monkeypatch)
         rec = evolve(u0, ProblemParams(1, 2.0, 1j), 0.01, 0.2, 1.0)
         monkeypatch.undo()
         k = len(rec.times) - 1
@@ -166,25 +172,6 @@ class TestEvolve:
         rec = evolve(u0, ProblemParams(2, 2.0, 0.0), 0.02, 1.0, 1.0)
         drift = np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0]
         assert drift < 1e-12
-
-    def test_phase_cache_emptied_when_evolve_ends(self, monkeypatch):
-        # no half-step phase outlives its run, whether the run returns or raises
-        g = GridSpec(2, 10.0, 64)
-        u0 = Field.from_function(g, lambda x, y: np.exp(-(x**2 + y**2)) + 0j)
-        params = ProblemParams(2, 2.0, 1j)
-        evolve(u0, params, 0.02, 0.2, 1.0)
-        assert evolution._half_step_phase.cache_info().currsize == 0
-
-        kernel = evolution._step
-
-        def step_then_fail(spec, phase, dt, params):
-            kernel(spec, phase, dt, params)
-            raise RuntimeError("stepper failed")
-
-        monkeypatch.setattr(evolution, "_step", step_then_fail)
-        with pytest.raises(RuntimeError, match="stepper failed"):
-            evolve(u0, params, 0.02, 0.2, 1.0)
-        assert evolution._half_step_phase.cache_info().currsize == 0
 
     def test_strang_self_convergence_second_order(self):
         g = GridSpec(1, 20.0, 1024)
@@ -327,6 +314,30 @@ class TestStrangKernel:
         np.testing.assert_allclose(rec.m_r, ref.m_r, rtol=1e-10)
         np.testing.assert_allclose(rec.sup_norm, ref.sup_norm, rtol=1e-10)
 
+    def test_one_phase_built_per_step_size_change(self, monkeypatch):
+        # the rejection scenario above: dt = 0.02 is rejected, 0.01 holds,
+        # and the short last step needs a third phase
+        monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
+        g = GridSpec(1, 20.0, 512)
+        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
+        build, kernel, built, sizes = evolution._half_step_phase, evolution._step, [], []
+
+        def build_spy(grid, dt):
+            built.append(dt)
+            return build(grid, dt)
+
+        def step_spy(spec, phase, dt, params):
+            sizes.append(dt)
+            np.testing.assert_array_equal(phase, build(g, dt))
+            return kernel(spec, phase, dt, params)
+
+        monkeypatch.setattr(evolution, "_half_step_phase", build_spy)
+        monkeypatch.setattr(evolution, "_step", step_spy)
+        evolve(u0, ProblemParams(1, 2.0, 1j), 0.02, 0.037, 1.0)
+        changes = [b for a, b in zip([None] + sizes, sizes) if a != b]
+        assert len(changes) >= 3 and len(sizes) > len(changes)
+        assert built == changes
+
 
 class TestScalingCheck:
     def test_identity_scale_exact_zero(self):
@@ -347,6 +358,33 @@ class TestScalingCheck:
         u0 = Field.zeros(GridSpec(1, 20.0, 512))
         with pytest.raises(ValueError, match="initial sup norm"):
             scaling_check(u0, ProblemParams(1, 2.0, 1.0 + 0.5j), 0.01, 0.32, 2.0)
+
+    def test_overflow_raises(self):
+        # focusing data overflows to NaN within the first checkpoint
+        u0 = Field.from_function(GridSpec(1, 40.0, 2048), lambda x: 6.0 * np.exp(-x * x) + 0j)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="checkpoint 1"):
+            scaling_check(u0, ProblemParams(1, 2.0, 1j), 0.01, 2.0, 2.0)
+
+    def test_matches_sample_space_reference_at_two_ffts_a_step(self, monkeypatch):
+        # criterion 7's setup, against strang_step runs compared by their samples
+        g = GridSpec(1, 20.0, 2048)
+        params = ProblemParams(1, 2.0, 1.0 + 0.5j)
+        u0 = Field.from_function(g, lambda x: np.exp(-x * x))
+        amp, rho, dt = 2.0, 2.0, 0.01  # amp = rho^(1/(p-1))
+        v1, v2, want = u0, Field(GridSpec(1, 10.0, 2048), amp * u0.values), 0.0
+        for _ in range(8):  # 32 dilated steps in 8 checkpoints of 4
+            for _ in range(4):
+                v2 = strang_step(v2, dt, params)
+            for _ in range(8):
+                v1 = strang_step(v1, dt, params)
+            mapped = amp * v1.values
+            want = max(want, np.linalg.norm(v2.values - mapped) / np.linalg.norm(mapped))
+
+        calls = count_ffts(monkeypatch)
+        d = scaling_check(u0, params, dt, 0.64, rho)
+        monkeypatch.undo()
+        assert d == pytest.approx(want, rel=1e-9)
+        assert len(calls) == 1 + 2 * 8 * (4 + 8)  # one DFT of u0, then 2 a step
 
     def test_dilation_symmetry_and_order(self):
         g = GridSpec(1, 20.0, 2048)

@@ -142,7 +142,7 @@ def moved_columns(old: bytes, new: bytes) -> str:
             try:
                 fx, fy = float(x), float(y)
                 scale = max(abs(fx), abs(fy))
-                rel = abs(fx - fy) / scale if scale > 0 else math.inf
+                rel = abs(fx - fy) / scale if scale > 0 else 0.0  # 0 against 0.0
             except ValueError:
                 rel = math.nan
             worst = moved.get(name, 0.0)

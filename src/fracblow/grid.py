@@ -10,8 +10,9 @@ import numpy as np
 class GridSpec:
     """Uniform periodic lattice on [-L, L)^n with N samples per axis.
 
-    The lattice points are x_i = -L + i * dx with dx = 2L/N, and the
-    conjugate frequency lattice is xi_m = 2*pi*m/(2L) in DFT ordering.
+    The lattice points are x_i = (i - N/2) * dx with dx = 2L/N, and x_0 = -L
+    (its own mirror), so x_(N/2+j) = -x_(N/2-j) to the bit.  The conjugate
+    frequency lattice is xi_m = 2*pi*m/(2L) in DFT ordering.
     """
 
     n: int
@@ -35,8 +36,10 @@ class GridSpec:
         return self.dx**self.n
 
     def axis(self) -> np.ndarray:
-        """Sample coordinates along one axis."""
-        return -self.L + self.dx * np.arange(self.N)
+        """Sample coordinates along one axis, odd about index N/2."""
+        ax = self.dx * (np.arange(self.N) - self.N // 2)
+        ax[0] = -self.L
+        return ax
 
     def coords(self) -> tuple[np.ndarray, ...]:
         """Meshgrid coordinate arrays, one per axis, each of lattice shape."""
@@ -47,10 +50,8 @@ class GridSpec:
 
     def radii(self) -> np.ndarray:
         """|x| at every lattice site."""
-        if self.n == 1:
-            return np.abs(self.axis())
-        xx, yy = self.coords()
-        return np.hypot(xx, yy)
+        ax = self.axis()
+        return np.abs(ax) if self.n == 1 else np.hypot.outer(ax, ax)
 
     def freq_axis(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.dx)
@@ -58,10 +59,7 @@ class GridSpec:
     def abs_freq(self) -> np.ndarray:
         """|xi| on the DFT frequency lattice (lattice shape)."""
         xi = self.freq_axis()
-        if self.n == 1:
-            return np.abs(xi)
-        kx, ky = np.meshgrid(xi, xi, indexing="ij")
-        return np.hypot(kx, ky)
+        return np.abs(xi) if self.n == 1 else np.hypot.outer(xi, xi)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -50,7 +50,7 @@ FAR_CUTOFF_FACTOR = 120.0
 
 
 class DegenerateFitError(ValueError):
-    """Every sample inside the fit window is below the noise floor."""
+    """The fit window holds too few nonzero samples, or all lie below the noise floor."""
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,10 @@ def sample_frac_weight(n: int, q: float, radii) -> list[LemmaSample]:
 def _window_samples(samples, window):
     lo, hi = window
     picked = [s for s in samples if lo <= s.r <= hi and s.value != 0.0]
-    if len(picked) < 8:
-        raise ValueError(f"need >= 8 samples inside window {window}, got {len(picked)}")
-    if picked[-1].r / picked[0].r < MIN_WINDOW_SPAN:
+    if hi < MIN_WINDOW_SPAN * lo:
         raise ValueError("fit window must span at least two decades")
+    if len(picked) < 8 or picked[-1].r < MIN_WINDOW_SPAN * picked[0].r:
+        raise DegenerateFitError(f"need >= 8 nonzero samples over two decades in window {window}")
     if max(abs(s.value) for s in picked) < 1e3 * np.finfo(float).eps:
         raise DegenerateFitError("degenerate fit: all samples below the noise floor")
     return picked

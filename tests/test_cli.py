@@ -480,6 +480,19 @@ def test_degenerate_fit_exits_two(tmp_path, capsys):
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("window", ["1e100, 1e102", "1e79, 1e81"])
+def test_underflowed_window_exits_two(tmp_path, capsys, window):
+    # the half-Laplacian of <x>^(-3) underflows to 0 past |x| ~ 1e80, so too
+    # few samples survive in the window: a numerical failure, not a config error
+    path = tmp_path / "run.ini"
+    path.write_text("[lemma]\ndims = 1\nq_values = 3\ngaussian = false\n"
+                    f"fit_window = {window}\n")
+    out = tmp_path / "out"
+    assert main(["verify-lemma", "--config", str(path), "--out", str(out)]) == 2
+    assert "need >= 8 nonzero samples over two decades" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_field_roundtrip(tmp_path):
     g = GridSpec(2, 5.0, 16)
     f = Field.from_function(g, lambda x, y: np.exp(-(x**2 + y**2)) * (1 + 1j))

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracblow import evolution
 from fracblow.evolution import (ProblemParams, UnresolvedFieldError, evolve,
                                 linear_propagator, nonlinear_step, scaling_check,
                                 spectral_tail_fraction, strang_step)
 from fracblow.grid import Field, GridSpec
+from fracblow.profiles import bracket
 
 
 def gaussian_packet(x):
@@ -157,6 +159,7 @@ class TestEvolve:
     @pytest.mark.parametrize("grid, data", [
         (GridSpec(1, 20.0, 1024), lambda x: 1.5 * np.exp(-x * x) * np.exp(0.5j * x)),
         (GridSpec(2, 10.0, 64), lambda x, y: 1.5 * np.exp(-(x**2 + y**2)) * np.exp(0.5j * x)),
+        (GridSpec(2, 3.7, 64), lambda x, y: 1.5 * np.exp(-(x**2 + y**2)) * (1.0 + 0.5j)),
     ])
     def test_spectral_readings_match_the_final_state(self, grid, data):
         # M_R and L2 come from the spectrum; the final values give the same numbers
@@ -199,7 +202,7 @@ def reference_step(f, dt, params):
 
 def reference_kernel(grid):
     """``reference_step`` on the lattice ``grid``, called as ``evolution._step``."""
-    def kernel(spec, phase, dt, params):
+    def kernel(spec, phase, dt, params, dft=None):
         out, stage_sup = reference_step(Field(grid, np.fft.ifftn(spec)), dt, params)
         return np.fft.fftn(out.values), stage_sup
     return kernel
@@ -268,9 +271,9 @@ class TestStrangKernel:
         params = ProblemParams(1, 2.0, 1j)
         kernel, sizes = evolution._step, []
 
-        def first_call_bad(spec, phase, dt, params):
+        def first_call_bad(spec, phase, dt, params, dft=None):
             sizes.append(dt)
-            out, stage_sup = kernel(spec, phase, dt, params)
+            out, stage_sup = kernel(spec, phase, dt, params, dft)
             if len(sizes) == 1:
                 out[7] = bad
                 return out, bad
@@ -297,9 +300,9 @@ class TestStrangKernel:
         params = ProblemParams(1, 2.0, 1j)
         kernel, sizes = evolution._step, []
 
-        def spy(spec, phase, dt, params):
+        def spy(spec, phase, dt, params, dft=None):
             sizes.append(dt)
-            return kernel(spec, phase, dt, params)
+            return kernel(spec, phase, dt, params, dft)
 
         monkeypatch.setattr(evolution, "_step", spy)
         rec = evolve(u0, params, 0.02, 0.037, 1.0)
@@ -326,10 +329,10 @@ class TestStrangKernel:
             built.append(dt)
             return build(grid, dt)
 
-        def step_spy(spec, phase, dt, params):
+        def step_spy(spec, phase, dt, params, dft=None):
             sizes.append(dt)
             np.testing.assert_array_equal(phase, build(g, dt))
-            return kernel(spec, phase, dt, params)
+            return kernel(spec, phase, dt, params, dft)
 
         monkeypatch.setattr(evolution, "_half_step_phase", build_spy)
         monkeypatch.setattr(evolution, "_step", step_spy)
@@ -337,6 +340,86 @@ class TestStrangKernel:
         changes = [b for a, b in zip([None] + sizes, sizes) if a != b]
         assert len(changes) >= 3 and len(sizes) > len(changes)
         assert built == changes
+
+
+def full_lattice_run(u0, *args):
+    """``evolve`` with the even quarter turned off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(evolution, "_is_even", lambda u: False)
+        return evolve(u0, *args)
+
+
+class TestEvenQuarter:
+    def test_radial_data_steps_the_quarter(self, monkeypatch):
+        # radial data takes no 2D transform of the full lattice; other data does
+        g = GridSpec(2, 3.7, 200)  # dx = 0.037 is not exact in binary
+        params = ProblemParams(2, 2.0, 1j)
+        radial = Field.from_radial(g, lambda r: np.exp(-r * r) * (1.0 + 0.5j))
+        packet = Field.from_function(g, lambda x, y: np.exp(-(x**2 + y**2)) * np.exp(0.5j * x))
+        calls = count_ffts(monkeypatch)
+        rec = evolve(radial, params, 0.01, 0.05, 1.0)
+        assert calls == [] and len(rec.times) == 6
+        evolve(packet, params, 0.01, 0.05, 1.0)
+        assert len(calls) == 2 + 2 * 5
+
+    def test_matches_a_strang_step_loop(self):
+        # evolve's loop in sample space, without halvings: the same steps,
+        # the same blow-up time and the same readings
+        g = GridSpec(2, 8.0, 64)
+        params = ProblemParams(2, 2.0, 1j)
+        u = u0 = Field.from_radial(g, lambda r: 3.0 * np.exp(-r * r) + 0j)
+        rec = evolve(u0, params, 0.005, 1.0, 1.5)
+        t, t_num, dt = 0.0, None, 0.005
+        m0 = evolution.weighted_functional(u0, params.alpha, 1.5)
+        times, m_r, sups, l2s = [0.0], [m0], [u0.sup_norm()], [u0.l2_norm()]
+        while t < 1.0:
+            stage = nonlinear_step(linear_propagator(u, 0.5 * dt), dt, params).sup_norm()
+            assert stage <= evolution.GROWTH_CAP * sups[-1]  # no halving
+            u = strang_step(u, dt, params)
+            t += dt
+            times.append(t)
+            m_r.append(evolution.weighted_functional(u, params.alpha, 1.5))
+            sups.append(stage)
+            l2s.append(u.l2_norm())
+            if stage >= rec.threshold:
+                t_num = t
+                break
+        assert rec.blew_up and rec.t_num == t_num and np.array_equal(rec.times, times)
+        np.testing.assert_allclose(rec.m_r, m_r, rtol=1e-12)
+        np.testing.assert_allclose(rec.sup_norm, sups, rtol=1e-12)
+        np.testing.assert_allclose(rec.l2_norm, l2s, rtol=1e-12)
+
+    def test_final_state_matches_the_full_lattice(self, monkeypatch):
+        # a run with halvings: the quarter's final spectrum unfolds to the full one
+        monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
+        g = GridSpec(2, 4.0, 48)
+        params = ProblemParams(2, 2.0, 1j)
+        u0 = Field.from_radial(g, lambda r: 4.0 * np.exp(-r * r) * (1.0 + 0.2j))
+        rec = evolve(u0, params, 0.02, 0.1, 1.0)
+        ref = full_lattice_run(u0, params, 0.02, 0.1, 1.0)
+        assert np.array_equal(rec.times, ref.times) and len(rec.times) > 6
+        assert rec.final_spectrum.shape == g.shape
+        scale = np.max(np.abs(ref.final.values))
+        assert np.max(np.abs(rec.final.values - ref.final.values)) <= 1e-13 * scale
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(N=st.sampled_from([16, 32, 48]), gaussian=st.booleans(),
+           width=st.floats(0.6, 2.0), q=st.floats(1.0, 4.0),
+           amp=st.floats(0.1, 2.0), angle=st.floats(0.0, 2.0 * math.pi))
+    def test_random_radial_data_match_the_full_lattice(self, N, gaussian, width, q, amp, angle):
+        g = GridSpec(2, N / 4.0, N)  # dx = 0.5
+        params = ProblemParams(2, 2.0, 1.0 + 0.5j)
+        c = amp * complex(math.cos(angle), math.sin(angle))
+        profile = (lambda r: c * np.exp(-(r / width) ** 2)) if gaussian else \
+            (lambda r: c * bracket(r / width) ** -q)
+        u0 = Field.from_radial(g, profile)
+        rec = evolve(u0, params, 0.01, 0.05, width)
+        ref = full_lattice_run(u0, params, 0.01, 0.05, width)
+        assert np.array_equal(rec.times, ref.times) and rec.t_num == ref.t_num
+        for name in ("m_r", "sup_norm", "l2_norm"):
+            np.testing.assert_allclose(getattr(rec, name), getattr(ref, name), rtol=1e-12)
+        scale = np.max(np.abs(ref.final.values))
+        assert np.max(np.abs(rec.final.values - ref.final.values)) <= 1e-13 * scale
 
 
 class TestScalingCheck:

@@ -25,6 +25,22 @@ def test_lattice_geometry():
     assert np.isclose(xi[1] - xi[0], np.pi / g.L)
 
 
+@pytest.mark.parametrize("L, N, dx_exact", [(4.0, 384, False), (3.7, 200, False),
+                                            (10.0, 64, True), (4.0, 128, True)])
+def test_lattice_symmetric_to_the_bit(L, N, dx_exact):
+    # x_(N/2+j) = -x_(N/2-j) exactly, also where dx is not exact in binary,
+    # so that radial data is even about index N/2 to the bit
+    g, h = GridSpec(2, L, N), N // 2
+    x = g.axis()
+    assert x[0] == -L and x[h] == 0.0
+    assert np.array_equal(x[h + 1:], -x[h - 1:0:-1])
+    r = g.radii()
+    assert np.array_equal(r[1:h], r[:h:-1]) and np.array_equal(r[:, 1:h], r[:, :h:-1])
+    assert np.array_equal(r, r.T)
+    if dx_exact:  # then the sites are those of -L + i * dx, bit for bit
+        assert np.array_equal(x, -L + g.dx * np.arange(N))
+
+
 def test_field_shape_and_norms():
     g = GridSpec(2, 5.0, 16)
     with pytest.raises(ValueError):

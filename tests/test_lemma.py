@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from fracblow.lemma import (FIT_WINDOW, DecayFitResult, LemmaSample, default_radii,
-                            fit_decay, sample_frac_weight, verify_gaussian_remark,
+from fracblow.lemma import (FIT_WINDOW, DecayFitResult, DegenerateFitError, LemmaSample,
+                            default_radii, fit_decay, sample_frac_weight, verify_gaussian_remark,
                             verify_lemma)
 from fracblow.profiles import bracket
 from fracblow.pv import normalization_constant
@@ -50,6 +50,14 @@ class TestFitDecay:
     def test_too_few_samples_refused(self):
         samples = [LemmaSample(r, 1.0 / r, 0.0) for r in np.geomspace(1e2, 1e4, 5)]
         with pytest.raises(ValueError):
+            fit_decay(samples, "plain", -1.0)
+
+    @pytest.mark.parametrize("last", [5e2, 2e3])  # 6 samples; 11 over 1.3 decades
+    def test_too_few_nonzero_samples_is_a_degenerate_fit(self, last):
+        # samples that underflowed to 0 are dropped; what is left cannot be fitted
+        samples = [LemmaSample(r, 0.0 if r > last else 1.0 / r, 0.0)
+                   for r in np.geomspace(1e2, 1e4, 17)]
+        with pytest.raises(DegenerateFitError, match="need >= 8 nonzero samples over two decades"):
             fit_decay(samples, "plain", -1.0)
 
     def test_narrow_window_refused(self):

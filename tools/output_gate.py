@@ -15,9 +15,11 @@ compared byte for byte, and so is its exit code.  Prints one line per job,
 and for each CSV that differs the columns that moved, each with its
 largest relative difference, and where it holds ``g`` and
 ``certified_error`` (the lemma CSVs) the largest ``|g_new - g_old|`` over
-the old ``certified_error``; exits 0 when everything matches, 1 on any
-difference.  Each job's line also gives the peak RSS of its process,
-parent -> change, from ``os.wait4``, and flags a rise above 2%.  A last
+the old ``certified_error``; for each NPY file that differs, the largest
+absolute difference of its values and that over the largest old magnitude;
+exits 0 when everything matches, 1 on any difference.  Each job's line
+also gives the peak RSS of its process, parent -> change, from
+``os.wait4``, and flags a rise above 2%.  A last
 line gives the size of each tree's ``fracblow`` package, parent -> change:
 its lines, its dataclasses and their stored fields (``dataclasses.fields``
 of each class its own module defines).  Neither memory nor size enters the
@@ -29,10 +31,13 @@ script; the code under test comes only from the two arguments.
 from __future__ import annotations
 
 import argparse
+import array
+import ast
 import csv
 import io
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -158,6 +163,38 @@ def moved_columns(old: bytes, new: bytes) -> str:
     return summary
 
 
+def npy_values(data: bytes) -> tuple[dict, list] | None:
+    """The header and flat values of an NPY 1.0 file of little-endian
+    float64 or complex128, else None."""
+    if data[:8] != b"\x93NUMPY\x01\x00":
+        return None
+    (size,) = struct.unpack("<H", data[8:10])
+    start = 10 + size
+    header = ast.literal_eval(data[10:start].decode("latin1"))
+    if header.get("descr") not in ("<f8", "<c16") or (len(data) - start) % 8:
+        return None
+    payload = array.array("d", data[start:])
+    if sys.byteorder != "little":
+        payload.byteswap()
+    if header["descr"] == "<c16":
+        return header, [complex(re, im) for re, im in zip(payload[::2], payload[1::2])]
+    return header, list(payload)
+
+
+def moved_values(old: bytes, new: bytes) -> str:
+    """The largest absolute difference between two NPY arrays' values, and
+    that over the largest magnitude in the old one."""
+    a, b = npy_values(old), npy_values(new)
+    if a is None or b is None:
+        return "not a float64 or complex128 NPY file"
+    if a[0] != b[0]:
+        return f"header {a[0]} -> {b[0]}"
+    worst = max((abs(x - y) for x, y in zip(a[1], b[1])), default=0.0)
+    scale = max((abs(x) for x in a[1]), default=0.0)
+    return (f"max abs {worst:.3g}, max rel to max {worst / scale:.3g}" if scale > 0
+            else f"max abs {worst:.3g}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_src", type=Path)
@@ -181,10 +218,11 @@ def main(argv=None) -> int:
             (code_a, rss_a, out_a), (code_b, rss_b, out_b) = results.values()
             problems = [] if code_a == code_b else [f"exit code {code_a} -> {code_b}"]
             names = sorted(out_a.keys() | out_b.keys())
+            moved = {".csv": moved_columns, ".npy": moved_values}
             problems += [f"{f}: " + ("missing" if f not in out_b else
                                      "added" if f not in out_a else
-                                     f"differs ({moved_columns(out_a[f], out_b[f])})"
-                                     if f.endswith(".csv") else "differs")
+                                     f"differs ({moved[Path(f).suffix](out_a[f], out_b[f])})"
+                                     if Path(f).suffix in moved else "differs")
                          for f in names if out_a.get(f) != out_b.get(f)]
             files += len(names)
             differences += len(problems)

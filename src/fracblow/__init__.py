@@ -6,7 +6,6 @@ from .pv import (
     PVResult,
     QuadratureError,
     frac_laplacian_pv,
-    frac_laplacian_pv_many,
     normalization_constant,
     sphere_measure,
     weight_mass,

@@ -23,7 +23,7 @@ from .grid import Field
 from .lemma import (DegenerateFitError, lemma_csv_name, verify_gaussian_remark, verify_lemma,
                     write_lemma_report)
 from .profiles import bracket_profile, gaussian_profile
-from .pv import QuadratureError, frac_laplacian_pv_many, normalization_constant
+from .pv import QuadratureError, frac_laplacian_pv, normalization_constant
 from .reporting import constants_manifest, save_field, write_csv, write_manifest
 from .spectral import frac_laplacian_spectral
 from .sweep import SweepPlan, in_regime_amplitude, run_sweep, write_sweep_outputs
@@ -78,8 +78,8 @@ def _cmd_frac_apply(cfg: dict, out: Path) -> int:
         raise ConfigError(f"[frac_apply] points must lie in [-L, L) of [grid], "
                           f"L = {grid.L:g}; outside: {', '.join(outside)}")
     b = normalization_constant(params.n)
-    xs = [(x, 0.0) if params.n == 2 else x for x in points]
-    values, errors = frac_laplacian_pv_many(profile, xs)
+    # a point (x, 0) in 2D: the profile is radial, so its value is that at radius |x|
+    values, errors = frac_laplacian_pv(profile, params.n, np.abs(points))
 
     spectral = None
     if grid is not None:
@@ -238,7 +238,8 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return command(cfg, out)
-    except (QuadratureError, UnresolvedFieldError, FloatingPointError, DegenerateFitError) as exc:
+    except (QuadratureError, UnresolvedFieldError, FloatingPointError, OverflowError,
+            DegenerateFitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except ValueError as exc:

@@ -12,6 +12,7 @@ value or missing field.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from pathlib import Path
 
@@ -34,8 +35,11 @@ def _complex(raw: str) -> complex:
 
 
 def _float_list(raw: str) -> list[float] | None:
-    """Comma-separated floats; an empty value is None, the key's default."""
-    return [float(s) for s in (t.strip() for t in raw.split(",")) if s] or None
+    """Comma-separated finite floats; an empty value is None, the key's default."""
+    values = [float(s) for s in (t.strip() for t in raw.split(",")) if s]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("every value must be a finite number")
+    return values or None
 
 
 def _dimensions(raw: str) -> list[int] | None:

@@ -105,11 +105,15 @@ class TrajectoryRecord:
     l2_norm: np.ndarray
     t_num: float | None
     grid: GridSpec
-    final_spectrum: np.ndarray = field(repr=False)  # DFT of the last accepted state
+    # DFT of the last accepted state, or that of its even quarter (see _EvenQuarter)
+    final_spectrum: np.ndarray = field(repr=False)
 
     @property
     def final(self) -> Field:  # the last accepted state, else u0 to roundoff
-        return Field(self.grid, np.fft.ifftn(self.final_spectrum))
+        spec = self.final_spectrum
+        if spec.shape != self.grid.shape:
+            spec = _EvenQuarter(self.grid).full_spectrum(spec)
+        return Field(self.grid, np.fft.ifftn(spec))
 
     @property
     def threshold(self) -> float:  # the sup norm at which the run is flagged
@@ -359,8 +363,7 @@ def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
 
     return TrajectoryRecord(times=np.array(times), m_r=np.array(m_r),
                             sup_norm=np.array(sups), l2_norm=np.array(l2s),
-                            t_num=t_num, grid=grid, final_spectrum=spec
-                            if quarter is None else quarter.full_spectrum(spec))
+                            t_num=t_num, grid=grid, final_spectrum=spec)
 
 
 def scaling_check(u0: Field, params: ProblemParams, dt: float, t_max: float,

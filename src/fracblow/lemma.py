@@ -26,7 +26,6 @@ from .reporting import write_csv, write_manifest
 __all__ = [
     "DecayFitResult",
     "DegenerateFitError",
-    "LemmaSample",
     "LemmaVerdict",
     "default_radii",
     "sample_frac_weight",
@@ -54,13 +53,6 @@ class DegenerateFitError(ValueError):
 
 
 @dataclass(frozen=True)
-class LemmaSample:
-    r: float
-    value: float
-    error: float
-
-
-@dataclass(frozen=True)
 class DecayFitResult:
     """Least-squares decay fit over a radius window.
 
@@ -83,6 +75,9 @@ class DecayFitResult:
 
 @dataclass(frozen=True)
 class LemmaVerdict:
+    """One case's judgement, with its samples as the columns of its CSV:
+    radii ``r``, certified values ``g`` and their ``certified_error``."""
+
     n: int
     q: float
     regime: str                    # "q<n" | "q=n" | "q>n"
@@ -93,7 +88,9 @@ class LemmaVerdict:
     r_neg: float | None
     residual_ratio: float | None   # plain rms / log-model rms, q = n only
     diagnostics: str
-    samples: tuple[LemmaSample, ...] = ()
+    r: np.ndarray
+    g: np.ndarray
+    certified_error: np.ndarray
 
     @property
     def negativity_ok(self) -> bool | None:
@@ -110,28 +107,25 @@ def default_radii(window: tuple[float, float] = FIT_WINDOW) -> np.ndarray:
     return np.concatenate(([0.0], mid, fit))
 
 
-def _sample(n: int, profile: RadialProfile, radii, decay: float,
-            cutoff_factor: float) -> list[LemmaSample]:
-    """Certified point values of the profile's half-Laplacian at radii.
+def _sample(n: int, profile: RadialProfile, radii: np.ndarray, decay: float,
+            cutoff_factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Certified values of the profile's half-Laplacian at radii, and their errors.
 
-    Radial symmetry means one point per radius.  The tolerance is rescaled
-    to the expected magnitude <r>^(-decay), and the far cutoff starts at
-    cutoff_factor * (1 + r) and doubles until the profile's own tail bound
-    certifies a third of that tolerance, so slowly decaying profiles get
-    the larger domains they need.  Everything else is the default rule.
+    The tolerance is rescaled to the expected magnitude <r>^(-decay), and
+    the far cutoff starts at cutoff_factor * (1 + r) and doubles until the
+    profile's own tail bound certifies a third of that tolerance, so slowly
+    decaying profiles get the larger domains they need.  Everything else is
+    the default rule.
     """
-    out = []
-    for r in radii:
-        r = float(r)
-        tol = max(TOL * float(bracket(r) ** -decay) * 50.0, 1e-13)
-        y = far_cutoff(profile, r, n, max(Y_MAX, cutoff_factor * (1.0 + r)), tol / 3.0)
-        res = frac_laplacian_pv(profile, r if n == 1 else (r, 0.0), y, tol)
-        out.append(LemmaSample(r, res.value, res.error))
-    return out
+    radii = radii.tolist()
+    tols = [max(TOL * float(bracket(r) ** -decay) * 50.0, 1e-13) for r in radii]
+    y_max = [far_cutoff(profile, r, n, max(Y_MAX, cutoff_factor * (1.0 + r)), tol / 3.0)
+             for r, tol in zip(radii, tols)]
+    return frac_laplacian_pv(profile, n, radii, y_max, tols)
 
 
-def sample_frac_weight(n: int, q: float, radii) -> list[LemmaSample]:
-    """Certified point values of the half-Laplacian of <x>^(-q) at radii.
+def sample_frac_weight(n: int, q: float, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Certified values of the half-Laplacian of <x>^(-q) at radii, and their errors.
 
     The certificate stays a small fraction of the expected local magnitude
     <r>^(-min(q, n)-1).
@@ -144,19 +138,21 @@ def sample_frac_weight(n: int, q: float, radii) -> list[LemmaSample]:
     return _sample(n, bracket_profile(q), radii, min(q, n) + 1.0, FAR_CUTOFF_FACTOR)
 
 
-def _window_samples(samples, window):
+def _window(r: np.ndarray, g: np.ndarray, window) -> tuple[np.ndarray, np.ndarray]:
+    """The radii and |g| of the nonzero samples inside the window."""
     lo, hi = window
-    picked = [s for s in samples if lo <= s.r <= hi and s.value != 0.0]
+    picked = (lo <= r) & (r <= hi) & (g != 0.0)
+    r, g = r[picked], np.abs(g[picked])
     if hi < MIN_WINDOW_SPAN * lo:
         raise ValueError("fit window must span at least two decades")
-    if len(picked) < 8 or picked[-1].r < MIN_WINDOW_SPAN * picked[0].r:
+    if len(r) < 8 or r[-1] < MIN_WINDOW_SPAN * r[0]:
         raise DegenerateFitError(f"need >= 8 nonzero samples over two decades in window {window}")
-    if max(abs(s.value) for s in picked) < 1e3 * np.finfo(float).eps:
+    if g.max() < 1e3 * np.finfo(float).eps:
         raise DegenerateFitError("degenerate fit: all samples below the noise floor")
-    return picked
+    return r, g
 
 
-def fit_decay(samples: list[LemmaSample], regime: str,
+def fit_decay(r: np.ndarray, g: np.ndarray, certified_error: np.ndarray, regime: str,
               bound_exponent: float, n: int | None = None,
               window: tuple[float, float] = FIT_WINDOW) -> DecayFitResult:
     """Fit the decay of |g(r)| inside the window.
@@ -168,9 +164,8 @@ def fit_decay(samples: list[LemmaSample], regime: str,
     constant estimate a_hat is sup over all supplied samples of the
     certified |g| against that bound shape.
     """
-    picked = _window_samples(samples, window)
-    r = np.array([s.r for s in picked])
-    g = np.abs(np.array([s.value for s in picked]))
+    samples = list(zip(r.tolist(), g.tolist(), certified_error.tolist()))  # all, for a_hat
+    r, g = _window(r, g, window)
     br = bracket(r)
 
     if regime == "plain":
@@ -194,20 +189,19 @@ def fit_decay(samples: list[LemmaSample], regime: str,
 
     shape = (lambda rr: bracket(rr) ** bound_exponent * (1.0 + np.log1p(rr))) \
         if regime == "logarithmic" else (lambda rr: bracket(rr) ** bound_exponent)
-    a_hat = max((abs(s.value) + s.error) / float(shape(s.r)) for s in samples)
+    # one sample at a time: an array power can differ from the scalar one in the last bit
+    a_hat = max((abs(gi) + ei) / float(shape(ri)) for ri, gi, ei in samples)
     return DecayFitResult(exponent=exponent, log_coeff=log_coeff, a_hat=float(a_hat),
                           residual=resid)
 
 
-def _negativity(samples):
+def _negativity(r: np.ndarray, g: np.ndarray) -> float | None:
     """Smallest positive sampled radius beyond which every sample is strictly negative."""
-    rs = [s for s in samples if s.r > 0.0]
-    r_neg = None
-    for i, s in enumerate(rs):
-        if all(t.value < 0.0 for t in rs[i:]):
-            r_neg = s.r
-            break
-    return r_neg
+    positive = r > 0.0
+    r, g = r[positive], g[positive]
+    not_negative = np.flatnonzero(~(g < 0.0))  # NaN counts as not negative
+    start = not_negative[-1] + 1 if not_negative.size else 0
+    return float(r[start]) if start < r.size else None
 
 
 def _regime_of(n: int, q: float) -> str:
@@ -231,7 +225,8 @@ def verify_lemma(n: int, q: float,
     """
     if n not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
-    samples = sample_frac_weight(n, q, default_radii(window))
+    r = default_radii(window)
+    g, err = sample_frac_weight(n, q, r)
     regime = _regime_of(n, q)
     tol = EXPONENT_TOL[n]
 
@@ -242,18 +237,18 @@ def verify_lemma(n: int, q: float,
     bound = -(q + 1.0) if regime == "q<n" else -(n + 1.0)
     predicted = -(n + 1.0) if degenerate else bound
     if regime == "q=n":
-        fit = fit_decay(samples, "logarithmic", bound, n=n, window=window)
-        plain = fit_decay(samples, "plain", bound, n=n, window=window)
+        fit = fit_decay(r, g, err, "logarithmic", bound, n=n, window=window)
+        plain = fit_decay(r, g, err, "plain", bound, n=n, window=window)
         ratio = plain.residual / max(fit.residual, 1e-15)
         matched = (abs(fit.exponent - predicted) <= tol
                    and fit.log_coeff > 0.0 and ratio > 3.0)
     else:
-        fit = fit_decay(samples, "plain", bound, n=n, window=window)
+        fit = fit_decay(r, g, err, "plain", bound, n=n, window=window)
         matched = abs(fit.exponent - predicted) <= tol
         ratio = None
 
     negativity_required = q >= n - 1e-12
-    r_neg = _negativity(samples) if negativity_required else None
+    r_neg = _negativity(r, g) if negativity_required else None
     if negativity_required and r_neg is None:
         matched = False
 
@@ -268,8 +263,7 @@ def verify_lemma(n: int, q: float,
         diag += f", negative beyond r={r_neg}" if r_neg is not None else ", no negativity radius found"
     return LemmaVerdict(n=n, q=q, regime=regime, predicted_exponent=predicted,
                         fit=fit, matched=matched, a_hat=fit.a_hat, r_neg=r_neg,
-                        residual_ratio=ratio, diagnostics=diag,
-                        samples=tuple(samples))
+                        residual_ratio=ratio, diagnostics=diag, r=r, g=g, certified_error=err)
 
 
 def verify_gaussian_remark(n: int) -> LemmaVerdict:
@@ -283,24 +277,22 @@ def verify_gaussian_remark(n: int) -> LemmaVerdict:
     if n not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
     window = GAUSSIAN_WINDOW
-    radii = np.concatenate(([0.0, 0.5, 1.0, 2.0, 4.0],
-                            np.geomspace(window[0], window[1], 16)))
+    r = np.concatenate(([0.0, 0.5, 1.0, 2.0, 4.0], np.geomspace(window[0], window[1], 16)))
     # the Gaussian's tail is negligible a few widths out: a short far cutoff
-    samples = _sample(n, gaussian_profile(1.0), radii, n + 1.0, 4.0)
+    g, err = _sample(n, gaussian_profile(1.0), r, n + 1.0, 4.0)
 
     predicted = -(n + 1.0)
-    fit = fit_decay(samples, "plain", predicted, n=n, window=window)
-    r_neg = _negativity(samples)
+    fit = fit_decay(r, g, err, "plain", predicted, n=n, window=window)
+    r_neg = _negativity(r, g)
     matched = abs(fit.exponent - predicted) <= 0.1 and r_neg is not None
-    inside = [s for s in samples if window[0] <= s.r <= window[1]]
-    c_hat = min(max(-s.value - s.error, 0.0) * float(bracket(s.r)) ** (n + 1.0)
-                for s in inside)
+    c_hat = min(max(-gi - ei, 0.0) * float(bracket(ri)) ** (n + 1.0)
+                for ri, gi, ei in zip(r.tolist(), g.tolist(), err.tolist())
+                if window[0] <= ri <= window[1])
     diag = (f"gaussian n={n}: fitted exponent {fit.exponent:.4f} vs {predicted} "
             f"(tol 0.1), negative beyond r={r_neg}, C_hat={c_hat:.5f}")
     return LemmaVerdict(n=n, q=math.inf, regime="gaussian", predicted_exponent=predicted,
                         fit=fit, matched=matched, a_hat=c_hat, r_neg=r_neg,
-                        residual_ratio=None, diagnostics=diag,
-                        samples=tuple(samples))
+                        residual_ratio=None, diagnostics=diag, r=r, g=g, certified_error=err)
 
 
 def lemma_csv_name(n: int, q: float | None) -> str:
@@ -317,7 +309,8 @@ def write_lemma_report(verdicts: list[LemmaVerdict], out_dir: str | Path) -> lis
     for v in verdicts:
         name = lemma_csv_name(v.n, None if v.regime == "gaussian" else v.q)
         # repr, not %.12g: g must read back within its own certified_error
-        rows = ([*(repr(float(x)) for x in (s.r, s.value, s.error)), v.regime] for s in v.samples)
+        rows = ([*map(repr, sample), v.regime]
+                for sample in zip(v.r.tolist(), v.g.tolist(), v.certified_error.tolist()))
         written.append(write_csv(out / name, ["r", "g", "certified_error", "bound_case"], rows))
         entries.append({
             "n": v.n, "q": None if v.regime == "gaussian" else v.q,

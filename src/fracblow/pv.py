@@ -1,6 +1,6 @@
 """Singular quadrature for the half-Laplacian of a radial profile.
 
-Evaluates (-Delta)^(1/2) f at a point x, |x| = a, as B_n times the
+Evaluates (-Delta)^(1/2) f at radii a = |x|, as B_n times the
 principal-value integral of (f(x) - f(z)) / |x - z|^(n+1).  For a radial f
 both dimensions reduce to one integral over the radius rho = |z|, and
 pairing the two radii rho = a +- t turns the principal value into a proper
@@ -21,7 +21,9 @@ is handled with an exact term for the f(x) part and a certified bracket
 [0, tail] for the rest (every profile decays), so each returned value
 carries a defensible error estimate.
 
-The rule is fixed in code: only the far cutoff ``y_max`` and the tolerance
+One function samples a profile, :func:`frac_laplacian_pv`: radii in,
+arrays of values and errors out.  The rule is fixed in code: besides the
+dimension and the radii, only the far cutoff ``y_max`` and the tolerance
 ``tol`` are arguments, and only the lemma's sampler varies them.
 """
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "normalization_constant",
     "weight_mass",
     "frac_laplacian_pv",
-    "frac_laplacian_pv_many",
 ]
 
 
@@ -100,10 +101,11 @@ def _segment_nodes(breaks: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _geometric_ladder(lo: float, hi: float, g: float) -> list[float]:
-    """Points lo, lo*g, lo*g^2, ... capped at hi (hi excluded)."""
+    """Points lo, lo*g, lo*g^2, ... capped at hi (hi excluded); none if lo is 0,
+    as it is for a subnormal radius, whose quarter underflows."""
     out = []
     v = lo
-    while v < hi:
+    while 0.0 < v < hi:
         out.append(v)
         v *= g
     return out
@@ -202,54 +204,51 @@ def far_cutoff(profile: RadialProfile, x_norm: float, n: int, y: float, tol: flo
     return y
 
 
-def frac_laplacian_pv(profile: RadialProfile, x, y_max: float = Y_MAX,
-                      tol: float = TOL) -> PVResult:
-    """Half-Laplacian of a radial profile at point x via singular quadrature.
+def frac_laplacian_pv(profile: RadialProfile, n: int, radii, y_max=Y_MAX,
+                      tol=TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Half-Laplacian of a radial profile in n dimensions at radii, via
+    singular quadrature: its values and certified errors, in radius order.
 
-    The kernel normalization is :func:`normalization_constant` of the
-    point's dimension.  The reported error combines a node-refinement
-    difference, the certified bracket of the far field past the cutoff
-    ``y_max``, and a cancellation roundoff term; if it misses ``tol`` a
-    :class:`QuadratureError` carries the partial value and residual.
+    The kernel normalization is :func:`normalization_constant` of n.  The
+    far cutoff ``y_max`` and the tolerance ``tol`` are each one number or
+    one per radius.  A radius's error combines a node-refinement
+    difference, the certified bracket of the far field past its cutoff,
+    and a cancellation roundoff term; at the first radius whose error
+    misses its tolerance a :class:`QuadratureError` carries that radius's
+    partial value and residual.
     """
-    if not 1.0 <= y_max < math.inf:
-        raise ValueError(f"y_max must be finite and at least 1, got {y_max!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    n = xv.size
-    if n not in (1, 2):
-        raise ValueError("point must have 1 or 2 coordinates")
-    ax = float(np.linalg.norm(xv))
     b = normalization_constant(n).value
-    # in 2D the shells run past t = ax, so that the profile core at the
-    # origin, seen at t = ax, is refined
-    y = y_max if n == 1 else max(y_max, 2.0 * ax)
+    r = np.asarray(radii, dtype=np.float64)
+    if r.ndim != 1 or not np.all(np.isfinite(r) & (r >= 0.0)):
+        raise ValueError("radii must be a 1-D array of finite nonnegative numbers")
+    y_maxs = np.broadcast_to(np.asarray(y_max, dtype=np.float64), r.shape)
+    tols = np.broadcast_to(np.asarray(tol, dtype=np.float64), r.shape)
+    if not np.all((1.0 <= y_maxs) & (y_maxs < math.inf)):
+        raise ValueError(f"y_max must be finite and at least 1, got {y_max!r}")
+    if not np.all((0.0 < tols) & (tols < math.inf)):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
-    # the coarse and the fine rule share the breaks and f(|x|)
-    f_ax = float(profile(ax))
-    tb = _radial_breaks(ax, profile.scale, y)
-    coarse, _ = _radial_integral(profile, n, ax, f_ax, tb, RADIAL_NODES)
-    fine, cmass = _radial_integral(profile, n, ax, f_ax, tb, RADIAL_NODES + 6)
+    values, errors = np.empty_like(r), np.empty_like(r)
+    for i, (ax, y, tol_i) in enumerate(zip(r.tolist(), y_maxs.tolist(), tols.tolist())):
+        if n == 2:
+            # the shells run past t = ax, so that the profile core at the
+            # origin, seen at t = ax, is refined
+            y = max(y, 2.0 * ax)
+        # the coarse and the fine rule share the breaks and f(ax)
+        f_ax = float(profile(ax))
+        tb = _radial_breaks(ax, profile.scale, y)
+        coarse, _ = _radial_integral(profile, n, ax, f_ax, tb, RADIAL_NODES)
+        fine, cmass = _radial_integral(profile, n, ax, f_ax, tb, RADIAL_NODES + 6)
 
-    tail_half, num, den = _far_field(profile, ax, n, y)
-    value = b * (fine + (f_ax - tail_half) * num / den)
-    roundoff = np.finfo(float).eps * (16.0 * cmass + 4.0 * abs(f_ax) * num / den)
-    err = b * (3.0 * abs(fine - coarse) + tail_half * num / den + roundoff)
-    if not err <= tol:  # a NaN error is no certificate
-        raise QuadratureError(
-            f"shell series not converged at y_max={y} for |x|={ax:.3g}", value, err)
-    return PVResult(value, err)
-
-
-def frac_laplacian_pv_many(profile: RadialProfile, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise PV evaluation at the default rule, in the order of the points."""
-    vals, errs = [], []
-    for x in xs:
-        res = frac_laplacian_pv(profile, x)
-        vals.append(res.value)
-        errs.append(res.error)
-    return np.array(vals), np.array(errs)
+        tail_half, num, den = _far_field(profile, ax, n, y)
+        value = b * (fine + (f_ax - tail_half) * num / den)
+        roundoff = np.finfo(float).eps * (16.0 * cmass + 4.0 * abs(f_ax) * num / den)
+        err = b * (3.0 * abs(fine - coarse) + tail_half * num / den + roundoff)
+        if not err <= tol_i:  # a NaN error is no certificate
+            raise QuadratureError(
+                f"shell series not converged at y_max={y} for radius {ax:.3g}", value, err)
+        values[i], errors[i] = value, err
+    return values, errors
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fracblow.evolution import ProblemParams, evolve, scaling_check, strang_step
 from fracblow.grid import Field, GridSpec
 from fracblow.lemma import verify_gaussian_remark, verify_lemma
 from fracblow.profiles import bracket_profile
-from fracblow.pv import frac_laplacian_pv_many, normalization_constant
+from fracblow.pv import frac_laplacian_pv, normalization_constant
 from fracblow.spectral import cordoba_violation, frac_laplacian_spectral
 from fracblow.sweep import SweepPlan, in_regime_amplitude, run_sweep
 
@@ -83,7 +83,7 @@ def test_criterion_02_closed_form_oracle():
     start = time.monotonic()
     pts = np.linspace(-10.0, 10.0, 50)
     want = (1.0 - pts**2) / (1.0 + pts**2) ** 2
-    pv_vals, _ = frac_laplacian_pv_many(bracket_profile(2.0), pts)
+    pv_vals, _ = frac_laplacian_pv(bracket_profile(2.0), 1, np.abs(pts))
     pv_err = float(np.max(np.abs(pv_vals - want)))
 
     g = GridSpec(1, 160.0, 8192)
@@ -119,15 +119,13 @@ def test_criterion_04_sharpness(lemma_verdicts):
     for (n, q), v in ((k, v) for k, v in lemma_verdicts.items() if k != "elapsed"):
         if q < n:
             continue
-        beyond = [s for s in v.samples if v.r_neg is not None and s.r >= v.r_neg]
-        if v.r_neg is None or not all(s.value < 0 for s in beyond):
+        if v.r_neg is None or not np.all(v.g[v.r >= v.r_neg] < 0):
             problems.append(f"(n={n},q={q:g}) negativity")
         if abs(v.fit.exponent + (n + 1)) > 0.1:
             problems.append(f"(n={n},q={q:g}) exponent {v.fit.exponent:.3f}")
     for n in (1, 2):
         v = verify_gaussian_remark(n)
-        beyond = [s for s in v.samples if v.r_neg is not None and s.r >= v.r_neg]
-        if v.r_neg is None or not all(s.value < 0 for s in beyond):
+        if v.r_neg is None or not np.all(v.g[v.r >= v.r_neg] < 0):
             problems.append(f"gaussian n={n} negativity")
         if abs(v.fit.exponent + (n + 1)) > 0.1:
             problems.append(f"gaussian n={n} exponent {v.fit.exponent:.3f}")

@@ -99,6 +99,49 @@ points = 0, 1, 2
     assert abs(float(row[1])) < 1e-6
 
 
+def test_frac_apply_mirror_points_bitwise(tmp_path):
+    # the profile is radial: x and -x are sampled at one radius |x|, in 1D
+    # and on the axis in 2D
+    for n in (1, 2):
+        path = tmp_path / f"n{n}.ini"
+        path.write_text(BASE.replace("n = 1", f"n = {n}").split("[grid]")[0]
+                        + "[frac_apply]\npoints = 1.3, -1.3, 0.7, -0.7\n")
+        out = tmp_path / f"out{n}"
+        assert main(["frac-apply", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "frac_apply.csv", newline="") as fh:
+            rows = [(r["pv_value"], r["pv_error"]) for r in csv.DictReader(fh)]
+        assert rows[0] == rows[1] and rows[2] == rows[3] and rows[0] != rows[2]
+
+
+@pytest.mark.parametrize("command", ["frac-apply", "constants"])
+@pytest.mark.parametrize("points", ["0, inf", "0, nan", "-inf", "1e400", "1, -nan"])
+def test_non_finite_points_exit_one_on_read(tmp_path, capsys, command, points):
+    # without a [grid] no lattice bounds the points; the cast refuses them
+    path = tmp_path / "run.ini"
+    path.write_text(BASE.split("[grid]")[0] + f"[frac_apply]\npoints = {points}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"bad value for [frac_apply] points = {points!r}" in err and "finite" in err
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes on the way
+@pytest.mark.parametrize("command, text", [
+    pytest.param("frac-apply", "[frac_apply]\npoints = 0, 1e300\n", id="frac_apply-2d-1e300"),
+    pytest.param("verify-lemma", "[lemma]\ndims = 2\nq_values = 3\ngaussian = false\n"
+                 "fit_window = 1e200, 1e202\n", id="lemma-2d-window-1e200"),
+])
+def test_overflowing_radius_exits_two(tmp_path, capsys, command, text):
+    # the 2D far field past radius r squares about 3 r: a Python float overflow
+    path = tmp_path / "run.ini"
+    path.write_text(BASE.replace("n = 1", "n = 2").split("[grid]")[0] + text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_verify_lemma_command(tmp_path):
     cfg = write_config(tmp_path, """
 [lemma]
@@ -127,7 +170,8 @@ gaussian = false
     with open(out / "lemma_n1_q3.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     got = [(float(r["r"]), float(r["g"]), float(r["certified_error"])) for r in rows]
-    assert got == [(s.r, s.value, s.error) for s in verify_lemma(1, 3.0).samples]
+    v = verify_lemma(1, 3.0)
+    assert got == list(zip(v.r, v.g, v.certified_error))
 
 
 def test_verify_lemma_negativity_only_judged_from_q_equals_n(tmp_path):

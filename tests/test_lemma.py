@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fracblow.lemma import (FIT_WINDOW, DecayFitResult, DegenerateFitError, LemmaSample,
+from fracblow.lemma import (FIT_WINDOW, DecayFitResult, DegenerateFitError, _negativity,
                             default_radii, fit_decay, sample_frac_weight, verify_gaussian_remark,
                             verify_lemma)
 from fracblow.profiles import bracket
@@ -13,17 +13,14 @@ from fracblow.pv import normalization_constant
 
 class TestSampling:
     def test_closed_form_values(self):
-        samples = sample_frac_weight(1, 2.0, [0.0, 1.0, 3.0])
+        g, _ = sample_frac_weight(1, 2.0, [0.0, 1.0, 3.0])
         # op <x>^(-2) = (1-x^2)/(1+x^2)^2: values 1, 0, -8/100
-        assert samples[0].value == pytest.approx(1.0, abs=1e-6)
-        assert samples[1].value == pytest.approx(0.0, abs=1e-6)
-        assert samples[2].value == pytest.approx(-0.08, abs=1e-6)
+        np.testing.assert_allclose(g, [1.0, 0.0, -0.08], rtol=0.0, atol=1e-6)
 
     def test_magnitude_decreases_beyond_inflection(self):
-        samples = sample_frac_weight(1, 3.0, np.geomspace(4.0, 400.0, 8))
-        mags = [abs(s.value) for s in samples]
-        assert all(a > b for a, b in zip(mags, mags[1:]))
-        assert all(math.isfinite(s.value) for s in samples)
+        g, _ = sample_frac_weight(1, 3.0, np.geomspace(4.0, 400.0, 8))
+        assert np.all(np.isfinite(g))
+        assert np.all(np.diff(np.abs(g)) < 0)
 
     def test_bad_radii_rejected(self):
         with pytest.raises(ValueError):
@@ -32,43 +29,45 @@ class TestSampling:
             sample_frac_weight(1, -1.0, [0.5, 1.0])
 
 
+def exact(r, g):
+    """Samples (r, g, certified_error) of values g known exactly."""
+    return r, g, np.zeros_like(r)
+
+
 class TestFitDecay:
     def test_exact_power_law(self):
         r = np.geomspace(1e2, 1e4, 12)
-        samples = [LemmaSample(ri, float(bracket(ri) ** -3.0), 0.0) for ri in r]
-        fit = fit_decay(samples, "plain", -3.0)
+        fit = fit_decay(*exact(r, bracket(r) ** -3.0), "plain", -3.0)
         assert fit.exponent == pytest.approx(-3.0, abs=1e-9)
         assert fit.residual < 1e-12
 
     def test_logarithmic_model_recovers_coefficients(self):
         r = np.geomspace(1e2, 1e4, 12)
         g = bracket(r) ** -2.0 * (0.3 + 0.64 * np.log1p(r))
-        samples = [LemmaSample(ri, float(gi), 0.0) for ri, gi in zip(r, g)]
-        fit = fit_decay(samples, "logarithmic", -2.0, n=1)
+        fit = fit_decay(*exact(r, g), "logarithmic", -2.0, n=1)
         assert fit.log_coeff == pytest.approx(0.64, rel=1e-6)
 
     def test_too_few_samples_refused(self):
-        samples = [LemmaSample(r, 1.0 / r, 0.0) for r in np.geomspace(1e2, 1e4, 5)]
+        r = np.geomspace(1e2, 1e4, 5)
         with pytest.raises(ValueError):
-            fit_decay(samples, "plain", -1.0)
+            fit_decay(*exact(r, 1.0 / r), "plain", -1.0)
 
     @pytest.mark.parametrize("last", [5e2, 2e3])  # 6 samples; 11 over 1.3 decades
     def test_too_few_nonzero_samples_is_a_degenerate_fit(self, last):
         # samples that underflowed to 0 are dropped; what is left cannot be fitted
-        samples = [LemmaSample(r, 0.0 if r > last else 1.0 / r, 0.0)
-                   for r in np.geomspace(1e2, 1e4, 17)]
+        r = np.geomspace(1e2, 1e4, 17)
         with pytest.raises(DegenerateFitError, match="need >= 8 nonzero samples over two decades"):
-            fit_decay(samples, "plain", -1.0)
+            fit_decay(*exact(r, np.where(r > last, 0.0, 1.0 / r)), "plain", -1.0)
 
     def test_narrow_window_refused(self):
-        samples = [LemmaSample(r, 1.0 / r, 0.0) for r in np.geomspace(1e2, 5e2, 10)]
+        r = np.geomspace(1e2, 5e2, 10)
         with pytest.raises(ValueError):
-            fit_decay(samples, "plain", -1.0, window=(1e2, 5e2))
+            fit_decay(*exact(r, 1.0 / r), "plain", -1.0, window=(1e2, 5e2))
 
     def test_degenerate_samples_refused(self):
-        samples = [LemmaSample(r, 1e-300, 0.0) for r in np.geomspace(1e2, 1e4, 10)]
+        r = np.geomspace(1e2, 1e4, 10)
         with pytest.raises(ValueError):
-            fit_decay(samples, "plain", -1.0)
+            fit_decay(*exact(r, np.full_like(r, 1e-300)), "plain", -1.0)
 
     def test_result_validation(self):
         with pytest.raises(ValueError):
@@ -82,9 +81,9 @@ class TestVerdicts:
         assert v.fit.exponent == pytest.approx(-1.5, abs=0.05)
         # asymptotically op |x|^(-1/2) = -|x|^(-3/2)/2, so the windowed
         # samples sit near that amplitude
-        tail = [s for s in v.samples if s.r >= 1e3]
-        assert all(s.value < 0 for s in tail)
-        assert abs(tail[-1].value) * tail[-1].r ** 1.5 == pytest.approx(0.5, rel=0.02)
+        tail = v.g[v.r >= 1e3]
+        assert np.all(tail < 0)
+        assert abs(tail[-1]) * v.r[-1] ** 1.5 == pytest.approx(0.5, rel=0.02)
 
     def test_log_regime_dim1(self):
         v = verify_lemma(1, 1.0)
@@ -133,8 +132,7 @@ class TestVerdicts:
     ])
     def test_far_field_amplitude_oracle(self, n, q, amplitude):
         v = verify_lemma(n, q)
-        far = v.samples[-1]
-        assert far.value * bracket(far.r) ** (n + 1) == pytest.approx(-amplitude, rel=2e-3)
+        assert v.g[-1] * bracket(v.r[-1]) ** (n + 1) == pytest.approx(-amplitude, rel=2e-3)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_log_coefficient_oracle(self, n):
@@ -159,7 +157,7 @@ class TestVerdicts:
         v = verify_lemma(1, 2.0)
         # the default midrange, then 16 radii a decade in the fit window
         dense = np.concatenate((default_radii()[:11], np.geomspace(*FIT_WINDOW, 33)))
-        fit = fit_decay(sample_frac_weight(1, 2.0, dense), "plain", -2.0)
+        fit = fit_decay(dense, *sample_frac_weight(1, 2.0, dense), "plain", -2.0)
         assert abs(fit.a_hat - v.a_hat) < 0.05 * v.a_hat
 
 
@@ -169,11 +167,10 @@ class TestScaleCovariance:
         from fracblow.profiles import bracket_profile
         from fracblow.pv import frac_laplacian_pv
 
-        R = 2.0
-        for x0 in (0.6, 3.0):
-            scaled = frac_laplacian_pv(bracket_profile(2.0, R=R), R * x0)
-            ref = frac_laplacian_pv(bracket_profile(2.0), x0)
-            assert scaled.value == pytest.approx(ref.value / R, abs=1e-7)
+        R, x0 = 2.0, np.array([0.6, 3.0])
+        scaled, _ = frac_laplacian_pv(bracket_profile(2.0, R=R), 1, R * x0)
+        ref, _ = frac_laplacian_pv(bracket_profile(2.0), 1, x0)
+        np.testing.assert_allclose(scaled, ref / R, rtol=0.0, atol=1e-7)
 
 
 class TestGaussianRemark:
@@ -186,8 +183,7 @@ class TestGaussianRemark:
 
     def test_origin_positive(self):
         v = verify_gaussian_remark(1)
-        origin = [s for s in v.samples if s.r == 0.0][0]
-        assert origin.value > 0
+        assert v.r[0] == 0.0 and v.g[0] > 0
 
     def test_dim2(self):
         v = verify_gaussian_remark(2)
@@ -195,3 +191,29 @@ class TestGaussianRemark:
         assert v.fit.exponent == pytest.approx(-3.0, abs=0.1)
         # extracted constant approaches B_2 * pi = 1/2
         assert v.a_hat == pytest.approx(0.5, rel=0.05)
+
+
+class TestNegativity:
+    """``_negativity`` against its definition: the smallest positive sampled
+    radius beyond which every sample is strictly negative."""
+
+    @staticmethod
+    def by_definition(r, g):
+        for i in np.flatnonzero(r > 0.0):
+            if all(gj < 0.0 for rj, gj in zip(r[i:], g[i:]) if rj > 0.0):
+                return float(r[i])
+        return None
+
+    @pytest.mark.parametrize("g, want", [
+        pytest.param([-1.0, -2.0, -3.0, -4.0], 0.5, id="all-negative"),
+        pytest.param([1.0, -2.0, -3.0, 4.0], None, id="last-non-negative"),
+        pytest.param([1.0, -2.0, 0.0, -4.0], 3.0, id="zero-sample"),
+        pytest.param([1.0, -2.0, -3.0, -4.0], 0.5, id="positive-at-origin-ignored"),
+        pytest.param([1.0, math.nan, -3.0, -4.0], 2.0, id="nan-sample"),
+    ])
+    def test_against_the_definition(self, g, want):
+        r, g = np.array([0.0, 0.5, 2.0, 3.0]), np.array(g)
+        assert _negativity(r, g) == self.by_definition(r, g) == want
+
+    def test_no_positive_radius(self):
+        assert _negativity(np.array([0.0]), np.array([-1.0])) is None

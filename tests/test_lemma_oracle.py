@@ -13,9 +13,10 @@ the value is many orders below the profile's scale and the roundoff of the
 cancellation in S outgrows its allowance.  That one cause is shared by both
 dimensions, since 2D takes the same radial route as 1D.
 """
+import numpy as np
 import pytest
 
-from fracblow.lemma import (EXPONENT_TOL, FIT_WINDOW, LemmaSample, default_radii, fit_decay,
+from fracblow.lemma import (EXPONENT_TOL, FIT_WINDOW, default_radii, fit_decay,
                             sample_frac_weight, verify_gaussian_remark, verify_lemma)
 
 mpmath = pytest.importorskip("mpmath")
@@ -34,14 +35,14 @@ def _gaussian_exact(n):
     return lambda r: coeff * mpmath.hyp1f1(b, c, -r * r)
 
 
-def _misses(samples, exact):
+def _misses(r, g, certified_error, exact):
     """(r, distance / certificate) of every sample outside its certificate."""
     out = []
     with mpmath.workdps(40):
-        for s in samples:
-            ratio = abs(mpmath.mpf(s.value) - exact(mpmath.mpf(s.r))) / s.error
+        for ri, gi, ei in zip(r.tolist(), g.tolist(), certified_error.tolist()):
+            ratio = abs(mpmath.mpf(gi) - exact(mpmath.mpf(ri))) / ei
             if ratio > 1:
-                out.append((s.r, float(ratio)))
+                out.append((ri, float(ratio)))
     return out
 
 
@@ -58,9 +59,9 @@ def _known_miss(where):
     pytest.param(2, 4.0, marks=_known_miss("3 of 28 radii, r = 5623-1e4, by up to 4.8x")),
 ])
 def test_bracket_weight_within_certificate(n, q):
-    samples = sample_frac_weight(n, q, default_radii())
-    assert len(samples) == 28
-    assert _misses(samples, _bracket_exact(n, q)) == []
+    r = default_radii()
+    assert len(r) == 28
+    assert _misses(r, *sample_frac_weight(n, q, r), _bracket_exact(n, q)) == []
 
 
 @pytest.mark.parametrize("n", [
@@ -68,9 +69,9 @@ def test_bracket_weight_within_certificate(n, q):
     pytest.param(2, marks=_known_miss("4 of 21 samples, r = 172-433, by up to 3.14x")),
 ])
 def test_gaussian_within_certificate(n):
-    samples = verify_gaussian_remark(n).samples
-    assert len(samples) == 21
-    assert _misses(samples, _gaussian_exact(n)) == []
+    v = verify_gaussian_remark(n)
+    assert len(v.r) == 21
+    assert _misses(v.r, v.g, v.certified_error, _gaussian_exact(n)) == []
 
 
 def _two_term_far_field(n, q):
@@ -94,8 +95,8 @@ def test_two_term_far_field_explains_near_degenerate_fits(q, exponent):
     # window, and the two-term form alone reproduces the fitted exponent
     with mpmath.workdps(40):
         far = _two_term_far_field(2, q)
-        samples = [LemmaSample(float(r), float(far(mpmath.mpf(float(r)))), 0.0)
-                   for r in default_radii(FIT_WINDOW) if r > 0]
-    fitted = fit_decay(samples, "plain", -(q + 1.0), n=2).exponent
+        r = default_radii(FIT_WINDOW)[1:]
+        g = np.array([float(far(mpmath.mpf(ri))) for ri in r.tolist()])
+    fitted = fit_decay(r, g, np.zeros_like(r), "plain", -(q + 1.0), n=2).exponent
     assert fitted == pytest.approx(exponent, abs=5e-4)
     assert abs(fitted - verify_lemma(2, q).fit.exponent) <= EXPONENT_TOL[2]

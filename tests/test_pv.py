@@ -10,8 +10,7 @@ from scipy.special import ellipe, j0
 from fracblow import pv
 from fracblow.lemma import sample_frac_weight
 from fracblow.profiles import RadialProfile, bracket_profile, gaussian_profile
-from fracblow.pv import (QuadratureError, frac_laplacian_pv, frac_laplacian_pv_many,
-                         normalization_constant)
+from fracblow.pv import QuadratureError, frac_laplacian_pv, normalization_constant
 
 
 def lorentzian_half_laplacian(x):
@@ -56,29 +55,34 @@ class TestNormalizationConstant:
             normalization_constant(3)
 
 
+def pv_at(profile, n, r, **rule):
+    """The value and error at one radius."""
+    values, errors = frac_laplacian_pv(profile, n, [r], **rule)
+    return values[0], errors[0]
+
+
 class TestPointwiseEvaluator:
     @pytest.mark.parametrize("x,expected", [(0.0, 1.0), (1.0, 0.0), (2.0, -3.0 / 25.0)])
     def test_lorentzian_closed_form(self, x, expected):
-        res = frac_laplacian_pv(bracket_profile(2.0), x)
-        assert res.value == pytest.approx(expected, abs=1e-6)
-        assert abs(res.value - expected) <= 2.0 * res.error + 1e-10
+        value, error = pv_at(bracket_profile(2.0), 1, x)
+        assert value == pytest.approx(expected, abs=1e-6)
+        assert abs(value - expected) <= 2.0 * error + 1e-10
 
     def test_lorentzian_far_field(self):
-        for x in (1e2, 1e3, 1e4):
-            res = frac_laplacian_pv(bracket_profile(2.0), x, y_max=120.0 * (1 + x), tol=1.0)
-            want = lorentzian_half_laplacian(x)
-            assert res.value == pytest.approx(want, rel=1e-6)
+        x = np.array([1e2, 1e3, 1e4])
+        values, _ = frac_laplacian_pv(bracket_profile(2.0), 1, x, y_max=120.0 * (1 + x), tol=1.0)
+        np.testing.assert_allclose(values, lorentzian_half_laplacian(x), rtol=1e-6)
 
     def test_dim2_bracket_identity(self):
         # op <x>^(-1) = <x>^(-3) in two dimensions (Poisson-kernel Hankel
         # pair: the weight transforms to 2 pi e^(-s)/s, the multiplier
         # strips the 1/s, and s e^(-s) transforms back to <x>^(-3))
-        for r in (0.0, 0.5, 2.0, 10.0, 100.0):
-            res = frac_laplacian_pv(bracket_profile(1.0), (r, 0.0),
-                                    y_max=max(256.0, 120.0 * (1 + r)), tol=1.0)
-            want = (1 + r * r) ** -1.5
-            assert abs(res.value - want) <= res.error + 1e-12
-            assert res.value == pytest.approx(want, rel=1e-4)
+        r = np.array([0.0, 0.5, 2.0, 10.0, 100.0])
+        values, errors = frac_laplacian_pv(bracket_profile(1.0), 2, r,
+                                           y_max=np.maximum(256.0, 120.0 * (1 + r)), tol=1.0)
+        want = (1 + r * r) ** -1.5
+        assert np.all(np.abs(values - want) <= errors + 1e-12)
+        np.testing.assert_allclose(values, want, rtol=1e-4)
 
     def test_gaussian_cross_method(self):
         # against the spectral route on a wide fine grid
@@ -90,61 +94,81 @@ class TestPointwiseEvaluator:
         spectral = frac_laplacian_spectral(Field(g, np.exp(-x * x) + 0j)).values.real
         pts = np.linspace(-3.0, 3.0, 13)
         idx = np.argmin(np.abs(x[None, :] - pts[:, None]), axis=1)
-        vals, _ = frac_laplacian_pv_many(gaussian_profile(), x[idx])
+        vals, _ = frac_laplacian_pv(gaussian_profile(), 1, np.abs(x[idx]))
         assert np.max(np.abs(vals - spectral[idx])) < 1e-4
 
     def test_gaussian_at_origin(self):
         # 2/sqrt(pi), from integrating |xi| against the Gaussian transform
-        res = frac_laplacian_pv(gaussian_profile(), 0.0)
-        assert res.value == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-8)
-
-    def test_evenness_bitwise(self):
-        a = frac_laplacian_pv(bracket_profile(2.0), 1.3)
-        b = frac_laplacian_pv(bracket_profile(2.0), -1.3)
-        assert a.value == b.value
+        value, _ = pv_at(gaussian_profile(), 1, 0.0)
+        assert value == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-8)
 
     def test_linearity(self):
         f, g = bracket_profile(2.0), gaussian_profile()
         combo = RadialProfile(fn=lambda s: 0.7 * f.fn(s) - 0.4 * g.fn(s),
                               tail=lambda r: 0.7 * f.tail(r) + 0.4 * g.tail(r))
-        for x in (0.0, 0.9, 3.0):
-            lhs = frac_laplacian_pv(combo, x, tol=1.0)
-            rhs = 0.7 * frac_laplacian_pv(f, x).value \
-                - 0.4 * frac_laplacian_pv(g, x).value
-            assert lhs.value == pytest.approx(rhs, abs=1e-10)
+        r = [0.0, 0.9, 3.0]
+        lhs, _ = frac_laplacian_pv(combo, 1, r, tol=1.0)
+        rhs = 0.7 * frac_laplacian_pv(f, 1, r)[0] - 0.4 * frac_laplacian_pv(g, 1, r)[0]
+        np.testing.assert_allclose(lhs, rhs, rtol=0.0, atol=1e-10)
 
     def test_refinement_stability(self, monkeypatch):
         # halving EPS0 and doubling the radial nodes moves the value by less
         # than the reported certificate
         profiles = (bracket_profile(2.0), gaussian_profile(), bracket_profile(3.0))
-        points = (0.0, 0.3, 1.5, 4.0, 9.0)
-        default = [[frac_laplacian_pv(prof, x) for x in points] for prof in profiles]
+        r = [0.0, 0.3, 1.5, 4.0, 9.0]
+        default = [frac_laplacian_pv(prof, 1, r) for prof in profiles]
         monkeypatch.setattr(pv, "EPS0", pv.EPS0 / 2)
         monkeypatch.setattr(pv, "RADIAL_NODES", 2 * pv.RADIAL_NODES)
-        for prof, row in zip(profiles, default):
-            for x, a in zip(points, row):
-                b = frac_laplacian_pv(prof, x)
-                assert abs(a.value - b.value) <= a.error
+        for prof, (values, errors) in zip(profiles, default):
+            refined, _ = frac_laplacian_pv(prof, 1, r)
+            assert np.all(np.abs(values - refined) <= errors)
 
     def test_nonconvergence_raises_with_residual(self):
         with pytest.raises(QuadratureError) as err:
-            frac_laplacian_pv(bracket_profile(0.5), 0.0, y_max=8.0, tol=1e-12)
+            frac_laplacian_pv(bracket_profile(0.5), 1, [0.0], y_max=8.0, tol=1e-12)
         assert err.value.residual > 1e-12
         assert math.isfinite(err.value.value)
+
+    def test_batch_raises_at_its_first_failing_radius(self):
+        # radius 1 misses its tolerance first; radius 2 would miss it too
+        rule = dict(y_max=8.0, tol=1e-12)
+        with pytest.raises(QuadratureError) as single:
+            frac_laplacian_pv(bracket_profile(0.5), 1, [1.0], **rule)
+        with pytest.raises(QuadratureError) as batch:
+            frac_laplacian_pv(bracket_profile(0.5), 1, [0.0, 1.0, 2.0],
+                              y_max=8.0, tol=[1.0, 1e-12, 1e-12])
+        assert str(batch.value) == str(single.value)
+        assert "radius 1" in str(batch.value)
+        assert batch.value.value == single.value.value
+        assert batch.value.residual == single.value.residual
 
     def test_nan_values_raise(self):
         # a NaN error estimate must fail the certificate gate, not pass it
         nan_profile = RadialProfile(fn=lambda s: np.full_like(s, np.nan), tail=lambda r: 1.0)
-        for x in (0.0, 1.5, (0.5, 0.0)):
+        for n, r in ((1, 0.0), (1, 1.5), (2, 0.5)):
             with pytest.raises(QuadratureError):
-                frac_laplacian_pv(nan_profile, x)
+                frac_laplacian_pv(nan_profile, n, [r])
 
     def test_batch_matches_pointwise(self):
-        xs = [0.0, 0.5, 2.5]
-        vals, errs = frac_laplacian_pv_many(bracket_profile(2.0), xs)
-        for x, v, e in zip(xs, vals, errs):
-            res = frac_laplacian_pv(bracket_profile(2.0), x)
-            assert res.value == v and res.error == e
+        r = [0.0, 0.5, 2.5]
+        for n in (1, 2):
+            vals, errs = frac_laplacian_pv(bracket_profile(2.0), n, r)
+            for ri, v, e in zip(r, vals, errs):
+                assert pv_at(bracket_profile(2.0), n, ri) == (v, e)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_subnormal_radii_sample_the_origin(self, n):
+        # a quarter of the least subnormal underflows to 0: the core
+        # refinement around t = r must not then loop forever at zero width
+        values, errors = frac_laplacian_pv(bracket_profile(2.0), n, [0.0, 5e-324, 1e-310, 1e-160])
+        assert np.all(np.abs(values - values[0]) <= errors[0])
+
+    @pytest.mark.parametrize("radii", [[0.5, -1.0], [0.5, -1e-300], [0.5, math.inf],
+                                       [0.5, math.nan], [[0.5, 0.0]]])
+    def test_bad_radii_rejected(self, radii):
+        # a point is not a radius: a 2D point is refused too
+        with pytest.raises(ValueError, match="radii"):
+            frac_laplacian_pv(bracket_profile(2.0), 2, radii)
 
 
 #: radii from the origin through the profile core to far out
@@ -169,15 +193,16 @@ class TestClosedFormCertificates:
 
     @pytest.mark.parametrize("n, q, exact", POISSON_CLOSED_FORMS)
     def test_value_within_certificate(self, n, q, exact):
-        for s in sample_frac_weight(n, q, CLOSED_FORM_RADII):
-            assert abs(s.value - exact(s.r)) <= s.error, s
+        values, errors = sample_frac_weight(n, q, CLOSED_FORM_RADII)
+        for r, value, error in zip(CLOSED_FORM_RADII, values, errors):
+            assert abs(value - exact(r)) <= error, (r, value, error)
 
     def test_core_refined_when_the_cutoff_is_inside_the_point(self):
         # y_max = 1 < |x|: the 2D shells must still reach past t = |x|, where
         # the profile core at the origin is seen
-        res = frac_laplacian_pv(bracket_profile(3.0), (5733.0, 0.0), y_max=1.0, tol=1.0)
+        value, error = pv_at(bracket_profile(3.0), 2, 5733.0, y_max=1.0, tol=1.0)
         exact = POISSON_CLOSED_FORMS[2][2]
-        assert abs(res.value - exact(5733.0)) <= res.error
+        assert abs(value - exact(5733.0)) <= error
 
 
 class TestRadialKernel2D:
@@ -210,7 +235,7 @@ _radii = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e4))
 
 
 class TestCertificateProperty:
-    """Over random far cutoffs, tolerances and points, a returned value lies
+    """Over random far cutoffs, tolerances and radii, a returned value lies
     within its certificate of the exact one; refusing is allowed.
 
     The Gaussian is left out: its certificates are known to miss.
@@ -218,14 +243,13 @@ class TestCertificateProperty:
 
     @pytest.mark.parametrize("n, q, exact", POISSON_CLOSED_FORMS)
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(y_max=_y_max, tol=_tols, r=_radii, angle=st.floats(0.0, 2.0 * math.pi))
-    def test_value_within_certificate(self, n, q, exact, y_max, tol, r, angle):
-        x = r if n == 1 else (r * math.cos(angle), r * math.sin(angle))
+    @given(y_max=_y_max, tol=_tols, r=_radii)
+    def test_value_within_certificate(self, n, q, exact, y_max, tol, r):
         try:
-            res = frac_laplacian_pv(bracket_profile(q), x, y_max, tol)
+            value, error = pv_at(bracket_profile(q), n, r, y_max=y_max, tol=tol)
         except QuadratureError:
             return
-        assert abs(res.value - exact(r)) <= res.error
+        assert abs(value - exact(r)) <= error
 
 
 class TestSquaredRadiusProfiles:
@@ -253,11 +277,16 @@ def test_config_rejects_non_finite(key, bad):
     # the rule's two arguments: a NaN or infinite tol would switch off the
     # certificate gate err > tol
     with pytest.raises(ValueError, match="finite"):
-        frac_laplacian_pv(bracket_profile(2.0), 1.0, **{key: bad})
+        frac_laplacian_pv(bracket_profile(2.0), 1, [1.0], **{key: bad})
+    # one value per radius: a single bad one is refused
+    with pytest.raises(ValueError, match="finite"):
+        frac_laplacian_pv(bracket_profile(2.0), 1, [0.5, 1.0], **{key: [1.0, bad]})
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        frac_laplacian_pv(bracket_profile(2.0), 1.0, tol=0.0)
+        frac_laplacian_pv(bracket_profile(2.0), 1, [1.0], tol=0.0)
     with pytest.raises(ValueError):
-        frac_laplacian_pv(bracket_profile(2.0), 1.0, y_max=0.5)
+        frac_laplacian_pv(bracket_profile(2.0), 1, [1.0], y_max=0.5)
+    with pytest.raises(ValueError, match="dimension"):
+        frac_laplacian_pv(bracket_profile(2.0), 3, [1.0])

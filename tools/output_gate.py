@@ -15,9 +15,11 @@ compared byte for byte, and so is its exit code.  Prints one line per job,
 and for each CSV that differs the columns that moved, each with its
 largest relative difference, and where it holds ``g`` and
 ``certified_error`` (the lemma CSVs) the largest ``|g_new - g_old|`` over
-the old ``certified_error``; for each NPY file that differs, the largest
-absolute difference of its values and that over the largest old magnitude;
-exits 0 when everything matches, 1 on any difference.  Each job's line
+the old ``certified_error``; for each JSON file that differs, every numeric
+leaf that moved, by its path, with its relative difference, and every
+other leaf that changed, was added or is missing; for each NPY file that
+differs, the largest absolute difference of its values and that over the
+largest old magnitude; exits 0 when everything matches, 1 on any difference.  Each job's line
 also gives the peak RSS of its process, parent -> change, from
 ``os.wait4``, and flags a rise above 2%.  A last
 line gives the size of each tree's ``fracblow`` package, parent -> change:
@@ -35,6 +37,7 @@ import array
 import ast
 import csv
 import io
+import json
 import math
 import os
 import struct
@@ -163,6 +166,42 @@ def moved_columns(old: bytes, new: bytes) -> str:
     return summary
 
 
+def json_leaves(node, path: str = "") -> list[tuple[str, object]]:
+    """(path, value) of every leaf of a parsed JSON document, in order."""
+    if isinstance(node, dict):
+        return [leaf for key, value in node.items()
+                for leaf in json_leaves(value, f"{path}.{key}" if path else key)]
+    if isinstance(node, list):
+        return [leaf for i, value in enumerate(node) for leaf in json_leaves(value, f"{path}[{i}]")]
+    return [(path, node)]
+
+
+def moved_leaves(old: bytes, new: bytes) -> str:
+    """The leaves in which two JSON documents differ: a number with its
+    relative difference, any other value as ``text``, or ``added`` or
+    ``missing``."""
+    try:
+        a, b = (dict(json_leaves(json.loads(data))) for data in (old, new))
+    except ValueError:
+        return "not JSON"
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    moved = []
+    for path in [*a, *(p for p in b if p not in a)]:
+        if path not in b or path not in a:
+            moved.append(f"{path} {'missing' if path not in b else 'added'}")
+            continue
+        x, y = a[path], b[path]
+        if type(x) is type(y) and (x == y or x != x and y != y):  # NaN against NaN
+            continue
+        if number(x) and number(y):
+            scale = max(abs(x), abs(y))
+            rel = abs(x - y) / scale if scale > 0 else 0.0  # 0 against 0.0
+            moved.append(f"{path} rel {math.inf if math.isnan(rel) else rel:.3g}")  # inf
+        else:
+            moved.append(f"{path} text")
+    return ", ".join(moved) or "same leaves, other bytes"
+
+
 def npy_values(data: bytes) -> tuple[dict, list] | None:
     """The header and flat values of an NPY 1.0 file of little-endian
     float64 or complex128, else None."""
@@ -218,11 +257,10 @@ def main(argv=None) -> int:
             (code_a, rss_a, out_a), (code_b, rss_b, out_b) = results.values()
             problems = [] if code_a == code_b else [f"exit code {code_a} -> {code_b}"]
             names = sorted(out_a.keys() | out_b.keys())
-            moved = {".csv": moved_columns, ".npy": moved_values}
+            moved = {".csv": moved_columns, ".json": moved_leaves, ".npy": moved_values}
             problems += [f"{f}: " + ("missing" if f not in out_b else
                                      "added" if f not in out_a else
-                                     f"differs ({moved[Path(f).suffix](out_a[f], out_b[f])})"
-                                     if Path(f).suffix in moved else "differs")
+                                     f"differs ({moved[Path(f).suffix](out_a[f], out_b[f])})")
                          for f in names if out_a.get(f) != out_b.get(f)]
             files += len(names)
             differences += len(problems)

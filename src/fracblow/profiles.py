@@ -36,12 +36,24 @@ class RadialProfile:
         return self.fn(np.square(np.asarray(r, dtype=np.float64)))
 
 
+def _tail(fn, far):
+    """The tail bound r -> fn(r^2) of a radially nonincreasing profile, and
+    past r ~ 1.34e154, where the square overflows, far(r): the same value
+    computed without squaring, 0 wherever the profile has underflowed."""
+    def tail(r: float) -> float:
+        try:
+            return float(fn(max(r, 0.0) ** 2))
+        except OverflowError:
+            return far(r)
+    return tail
+
+
 def bracket_profile(q: float, R: float = 1.0) -> RadialProfile:
     """The weight <r/R>^(-q); radially nonincreasing, tail bound is itself."""
     if not (0.0 < q < math.inf and 0.0 < R < math.inf):
         raise ValueError(f"bracket profile needs finite q > 0 and R > 0, got q={q!r}, R={R!r}")
     fn = lambda s: (1.0 + s / (R * R)) ** (-0.5 * q)
-    return RadialProfile(fn=fn, tail=lambda r: float(fn(max(r, 0.0) ** 2)),
+    return RadialProfile(fn=fn, tail=_tail(fn, lambda r: math.hypot(1.0, r / R) ** -q),
                          scale=R, label=f"bracket(q={q},R={R})")
 
 
@@ -50,5 +62,5 @@ def gaussian_profile(width: float = 1.0) -> RadialProfile:
     if not 0.0 < width < math.inf:
         raise ValueError(f"gaussian width must be finite and positive, got {width!r}")
     fn = lambda s: np.exp(-s / (width * width))
-    return RadialProfile(fn=fn, tail=lambda r: float(fn(max(r, 0.0) ** 2)),
+    return RadialProfile(fn=fn, tail=_tail(fn, lambda r: math.exp(-(r / width) * (r / width))),
                          scale=width, label=f"gaussian(w={width})")

@@ -171,6 +171,76 @@ class TestPointwiseEvaluator:
             frac_laplacian_pv(bracket_profile(2.0), 2, radii)
 
 
+#: the origin, a subnormal radius, the profile core and far out: enough
+#: radii for several passes of the default block size
+GROUPING_RADII = np.concatenate(([0.0, 5e-324, 1e-160, 0.3, 1.0], np.geomspace(1.7, 3e3, 16)))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The radii of each array pass, in call order."""
+    seen = []
+    shell_sums = pv._shell_sums
+
+    def spy(profile, n, ax, *rest):
+        seen.append(ax.tolist())
+        return shell_sums(profile, n, ax, *rest)
+
+    monkeypatch.setattr(pv, "_shell_sums", spy)
+    return seen
+
+
+class TestGroupingInvariance:
+    """A radius's value and certificate do not depend on which other radii
+    share its call, nor on the block size."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("profile", [bracket_profile(3.0), gaussian_profile(0.7)],
+                             ids=["bracket", "gaussian"])
+    @pytest.mark.parametrize("per_radius_cutoff", [False, True])
+    def test_one_call_equals_one_radius_calls(self, n, profile, per_radius_cutoff, passes,
+                                              monkeypatch):
+        r = GROUPING_RADII
+        y_max = 120.0 * (1.0 + r) if per_radius_cutoff else pv.Y_MAX
+        rule = dict(y_max=y_max, tol=1.0)
+        values, errors = frac_laplacian_pv(profile, n, r, **rule)
+        assert 2 < len(passes) // 2 < r.size  # several blocks of several radii
+        one = [frac_laplacian_pv(profile, n, [ri], y_max=np.broadcast_to(y_max, r.shape)[i],
+                                 tol=1.0) for i, ri in enumerate(r)]
+        assert np.array_equal(bits(values), bits([v[0] for v, _ in one]))
+        assert np.array_equal(bits(errors), bits([e[0] for _, e in one]))
+        for budget in (1, 10**9):  # every radius alone; the whole call in one pass
+            monkeypatch.setattr(pv, "_BLOCK_NODES", budget)
+            again = frac_laplacian_pv(profile, n, r, **rule)
+            assert np.array_equal(bits(again), bits((values, errors)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_error_at_a_later_block_is_the_one_radius_error(self, n, passes):
+        # every radius from k on misses its tolerance; k sits in a later pass
+        k = GROUPING_RADII.size - 4
+        profile = bracket_profile(2.0)
+        with pytest.raises(QuadratureError) as single:
+            frac_laplacian_pv(profile, n, GROUPING_RADII[k:k + 1], tol=1e-15)
+        passes.clear()
+        tol = np.where(np.arange(GROUPING_RADII.size) < k, 1.0, 1e-15)
+        with pytest.raises(QuadratureError) as batch:
+            frac_laplacian_pv(profile, n, GROUPING_RADII, tol=tol)
+        assert GROUPING_RADII[k] not in passes[0]
+        assert str(batch.value) == str(single.value)
+        assert bits(batch.value.value) == bits(single.value.value)
+        assert bits(batch.value.residual) == bits(single.value.residual)
+
+    def test_blocks_are_consecutive_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(pv, "_BLOCK_NODES", 18 * 10)
+        # fine-rule nodes are 18 a shell: 4 + 6 shells fit, 12 is alone
+        assert list(pv._blocks([4, 6, 1, 12, 3, 3])) == [(0, 2), (2, 3), (3, 4), (4, 6)]
+        assert list(pv._blocks([])) == []
+
+
 #: radii from the origin through the profile core to far out
 CLOSED_FORM_RADII = (0.0, 0.5, 1.0, 3.0, 30.0, 1e3, 1e4)
 #: (n, q, exact) with exact(r) = (-Delta)^(1/2) <x>^(-q) at |x| = r, from the
@@ -212,6 +282,24 @@ class TestRadialKernel2D:
         kp = np.geomspace(1e-15, 1.0, 46)
         k2 = 1.0 - kp * kp
         assert np.allclose(pv._ellipe(k2, kp), ellipe(k2), rtol=1e-13, atol=0.0)
+
+    def test_agm_batches_of_contiguous_ranges_match_their_parts(self):
+        # the array stops together; elements converged earlier are fixed points
+        kp = np.geomspace(1e-15, 1.0, 4001)
+        k2 = 1.0 - kp * kp
+        whole = pv._ellipe(k2, kp)
+        decades = np.floor(np.log10(kp))
+        for part in [decades == d for d in np.unique(decades)] + np.array_split(np.arange(kp.size), 7):
+            assert np.array_equal(bits(pv._ellipe(k2[part], kp[part])), bits(whole[part]))
+
+    def test_agm_lone_elements_move_at_most_one_ulp(self):
+        # an element that only just converged when its own call stopped can
+        # move by one ulp in a batch that runs on (seen near k' = 6e-14)
+        kp = np.geomspace(1e-15, 1.0, 4001)
+        k2 = 1.0 - kp * kp
+        whole = pv._ellipe(k2, kp)
+        alone = np.array([pv._ellipe(k2[i:i + 1], kp[i:i + 1])[0] for i in range(kp.size)])
+        assert np.all(np.abs(alone - whole) <= np.spacing(whole))
 
     def test_kernel_at_the_origin_is_the_sphere_measure(self):
         rho = np.array([1e-3, 0.7, 1.0, 50.0, 1e4])
@@ -269,6 +357,22 @@ class TestSquaredRadiusProfiles:
             assert profile.tail(r) == pytest.approx(radial(r), rel=1e-14)
             assert profile.tail(r) == float(profile(r))
         assert profile.tail(-3.0) == profile.tail(0.0) == 1.0
+
+    @pytest.mark.parametrize("profile, far", [
+        (bracket_profile(3.0), lambda r: 0.0),
+        (bracket_profile(0.5), lambda r: r ** -0.5),
+        (bracket_profile(1.0, R=1e200), lambda r: (1.0 + (r / 1e200) ** 2) ** -0.5),
+        (gaussian_profile(), lambda r: 0.0),
+        (gaussian_profile(1e200), lambda r: math.exp(-(r / 1e200) ** 2)),
+    ])
+    def test_tail_past_the_square_overflow(self, profile, far):
+        # r^2 overflows past r ~ 1.34e154: the bound is the profile's own
+        # value there, 0 where it has underflowed, and no OverflowError
+        for r in (1.4e154, 1e200, 1e300, 1.7e308):
+            assert profile.tail(r) == pytest.approx(far(r), rel=1e-14, abs=0.0)
+        # below that point the tail is still f at the rounded square
+        r = 1.3e154
+        assert profile.tail(r) == float(profile.fn(r ** 2))
 
 
 @pytest.mark.parametrize("key", ["tol", "y_max"])

@@ -271,11 +271,12 @@ def frac_laplacian_pv(profile: RadialProfile, n: int, radii, y_max=Y_MAX,
 
     The kernel normalization is :func:`normalization_constant` of n.  The
     far cutoff ``y_max`` and the tolerance ``tol`` are each one number or
-    one per radius.  A radius's error combines a node-refinement
-    difference, the certified bracket of the far field past its cutoff,
-    and a cancellation roundoff term; at the first radius whose error
-    misses its tolerance a :class:`QuadratureError` carries that radius's
-    partial value and residual.
+    one per radius; a cutoff y below 2r is raised to 2r, and r is refused
+    (``OverflowError``) if (2r + y)^2 overflows.  A radius's error combines
+    a node-refinement difference, the certified bracket of the far field
+    past its cutoff, and a cancellation roundoff term; at the first radius
+    whose error misses its tolerance a :class:`QuadratureError` carries
+    that radius's partial value and residual.
     """
     b = normalization_constant(n).value
     r = np.asarray(radii, dtype=np.float64)
@@ -288,12 +289,13 @@ def frac_laplacian_pv(profile: RadialProfile, n: int, radii, y_max=Y_MAX,
     if not np.all((0.0 < tols) & (tols < math.inf)):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
-    ax = r.tolist()
-    if n == 2:
-        # the shells run past t = ax, so that the profile core at the
-        # origin, seen at t = ax, is refined
-        y_maxs = np.maximum(y_maxs, 2.0 * r)
-    ys, tols = y_maxs.tolist(), tols.tolist()
+    ax, tols = r.tolist(), tols.tolist()
+    # the shells refine the origin's core, seen at t = ax, and end past it
+    ys = [max(y, 2.0 * x) for x, y in zip(ax, y_maxs.tolist())]
+    for x, y in zip(ax, ys):  # the 2D kernel squares rho + ax, up to 2 ax + y
+        if not math.isfinite((2.0 * x + y) * (2.0 * x + y)):
+            raise OverflowError(f"radius {x:g} too large: (2r + y)^2 at its far cutoff "
+                                f"y = {y:g} exceeds {np.finfo(float).max:g}")
     # the coarse and the fine rule share the breaks and f(ax)
     f_ax = np.array([float(profile(x)) for x in ax])
     breaks = [_radial_breaks(x, profile.scale, y) for x, y in zip(ax, ys)]

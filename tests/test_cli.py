@@ -142,6 +142,18 @@ def test_overflowing_radius_exits_two(tmp_path, capsys, command, text):
     assert not list(out.glob("*"))
 
 
+def test_frac_apply_past_the_default_cutoff(tmp_path):
+    # a 1D point past y_max = 256 certifies: its far field starts past the origin's core
+    path = tmp_path / "run.ini"
+    path.write_text(BASE.split("[grid]")[0] + "[frac_apply]\npoints = 300\n")
+    out = tmp_path / "out"
+    assert main(["frac-apply", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / "frac_apply.csv") as fh:
+        row, = csv.DictReader(fh)
+    exact = (1.0 - 300.0**2) / (1.0 + 300.0**2) ** 2
+    assert abs(float(row["pv_value"]) - exact) <= float(row["pv_error"])
+
+
 def test_verify_lemma_command(tmp_path):
     cfg = write_config(tmp_path, """
 [lemma]

@@ -362,6 +362,21 @@ class TestEvenQuarter:
         evolve(packet, params, 0.01, 0.05, 1.0)
         assert len(calls) == 2 + 2 * 5
 
+    @pytest.mark.parametrize("N", [16, 48, 200, 384])
+    def test_transforms_are_the_full_lattice_dft_to_the_bit(self, N):
+        # the quarter's data, extended even, is a full lattice's: its DFT by
+        # fft2, cut to the quarter and scaled, is the quarter's, bit for bit
+        h = N // 2
+        quarter = evolution._EvenQuarter(GridSpec(2, 4.0, N))
+        rng = np.random.default_rng(N)
+        u = rng.standard_normal((h + 1, h + 1)) + 1j * rng.standard_normal((h + 1, h + 1))
+        fold = np.ix_(np.r_[0:h + 1, h - 1:0:-1], np.r_[0:h + 1, h - 1:0:-1])
+        spec = quarter.dft(u)
+        assert spec.flags.c_contiguous
+        assert np.array_equal(spec, np.fft.fft2(u[fold])[:h + 1, :h + 1] * quarter.scale)
+        assert np.array_equal(quarter.idft(u),
+                              np.fft.ifft2((u / quarter.scale)[fold])[:h + 1, :h + 1])
+
     def test_matches_a_strang_step_loop(self):
         # evolve's loop in sample space, without halvings: the same steps,
         # the same blow-up time and the same readings

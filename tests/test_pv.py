@@ -163,6 +163,21 @@ class TestPointwiseEvaluator:
         values, errors = frac_laplacian_pv(bracket_profile(2.0), n, [0.0, 5e-324, 1e-310, 1e-160])
         assert np.all(np.abs(values - values[0]) <= errors[0])
 
+    def test_radii_past_the_default_cutoff_certify_in_1d(self):
+        # the shells run past t = |x| in 1D too, so the far field starts past
+        # the origin's core instead of bracketing it from 0
+        r = np.array([200.0, 300.0, 1000.0, 1e5])
+        values, errors = frac_laplacian_pv(bracket_profile(2.0), 1, r)
+        assert np.all(np.abs(values - lorentzian_half_laplacian(r)) <= errors)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_overflowing_radius_refused(self, n):
+        # (2r + y)^2 overflows past r ~ 3.35e153, where y >= 2r
+        with pytest.raises(OverflowError, match=r"1e\+300"):
+            frac_laplacian_pv(bracket_profile(2.0), n, [1.0, 1e300])
+        values, errors = frac_laplacian_pv(bracket_profile(2.0), n, [3e153])
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(errors))
+
     @pytest.mark.parametrize("radii", [[0.5, -1.0], [0.5, -1e-300], [0.5, math.inf],
                                        [0.5, math.nan], [[0.5, 0.0]]])
     def test_bad_radii_rejected(self, radii):

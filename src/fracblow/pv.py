@@ -62,6 +62,11 @@ GROWTH = 1.7
 RADIAL_NODES = 12
 #: default far cutoff of the explicit shells, and default target tolerance
 Y_MAX, TOL = 256.0, 1e-6
+#: largest radius, in profile scales, sampled at a far cutoff y_max below it.
+#: The nodes near the profile core at t = |x| sit on the double grid of
+#: spacing ulp(|x|), which the error does not count; against closed forms at
+#: the default cutoff that rounding first outweighs it at about 4e7 scales
+MAX_RADIUS = 2.0 ** 22
 #: most fine-rule nodes sampled in one array pass: it bounds the pass's
 #: memory, and no result depends on it.  Chosen by ``verify-lemma``'s peak
 #: RSS, which it raises by about 1.4% over one radius at a time (4096: 2%)
@@ -245,7 +250,7 @@ def _far_field(profile: RadialProfile, ax: float, n: int, y: float) -> tuple[flo
     4 R E(ax / R) / (R^2 - ax^2).  A ratio, so that c * num / den rounds in
     1D as c * 2 / y does."""
     if n == 1:
-        return 0.5 * (profile.tail(y - ax) if y > ax else profile.tail(0.0)), 2.0, y
+        return 0.5 * profile.tail(y - ax), 2.0, y
     big = ax + y
     den = y * (big + ax)
     return (0.5 * profile.tail(big),
@@ -271,12 +276,15 @@ def frac_laplacian_pv(profile: RadialProfile, n: int, radii, y_max=Y_MAX,
 
     The kernel normalization is :func:`normalization_constant` of n.  The
     far cutoff ``y_max`` and the tolerance ``tol`` are each one number or
-    one per radius; a cutoff y below 2r is raised to 2r, and r is refused
-    (``OverflowError``) if (2r + y)^2 overflows.  A radius's error combines
-    a node-refinement difference, the certified bracket of the far field
-    past its cutoff, and a cancellation roundoff term; at the first radius
-    whose error misses its tolerance a :class:`QuadratureError` carries
-    that radius's partial value and residual.
+    one per radius; a cutoff y below 2r is raised to 2r.  ``OverflowError``
+    refuses a radius r past :data:`MAX_RADIUS` profile scales whose y_max
+    does not exceed r (the lemma's sampler sets y_max past r and judges such
+    samples by its own fit checks), and one where (2r + y)^2 overflows.  A
+    radius's error combines a node-refinement difference, the certified
+    bracket of the far field past its cutoff, and a cancellation roundoff
+    term; at the first radius whose error misses its tolerance a
+    :class:`QuadratureError` carries that radius's partial value and
+    residual.
     """
     b = normalization_constant(n).value
     r = np.asarray(radii, dtype=np.float64)
@@ -290,6 +298,11 @@ def frac_laplacian_pv(profile: RadialProfile, n: int, radii, y_max=Y_MAX,
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
     ax, tols = r.tolist(), tols.tolist()
+    big = MAX_RADIUS * profile.scale
+    for x, y in zip(ax, y_maxs.tolist()):
+        if x > big and not y > x:
+            raise OverflowError(f"radius {x:g} too large: past {big:g}, rounding its nodes "
+                                f"near the core can outweigh its error (y_max = {y:g})")
     # the shells refine the origin's core, seen at t = ax, and end past it
     ys = [max(y, 2.0 * x) for x, y in zip(ax, y_maxs.tolist())]
     for x, y in zip(ax, ys):  # the 2D kernel squares rho + ax, up to 2 ax + y

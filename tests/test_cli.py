@@ -154,6 +154,16 @@ def test_frac_apply_past_the_default_cutoff(tmp_path):
     assert abs(float(row["pv_value"]) - exact) <= float(row["pv_error"])
 
 
+def test_frac_apply_refuses_a_radius_past_max_radius(tmp_path, capsys):
+    # at 1e20 the default cutoff's certificate would not hold: a numerical failure
+    path = tmp_path / "run.ini"
+    path.write_text(BASE.split("[grid]")[0] + "[frac_apply]\npoints = 1, 1e20\n")
+    out = tmp_path / "out"
+    assert main(["frac-apply", "--config", str(path), "--out", str(out)]) == 2
+    assert "radius 1e+20 too large" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_verify_lemma_command(tmp_path):
     cfg = write_config(tmp_path, """
 [lemma]

@@ -172,11 +172,12 @@ class TestPointwiseEvaluator:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_overflowing_radius_refused(self, n):
-        # (2r + y)^2 overflows past r ~ 3.35e153, where y >= 2r
-        with pytest.raises(OverflowError, match=r"1e\+300"):
+        # (2r + y)^2 overflows past r ~ 3.35e153 with y >= 2r; a cutoff past
+        # the radius lets it through MAX_RADIUS to that check
+        with pytest.raises(OverflowError, match=r"radius 1e\+300 too large: \(2r \+ y\)\^2"):
+            frac_laplacian_pv(bracket_profile(2.0), n, [1.0, 1e300], y_max=[256.0, 1e301])
+        with pytest.raises(OverflowError, match=r"radius 1e\+300 too large: past 4\.1943e\+06"):
             frac_laplacian_pv(bracket_profile(2.0), n, [1.0, 1e300])
-        values, errors = frac_laplacian_pv(bracket_profile(2.0), n, [3e153])
-        assert np.all(np.isfinite(values)) and np.all(np.isfinite(errors))
 
     @pytest.mark.parametrize("radii", [[0.5, -1.0], [0.5, -1e-300], [0.5, math.inf],
                                        [0.5, math.nan], [[0.5, 0.0]]])
@@ -280,6 +281,18 @@ class TestClosedFormCertificates:
     def test_value_within_certificate(self, n, q, exact):
         values, errors = sample_frac_weight(n, q, CLOSED_FORM_RADII)
         for r, value, error in zip(CLOSED_FORM_RADII, values, errors):
+            assert abs(value - exact(r)) <= error, (r, value, error)
+
+    @pytest.mark.parametrize("n, q, exact", POISSON_CLOSED_FORMS)
+    def test_large_radii_certify_or_are_refused(self, n, q, exact):
+        # at the default cutoff, rounding the nodes near the core to doubles
+        # outweighs the certificate from r ~ 4e7 on: r past MAX_RADIUS is refused
+        for r in np.geomspace(1e5, 1e20, 46):
+            if r > pv.MAX_RADIUS:
+                with pytest.raises(OverflowError, match="rounding its nodes"):
+                    frac_laplacian_pv(bracket_profile(q), n, [r])
+                continue
+            (value,), (error,) = frac_laplacian_pv(bracket_profile(q), n, [r])
             assert abs(value - exact(r)) <= error, (r, value, error)
 
     def test_core_refined_when_the_cutoff_is_inside_the_point(self):

@@ -18,7 +18,6 @@ from .evolution import (
     evolve,
     linear_propagator,
     nonlinear_step,
-    scaling_check,
     strang_step,
 )
 from .blowup import (

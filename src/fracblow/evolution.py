@@ -9,12 +9,14 @@ half-step phase to the next step's spectrum and the sup norm of its
 post-source stage.  ``evolve`` carries that (spectrum, sup) pair through
 its loop, so a run costs 2 FFTs a step, and reads each step without
 leaving the spectrum: ``M_R`` as a pairing with the weight's DFT, and the
-L2 norm by Parseval; ``scaling_check`` carries two spectra the same way.
-``strang_step`` is the same kernel between sampled fields.  A 2D radial
-datum is even about index N/2, so ``evolve`` carries only its quarter's
-spectrum, a DCT-I by 1D FFTs over even extensions (Martucci, IEEE Trans.
-Signal Process. 42, 1994), at half the FFT work a step; both of its passes
-transform contiguous rows in place, as strided columns take twice as long.
+L2 norm by Parseval.  ``strang_step`` is the same kernel between sampled
+fields, on the full lattice.  A radial datum is even about index N/2, so
+``evolve`` carries only the spectrum of its even part, sites N/2, ...,
+N-1, 0 of each axis (a half in 1D, a quarter in 2D): a DCT-I by 1D FFTs
+over even extensions (Martucci, IEEE Trans. Signal Process. 42, 1994).
+In 2D that halves the FFT work a step; in 1D the FFTs keep their N
+points and the pointwise work halves.  Each pass transforms contiguous
+rows in place, as strided columns take twice as long.
 Blow-up is detected from the sup norm, with step halving near the
 singularity; the last accepted time is the numerical blow-up time.
 """
@@ -42,7 +44,6 @@ __all__ = [
     "spectral_tail_fraction",
     "weighted_functional",
     "evolve",
-    "scaling_check",
 ]
 
 #: largest share of spectral l2 mass allowed in the top band of the initial data
@@ -56,8 +57,6 @@ MAX_HALVINGS = 10
 THRESHOLD_FACTOR = 25.0
 #: modes with |xi| at or above this share of the largest |xi| form the top band
 TAIL_BAND = 0.85
-#: dilation discrepancies compared per scaling check
-SCALING_CHECKPOINTS = 8
 
 
 @dataclass(frozen=True)
@@ -106,14 +105,14 @@ class TrajectoryRecord:
     l2_norm: np.ndarray
     t_num: float | None
     grid: GridSpec
-    # DFT of the last accepted state, or that of its even quarter (see _EvenQuarter)
+    # DFT of the last accepted state, or that of its even part (see _EvenPart)
     final_spectrum: np.ndarray = field(repr=False)
 
     @property
     def final(self) -> Field:  # the last accepted state, else u0 to roundoff
         spec = self.final_spectrum
         if spec.shape != self.grid.shape:
-            spec = _EvenQuarter(self.grid).full_spectrum(spec)
+            spec = _EvenPart(self.grid).full_spectrum(spec)
         return Field(self.grid, np.fft.ifftn(spec))
 
     @property
@@ -163,7 +162,7 @@ def nonlinear_step(f: Field, dt: float, params: ProblemParams) -> Field:
 
 
 def _half_step_phase(grid: GridSpec, dt: float) -> np.ndarray:
-    """exp(i dt/2 |xi|), the multiplier of a linear half step (on a grid or a quarter)."""
+    """exp(i dt/2 |xi|), the multiplier of a linear half step (on a grid or an even part)."""
     return np.exp(1j * (0.5 * dt) * grid.abs_freq())
 
 
@@ -191,12 +190,13 @@ def strang_step(f: Field, dt: float, params: ProblemParams) -> Field:
     return Field(f.grid, np.fft.ifftn(spec))
 
 
-class _EvenQuarter:
-    """The (N/2+1)^2 quarter of a 2D lattice that fixes a field even about N/2.
+class _EvenPart:
+    """The N/2+1 sites per axis of a lattice that fix a field even about N/2.
 
-    It holds sites N/2, ..., N-1, 0 of each axis and, as a DCT-I, the DFT at
-    frequencies 0, ..., N/2 times the square root of each one's multiplicity,
-    so that Parseval holds on it; it has a grid's ``radii`` and ``abs_freq``.
+    It holds sites N/2, ..., N-1, 0 of each axis (a half in 1D, a quarter in
+    2D) and, as a DCT-I, the DFT at frequencies 0, ..., N/2 times the square
+    root of each one's multiplicity, so that Parseval holds on it; it has a
+    grid's ``radii`` and ``abs_freq``.
     """
 
     def __init__(self, grid: GridSpec):
@@ -205,25 +205,26 @@ class _EvenQuarter:
         self.sites = np.arange(h, 2 * h + 1) % grid.N
         # (-1)^k: the sites start at N/2; and frequencies k and N - k are one mode
         scale = (-1.0) ** np.arange(h + 1) * np.sqrt(np.r_[1.0, np.full(h - 1, 2.0), 1.0])
-        self.scale = np.outer(scale, scale)
+        self.scale = scale if self.n == 1 else np.outer(scale, scale)
+
+    def _norm(self, v: np.ndarray) -> np.ndarray:  # |(v_i, v_j, ...)| from one axis's v
+        v = np.abs(v)
+        return v if self.n == 1 else np.hypot.outer(v, v)
 
     def radii(self) -> np.ndarray:
-        x = np.abs(self.grid.axis()[self.sites])
-        return np.hypot.outer(x, x)
+        return self._norm(self.grid.axis()[self.sites])
 
     def abs_freq(self) -> np.ndarray:
-        xi = np.abs(self.grid.freq_axis()[:len(self.sites)])
-        return np.hypot.outer(xi, xi)
+        return self._norm(self.grid.freq_axis()[:len(self.sites)])
 
-    @staticmethod
-    def _even(a: np.ndarray, transform) -> np.ndarray:
-        # ``transform`` of the even extension on both axes: each pass transforms
+    def _even(self, a: np.ndarray, transform) -> np.ndarray:
+        # ``transform`` of the even extension on every axis: each pass transforms
         # the rows of one fresh extension in place and hands on its leading
-        # columns transposed, so the second pass's view is the result
+        # columns transposed, so the last pass's view is the result
         h = len(a) - 1
-        for _ in range(2):
-            ext = np.concatenate((a, a[:, h - 1:0:-1]), axis=1, dtype=np.complex128)
-            a = transform(ext, axis=1, out=ext)[:, :h + 1].T
+        for _ in range(self.n):
+            ext = np.concatenate((a, a[..., h - 1:0:-1]), axis=-1, dtype=np.complex128)
+            a = transform(ext, axis=-1, out=ext)[..., :h + 1].T
         return a
 
     def dft(self, u: np.ndarray) -> np.ndarray:
@@ -234,15 +235,16 @@ class _EvenQuarter:
         return self._even(spec / self.scale, np.fft.ifft)
 
     def full_spectrum(self, spec: np.ndarray) -> np.ndarray:
-        """The full lattice's DFT, in one (N, N) array."""
+        """The full lattice's DFT, in one (N,) * n array."""
         fold = np.r_[0:len(spec), len(spec) - 2:0:-1]
-        return (spec / np.abs(self.scale))[np.ix_(fold, fold)]
+        return (spec / np.abs(self.scale))[np.ix_(*(fold,) * self.n)]
 
 
 def _is_even(u: np.ndarray) -> bool:
-    """Whether u[i, j] == u[-i, j] == u[i, -j] (indices mod N), bit for bit."""
+    """Whether u is even about index N/2 on every axis (indices mod N), bit for bit."""
     h = len(u) // 2
-    return np.array_equal(u[1:h], u[:h:-1]) and np.array_equal(u[:, 1:h], u[:, :h:-1])
+    return all(np.array_equal(v[1:h], v[:h:-1])
+               for v in (np.moveaxis(u, axis, 0) for axis in range(u.ndim)))
 
 
 def spectral_tail_fraction(spectrum: np.ndarray, grid: GridSpec) -> float:
@@ -256,7 +258,7 @@ def spectral_tail_fraction(spectrum: np.ndarray, grid: GridSpec) -> float:
 
 
 def _test_weight(grid: GridSpec, R: float) -> np.ndarray:
-    """The test weight <x/R>^(-n-1) at every site of a grid or a quarter."""
+    """The test weight <x/R>^(-n-1) at every site of a grid or an even part."""
     if not R > 0:
         raise ValueError(f"weight radius must be positive, got {R}")
     return bracket(grid.radii() / R) ** -(grid.n + 1)
@@ -273,7 +275,7 @@ def _spectral_readings(spec: np.ndarray, grid: GridSpec, alpha: complex,
     """(M_R, L2 norm) of the state with DFT ``spec``, by Parseval.
 
     ``w_hat`` is the test weight's DFT times dx^n / N^n, real and contiguous;
-    both may be an even quarter's.
+    both may be an even part's.
     """
     # real and imaginary parts side by side, so that w_hat needs no complex copy
     re, im = w_hat.ravel() @ spec.view(np.float64).reshape(-1, 2)
@@ -312,7 +314,7 @@ def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
     Halts at t_max, or flags blow-up once the sup norm reaches
     ``THRESHOLD_FACTOR * sup|u0|``.  A step's sup norm is that of its
     post-source stage, half a linear step before the step's end; M_R and
-    the L2 norm are read from the step's spectrum, a quarter's for 2D even
+    the L2 norm are read from the step's spectrum, the even part's for even
     data.  Violent steps (non-finite values or sup growth beyond
     ``GROWTH_CAP``) are retried with halved dt, which then holds for the
     rest of the run; once ``MAX_HALVINGS`` halvings in all are spent, the
@@ -321,12 +323,12 @@ def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
     _require_positive(dt=dt, t_max=t_max)
     grid = u0.grid
     # the transform pair is chosen once; one DFT of u0 serves the tail check, M_R(0), step 1
-    quarter = _EvenQuarter(grid) if grid.n == 2 and _is_even(u0.values) else None
-    if quarter is None:
+    even = _EvenPart(grid) if _is_even(u0.values) else None
+    if even is None:
         lattice, dft, spec = grid, (np.fft.fftn, np.fft.ifftn), np.fft.fftn(u0.values)
     else:
-        lattice, dft = quarter, (quarter.dft, quarter.idft)
-        spec = quarter.dft(u0.values[np.ix_(quarter.sites, quarter.sites)])
+        lattice, dft = even, (even.dft, even.idft)
+        spec = even.dft(u0.values[np.ix_(*(even.sites,) * grid.n)])
     _require_resolved(spec, lattice)
     sup0 = _initial_sup(u0)
     threshold = THRESHOLD_FACTOR * sup0
@@ -370,49 +372,3 @@ def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
                             sup_norm=np.array(sups), l2_norm=np.array(l2s),
                             t_num=t_num, grid=grid, final_spectrum=spec)
 
-
-def scaling_check(u0: Field, params: ProblemParams, dt: float, t_max: float,
-                  rho: float) -> float:
-    """Max relative l2 discrepancy of the dilation symmetry over a run.
-
-    A solution u(t, x) maps to rho^(1/(p-1)) u(rho t, rho x) on the grid
-    (L/rho, N).  Both runs use the same dt (matched steps per unit time
-    would be exactly equivariant and test nothing), so the discrepancy
-    measures the integrator error and shrinks at second order.  Both runs
-    carry spectra through ``_step``; the grids share N, so by Parseval the
-    spectra's relative l2 discrepancy is the samples'.  A non-finite one
-    raises ``FloatingPointError``.
-    """
-    _require_positive(dt=dt, t_max=t_max, rho=rho)
-    steps2_total = int(round(t_max / dt / rho))
-    if steps2_total == 0:
-        raise ValueError(f"t_max = {t_max!r} holds no step of the dilated run "
-                         f"(dt * rho = {dt * rho!r}): nothing would be compared")
-    grid1 = u0.grid
-    amp = rho ** (1.0 / (params.p - 1.0))
-    grid2 = GridSpec(grid1.n, grid1.L / rho, grid1.N)
-    spec1 = np.fft.fftn(u0.values)
-    _require_resolved(spec1, grid1)  # the dilated copy's DFT is amp * spec1: the same tail
-    _initial_sup(u0)  # zero data would leave every discrepancy 0/0
-    spec2 = amp * spec1  # rho^(1/(p-1)) u0(rho x) on the shrunk grid
-    phase1, phase2 = _half_step_phase(grid1, dt), _half_step_phase(grid2, dt)
-
-    stride2 = max(1, steps2_total // SCALING_CHECKPOINTS)
-    stride1 = rho * stride2
-    if abs(stride1 - round(stride1)) > 1e-9:
-        raise ValueError("rho * checkpoint stride must be an integer number of steps")
-    stride1 = int(round(stride1))
-
-    worst = 0.0
-    for k in range(1, steps2_total // stride2 + 1):
-        for _ in range(stride2):
-            spec2, _ = _step(spec2, phase2, dt, params)
-        for _ in range(stride1):
-            spec1, _ = _step(spec1, phase1, dt, params)
-        mapped = amp * spec1  # rho^(1/(p-1)) u(rho t, rho x) on grid2 sites
-        d = float(np.linalg.norm(spec2 - mapped) / np.linalg.norm(mapped))
-        if not math.isfinite(d):
-            raise FloatingPointError(f"scaling discrepancy {d} at checkpoint {k}, "
-                                     f"t = {k * stride1 * dt:g}")
-        worst = max(worst, d)
-    return worst

@@ -12,13 +12,14 @@ import pytest
 from fracblow.blowup import (InitialDataSpec, adapted_radius, compute_constants,
                              lifespan_bound, make_initial_data, ode_lower_envelope,
                              weighted_functional)
-from fracblow.evolution import ProblemParams, evolve, scaling_check, strang_step
+from fracblow.evolution import ProblemParams, evolve, strang_step
 from fracblow.grid import Field, GridSpec
 from fracblow.lemma import verify_gaussian_remark, verify_lemma
 from fracblow.profiles import bracket_profile
 from fracblow.pv import frac_laplacian_pv, normalization_constant
 from fracblow.spectral import cordoba_violation, frac_laplacian_spectral
 from fracblow.sweep import SweepPlan, in_regime_amplitude, run_sweep
+from verification import scaling_check
 
 
 def _report(num: int, ok: bool, detail: str):

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from fracblow import evolution
 from fracblow.evolution import (ProblemParams, UnresolvedFieldError, evolve,
-                                linear_propagator, nonlinear_step, scaling_check,
+                                linear_propagator, nonlinear_step,
                                 spectral_tail_fraction, strang_step)
 from fracblow.grid import Field, GridSpec
 from fracblow.profiles import bracket
+from verification import scaling_check
 
 
 def gaussian_packet(x):
@@ -296,7 +297,8 @@ class TestStrangKernel:
         # then reach t_max = 0.037 with a shorter last step
         monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
         g = GridSpec(1, 20.0, 512)
-        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
+        # not even, so that the full lattice is stepped (see TestEvenQuarter for the half)
+        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) * np.exp(0.5j * x))
         params = ProblemParams(1, 2.0, 1j)
         kernel, sizes = evolution._step, []
 
@@ -322,7 +324,8 @@ class TestStrangKernel:
         # and the short last step needs a third phase
         monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
         g = GridSpec(1, 20.0, 512)
-        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
+        # not even, so that the full lattice is stepped (see TestEvenQuarter for the half)
+        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) * np.exp(0.5j * x))
         build, kernel, built, sizes = evolution._half_step_phase, evolution._step, [], []
 
         def build_spy(grid, dt):
@@ -343,13 +346,15 @@ class TestStrangKernel:
 
 
 def full_lattice_run(u0, *args):
-    """``evolve`` with the even quarter turned off."""
+    """``evolve`` with the even part turned off."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(evolution, "_is_even", lambda u: False)
         return evolve(u0, *args)
 
 
 class TestEvenQuarter:
+    """Even data on the even part: the (N/2+1)^2 quarter in 2D, the N/2+1 half in 1D."""
+
     def test_radial_data_steps_the_quarter(self, monkeypatch):
         # radial data takes no 2D transform of the full lattice; other data does
         g = GridSpec(2, 3.7, 200)  # dx = 0.037 is not exact in binary
@@ -362,20 +367,36 @@ class TestEvenQuarter:
         evolve(packet, params, 0.01, 0.05, 1.0)
         assert len(calls) == 2 + 2 * 5
 
-    @pytest.mark.parametrize("N", [16, 48, 200, 384])
-    def test_transforms_are_the_full_lattice_dft_to_the_bit(self, N):
-        # the quarter's data, extended even, is a full lattice's: its DFT by
-        # fft2, cut to the quarter and scaled, is the quarter's, bit for bit
+    def test_radial_1d_data_steps_the_half(self, monkeypatch):
+        # in 1D too: radial data takes no transform of the full lattice; a packet does
+        g = GridSpec(1, 3.7, 200)
+        params = ProblemParams(1, 2.0, 1j)
+        radial = Field.from_radial(g, lambda r: np.exp(-r * r) * (1.0 + 0.5j))
+        packet = Field.from_function(g, gaussian_packet)
+        calls = count_ffts(monkeypatch)
+        rec = evolve(radial, params, 0.01, 0.05, 1.0)
+        assert calls == [] and len(rec.times) == 6
+        assert rec.final_spectrum.shape == (g.N // 2 + 1,)
+        evolve(packet, params, 0.01, 0.05, 1.0)
+        assert len(calls) == 2 + 2 * 5
+
+    @pytest.mark.parametrize("n, N", [pytest.param(2, N, id=str(N)) for N in (16, 48, 200, 384)]
+                             + [pytest.param(1, N, id=f"1d-{N}")
+                                for N in (16, 48, 200, 384, 16384)])
+    def test_transforms_are_the_full_lattice_dft_to_the_bit(self, n, N):
+        # the part's data, extended even, is a full lattice's: its DFT by
+        # fftn, cut to the part and scaled, is the part's, bit for bit
         h = N // 2
-        quarter = evolution._EvenQuarter(GridSpec(2, 4.0, N))
+        part = evolution._EvenPart(GridSpec(n, 4.0, N))
         rng = np.random.default_rng(N)
-        u = rng.standard_normal((h + 1, h + 1)) + 1j * rng.standard_normal((h + 1, h + 1))
-        fold = np.ix_(np.r_[0:h + 1, h - 1:0:-1], np.r_[0:h + 1, h - 1:0:-1])
-        spec = quarter.dft(u)
+        shape = (h + 1,) * n
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        fold = np.ix_(*(np.r_[0:h + 1, h - 1:0:-1],) * n)
+        cut = (slice(0, h + 1),) * n
+        spec = part.dft(u)
         assert spec.flags.c_contiguous
-        assert np.array_equal(spec, np.fft.fft2(u[fold])[:h + 1, :h + 1] * quarter.scale)
-        assert np.array_equal(quarter.idft(u),
-                              np.fft.ifft2((u / quarter.scale)[fold])[:h + 1, :h + 1])
+        assert np.array_equal(spec, np.fft.fftn(u[fold])[cut] * part.scale)
+        assert np.array_equal(part.idft(u), np.fft.ifftn((u / part.scale)[fold])[cut])
 
     def test_matches_a_strang_step_loop(self):
         # evolve's loop in sample space, without halvings: the same steps,
@@ -417,13 +438,79 @@ class TestEvenQuarter:
         scale = np.max(np.abs(ref.final.values))
         assert np.max(np.abs(rec.final.values - ref.final.values)) <= 1e-13 * scale
 
+    def test_final_state_matches_the_full_lattice_1d(self, monkeypatch):
+        # a 1D run with two halvings: the half's final spectrum unfolds to the full one
+        monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
+        g = GridSpec(1, 8.0, 256)
+        params = ProblemParams(1, 2.0, 1j)
+        u0 = Field.from_radial(g, lambda r: 4.0 * np.exp(-r * r) * (1.0 + 0.2j))
+        rec = evolve(u0, params, 0.02, 0.2, 1.0)
+        ref = full_lattice_run(u0, params, 0.02, 0.2, 1.0)
+        assert np.array_equal(rec.times, ref.times)
+        assert np.unique(np.diff(rec.times).round(12)).size >= 3  # 0.02, 0.01, 0.005
+        assert rec.final_spectrum.shape == (g.N // 2 + 1,)
+        scale = np.max(np.abs(ref.final.values))
+        assert np.max(np.abs(rec.final.values - ref.final.values)) <= 1e-13 * scale
+
+    def test_evolve_with_rejection_on_the_half_matches_the_full_lattice(self, monkeypatch):
+        # TestStrangKernel's rejection scenario on radial 1D data: the half
+        # takes the full lattice's steps and reads its numbers
+        monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
+        g = GridSpec(1, 20.0, 512)
+        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
+        params = ProblemParams(1, 2.0, 1j)
+        kernel, sizes = evolution._step, []
+
+        def spy(spec, phase, dt, params, dft=None):
+            sizes.append(dt)
+            assert spec.shape == (g.N // 2 + 1,)
+            return kernel(spec, phase, dt, params, dft)
+
+        monkeypatch.setattr(evolution, "_step", spy)
+        rec = evolve(u0, params, 0.02, 0.037, 1.0)
+        monkeypatch.setattr(evolution, "_step", kernel)
+        ref = full_lattice_run(u0, params, 0.02, 0.037, 1.0)
+
+        assert len(sizes) > len(rec.times) - 1        # a step was rejected
+        assert len(set(sizes)) >= 3                   # 0.02, 0.01 and the last step
+        assert not rec.blew_up and rec.times[-1] == pytest.approx(0.037)
+        assert np.array_equal(rec.times, ref.times)
+        assert rec.blew_up == ref.blew_up and rec.t_num == ref.t_num
+        for name in ("m_r", "sup_norm", "l2_norm"):
+            np.testing.assert_allclose(getattr(rec, name), getattr(ref, name), rtol=1e-12)
+
+    def test_one_phase_built_per_step_size_change_on_the_half(self, monkeypatch):
+        # the scenario above: each phase is the half's, built once per step size
+        monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
+        g = GridSpec(1, 20.0, 512)
+        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
+        half = evolution._EvenPart(g)
+        build, kernel, built, sizes = evolution._half_step_phase, evolution._step, [], []
+
+        def build_spy(grid, dt):
+            built.append(dt)
+            return build(grid, dt)
+
+        def step_spy(spec, phase, dt, params, dft=None):
+            sizes.append(dt)
+            np.testing.assert_array_equal(phase, build(half, dt))
+            return kernel(spec, phase, dt, params, dft)
+
+        monkeypatch.setattr(evolution, "_half_step_phase", build_spy)
+        monkeypatch.setattr(evolution, "_step", step_spy)
+        evolve(u0, ProblemParams(1, 2.0, 1j), 0.02, 0.037, 1.0)
+        changes = [b for a, b in zip([None] + sizes, sizes) if a != b]
+        assert len(changes) >= 3 and len(sizes) > len(changes)
+        assert built == changes
+
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(N=st.sampled_from([16, 32, 48]), gaussian=st.booleans(),
+    @given(n=st.sampled_from([1, 2]), N=st.sampled_from([16, 32, 48]), gaussian=st.booleans(),
            width=st.floats(0.6, 2.0), q=st.floats(1.0, 4.0),
            amp=st.floats(0.1, 2.0), angle=st.floats(0.0, 2.0 * math.pi))
-    def test_random_radial_data_match_the_full_lattice(self, N, gaussian, width, q, amp, angle):
-        g = GridSpec(2, N / 4.0, N)  # dx = 0.5
-        params = ProblemParams(2, 2.0, 1.0 + 0.5j)
+    def test_random_radial_data_match_the_full_lattice(self, n, N, gaussian, width, q, amp,
+                                                       angle):
+        g = GridSpec(n, N / 4.0, N)  # dx = 0.5
+        params = ProblemParams(n, 2.0, 1.0 + 0.5j)
         c = amp * complex(math.cos(angle), math.sin(angle))
         profile = (lambda r: c * np.exp(-(r / width) ** 2)) if gaussian else \
             (lambda r: c * bracket(r / width) ** -q)

@@ -9,9 +9,9 @@ temporary directory: the three benchmark workloads of
 ``fracbench/inputs.py`` at seeds 0-3, the README's example config
 through all five commands, one sweep per family whose amplitudes
 straddle the loose regime edge, so that rows skipped at the edge and
-their notes are compared too, and a 2D ``evolve`` that halves its step
-three times before it blows up.  Every CSV, JSON and NPY file a job writes is
-compared byte for byte, and so is its exit code.  Prints one line per job,
+their notes are compared too, and a 1D and a 2D ``evolve`` that halve
+their step four and three times before they blow up.  Every CSV, JSON and
+NPY file a job writes is compared byte for byte, and so is its exit code.  Prints one line per job,
 and for each CSV that differs the columns that moved, each with its
 largest relative difference, and where it holds ``g`` and
 ``certified_error`` (the lemma CSVs) the largest ``|g_new - g_old|`` over
@@ -66,6 +66,12 @@ EDGE_SWEEPS = (
 EVOLVE_2D = ("[problem]\nn = 2\np = 2\nlambda = i\n\n[grid]\nL = 4\nN = 128\n\n"
              "[evolve]\ndata = inner-singular\nmu = 100\nk = 0.5\ndt = 5e-4\n"
              "t_max = 0.2\nr = auto\n")
+#: a 1D run that halves its step four times and blows up at t = 0.0195, so
+#: that a 1D final state off the README's config and the 1D retry path are
+#: compared too
+EVOLVE_1D = ("[problem]\nn = 1\np = 2\nlambda = i\n\n[grid]\nL = 8\nN = 1024\n\n"
+             "[evolve]\ndata = inner-singular\nmu = 20\nk = 0.25\ndt = 8e-3\n"
+             "t_max = 0.2\nr = auto\n")
 #: prints the number of dataclasses of the importable ``fracblow`` and of
 #: their stored fields
 COUNT_FIELDS = """
@@ -98,6 +104,7 @@ def jobs():
             f"[grid]\nL = {half_width}\nN = 4096\n\n"
             f"[sweep]\nkind = {kind}\nk = {k}\ncount = 4\n"
             f"mu_min = {mu_min}\nmu_max = {mu_max}\n")
+    yield "evolve-1d-halving", "evolve", EVOLVE_1D
     yield "evolve-2d-halving", "evolve", EVOLVE_2D
 
 

@@ -10,7 +10,7 @@ from .pv import (
     sphere_measure,
     weight_mass,
 )
-from .spectral import cordoba_violation, frac_laplacian_spectral
+from .spectral import frac_laplacian_spectral
 from .evolution import (
     ProblemParams,
     TrajectoryRecord,
@@ -27,11 +27,9 @@ from .blowup import (
     compute_constants,
     lifespan_bound,
     make_initial_data,
-    ode_lower_envelope,
     weighted_functional,
 )
 from .lemma import (
-    DecayFitResult,
     LemmaVerdict,
     fit_decay,
     sample_frac_weight,

@@ -32,7 +32,6 @@ __all__ = [
     "compute_constants",
     "weighted_functional",
     "lifespan_bound",
-    "ode_lower_envelope",
     "make_initial_data",
     "adapted_radius",
 ]
@@ -111,25 +110,6 @@ def lifespan_bound(m0: float, constants: BlowupConstants, R: float) -> float:
         raise ValueError(f"M_R(0) must be finite, got {m0!r}")
     gap = m0 - constants.threshold(R)
     return math.inf if gap <= 0 else _lifespan(constants, R, gap)
-
-
-def ode_lower_envelope(m0: float, constants: BlowupConstants, R: float,
-                       times) -> np.ndarray:
-    """Guaranteed lower envelope of M_R(t) - C R^(n-1/(p-1)) along solutions.
-
-    Strictly increasing on [0, T) and infinite from the bound time on.
-    """
-    gap0 = m0 - constants.threshold(R)
-    if gap0 <= 0:
-        raise ValueError("envelope needs the threshold condition at t = 0")
-    p = constants.p
-    t = np.asarray(times, dtype=float)
-    bracket_term = gap0 ** (-(p - 1.0)) - (p - 1.0) * constants.d_rate \
-        * R ** (-constants.n * (p - 1.0)) * t
-    out = np.full(t.shape, math.inf)
-    pos = bracket_term > 0
-    out[pos] = bracket_term[pos] ** (-1.0 / (p - 1.0))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .blowup import DATA_KINDS
 from .evolution import ProblemParams
 from .grid import GridSpec
-from .lemma import FIT_WINDOW, MIN_WINDOW_SPAN
+from .lemma import FIT_WINDOW, MIDRANGE_START, MIN_WINDOW_SPAN
 from .sweep import REGIME_EDGES
 
 
@@ -51,8 +51,10 @@ def _dimensions(raw: str) -> list[int] | None:
 
 def _fit_window(raw: str) -> tuple[float, float]:
     values = _float_list(raw) or []
-    if len(values) != 2 or not 0.0 < MIN_WINDOW_SPAN * values[0] <= values[1] < np.inf:
-        raise ValueError(f"need two positive finite radii, the second at least "
+    if len(values) != 2 or not (values[0] > MIDRANGE_START
+                                and MIN_WINDOW_SPAN * values[0] <= values[1] < np.inf):
+        raise ValueError(f"need two finite radii, the first above {MIDRANGE_START:g} (where "
+                         f"the sampled midrange starts) and the second at least "
                          f"{MIN_WINDOW_SPAN:g} times the first: two decades")
     return values[0], values[1]
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, _norm
 from .profiles import bracket
 from .reporting import write_csv
 from .spectral import apply_multiplier
@@ -207,15 +207,11 @@ class _EvenPart:
         scale = (-1.0) ** np.arange(h + 1) * np.sqrt(np.r_[1.0, np.full(h - 1, 2.0), 1.0])
         self.scale = scale if self.n == 1 else np.outer(scale, scale)
 
-    def _norm(self, v: np.ndarray) -> np.ndarray:  # |(v_i, v_j, ...)| from one axis's v
-        v = np.abs(v)
-        return v if self.n == 1 else np.hypot.outer(v, v)
-
     def radii(self) -> np.ndarray:
-        return self._norm(self.grid.axis()[self.sites])
+        return _norm(self.grid.axis()[self.sites], self.n)
 
     def abs_freq(self) -> np.ndarray:
-        return self._norm(self.grid.freq_axis()[:len(self.sites)])
+        return _norm(self.grid.freq_axis()[:len(self.sites)], self.n)
 
     def _even(self, a: np.ndarray, transform) -> np.ndarray:
         # ``transform`` of the even extension on every axis: each pass transforms

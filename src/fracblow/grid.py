@@ -6,6 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _norm(v: np.ndarray, n: int) -> np.ndarray:
+    """|(v_i, v_j, ...)| over n axes that each take the values v."""
+    v = np.abs(v)
+    return v if n == 1 else np.hypot.outer(v, v)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic lattice on [-L, L)^n with N samples per axis.
@@ -50,16 +56,14 @@ class GridSpec:
 
     def radii(self) -> np.ndarray:
         """|x| at every lattice site."""
-        ax = self.axis()
-        return np.abs(ax) if self.n == 1 else np.hypot.outer(ax, ax)
+        return _norm(self.axis(), self.n)
 
     def freq_axis(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.dx)
 
     def abs_freq(self) -> np.ndarray:
         """|xi| on the DFT frequency lattice (lattice shape)."""
-        xi = self.freq_axis()
-        return np.abs(xi) if self.n == 1 else np.hypot.outer(xi, xi)
+        return _norm(self.freq_axis(), self.n)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -102,10 +106,3 @@ class Field:
     def l2_norm(self) -> float:
         """Lattice L2 norm, sqrt(sum |v|^2 dx^n)."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
-
-    def boundary_max(self) -> float:
-        """Largest |value| on the outermost lattice ring."""
-        v = np.abs(self.values)
-        if self.grid.n == 1:
-            return float(max(v[0], v[-1]))
-        return float(max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max()))

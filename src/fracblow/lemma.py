@@ -24,7 +24,6 @@ from .pv import TOL, Y_MAX, far_cutoff, frac_laplacian_pv
 from .reporting import write_csv, write_manifest
 
 __all__ = [
-    "DecayFitResult",
     "DegenerateFitError",
     "LemmaVerdict",
     "default_radii",
@@ -40,6 +39,8 @@ __all__ = [
 FIT_WINDOW = (1e2, 1e4)
 #: the least ratio of a fit window's ends: two decades, less a percent for rounding
 MIN_WINDOW_SPAN = 99.0
+#: first radius of the sampled midrange; a fit window must start above it
+MIDRANGE_START = 0.25
 #: radius window of the Gaussian decay fit
 GAUSSIAN_WINDOW = (8.0, 800.0)
 #: exponent-match tolerances per dimension
@@ -53,36 +54,23 @@ class DegenerateFitError(ValueError):
 
 
 @dataclass(frozen=True)
-class DecayFitResult:
-    """Least-squares decay fit over a radius window.
-
-    ``exponent`` is the slope of log|g| against log<r> (for the
-    logarithmic model, after dividing out 1 + log(1+r)).  ``log_coeff``
-    is the coefficient b of the a + b*log(1+r) model, 0 for plain fits.
-    ``a_hat`` is the certified sup of |g| over the samples relative to the
-    hypothesised bound shape.  ``residual`` is the rms misfit in log|g|.
-    """
-
-    exponent: float
-    log_coeff: float
-    a_hat: float
-    residual: float
-
-    def __post_init__(self):
-        if self.residual < 0 or self.a_hat <= 0:
-            raise ValueError("residual must be >= 0 and a_hat > 0")
-
-
-@dataclass(frozen=True)
 class LemmaVerdict:
     """One case's judgement, with its samples as the columns of its CSV:
-    radii ``r``, certified values ``g`` and their ``certified_error``."""
+    radii ``r``, certified values ``g`` and their ``certified_error``.
+
+    ``fitted_exponent``, ``log_coeff`` and ``residual`` are the decay fit's
+    (see ``fit_decay``).  ``a_hat`` is the certified sup of |g| against the
+    lemma's bound shape; for the Gaussian (``q`` None) it is C_hat, the
+    smallest certified |g|<r>^(n+1) in ``GAUSSIAN_WINDOW``.
+    """
 
     n: int
-    q: float
-    regime: str                    # "q<n" | "q=n" | "q>n"
+    q: float | None
+    regime: str                    # "q<n" | "q=n" | "q>n" | "gaussian"
     predicted_exponent: float
-    fit: DecayFitResult
+    fitted_exponent: float
+    log_coeff: float
+    residual: float
     matched: bool
     a_hat: float
     r_neg: float | None
@@ -95,13 +83,17 @@ class LemmaVerdict:
     @property
     def negativity_ok(self) -> bool | None:
         """None where no sign is required (q < n), else whether a sign-change radius was found."""
-        return None if self.q < self.n - 1e-12 else self.r_neg is not None
+        return None if self.q is not None and self.q < self.n - 1e-12 \
+            else self.r_neg is not None
 
 
 def default_radii(window: tuple[float, float] = FIT_WINDOW) -> np.ndarray:
     """Sampling radii: origin, a coarse midrange, and 8 a decade in the fit window."""
     lo, hi = window
-    mid = np.geomspace(0.25, lo, 10, endpoint=False)
+    if not lo > MIDRANGE_START:
+        raise ValueError(f"fit window must start above the midrange start "
+                         f"MIDRANGE_START = {MIDRANGE_START:g}, got {lo!r}")
+    mid = np.geomspace(MIDRANGE_START, lo, 10, endpoint=False)
     decades = math.log10(hi / lo)
     fit = np.geomspace(lo, hi, max(8, int(round(8 * decades)) + 1))
     return np.concatenate(([0.0], mid, fit))
@@ -152,19 +144,16 @@ def _window(r: np.ndarray, g: np.ndarray, window) -> tuple[np.ndarray, np.ndarra
     return r, g
 
 
-def fit_decay(r: np.ndarray, g: np.ndarray, certified_error: np.ndarray, regime: str,
-              bound_exponent: float, n: int | None = None,
-              window: tuple[float, float] = FIT_WINDOW) -> DecayFitResult:
-    """Fit the decay of |g(r)| inside the window.
+def fit_decay(r: np.ndarray, g: np.ndarray, regime: str, n: int | None = None,
+              window: tuple[float, float] = FIT_WINDOW) -> tuple[float, float, float]:
+    """Least-squares fit of the decay of |g(r)| inside the window.
 
-    ``regime`` selects the model: "plain" fits log|g| ~ c + s log<r> and
-    reports slope s; "logarithmic" fits |g|<r>^(n+1) ~ a + b log(1+r),
-    reports b, and quotes the exponent after dividing the log factor out.
-    ``bound_exponent`` is the hypothesised decay power (e.g. -(q+1)); the
-    constant estimate a_hat is sup over all supplied samples of the
-    certified |g| against that bound shape.
+    Returns ``(exponent, log_coeff, residual)``.  ``regime`` selects the
+    model: "plain" fits log|g| ~ c + s log<r>, with exponent s and
+    log_coeff 0; "logarithmic" fits |g|<r>^(n+1) ~ a + b log(1+r), with
+    log_coeff b and the exponent quoted after dividing 1 + log(1+r) out.
+    ``residual`` is the rms misfit in log|g|.
     """
-    samples = list(zip(r.tolist(), g.tolist(), certified_error.tolist()))  # all, for a_hat
     r, g = _window(r, g, window)
     br = bracket(r)
 
@@ -186,13 +175,20 @@ def fit_decay(r: np.ndarray, g: np.ndarray, certified_error: np.ndarray, regime:
         log_coeff = float(bcoef)
     else:
         raise ValueError(f"unknown regime hypothesis {regime!r}")
+    return exponent, log_coeff, resid
 
-    shape = (lambda rr: bracket(rr) ** bound_exponent * (1.0 + np.log1p(rr))) \
-        if regime == "logarithmic" else (lambda rr: bracket(rr) ** bound_exponent)
-    # one sample at a time: an array power can differ from the scalar one in the last bit
-    a_hat = max((abs(gi) + ei) / float(shape(ri)) for ri, gi, ei in samples)
-    return DecayFitResult(exponent=exponent, log_coeff=log_coeff, a_hat=float(a_hat),
-                          residual=resid)
+
+def _a_hat(r: np.ndarray, g: np.ndarray, certified_error: np.ndarray, power: float,
+           logarithmic: bool = False) -> float:
+    """Sup over all samples of the certified |g| against <r>^power, times
+    1 + log(1+r) where ``logarithmic``: the lemma's bound shape."""
+    def shape(ri: float) -> float:
+        # one sample at a time: an array power can differ from the scalar one in the last bit
+        s = bracket(ri) ** power
+        return float(s * (1.0 + np.log1p(ri)) if logarithmic else s)
+
+    return max((abs(gi) + ei) / shape(ri)
+               for ri, gi, ei in zip(r.tolist(), g.tolist(), certified_error.tolist()))
 
 
 def _negativity(r: np.ndarray, g: np.ndarray) -> float | None:
@@ -237,33 +233,33 @@ def verify_lemma(n: int, q: float,
     bound = -(q + 1.0) if regime == "q<n" else -(n + 1.0)
     predicted = -(n + 1.0) if degenerate else bound
     if regime == "q=n":
-        fit = fit_decay(r, g, err, "logarithmic", bound, n=n, window=window)
-        plain = fit_decay(r, g, err, "plain", bound, n=n, window=window)
-        ratio = plain.residual / max(fit.residual, 1e-15)
-        matched = (abs(fit.exponent - predicted) <= tol
-                   and fit.log_coeff > 0.0 and ratio > 3.0)
+        exponent, log_coeff, residual = fit_decay(r, g, "logarithmic", n=n, window=window)
+        ratio = fit_decay(r, g, "plain", window=window)[2] / max(residual, 1e-15)
+        matched = abs(exponent - predicted) <= tol and log_coeff > 0.0 and ratio > 3.0
     else:
-        fit = fit_decay(r, g, err, "plain", bound, n=n, window=window)
-        matched = abs(fit.exponent - predicted) <= tol
+        exponent, log_coeff, residual = fit_decay(r, g, "plain", window=window)
+        matched = abs(exponent - predicted) <= tol
         ratio = None
+    a_hat = _a_hat(r, g, err, bound, logarithmic=regime == "q=n")
 
     negativity_required = q >= n - 1e-12
     r_neg = _negativity(r, g) if negativity_required else None
     if negativity_required and r_neg is None:
         matched = False
 
-    diag = (f"n={n} q={q} regime {regime}: fitted exponent {fit.exponent:.4f} "
+    diag = (f"n={n} q={q} regime {regime}: fitted exponent {exponent:.4f} "
             f"vs predicted {predicted:.4f} (tol {tol})")
     if degenerate:
         diag += (f", leading coefficient vanishes at q = n - 1: sharp exponent "
                  f"-(n+1) = {predicted:g}, steeper than the bound rate {bound:g}")
     if ratio is not None:
-        diag += f", log coeff b={fit.log_coeff:.4f}, plain/log residual ratio {ratio:.2f}"
+        diag += f", log coeff b={log_coeff:.4f}, plain/log residual ratio {ratio:.2f}"
     if negativity_required:
         diag += f", negative beyond r={r_neg}" if r_neg is not None else ", no negativity radius found"
     return LemmaVerdict(n=n, q=q, regime=regime, predicted_exponent=predicted,
-                        fit=fit, matched=matched, a_hat=fit.a_hat, r_neg=r_neg,
-                        residual_ratio=ratio, diagnostics=diag, r=r, g=g, certified_error=err)
+                        fitted_exponent=exponent, log_coeff=log_coeff, residual=residual,
+                        matched=matched, a_hat=a_hat, r_neg=r_neg, residual_ratio=ratio,
+                        diagnostics=diag, r=r, g=g, certified_error=err)
 
 
 def verify_gaussian_remark(n: int) -> LemmaVerdict:
@@ -282,17 +278,18 @@ def verify_gaussian_remark(n: int) -> LemmaVerdict:
     g, err = _sample(n, gaussian_profile(1.0), r, n + 1.0, 4.0)
 
     predicted = -(n + 1.0)
-    fit = fit_decay(r, g, err, "plain", predicted, n=n, window=window)
+    exponent, log_coeff, residual = fit_decay(r, g, "plain", window=window)
     r_neg = _negativity(r, g)
-    matched = abs(fit.exponent - predicted) <= 0.1 and r_neg is not None
+    matched = abs(exponent - predicted) <= 0.1 and r_neg is not None
     c_hat = min(max(-gi - ei, 0.0) * float(bracket(ri)) ** (n + 1.0)
                 for ri, gi, ei in zip(r.tolist(), g.tolist(), err.tolist())
                 if window[0] <= ri <= window[1])
-    diag = (f"gaussian n={n}: fitted exponent {fit.exponent:.4f} vs {predicted} "
+    diag = (f"gaussian n={n}: fitted exponent {exponent:.4f} vs {predicted} "
             f"(tol 0.1), negative beyond r={r_neg}, C_hat={c_hat:.5f}")
-    return LemmaVerdict(n=n, q=math.inf, regime="gaussian", predicted_exponent=predicted,
-                        fit=fit, matched=matched, a_hat=c_hat, r_neg=r_neg,
-                        residual_ratio=None, diagnostics=diag, r=r, g=g, certified_error=err)
+    return LemmaVerdict(n=n, q=None, regime="gaussian", predicted_exponent=predicted,
+                        fitted_exponent=exponent, log_coeff=log_coeff, residual=residual,
+                        matched=matched, a_hat=c_hat, r_neg=r_neg, residual_ratio=None,
+                        diagnostics=diag, r=r, g=g, certified_error=err)
 
 
 def lemma_csv_name(n: int, q: float | None) -> str:
@@ -307,18 +304,17 @@ def write_lemma_report(verdicts: list[LemmaVerdict], out_dir: str | Path) -> lis
     written = []
     entries = []
     for v in verdicts:
-        name = lemma_csv_name(v.n, None if v.regime == "gaussian" else v.q)
+        name = lemma_csv_name(v.n, v.q)
         # repr, not %.12g: g must read back within its own certified_error
         rows = ([*map(repr, sample), v.regime]
                 for sample in zip(v.r.tolist(), v.g.tolist(), v.certified_error.tolist()))
         written.append(write_csv(out / name, ["r", "g", "certified_error", "bound_case"], rows))
         entries.append({
-            "n": v.n, "q": None if v.regime == "gaussian" else v.q,
-            "regime": v.regime, "matched": v.matched,
-            "fitted_exponent": v.fit.exponent,
+            "n": v.n, "q": v.q, "regime": v.regime, "matched": v.matched,
+            "fitted_exponent": v.fitted_exponent,
             "predicted_exponent": v.predicted_exponent,
-            "log_coeff": v.fit.log_coeff, "a_hat": v.a_hat,
-            "residual": v.fit.residual, "residual_ratio": v.residual_ratio,
+            "log_coeff": v.log_coeff, "a_hat": v.a_hat,
+            "residual": v.residual, "residual_ratio": v.residual_ratio,
             "r_neg": v.r_neg, "negativity_ok": v.negativity_ok,
             "diagnostics": v.diagnostics, "csv": written[-1].name,
         })

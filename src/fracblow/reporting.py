@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import Field
 from .pv import normalization_constant, sphere_measure, weight_mass
 
 SCHEMA = "fracblow/1"
@@ -78,11 +78,3 @@ def save_field(field: Field, basepath: str | Path) -> tuple[Path, Path]:
         "values": npy.name,
     })
     return npy, meta
-
-
-def load_field(basepath: str | Path) -> Field:
-    base = Path(basepath)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    g = meta["grid"]
-    values = np.load(base.with_suffix(".npy"))
-    return Field(GridSpec(n=g["n"], L=g["L"], N=g["N"]), values)

@@ -5,7 +5,7 @@ import numpy as np
 
 from .grid import Field
 
-__all__ = ["frac_laplacian_spectral", "cordoba_violation"]
+__all__ = ["frac_laplacian_spectral"]
 
 
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
@@ -21,23 +21,3 @@ def frac_laplacian_spectral(f: Field) -> Field:
     so tests must budget for image terms of size O(1/(2L - |x|)^2).
     """
     return apply_multiplier(f, f.grid.abs_freq())
-
-
-def cordoba_violation(phi: Field) -> float:
-    """Worst-case pointwise excess of Op(phi^2) over 2*phi*Op(phi).
-
-    The pointwise product inequality predicts a nonpositive result up to
-    discretization error.  ``phi`` must be real-valued and decay below
-    1e-8 of its sup at the boundary ring, else the periodic evaluation is
-    meaningless and a ValueError is raised.
-    """
-    if np.max(np.abs(phi.values.imag)) > 1e-12 * max(phi.sup_norm(), 1e-300):
-        raise ValueError("field must be real-valued")
-    sup = phi.sup_norm()
-    if sup > 0 and phi.boundary_max() > 1e-8 * sup:
-        raise ValueError("field does not decay to 1e-8 of its sup at the boundary")
-    v = phi.values.real
-    sq = Field(phi.grid, v * v)
-    lhs = frac_laplacian_spectral(sq).values.real
-    rhs = 2.0 * v * frac_laplacian_spectral(Field(phi.grid, v + 0j)).values.real
-    return float(np.max(lhs - rhs))

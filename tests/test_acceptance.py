@@ -10,16 +10,15 @@ import numpy as np
 import pytest
 
 from fracblow.blowup import (InitialDataSpec, adapted_radius, compute_constants,
-                             lifespan_bound, make_initial_data, ode_lower_envelope,
-                             weighted_functional)
+                             lifespan_bound, make_initial_data, weighted_functional)
 from fracblow.evolution import ProblemParams, evolve, strang_step
 from fracblow.grid import Field, GridSpec
 from fracblow.lemma import verify_gaussian_remark, verify_lemma
 from fracblow.profiles import bracket_profile
 from fracblow.pv import frac_laplacian_pv, normalization_constant
-from fracblow.spectral import cordoba_violation, frac_laplacian_spectral
+from fracblow.spectral import frac_laplacian_spectral
 from fracblow.sweep import SweepPlan, in_regime_amplitude, run_sweep
-from verification import scaling_check
+from verification import cordoba_violation, ode_lower_envelope, scaling_check
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -102,10 +101,10 @@ def test_criterion_03_decay_regimes(lemma_verdicts):
     details = []
     for (n, q), v in ((k, v) for k, v in lemma_verdicts.items() if k != "elapsed"):
         tol = 0.05 if n == 1 else 0.1
-        ok = abs(v.fit.exponent - v.predicted_exponent) <= tol
+        ok = abs(v.fitted_exponent - v.predicted_exponent) <= tol
         if v.regime == "q=n":
-            ok = ok and v.fit.log_coeff > 0 and v.residual_ratio > 3.0
-        details.append(f"(n={n},q={q:g}): fitted {v.fit.exponent:.3f} "
+            ok = ok and v.log_coeff > 0 and v.residual_ratio > 3.0
+        details.append(f"(n={n},q={q:g}): fitted {v.fitted_exponent:.3f} "
                        f"predicted {v.predicted_exponent:g}")
         if not ok:
             failures.append(details[-1])
@@ -122,14 +121,14 @@ def test_criterion_04_sharpness(lemma_verdicts):
             continue
         if v.r_neg is None or not np.all(v.g[v.r >= v.r_neg] < 0):
             problems.append(f"(n={n},q={q:g}) negativity")
-        if abs(v.fit.exponent + (n + 1)) > 0.1:
-            problems.append(f"(n={n},q={q:g}) exponent {v.fit.exponent:.3f}")
+        if abs(v.fitted_exponent + (n + 1)) > 0.1:
+            problems.append(f"(n={n},q={q:g}) exponent {v.fitted_exponent:.3f}")
     for n in (1, 2):
         v = verify_gaussian_remark(n)
         if v.r_neg is None or not np.all(v.g[v.r >= v.r_neg] < 0):
             problems.append(f"gaussian n={n} negativity")
-        if abs(v.fit.exponent + (n + 1)) > 0.1:
-            problems.append(f"gaussian n={n} exponent {v.fit.exponent:.3f}")
+        if abs(v.fitted_exponent + (n + 1)) > 0.1:
+            problems.append(f"gaussian n={n} exponent {v.fitted_exponent:.3f}")
     _report(4, not problems,
             "all q >= n weights and both gaussians negative beyond R_neg with "
             "exponent -(n+1) +- 0.1" + (f"; problems: {problems}" if problems else ""))

@@ -9,10 +9,11 @@ from scipy.integrate import quad as scipy_quad
 from fracblow import lemma, pv
 from fracblow.blowup import (A_MARGIN, InitialDataSpec, adapted_radius, compute_constants,
                              family_i_const, lifespan_bound, make_initial_data,
-                             ode_lower_envelope, weighted_functional)
+                             weighted_functional)
 from fracblow.evolution import ProblemParams
 from fracblow.grid import Field, GridSpec
 from fracblow.sweep import REGIME_EDGES, in_regime_amplitude
+from verification import ode_lower_envelope
 
 
 @pytest.fixture(scope="module")

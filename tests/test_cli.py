@@ -12,8 +12,9 @@ import pytest
 from fracblow import cli
 from fracblow.cli import main
 from fracblow.lemma import verify_lemma
-from fracblow.reporting import load_field, save_field
+from fracblow.reporting import save_field
 from fracblow.grid import Field, GridSpec
+from verification import load_field
 
 import numpy as np
 
@@ -210,26 +211,72 @@ q_values = 0.5, 1, 2
     assert all(isinstance(v["negativity_ok"], bool) for v in verdicts[1:])
 
 
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Make the CLI fail a test that samples any lemma case."""
+    def sample(*args, **kwargs):
+        raise AssertionError("a case was sampled")
+
+    monkeypatch.setattr(cli, "verify_lemma", sample)
+    monkeypatch.setattr(cli, "verify_gaussian_remark", sample)
+
+
 @pytest.mark.parametrize("lemma, values", [
     pytest.param("dims = 1\nq_values = 1, 1.0000001\ngaussian = false\n",
                  "n=1 q=1.0 and n=1 q=1.0000001", id="same-q-to-6-digits"),
     pytest.param("dims = 1, 1\nq_values = 2, 2\n", "n=1 q=2.0 and n=1 q=2.0",
                  id="repeated-dims-and-q"),
 ])
-def test_verify_lemma_cases_sharing_a_csv_exit_one(tmp_path, capsys, monkeypatch,
+def test_verify_lemma_cases_sharing_a_csv_exit_one(tmp_path, capsys, no_sampling,
                                                    lemma, values):
     # refused before any sampling: the verdict functions are never called
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("a case was sampled")
-
-    monkeypatch.setattr(cli, "verify_lemma", no_sampling)
-    monkeypatch.setattr(cli, "verify_gaussian_remark", no_sampling)
     cfg = write_config(tmp_path, "[lemma]\n" + lemma)
     out = tmp_path / "out"
     assert main(["verify-lemma", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "config error: [lemma]" in err and values in err
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("window", ["0.1, 10", "0.2, 20", "0.25, 25"])
+def test_verify_lemma_window_at_or_below_the_midrange_start_exits_one(tmp_path, capsys,
+                                                                        no_sampling, window):
+    # the sampled midrange starts at 0.25, so the window must start above it;
+    # refused on read, before any sampling
+    cfg = write_config(tmp_path, f"[lemma]\ndims = 1\nq_values = 2\nfit_window = {window}\n")
+    out = tmp_path / "out"
+    assert main(["verify-lemma", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"bad value for [lemma] fit_window = {window!r}" in err and "0.25" in err
+    assert not list(out.glob("*"))
+
+
+def test_verify_lemma_gaussian_case(tmp_path):
+    # the Gaussian is q = null in the report, has its own CSV, no row in the
+    # a_hat table, and a_hat = C_hat, the smallest certified |g|<r>^(n+1) in
+    # [8, 800], recomputed from that CSV to the bit
+    cfg = write_config(tmp_path, """
+[lemma]
+dims = 1
+q_values = 2
+gaussian = true
+""")
+    out = tmp_path / "out"
+    assert main(["verify-lemma", "--config", cfg, "--out", str(out)]) == 0
+    verdicts = json.loads((out / "lemma_report.json").read_text())["verdicts"]
+    (gaussian,) = [v for v in verdicts if v["regime"] == "gaussian"]
+    assert gaussian["q"] is None and gaussian["n"] == 1
+    assert gaussian["csv"] == "lemma_n1_gaussian.csv"
+    with open(out / "lemma_n1_gaussian.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["bound_case"] == "gaussian" for row in rows)
+    samples = [(float(r["r"]), float(r["g"]), float(r["certified_error"])) for r in rows]
+    c_hat = min(max(-g - e, 0.0) * float(np.sqrt(1.0 + np.square(r))) ** 2.0
+                for r, g, e in samples if 8.0 <= r <= 800.0)
+    assert gaussian["a_hat"] == c_hat
+    with open(out / "a_hat_table.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert [(row["n"], row["q"], row["regime"]) for row in table] == [("1", "2", "q>n")]
 
 
 def test_verify_lemma_default_suite(tmp_path):

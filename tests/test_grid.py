@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fracblow.grid import Field, GridSpec
+from verification import boundary_max
 
 
 def test_gridspec_validation():
@@ -54,4 +55,4 @@ def test_field_shape_and_norms():
 def test_boundary_max():
     g = GridSpec(1, 8.0, 64)
     f = Field.from_function(g, lambda x: np.exp(-x * x))
-    assert f.boundary_max() == pytest.approx(np.exp(-64.0), rel=1e-10)
+    assert boundary_max(f) == pytest.approx(np.exp(-64.0), rel=1e-10)

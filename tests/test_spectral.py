@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from fracblow.grid import Field, GridSpec
-from fracblow.spectral import cordoba_violation, frac_laplacian_spectral
+from fracblow.spectral import frac_laplacian_spectral
+from verification import cordoba_violation
 
 
 def test_constant_field_maps_to_zero():

@@ -1,11 +1,15 @@
 """Verification helpers that the tests share and the CLI never runs."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
+from fracblow.blowup import BlowupConstants
 from fracblow.evolution import (ProblemParams, _half_step_phase, _initial_sup,
                                 _require_positive, _require_resolved, _step)
 from fracblow.grid import Field, GridSpec
+from fracblow.spectral import frac_laplacian_spectral
 
 #: dilation discrepancies compared per scaling check
 SCALING_CHECKPOINTS = 8
@@ -56,3 +60,59 @@ def scaling_check(u0: Field, params: ProblemParams, dt: float, t_max: float,
                                      f"t = {k * stride1 * dt:g}")
         worst = max(worst, d)
     return worst
+
+
+def boundary_max(phi: Field) -> float:
+    """Largest |value| on the outermost lattice ring."""
+    v = np.abs(phi.values)
+    if phi.grid.n == 1:
+        return float(max(v[0], v[-1]))
+    return float(max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max()))
+
+
+def cordoba_violation(phi: Field) -> float:
+    """Worst-case pointwise excess of Op(phi^2) over 2*phi*Op(phi).
+
+    The pointwise product inequality predicts a nonpositive result up to
+    discretization error.  ``phi`` must be real-valued and decay below
+    1e-8 of its sup at the boundary ring, else the periodic evaluation is
+    meaningless and a ValueError is raised.
+    """
+    if np.max(np.abs(phi.values.imag)) > 1e-12 * max(phi.sup_norm(), 1e-300):
+        raise ValueError("field must be real-valued")
+    sup = phi.sup_norm()
+    if sup > 0 and boundary_max(phi) > 1e-8 * sup:
+        raise ValueError("field does not decay to 1e-8 of its sup at the boundary")
+    v = phi.values.real
+    sq = Field(phi.grid, v * v)
+    lhs = frac_laplacian_spectral(sq).values.real
+    rhs = 2.0 * v * frac_laplacian_spectral(Field(phi.grid, v + 0j)).values.real
+    return float(np.max(lhs - rhs))
+
+
+def ode_lower_envelope(m0: float, constants: BlowupConstants, R: float,
+                       times) -> np.ndarray:
+    """Guaranteed lower envelope of M_R(t) - C R^(n-1/(p-1)) along solutions.
+
+    Strictly increasing on [0, T) and infinite from the bound time on.
+    """
+    gap0 = m0 - constants.threshold(R)
+    if gap0 <= 0:
+        raise ValueError("envelope needs the threshold condition at t = 0")
+    p = constants.p
+    t = np.asarray(times, dtype=float)
+    bracket_term = gap0 ** (-(p - 1.0)) - (p - 1.0) * constants.d_rate \
+        * R ** (-constants.n * (p - 1.0)) * t
+    out = np.full(t.shape, math.inf)
+    pos = bracket_term > 0
+    out[pos] = bracket_term[pos] ** (-1.0 / (p - 1.0))
+    return out
+
+
+def load_field(basepath) -> Field:
+    """The field that ``fracblow.reporting.save_field`` wrote at basepath."""
+    base = Path(basepath)
+    meta = json.loads(base.with_suffix(".json").read_text())
+    g = meta["grid"]
+    values = np.load(base.with_suffix(".npy"))
+    return Field(GridSpec(n=g["n"], L=g["L"], N=g["N"]), values)

@@ -24,8 +24,10 @@ also gives the peak RSS of its process, parent -> change, from
 ``os.wait4``, and flags a rise above 2%.  A last
 line gives the size of each tree's ``fracblow`` package, parent -> change:
 its lines, its dataclasses and their stored fields (``dataclasses.fields``
-of each class its own module defines).  Neither memory nor size enters the
-exit code.
+of each class its own module defines), and its public names: the
+top-level functions and classes, and the methods of those classes, whose
+names do not start with ``_``.  Neither memory nor size enters the exit
+code.
 
 Standard library only.  The configs come from the checkout holding this
 script; the code under test comes only from the two arguments.
@@ -123,14 +125,27 @@ def run(src: Path, command: str, config: Path, out: Path) -> tuple[int, float]:
     return proc.returncode, usage.ru_maxrss / 1024.0
 
 
-def package_size(src: Path) -> tuple[str, str, str]:
+def public_names(source: str) -> int:
+    """Top-level functions and classes of a module, and the methods of its
+    classes, whose names do not start with ``_``."""
+    public = lambda node: isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                            ast.ClassDef)) and not node.name.startswith("_")
+    top = [node for node in ast.parse(source).body if public(node)]
+    return len(top) + sum(public(m) for node in top if isinstance(node, ast.ClassDef)
+                          for m in node.body)
+
+
+def package_size(src: Path) -> tuple[str, str, str, str]:
     """Lines in the Python files of the ``fracblow`` package under ``src``,
-    its dataclasses and their stored fields (``?`` where it fails to import)."""
-    lines = sum(p.read_bytes().count(b"\n") for p in (src / "fracblow").rglob("*.py"))
+    its dataclasses and their stored fields (``?`` where it fails to
+    import), and its public names."""
+    files = list((src / "fracblow").rglob("*.py"))
+    lines = sum(p.read_bytes().count(b"\n") for p in files)
     proc = subprocess.run([sys.executable, "-c", COUNT_FIELDS], capture_output=True, text=True,
                           cwd=src, env=dict(os.environ, PYTHONPATH=str(src)))
     counts = proc.stdout.split() if proc.returncode == 0 else ["?", "?"]
-    return str(lines), *counts
+    names = sum(public_names(p.read_text()) for p in files)
+    return str(lines), *counts, str(names)
 
 
 def outputs(out: Path) -> dict[str, bytes]:
@@ -279,7 +294,7 @@ def main(argv=None) -> int:
     sizes = zip(*map(package_size, sides.values()))
     print("fracblow package: " + ", ".join(
         f"{a} -> {b} {what}" for (a, b), what in zip(
-            sizes, ("lines", "dataclasses", "stored fields"))))
+            sizes, ("lines", "dataclasses", "stored fields", "public names"))))
     print(f"{files} files compared, {differences} differences")
     return 1 if differences else 0
 

@@ -16,9 +16,6 @@ from .evolution import (
     TrajectoryRecord,
     UnresolvedFieldError,
     evolve,
-    linear_propagator,
-    nonlinear_step,
-    strang_step,
 )
 from .blowup import (
     BlowupConstants,

@@ -49,6 +49,13 @@ def _dimensions(raw: str) -> list[int] | None:
     return [int(v) for v in values] or None
 
 
+def _weight_powers(raw: str) -> list[float] | None:
+    values = _float_list(raw)
+    if values and min(values) <= 0:
+        raise ValueError("every weight power q must be positive")
+    return values
+
+
 def _fit_window(raw: str) -> tuple[float, float]:
     values = _float_list(raw) or []
     if len(values) != 2 or not (values[0] > MIDRANGE_START
@@ -90,7 +97,7 @@ KEYS = {
     },
     "lemma": {
         "dims": (_dimensions, [1, 2]),
-        "q_values": (_float_list, None),  # None: n/2, n, n + 1 and n + 2 for each n
+        "q_values": (_weight_powers, None),  # None: n/2, n, n + 1 and n + 2 for each n
         "fit_window": (_fit_window, FIT_WINDOW),
         "gaussian": (_flag, True),
     },

@@ -9,8 +9,7 @@ half-step phase to the next step's spectrum and the sup norm of its
 post-source stage.  ``evolve`` carries that (spectrum, sup) pair through
 its loop, so a run costs 2 FFTs a step, and reads each step without
 leaving the spectrum: ``M_R`` as a pairing with the weight's DFT, and the
-L2 norm by Parseval.  ``strang_step`` is the same kernel between sampled
-fields, on the full lattice.  A radial datum is even about index N/2, so
+L2 norm by Parseval.  A radial datum is even about index N/2, so
 ``evolve`` carries only the spectrum of its even part, sites N/2, ...,
 N-1, 0 of each axis (a half in 1D, a quarter in 2D): a DCT-I by 1D FFTs
 over even extensions (Martucci, IEEE Trans. Signal Process. 42, 1994).
@@ -32,15 +31,11 @@ import numpy as np
 from .grid import Field, GridSpec, _norm
 from .profiles import bracket
 from .reporting import write_csv
-from .spectral import apply_multiplier
 
 __all__ = [
     "ProblemParams",
     "TrajectoryRecord",
     "UnresolvedFieldError",
-    "linear_propagator",
-    "nonlinear_step",
-    "strang_step",
     "spectral_tail_fraction",
     "weighted_functional",
     "evolve",
@@ -132,13 +127,6 @@ class UnresolvedFieldError(RuntimeError):
     """The initial data puts too much spectral mass near the grid Nyquist."""
 
 
-def linear_propagator(f: Field, t: float) -> Field:
-    """Exact free flow over duration t: multiplier exp(i t |xi|), unitary."""
-    if t == 0.0:
-        return f.copy()
-    return apply_multiplier(f, np.exp(1j * t * f.grid.abs_freq()))
-
-
 def _midpoint_source(u: np.ndarray, dt: float, params: ProblemParams) -> np.ndarray:
     """Explicit midpoint for i u_t = lam |u|^p over dt, overwriting u."""
     mag = np.abs(u)
@@ -150,15 +138,6 @@ def _midpoint_source(u: np.ndarray, dt: float, params: ProblemParams) -> np.ndar
     np.multiply(1j * dt * params.lam, mag, out=mid)
     u -= mid
     return u
-
-
-def nonlinear_step(f: Field, dt: float, params: ProblemParams) -> Field:
-    """Pointwise source ODE i u_t = lam |u|^p over dt, explicit midpoint.
-
-    |u|^p is the continuous extension with 0 at u = 0 (p > 1 keeps the
-    source differentiable there), so the update is second order.
-    """
-    return Field(f.grid, _midpoint_source(f.values.copy(), dt, params))
 
 
 def _half_step_phase(grid: GridSpec, dt: float) -> np.ndarray:
@@ -182,12 +161,6 @@ def _step(spec: np.ndarray, phase: np.ndarray, dt: float, params: ProblemParams,
     spec = forward(u)
     spec *= phase
     return spec, stage_sup
-
-
-def strang_step(f: Field, dt: float, params: ProblemParams) -> Field:
-    """One Strang step of a sampled field: ``_step`` between two DFTs."""
-    spec, _ = _step(np.fft.fftn(f.values), _half_step_phase(f.grid, dt), dt, params)
-    return Field(f.grid, np.fft.ifftn(spec))
 
 
 class _EvenPart:

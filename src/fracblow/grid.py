@@ -93,16 +93,5 @@ class Field:
         """Sample a function of |x| on the lattice."""
         return cls(grid, np.asarray(radial_fn(grid.radii()), dtype=np.complex128))
 
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "Field":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def l2_norm(self) -> float:
-        """Lattice L2 norm, sqrt(sum |v|^2 dx^n)."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))

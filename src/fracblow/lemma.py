@@ -69,7 +69,7 @@ class LemmaVerdict:
     regime: str                    # "q<n" | "q=n" | "q>n" | "gaussian"
     predicted_exponent: float
     fitted_exponent: float
-    log_coeff: float
+    log_coeff: float | None        # the log model's b, q = n only
     residual: float
     matched: bool
     a_hat: float
@@ -145,12 +145,12 @@ def _window(r: np.ndarray, g: np.ndarray, window) -> tuple[np.ndarray, np.ndarra
 
 
 def fit_decay(r: np.ndarray, g: np.ndarray, regime: str, n: int | None = None,
-              window: tuple[float, float] = FIT_WINDOW) -> tuple[float, float, float]:
+              window: tuple[float, float] = FIT_WINDOW) -> tuple[float, float | None, float]:
     """Least-squares fit of the decay of |g(r)| inside the window.
 
     Returns ``(exponent, log_coeff, residual)``.  ``regime`` selects the
-    model: "plain" fits log|g| ~ c + s log<r>, with exponent s and
-    log_coeff 0; "logarithmic" fits |g|<r>^(n+1) ~ a + b log(1+r), with
+    model: "plain" fits log|g| ~ c + s log<r>, with exponent s and no
+    log_coeff (None); "logarithmic" fits |g|<r>^(n+1) ~ a + b log(1+r), with
     log_coeff b and the exponent quoted after dividing 1 + log(1+r) out.
     ``residual`` is the rms misfit in log|g|.
     """
@@ -161,7 +161,7 @@ def fit_decay(r: np.ndarray, g: np.ndarray, regime: str, n: int | None = None,
         slope, intercept = np.polyfit(np.log(br), np.log(g), 1)
         resid = float(np.sqrt(np.mean(
             (np.log(g) - (slope * np.log(br) + intercept)) ** 2)))
-        log_coeff = 0.0
+        log_coeff = None
         exponent = float(slope)
     elif regime == "logarithmic":
         if n is None:

@@ -8,11 +8,6 @@ from .grid import Field
 __all__ = ["frac_laplacian_spectral"]
 
 
-def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
-    """inverse-DFT(symbol * DFT(f)); symbol must have the lattice shape."""
-    return Field(f.grid, np.fft.ifftn(symbol * np.fft.fftn(f.values)))
-
-
 def frac_laplacian_spectral(f: Field) -> Field:
     """Half-Laplacian as the |xi| multiplier on the grid's DFT lattice.
 
@@ -20,4 +15,4 @@ def frac_laplacian_spectral(f: Field) -> Field:
     profiles the result is the periodization of the whole-line operator,
     so tests must budget for image terms of size O(1/(2L - |x|)^2).
     """
-    return apply_multiplier(f, f.grid.abs_freq())
+    return Field(f.grid, np.fft.ifftn(f.grid.abs_freq() * np.fft.fftn(f.values)))

@@ -11,14 +11,14 @@ import pytest
 
 from fracblow.blowup import (InitialDataSpec, adapted_radius, compute_constants,
                              lifespan_bound, make_initial_data, weighted_functional)
-from fracblow.evolution import ProblemParams, evolve, strang_step
+from fracblow.evolution import ProblemParams, evolve
 from fracblow.grid import Field, GridSpec
 from fracblow.lemma import verify_gaussian_remark, verify_lemma
 from fracblow.profiles import bracket_profile
 from fracblow.pv import frac_laplacian_pv, normalization_constant
 from fracblow.spectral import frac_laplacian_spectral
 from fracblow.sweep import SweepPlan, in_regime_amplitude, run_sweep
-from verification import cordoba_violation, ode_lower_envelope, scaling_check
+from verification import cordoba_violation, ode_lower_envelope, scaling_check, strang_step
 
 
 def _report(num: int, ok: bool, detail: str):

@@ -13,7 +13,7 @@ from fracblow.blowup import (A_MARGIN, InitialDataSpec, adapted_radius, compute_
 from fracblow.evolution import ProblemParams
 from fracblow.grid import Field, GridSpec
 from fracblow.sweep import REGIME_EDGES, in_regime_amplitude
-from verification import ode_lower_envelope
+from verification import l2_norm, ode_lower_envelope, zeros
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ class TestConstants:
 class TestWeightedFunctional:
     def test_zero_field(self):
         g = GridSpec(1, 10.0, 128)
-        assert weighted_functional(Field.zeros(g), 1.0, 1.0) == 0.0
+        assert weighted_functional(zeros(g), 1.0, 1.0) == 0.0
 
     def test_linearity_in_amplitude(self):
         g = GridSpec(1, 20.0, 512)
@@ -108,7 +108,7 @@ class TestWeightedFunctional:
     def test_nonpositive_radius_rejected(self):
         g = GridSpec(1, 10.0, 128)
         with pytest.raises(ValueError, match="weight radius must be positive"):
-            weighted_functional(Field.zeros(g), 1.0, -1.0)
+            weighted_functional(zeros(g), 1.0, -1.0)
 
     def test_dim2_radial_oracle(self):
         # -Im(i * int e^(-|x|^2) <x/R>^(-3) dx) against a radial quadrature
@@ -194,7 +194,7 @@ class TestInitialData:
         for N in (2048, 4096, 8192):
             g = GridSpec(1, 60.0, N)
             f = make_initial_data(spec, g, -1j)
-            norms.append((float(np.sum(np.abs(f.values)) * g.cell_volume), f.l2_norm()))
+            norms.append((float(np.sum(np.abs(f.values)) * g.cell_volume), l2_norm(f)))
         for a, b in zip(norms[:-1], norms[1:]):
             assert a[0] == pytest.approx(b[0], rel=1e-3)
             assert a[1] == pytest.approx(b[1], rel=1e-3)
@@ -207,7 +207,7 @@ class TestInitialData:
         for N in (2048, 4096, 8192, 16384):
             g = GridSpec(1, 40.0, N)
             f = make_initial_data(spec, g, -1j)
-            norms.append(f.l2_norm())
+            norms.append(l2_norm(f))
         diffs = [abs(a - b) for a, b in zip(norms[:-1], norms[1:])]
         assert diffs[2] < diffs[1] < diffs[0]
         assert diffs[2] < 0.01 * norms[-1]

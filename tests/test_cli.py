@@ -290,6 +290,9 @@ gaussian = false
     report = json.loads((out / "lemma_report.json").read_text())
     assert len(report["verdicts"]) == 8
     assert all(v["matched"] for v in report["verdicts"])
+    # only the log model, fitted at q = n, measures a log coefficient
+    for v in report["verdicts"]:
+        assert (v["log_coeff"] > 0.0) if v["q"] == v["n"] else (v["log_coeff"] is None)
     # the (n=2, q=1) degeneracy: exact decay -3, one power below the q<n rate
     (degenerate,) = [v for v in report["verdicts"] if v["n"] == 2 and v["q"] == 1.0]
     assert degenerate["predicted_exponent"] == -3
@@ -404,6 +407,8 @@ def test_unknown_key_exits_one_naming_it(tmp_path, capsys, extra, section, key):
     pytest.param("verify-lemma", "[lemma]\ngaussian = maybe\n", "lemma", "gaussian",
                  id="lemma-gaussian"),
     pytest.param("verify-lemma", "[lemma]\ndims = 1, 3\n", "lemma", "dims", id="lemma-dims"),
+    pytest.param("verify-lemma", "[lemma]\nq_values = 2, 0\n", "lemma", "q_values",
+                 id="lemma-q_values-zero"),
     pytest.param("frac-apply", BASE + "[frac_apply]\npoints = 0, 1, x\n", "frac_apply", "points",
                  id="frac_apply-points"),
     pytest.param("constants", BASE.replace("alpha = auto", "alpha = 1+x"), "problem", "alpha",
@@ -417,6 +422,8 @@ def test_unknown_key_exits_one_naming_it(tmp_path, capsys, extra, section, key):
                  id="constants-evolve-r"),
     pytest.param("constants", BASE + "[lemma]\nfit_window = 100, 1000\n", "lemma", "fit_window",
                  id="constants-lemma-fit_window-one-decade"),
+    pytest.param("constants", BASE + "[lemma]\nq_values = 2, 0\n", "lemma", "q_values",
+                 id="constants-lemma-q_values-zero"),
     # family rules and rules across keys are checked on read as well
     pytest.param("constants", BASE + "[sweep]\nkind = bogus\n", "sweep", "kind",
                  id="constants-sweep-kind"),

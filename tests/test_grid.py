@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracblow.grid import Field, GridSpec
-from verification import boundary_max
+from verification import boundary_max, l2_norm
 
 
 def test_gridspec_validation():
@@ -49,7 +49,7 @@ def test_field_shape_and_norms():
     f = Field.from_function(g, lambda x, y: np.exp(-(x**2 + y**2)))
     assert f.values.shape == (16, 16)
     # lattice l2 approximates the continuum integral sqrt(pi/2)
-    assert np.isclose(f.l2_norm(), np.sqrt(np.pi / 2), rtol=1e-4)
+    assert np.isclose(l2_norm(f), np.sqrt(np.pi / 2), rtol=1e-4)
 
 
 def test_boundary_max():

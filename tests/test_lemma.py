@@ -36,8 +36,9 @@ class TestSampling:
 class TestFitDecay:
     def test_exact_power_law(self):
         r = np.geomspace(1e2, 1e4, 12)
-        exponent, _, residual = fit_decay(r, bracket(r) ** -3.0, "plain")
+        exponent, log_coeff, residual = fit_decay(r, bracket(r) ** -3.0, "plain")
         assert exponent == pytest.approx(-3.0, abs=1e-9)
+        assert log_coeff is None  # the plain model has no log term
         assert residual < 1e-12
 
     def test_logarithmic_model_recovers_coefficients(self):

@@ -1,6 +1,6 @@
 """Numerical laboratory for half-Laplacian decay estimates and blow-up bounds."""
 
-from .grid import Field, GridSpec
+from .grid import GridSpec
 from .profiles import RadialProfile, bracket, bracket_profile, gaussian_profile
 from .pv import (
     PVResult,
@@ -16,6 +16,7 @@ from .evolution import (
     TrajectoryRecord,
     UnresolvedFieldError,
     evolve,
+    weighted_functional,
 )
 from .blowup import (
     BlowupConstants,
@@ -24,7 +25,6 @@ from .blowup import (
     compute_constants,
     lifespan_bound,
     make_initial_data,
-    weighted_functional,
 )
 from .lemma import (
     LemmaVerdict,

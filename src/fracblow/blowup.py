@@ -22,15 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec
-from .evolution import ProblemParams, weighted_functional
+from .grid import GridSpec
+from .evolution import ProblemParams, _EvenPart
 from .pv import sphere_measure, weight_mass
 
 __all__ = [
     "BlowupConstants",
     "InitialDataSpec",
     "compute_constants",
-    "weighted_functional",
     "lifespan_bound",
     "make_initial_data",
     "adapted_radius",
@@ -164,8 +163,8 @@ def _check_k(spec: InitialDataSpec, n: int, p: float | None = None):
 
 
 def data_profile(spec: InitialDataSpec, grid: GridSpec) -> np.ndarray:
-    """The real nonnegative profile -Im(alpha * f) on the lattice."""
-    r = grid.radii()
+    """The real nonnegative profile -Im(alpha * f) on the lattice's even part."""
+    r = _EvenPart(grid).radii()
     if spec.kind == "integrable":
         return np.exp(-np.square(r))
     if spec.kind == "inner-singular":
@@ -181,17 +180,19 @@ def data_profile(spec: InitialDataSpec, grid: GridSpec) -> np.ndarray:
     return ramp * np.maximum(r, 1.0) ** (-spec.k)
 
 
-def make_initial_data(spec: InitialDataSpec, grid: GridSpec, alpha: complex) -> Field:
+def make_initial_data(spec: InitialDataSpec, grid: GridSpec, alpha: complex) -> np.ndarray:
     """mu * f with -Im(alpha f) equal to the family profile and Re(alpha f) = 0.
 
     The phase factor is -i conj(alpha)/|alpha|^2: then alpha * f = -i * profile,
-    whose imaginary part is -profile, giving -Im(alpha f) = +profile.
+    whose imaginary part is -profile, giving -Im(alpha f) = +profile.  The
+    data are radial: the array holds the (N/2+1,) * n sites of the lattice's
+    even part (see ``evolution._EvenPart``).
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     _check_k(spec, grid.n)
     phase = -1j * np.conjugate(alpha) / abs(alpha) ** 2
-    return Field(grid, spec.mu * phase * data_profile(spec, grid))
+    return spec.mu * phase * data_profile(spec, grid)
 
 
 def family_i_const(spec: InitialDataSpec, n: int) -> float:

@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .blowup import (InitialDataSpec, adapted_radius, compute_constants, lifespan_bound,
-                     make_initial_data, weighted_functional)
+                     make_initial_data)
 from .config import ConfigError, load_config
-from .evolution import MAX_HALVINGS, UnresolvedFieldError, evolve
-from .grid import Field
+from .evolution import MAX_HALVINGS, UnresolvedFieldError, evolve, weighted_functional
 from .lemma import (DegenerateFitError, lemma_csv_name, verify_gaussian_remark, verify_lemma,
                     write_lemma_report)
 from .profiles import bracket_profile, gaussian_profile
@@ -83,8 +82,8 @@ def _cmd_frac_apply(cfg: dict, out: Path) -> int:
 
     spectral = None
     if grid is not None:
-        field = Field.from_radial(grid, profile)
-        spec_vals = frac_laplacian_spectral(field).values.real
+        samples = np.asarray(profile(grid.radii()), dtype=np.complex128)
+        spec_vals = frac_laplacian_spectral(grid, samples).real
         axis = grid.axis()
         idx = np.argmin(np.abs(axis[None, :] - np.asarray(points)[:, None]), axis=1)
         spectral = spec_vals[idx] if params.n == 1 else spec_vals[idx, grid.N // 2]
@@ -138,12 +137,12 @@ def _cmd_evolve(cfg: dict, out: Path) -> int:
     u0 = make_initial_data(spec, grid, params.alpha)
 
     radius = adapted_radius(spec, constants)[0] if opts["r"] is None else opts["r"]
-    t_bound = lifespan_bound(weighted_functional(u0, params.alpha, radius), constants, radius)
+    t_bound = lifespan_bound(weighted_functional(u0, grid, params.alpha, radius), constants, radius)
 
-    record = evolve(u0, params, dt, t_max, radius)
+    record = evolve(u0, grid, params, dt, t_max, radius)
 
     record.to_csv(out / "trajectory.csv")
-    save_field(record.final, out / "final_state")
+    save_field(grid, record.final, out / "final_state")
     write_manifest(out / "run_manifest.json", "evolve", {
         "problem": {"n": params.n, "p": params.p, "lambda": params.lam,
                     "alpha": params.alpha},

@@ -168,6 +168,10 @@ def load_config(path: str | Path) -> dict:
     if evolve["data"] == "integrable" and evolve["r"] is None:
         raise ConfigError("bad value for [evolve] r = 'auto': integrable data has no adapted "
                           "radius; give r as a number")
+    if evolve["cap_radius"] is not None and evolve["data"] != "inner-singular":
+        raise ConfigError(f"bad value for [evolve] cap_radius = "
+                          f"{parser.get('evolve', 'cap_radius')!r}: {evolve['data']} data has no "
+                          "inner cap; cap_radius applies to inner-singular data only")
 
     params = grid = None
     if parser.has_section("problem"):

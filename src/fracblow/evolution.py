@@ -9,13 +9,17 @@ half-step phase to the next step's spectrum and the sup norm of its
 post-source stage.  ``evolve`` carries that (spectrum, sup) pair through
 its loop, so a run costs 2 FFTs a step, and reads each step without
 leaving the spectrum: ``M_R`` as a pairing with the weight's DFT, and the
-L2 norm by Parseval.  A radial datum is even about index N/2, so
-``evolve`` carries only the spectrum of its even part, sites N/2, ...,
-N-1, 0 of each axis (a half in 1D, a quarter in 2D): a DCT-I by 1D FFTs
-over even extensions (Martucci, IEEE Trans. Signal Process. 42, 1994).
-In 2D that halves the FFT work a step; in 1D the FFTs keep their N
-points and the pointwise work halves.  Each pass transforms contiguous
-rows in place, as strided columns take twice as long.
+L2 norm by Parseval.  Radial data are even about index N/2, so they live
+on their even part alone, sites N/2, ..., N-1, 0 of each axis (a half in
+1D, a quarter in 2D; ``_EvenPart``): ``blowup.make_initial_data`` samples
+them there, ``weighted_functional`` sums them with each site's
+multiplicity, and ``evolve`` steps the even part's spectrum, a DCT-I by
+1D FFTs over even extensions (Martucci, IEEE Trans. Signal Process. 42,
+1994).  In 2D that halves the FFT work a step; in 1D the FFTs keep their
+N points and the pointwise work halves.  Each pass transforms contiguous
+rows in place, as strided columns take twice as long.  ``evolve`` tells
+the even part from the full lattice by the shape of its data; the full
+lattice serves data that are not even.
 Blow-up is detected from the sup norm, with step halving near the
 singularity; the last accepted time is the numerical blow-up time.
 """
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, GridSpec, _norm
+from .grid import GridSpec, _norm
 from .profiles import bracket
 from .reporting import write_csv
 
@@ -104,11 +108,11 @@ class TrajectoryRecord:
     final_spectrum: np.ndarray = field(repr=False)
 
     @property
-    def final(self) -> Field:  # the last accepted state, else u0 to roundoff
+    def final(self) -> np.ndarray:  # the lattice's last accepted state, else u0 to roundoff
         spec = self.final_spectrum
         if spec.shape != self.grid.shape:
             spec = _EvenPart(self.grid).full_spectrum(spec)
-        return Field(self.grid, np.fft.ifftn(spec))
+        return np.fft.ifftn(spec)
 
     @property
     def threshold(self) -> float:  # the sup norm at which the run is flagged
@@ -167,18 +171,24 @@ class _EvenPart:
     """The N/2+1 sites per axis of a lattice that fix a field even about N/2.
 
     It holds sites N/2, ..., N-1, 0 of each axis (a half in 1D, a quarter in
-    2D) and, as a DCT-I, the DFT at frequencies 0, ..., N/2 times the square
-    root of each one's multiplicity, so that Parseval holds on it; it has a
-    grid's ``radii`` and ``abs_freq``.
+    2D), each of which stands for ``mult`` sites of the lattice, and, as a
+    DCT-I, the DFT at frequencies 0, ..., N/2 times the square root of each
+    one's multiplicity, so that Parseval holds on it; it has a grid's
+    ``shape``, ``radii`` and ``abs_freq``.
     """
 
     def __init__(self, grid: GridSpec):
         h = grid.N // 2
         self.grid, self.n = grid, grid.n
+        self.shape = (h + 1,) * grid.n
         self.sites = np.arange(h, 2 * h + 1) % grid.N
-        # (-1)^k: the sites start at N/2; and frequencies k and N - k are one mode
-        scale = (-1.0) ** np.arange(h + 1) * np.sqrt(np.r_[1.0, np.full(h - 1, 2.0), 1.0])
-        self.scale = scale if self.n == 1 else np.outer(scale, scale)
+        # sites N/2 + j and N/2 - j, like frequencies k and N - k, are one mode:
+        # each counts twice but the two ends
+        mult = np.r_[1.0, np.full(h - 1, 2.0), 1.0]
+        # (-1)^k: the sites start at N/2
+        scale = (-1.0) ** np.arange(h + 1) * np.sqrt(mult)
+        self.mult, self.scale = ((mult, scale) if self.n == 1
+                                 else (np.outer(mult, mult), np.outer(scale, scale)))
 
     def radii(self) -> np.ndarray:
         return _norm(self.grid.axis()[self.sites], self.n)
@@ -209,13 +219,6 @@ class _EvenPart:
         return (spec / np.abs(self.scale))[np.ix_(*(fold,) * self.n)]
 
 
-def _is_even(u: np.ndarray) -> bool:
-    """Whether u is even about index N/2 on every axis (indices mod N), bit for bit."""
-    h = len(u) // 2
-    return all(np.array_equal(v[1:h], v[:h:-1])
-               for v in (np.moveaxis(u, axis, 0) for axis in range(u.ndim)))
-
-
 def spectral_tail_fraction(spectrum: np.ndarray, grid: GridSpec) -> float:
     """Fraction of spectral l2 mass carried by modes with |xi| >= TAIL_BAND * max."""
     spec = np.abs(spectrum) ** 2
@@ -233,9 +236,14 @@ def _test_weight(grid: GridSpec, R: float) -> np.ndarray:
     return bracket(grid.radii() / R) ** -(grid.n + 1)
 
 
-def weighted_functional(u: Field, alpha: complex, R: float) -> float:
-    """M_R(u) = -Im(alpha * integral of u against <x/R>^(-n-1)), by lattice quadrature."""
-    acc = complex(np.sum(u.values * _test_weight(u.grid, R))) * u.grid.cell_volume
+def weighted_functional(u: np.ndarray, grid: GridSpec, alpha: complex, R: float) -> float:
+    """M_R(u) = -Im(alpha * integral of u against <x/R>^(-n-1)), by lattice quadrature.
+
+    ``u`` holds the even part's sites of data even about N/2 (see
+    ``_EvenPart``); each site counts as often as it stands on the lattice.
+    """
+    even = _EvenPart(grid)
+    acc = complex(np.sum(even.mult * u * _test_weight(even, R))) * grid.cell_volume
     return -(alpha * acc).imag
 
 
@@ -268,36 +276,43 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _initial_sup(u0: Field) -> float:
+def _initial_sup(u0: np.ndarray) -> float:
     """sup|u0|, refused unless finite and positive: zero data sets no scale."""
-    sup0 = u0.sup_norm()
+    sup0 = float(np.max(np.abs(u0)))
     if not 0.0 < sup0 < math.inf:
         raise ValueError(f"initial sup norm must be finite and positive, got {sup0!r}")
     return sup0
 
 
-def evolve(u0: Field, params: ProblemParams, dt: float, t_max: float,
+def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_max: float,
            weight_radius: float) -> TrajectoryRecord:
     """March the split-step scheme from step size dt, recording M_R(t) at R = weight_radius.
 
     Halts at t_max, or flags blow-up once the sup norm reaches
     ``THRESHOLD_FACTOR * sup|u0|``.  A step's sup norm is that of its
     post-source stage, half a linear step before the step's end; M_R and
-    the L2 norm are read from the step's spectrum, the even part's for even
-    data.  Violent steps (non-finite values or sup growth beyond
-    ``GROWTH_CAP``) are retried with halved dt, which then holds for the
-    rest of the run; once ``MAX_HALVINGS`` halvings in all are spent, the
-    last accepted time is reported as the numerical blow-up time.
+    the L2 norm are read from the step's spectrum.  Violent steps
+    (non-finite values or sup growth beyond ``GROWTH_CAP``) are retried with
+    halved dt, which then holds for the rest of the run; once
+    ``MAX_HALVINGS`` halvings in all are spent, the last accepted time is
+    reported as the numerical blow-up time.
+
+    ``u0`` of shape (N/2+1,) * n holds the even part's sites of data even
+    about N/2 (see ``_EvenPart``), and only they are stepped; ``u0`` of
+    shape ``grid.shape`` holds the whole lattice.  Any other shape is
+    refused.
     """
     _require_positive(dt=dt, t_max=t_max)
-    grid = u0.grid
-    # the transform pair is chosen once; one DFT of u0 serves the tail check, M_R(0), step 1
-    even = _EvenPart(grid) if _is_even(u0.values) else None
-    if even is None:
-        lattice, dft, spec = grid, (np.fft.fftn, np.fft.ifftn), np.fft.fftn(u0.values)
-    else:
+    even = _EvenPart(grid)
+    if u0.shape == even.shape:
         lattice, dft = even, (even.dft, even.idft)
-        spec = even.dft(u0.values[np.ix_(*(even.sites,) * grid.n)])
+    elif u0.shape == grid.shape:
+        lattice, dft = grid, (np.fft.fftn, np.fft.ifftn)
+    else:
+        raise ValueError(f"initial data of shape {u0.shape} is neither the lattice's "
+                         f"{grid.shape} nor its even part's {even.shape}")
+    # one DFT of u0 serves the tail check, M_R(0) and step 1
+    spec = dft[0](u0)
     _require_resolved(spec, lattice)
     sup0 = _initial_sup(u0)
     threshold = THRESHOLD_FACTOR * sup0

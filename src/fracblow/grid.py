@@ -1,4 +1,4 @@
-"""Periodic sampling lattices and complex-valued sampled fields."""
+"""Periodic sampling lattices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -47,13 +47,6 @@ class GridSpec:
         ax[0] = -self.L
         return ax
 
-    def coords(self) -> tuple[np.ndarray, ...]:
-        """Meshgrid coordinate arrays, one per axis, each of lattice shape."""
-        ax = self.axis()
-        if self.n == 1:
-            return (ax,)
-        return tuple(np.meshgrid(ax, ax, indexing="ij"))
-
     def radii(self) -> np.ndarray:
         """|x| at every lattice site."""
         return _norm(self.axis(), self.n)
@@ -68,30 +61,3 @@ class GridSpec:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.N,) * self.n
-
-
-class Field:
-    """Complex scalar samples on a GridSpec lattice."""
-
-    def __init__(self, grid: GridSpec, values: np.ndarray):
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != grid.shape:
-            raise ValueError(f"field shape {values.shape} != grid shape {grid.shape}")
-        self.grid = grid
-        self.values = values
-
-    def __repr__(self) -> str:
-        return f"Field(grid={self.grid!r})"
-
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "Field":
-        """Sample fn(*coords) on the lattice."""
-        return cls(grid, np.asarray(fn(*grid.coords()), dtype=np.complex128))
-
-    @classmethod
-    def from_radial(cls, grid: GridSpec, radial_fn) -> "Field":
-        """Sample a function of |x| on the lattice."""
-        return cls(grid, np.asarray(radial_fn(grid.radii()), dtype=np.complex128))
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))

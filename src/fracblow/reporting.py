@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Field
+from .grid import GridSpec
 from .pv import normalization_constant, sphere_measure, weight_mass
 
 SCHEMA = "fracblow/1"
@@ -68,13 +68,13 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def save_field(field: Field, basepath: str | Path) -> tuple[Path, Path]:
-    """Flat .npy values plus a JSON sidecar describing the lattice."""
+def save_field(grid: GridSpec, values: np.ndarray, basepath: str | Path) -> tuple[Path, Path]:
+    """The samples of a lattice as .npy values plus a JSON sidecar describing the lattice."""
     base = Path(basepath)
     npy = base.with_suffix(".npy")
-    np.save(npy, field.values)
+    np.save(npy, values)
     meta = write_manifest(base.with_suffix(".json"), "field", {
-        "grid": {"n": field.grid.n, "L": field.grid.L, "N": field.grid.N},
+        "grid": {"n": grid.n, "L": grid.L, "N": grid.N},
         "values": npy.name,
     })
     return npy, meta

@@ -12,8 +12,9 @@ import numpy as np
 
 from .blowup import (BlowupConstants, InitialDataSpec, _check_k, adapted_radius,
                      compute_constants, family_exponent, family_i_const, lifespan_bound,
-                     make_initial_data, weighted_functional)
-from .evolution import THRESHOLD_FACTOR, ProblemParams, UnresolvedFieldError, evolve
+                     make_initial_data)
+from .evolution import (THRESHOLD_FACTOR, ProblemParams, UnresolvedFieldError, evolve,
+                        weighted_functional)
 from .grid import GridSpec
 from .reporting import write_csv, write_manifest
 
@@ -144,7 +145,7 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
             cap = max(CAP_FRACTION * r_star, 0.75 * plan.grid.dx)
             spec = dataclasses.replace(spec, cap_radius=cap)
         u0 = make_initial_data(spec, plan.grid, plan.params.alpha)
-        m0 = weighted_functional(u0, plan.params.alpha, r_star)
+        m0 = weighted_functional(u0, plan.grid, plan.params.alpha, r_star)
         t_prop = lifespan_bound(m0, constants, r_star)
         row.r_star, row.t_bound, row.t_prop, row.m0 = r_star, t_bound, t_prop, m0
         loose, strict = REGIME_EDGES[plan.kind]
@@ -160,9 +161,10 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
             row.note = f"R*={r_star:.4g} below the grid spacing dx={plan.grid.dx:.4g}"
             return row
 
-        dt = plan.dt_factor / u0.sup_norm() if plan.kind == "inner-singular" else plan.dt_base
+        dt = plan.dt_factor / float(np.max(np.abs(u0))) if plan.kind == "inner-singular" \
+            else plan.dt_base
         horizon = HORIZON_FACTOR * min(row.t_prop, t_bound)
-        rec = evolve(u0, plan.params, dt, horizon, r_star)
+        rec = evolve(u0, plan.grid, plan.params, dt, horizon, r_star)
         row.t_num = rec.t_num
         if not rec.blew_up:
             row.note = f"no blow-up before horizon {horizon:.4g}"

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from fracblow.blowup import (InitialDataSpec, adapted_radius, compute_constants,
-                             lifespan_bound, make_initial_data, weighted_functional)
-from fracblow.evolution import ProblemParams, evolve
-from fracblow.grid import Field, GridSpec
+                             lifespan_bound, make_initial_data)
+from fracblow.evolution import ProblemParams, evolve, weighted_functional
+from fracblow.grid import GridSpec
 from fracblow.lemma import verify_gaussian_remark, verify_lemma
 from fracblow.profiles import bracket_profile
 from fracblow.pv import frac_laplacian_pv, normalization_constant
 from fracblow.spectral import frac_laplacian_spectral
 from fracblow.sweep import SweepPlan, in_regime_amplitude, run_sweep
-from verification import cordoba_violation, ode_lower_envelope, scaling_check, strang_step
+from verification import (coords, cordoba_violation, ode_lower_envelope, sample, scaling_check,
+                          strang_step, sup_norm)
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -88,7 +89,7 @@ def test_criterion_02_closed_form_oracle():
 
     g = GridSpec(1, 160.0, 8192)
     x = g.axis()
-    spec_all = frac_laplacian_spectral(Field(g, 1.0 / (1.0 + x * x) + 0j)).values.real
+    spec_all = frac_laplacian_spectral(g, 1.0 / (1.0 + x * x) + 0j).real
     idx = np.argmin(np.abs(x[None, :] - pts[:, None]), axis=1)
     sp_err = float(np.max(np.abs(spec_all[idx] - (1.0 - x[idx] ** 2) / (1.0 + x[idx] ** 2) ** 2)))
     elapsed = time.monotonic() - start
@@ -144,36 +145,36 @@ def test_criterion_05_product_inequality():
         s = rng.uniform(0.5, 2.0, 5)
         a = rng.uniform(0.2, 1.5, 5)
         v = sum(ai * np.exp(-(((x1 - ci) / si) ** 2) / 2) for ai, ci, si in zip(a, c, s))
-        phi = Field(g1, v + 0j)
-        worst = max(worst, cordoba_violation(phi) / phi.sup_norm() ** 2)
+        phi = v + 0j
+        worst = max(worst, cordoba_violation(g1, phi) / sup_norm(phi) ** 2)
     g2 = GridSpec(2, 20.0, 256)
-    xx, yy = g2.coords()
+    xx, yy = coords(g2)
     for _ in range(5):
         c = rng.uniform(-5.0, 5.0, (4, 2))
         s = rng.uniform(0.6, 2.0, 4)
         a = rng.uniform(0.2, 1.5, 4)
         v = sum(ai * np.exp(-(((xx - ci[0]) ** 2 + (yy - ci[1]) ** 2) / (2 * si**2)))
                 for ai, ci, si in zip(a, c, s))
-        phi = Field(g2, v + 0j)
-        worst = max(worst, cordoba_violation(phi) / phi.sup_norm() ** 2)
+        phi = v + 0j
+        worst = max(worst, cordoba_violation(g2, phi) / sup_norm(phi) ** 2)
     _report(5, worst <= 1e-6,
             f"worst normalized violation over 20 + 5 mixtures: {worst:.2e} (<= 1e-6)")
 
 
 def test_criterion_06_solver_order_and_unitarity():
     g = GridSpec(1, 20.0, 1024)
-    u0 = Field.from_function(g, lambda x: np.exp(-x * x) * np.exp(0.5j * x))
-    rec = evolve(u0, ProblemParams(1, 2.0, 0.0), 0.01, 10.0, 1.0)
+    u0 = sample(g, lambda x: np.exp(-x * x) * np.exp(0.5j * x))
+    rec = evolve(u0, g, ProblemParams(1, 2.0, 0.0), 0.01, 10.0, 1.0)
     drift = float(np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0])
 
     params = ProblemParams(1, 2.0, 1.0 + 0.5j)
     T = 0.4
 
     def run(nsteps):
-        u = Field.from_function(g, lambda x: 1.2 * np.exp(-x * x) + 0j)
+        u = sample(g, lambda x: 1.2 * np.exp(-x * x) + 0j)
         for _ in range(nsteps):
-            u = strang_step(u, T / nsteps, params)
-        return u.values
+            u = strang_step(u, g, T / nsteps, params)
+        return u
 
     ref = run(1024)
     dts, errs = [], []
@@ -188,9 +189,9 @@ def test_criterion_06_solver_order_and_unitarity():
 def test_criterion_07_scaling_invariance():
     g = GridSpec(1, 20.0, 2048)
     params = ProblemParams(1, 2.0, 1.0 + 0.5j)
-    u0 = Field.from_function(g, lambda x: np.exp(-x * x))
-    d = scaling_check(u0, params, 0.01, 0.64, 2.0)
-    d_half = scaling_check(u0, params, 0.005, 0.64, 2.0)
+    u0 = sample(g, lambda x: np.exp(-x * x))
+    d = scaling_check(u0, g, params, 0.01, 0.64, 2.0)
+    d_half = scaling_check(u0, g, params, 0.005, 0.64, 2.0)
     ratio = d / d_half
     _report(7, d <= 1e-3 and 2.5 <= ratio <= 6.0,
             f"rho=2 discrepancy {d:.2e} (<= 1e-3), improvement x{ratio:.2f} under dt halving")
@@ -206,9 +207,9 @@ def test_criterion_08_ode_envelope(chain_p2):
         spec = InitialDataSpec(kind="inner-singular", mu=mu, k=0.25,
                                cap_radius=max(0.15 * r_star, 0.75 * grid.dx))
         u0 = make_initial_data(spec, grid, params.alpha)
-        m0 = weighted_functional(u0, params.alpha, r_star)
+        m0 = weighted_functional(u0, grid, params.alpha, r_star)
         t_bound = lifespan_bound(m0, constants, r_star)
-        rec = evolve(u0, params, 0.01 / u0.sup_norm(), 1.3 * t_bound, r_star)
+        rec = evolve(u0, grid, params, 0.01 / sup_norm(u0), 1.3 * t_bound, r_star)
         if not rec.blew_up:
             problems.append(f"mu={mu}: no blow-up")
             continue
@@ -264,7 +265,7 @@ def test_criterion_10_threshold_gate(inner_sweep):
     def m_at(mu):
         data = make_initial_data(
             InitialDataSpec(kind="inner-singular", mu=mu, k=plan.k), grid, params.alpha)
-        return weighted_functional(data, params.alpha, r_star)
+        return weighted_functional(data, grid, params.alpha, r_star)
 
     # bisect the verdict flip at fixed radius
     lo, hi = 1e-8 * mu0, mu0

@@ -8,12 +8,11 @@ from scipy.integrate import quad as scipy_quad
 
 from fracblow import lemma, pv
 from fracblow.blowup import (A_MARGIN, InitialDataSpec, adapted_radius, compute_constants,
-                             family_i_const, lifespan_bound, make_initial_data,
-                             weighted_functional)
-from fracblow.evolution import ProblemParams
-from fracblow.grid import Field, GridSpec
+                             family_i_const, lifespan_bound, make_initial_data)
+from fracblow.evolution import ProblemParams, _EvenPart, weighted_functional
+from fracblow.grid import GridSpec
 from fracblow.sweep import REGIME_EDGES, in_regime_amplitude
-from verification import l2_norm, ode_lower_envelope, zeros
+from verification import even_part, l2_norm, lattice_functional, ode_lower_envelope, unfold
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +29,7 @@ def _verdict(spec, constants, params, grid):
     """Bound at the adapted radius (inf: no verdict), for the family member built on grid."""
     r_star, _ = adapted_radius(spec, constants)
     u0 = make_initial_data(spec, grid, params.alpha)
-    return lifespan_bound(weighted_functional(u0, params.alpha, r_star), constants, r_star)
+    return lifespan_bound(weighted_functional(u0, grid, params.alpha, r_star), constants, r_star)
 
 
 class TestConstants:
@@ -78,13 +77,13 @@ class TestConstants:
 class TestWeightedFunctional:
     def test_zero_field(self):
         g = GridSpec(1, 10.0, 128)
-        assert weighted_functional(zeros(g), 1.0, 1.0) == 0.0
+        assert weighted_functional(np.zeros(65, complex), g, 1.0, 1.0) == 0.0
 
     def test_linearity_in_amplitude(self):
         g = GridSpec(1, 20.0, 512)
-        f = Field.from_function(g, lambda x: (1 + 2j) * np.exp(-x * x))
-        m1 = weighted_functional(f, 0.3 + 1j, 1.5)
-        m3 = weighted_functional(Field(g, 3.0 * f.values), 0.3 + 1j, 1.5)
+        f = even_part(g, lambda r: (1 + 2j) * np.exp(-r * r))
+        m1 = weighted_functional(f, g, 0.3 + 1j, 1.5)
+        m3 = weighted_functional(3.0 * f, g, 0.3 + 1j, 1.5)
         assert m3 == pytest.approx(3.0 * m1, rel=1e-13)
 
     def test_mollified_indicator_oracle(self):
@@ -92,30 +91,37 @@ class TestWeightedFunctional:
         # the value is minus the weighted mass of the mollified bump,
         # near -pi/2 = -2 arctan(1) for a sharp mollification
         g = GridSpec(1, 40.0, 8192)
-        x = g.axis()
         w = 0.05
-        bump = 0.5 * (1.0 + np.tanh((1.0 - np.abs(x)) / w))
-        u = Field(g, 1j * bump)
+        u = even_part(g, lambda r: 1j * 0.5 * (1.0 + np.tanh((1.0 - r) / w)))
         oracle = -scipy_quad(
             lambda t: 0.5 * (1 + math.tanh((1 - abs(t)) / w)) / (1 + t * t),
             -40.0, 40.0, limit=400)[0]
-        m = weighted_functional(u, 1.0, 1.0)
+        m = weighted_functional(u, g, 1.0, 1.0)
         assert m == pytest.approx(oracle, abs=1e-9)
         assert m == pytest.approx(-math.pi / 2, abs=5e-3)
-        assert weighted_functional(u, -1.0, 1.0) \
+        assert weighted_functional(u, g, -1.0, 1.0) \
             == pytest.approx(math.pi / 2, abs=5e-3)
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 3.7, 200), GridSpec(2, 3.7, 200),
+                                      GridSpec(2, 12.0, 48)])
+    def test_even_part_sums_to_the_lattice_sum(self, grid):
+        # each even-part site counts for its mirror images: the lattice's sum to roundoff
+        u = even_part(grid, lambda r: (0.3 - 2j) * np.exp(-r * r) + 0.1 * (1 + r * r) ** -0.75)
+        for R in (0.2, 1.5, 40.0):
+            want = lattice_functional(unfold(u), grid, 0.6 + 0.8j, R)
+            assert weighted_functional(u, grid, 0.6 + 0.8j, R) == pytest.approx(want, rel=1e-14)
 
     def test_nonpositive_radius_rejected(self):
         g = GridSpec(1, 10.0, 128)
         with pytest.raises(ValueError, match="weight radius must be positive"):
-            weighted_functional(zeros(g), 1.0, -1.0)
+            weighted_functional(np.zeros(65, complex), g, 1.0, -1.0)
 
     def test_dim2_radial_oracle(self):
         # -Im(i * int e^(-|x|^2) <x/R>^(-3) dx) against a radial quadrature
         g = GridSpec(2, 12.0, 256)
-        u = Field.from_function(g, lambda x, y: 1j * np.exp(-(x**2 + y**2)))
+        u = even_part(g, lambda r: 1j * np.exp(-r * r))
         R = 1.5
-        m = weighted_functional(u, 1.0, R)
+        m = weighted_functional(u, g, 1.0, R)
         oracle = -2.0 * math.pi * scipy_quad(
             lambda r: r * math.exp(-r * r) * (1 + (r / R) ** 2) ** -1.5,
             0.0, 12.0, limit=200)[0]
@@ -168,11 +174,11 @@ class TestInitialData:
         g = GridSpec(1, 40.0, 4096)
         spec = InitialDataSpec(kind="inner-singular", mu=7.0, k=0.25)
         f = make_initial_data(spec, g, params.alpha)
-        paired = params.alpha * f.values
+        paired = params.alpha * f
         assert np.max(np.abs(paired.real)) == 0.0
         profile = -paired.imag
         assert profile.min() >= 0.0
-        r = g.radii()
+        r = _EvenPart(g).radii()
         inside = r <= 1.0
         want = 7.0 * np.maximum(r[inside], 0.5 * g.dx) ** -0.25
         assert np.max(np.abs(profile[inside] - want)) == 0.0
@@ -183,8 +189,8 @@ class TestInitialData:
         g = GridSpec(1, 40.0, 1024)
         spec = InitialDataSpec(kind="integrable", mu=2.0)
         f = make_initial_data(spec, g, np.conj(lam))
-        assert np.max(np.abs((np.conj(lam) * f.values).real)) < 1e-15
-        assert np.all(-(np.conj(lam) * f.values).imag >= 0.0)
+        assert np.max(np.abs((np.conj(lam) * f).real)) < 1e-15
+        assert np.all(-(np.conj(lam) * f).imag >= 0.0)
 
     def test_outer_tail_integrable_norms_stable(self):
         # k > n: the tail is absolutely integrable, so both lattice norms
@@ -193,8 +199,8 @@ class TestInitialData:
         norms = []
         for N in (2048, 4096, 8192):
             g = GridSpec(1, 60.0, N)
-            f = make_initial_data(spec, g, -1j)
-            norms.append((float(np.sum(np.abs(f.values)) * g.cell_volume), l2_norm(f)))
+            f = unfold(make_initial_data(spec, g, -1j))
+            norms.append((float(np.sum(np.abs(f)) * g.cell_volume), l2_norm(g, f)))
         for a, b in zip(norms[:-1], norms[1:]):
             assert a[0] == pytest.approx(b[0], rel=1e-3)
             assert a[1] == pytest.approx(b[1], rel=1e-3)
@@ -206,8 +212,8 @@ class TestInitialData:
         norms = []
         for N in (2048, 4096, 8192, 16384):
             g = GridSpec(1, 40.0, N)
-            f = make_initial_data(spec, g, -1j)
-            norms.append(l2_norm(f))
+            f = unfold(make_initial_data(spec, g, -1j))
+            norms.append(l2_norm(g, f))
         diffs = [abs(a - b) for a, b in zip(norms[:-1], norms[1:])]
         assert diffs[2] < diffs[1] < diffs[0]
         assert diffs[2] < 0.01 * norms[-1]
@@ -297,5 +303,5 @@ def test_integrable_family_large_radius_gate():
     constants = compute_constants(params)
     g = GridSpec(1, 400.0, 16384)
     u0 = make_initial_data(InitialDataSpec(kind="integrable", mu=50.0), g, params.alpha)
-    assert math.isfinite(lifespan_bound(weighted_functional(u0, params.alpha, 120.0),
+    assert math.isfinite(lifespan_bound(weighted_functional(u0, g, params.alpha, 120.0),
                                         constants, 120.0))

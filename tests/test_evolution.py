@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from fracblow import evolution
 from fracblow.evolution import (ProblemParams, UnresolvedFieldError, evolve,
                                 spectral_tail_fraction)
-from fracblow.grid import Field, GridSpec
+from fracblow.grid import GridSpec
 from fracblow.profiles import bracket
-from verification import (l2_norm, linear_propagator, nonlinear_step, scaling_check,
-                          strang_step, zeros)
+from verification import (even_part, l2_norm, lattice_functional, linear_propagator,
+                          nonlinear_step, sample, scaling_check, strang_step, sup_norm, unfold,
+                          zeros)
 
 
 def gaussian_packet(x):
@@ -32,31 +33,31 @@ def count_ffts(monkeypatch):
 class TestLinearPropagator:
     def test_zero_duration_is_identity(self):
         g = GridSpec(1, 10.0, 128)
-        f = Field.from_function(g, gaussian_packet)
-        out = linear_propagator(f, 0.0)
-        assert np.array_equal(out.values, f.values)
+        f = sample(g, gaussian_packet)
+        out = linear_propagator(f, g, 0.0)
+        assert np.array_equal(out, f)
 
     def test_single_mode_phase(self):
         g = GridSpec(1, 10.0, 128)
         k = 2.0 * np.pi * 5 / (2 * g.L)
-        f = Field.from_function(g, lambda x: np.exp(1j * k * x))
-        out = linear_propagator(f, 0.37)
-        want = np.exp(1j * 0.37 * abs(k)) * f.values
-        assert np.max(np.abs(out.values - want)) < 1e-13
+        f = sample(g, lambda x: np.exp(1j * k * x))
+        out = linear_propagator(f, g, 0.37)
+        want = np.exp(1j * 0.37 * abs(k)) * f
+        assert np.max(np.abs(out - want)) < 1e-13
 
     def test_l2_preserved(self):
         rng = np.random.default_rng(2)
         g = GridSpec(1, 10.0, 256)
-        f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-        out = linear_propagator(f, 4.2)
-        assert l2_norm(out) == pytest.approx(l2_norm(f), rel=1e-13)
+        f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        out = linear_propagator(f, g, 4.2)
+        assert l2_norm(g, out) == pytest.approx(l2_norm(g, f), rel=1e-13)
 
 
 class TestNonlinearStep:
     def test_zero_field_fixed(self):
         g = GridSpec(1, 10.0, 64)
         out = nonlinear_step(zeros(g), 0.1, ProblemParams(1, 2.0, 1j))
-        assert np.all(out.values == 0)
+        assert np.all(out == 0)
 
     def test_scalar_ode_local_order_three(self):
         # lam = i, p = 2, constant real c: the pointwise ODE is u' = u^2
@@ -66,8 +67,8 @@ class TestNonlinearStep:
         c = 0.8
         errs = []
         for dt in (0.01, 0.005):
-            got = nonlinear_step(Field(g, np.full(g.shape, c, complex)), dt, params)
-            errs.append(abs(got.values.flat[0] - c / (1 - c * dt)))
+            got = nonlinear_step(np.full(g.shape, c, complex), dt, params)
+            errs.append(abs(got.flat[0] - c / (1 - c * dt)))
         assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.15)
 
     def test_scalar_ode_global_order_two(self):
@@ -76,19 +77,19 @@ class TestNonlinearStep:
         params = ProblemParams(1, 2.0, 1j)
         T, errs = 0.5, []
         for nsteps in (16, 32):
-            u = Field(g, np.full(g.shape, 1.0, complex))
+            u = np.full(g.shape, 1.0, complex)
             for _ in range(nsteps):
                 u = nonlinear_step(u, T / nsteps, params)
-            errs.append(abs(u.values.flat[0] - 1.0 / (1.0 - T)))
+            errs.append(abs(u.flat[0] - 1.0 / (1.0 - T)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
 
 
 class TestEvolve:
     def test_free_flow_conserves_l2(self):
         g = GridSpec(1, 20.0, 1024)
-        u0 = Field.from_function(g, gaussian_packet)
+        u0 = sample(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 0.0)
-        rec = evolve(u0, params, 0.01, 10.0, 1.0)
+        rec = evolve(u0, g, params, 0.01, 10.0, 1.0)
         assert not rec.blew_up
         drift = np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0]
         assert drift < 1e-12
@@ -96,48 +97,48 @@ class TestEvolve:
 
     def test_free_flow_reversible(self):
         g = GridSpec(1, 20.0, 1024)
-        u0 = Field.from_function(g, gaussian_packet)
+        u0 = sample(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 0.0)
-        rec = evolve(u0, params, 0.01, 2.0, 1.0)
-        back = linear_propagator(rec.final, -rec.times[-1])
-        assert np.max(np.abs(back.values - u0.values)) < 1e-11
+        rec = evolve(u0, g, params, 0.01, 2.0, 1.0)
+        back = linear_propagator(rec.final, g, -rec.times[-1])
+        assert np.max(np.abs(back - u0)) < 1e-11
 
     def test_times_strictly_increasing(self):
         g = GridSpec(1, 20.0, 512)
-        u0 = Field.from_function(g, gaussian_packet)
-        rec = evolve(u0, ProblemParams(1, 2.0, 1.0), 0.02, 0.5, 1.0)
+        u0 = sample(g, gaussian_packet)
+        rec = evolve(u0, g, ProblemParams(1, 2.0, 1.0), 0.02, 0.5, 1.0)
         assert np.all(np.diff(rec.times) > 0)
 
     def test_refusal_on_underresolved_data(self):
         g = GridSpec(1, 20.0, 64)
         rng = np.random.default_rng(0)
-        u0 = Field(g, rng.standard_normal(g.shape) + 0j)  # white spectrum
+        u0 = rng.standard_normal(g.shape) + 0j  # white spectrum
         with pytest.raises(UnresolvedFieldError):
-            evolve(u0, ProblemParams(1, 2.0, 1j), 0.01, 1.0, 1.0)
+            evolve(u0, g, ProblemParams(1, 2.0, 1j), 0.01, 1.0, 1.0)
         with pytest.raises(UnresolvedFieldError):
-            scaling_check(u0, ProblemParams(1, 2.0, 1j), 0.01, 0.32, 2.0)
-        assert spectral_tail_fraction(np.fft.fftn(u0.values), g) > 1e-3
+            scaling_check(u0, g, ProblemParams(1, 2.0, 1j), 0.01, 0.32, 2.0)
+        assert spectral_tail_fraction(np.fft.fftn(u0), g) > 1e-3
 
     def test_nonpositive_weight_radius_rejected(self):
         g = GridSpec(1, 20.0, 512)
-        u0 = Field.from_function(g, gaussian_packet)
+        u0 = sample(g, gaussian_packet)
         with pytest.raises(ValueError, match="weight radius must be positive"):
-            evolve(u0, ProblemParams(1, 2.0, 1j), 0.01, 1.0, 0.0)
+            evolve(u0, g, ProblemParams(1, 2.0, 1j), 0.01, 1.0, 0.0)
 
     def test_zero_data_rejected(self):
         # sup|u0| = 0 leaves no blow-up threshold
-        u0 = zeros(GridSpec(1, 20.0, 512))
+        g = GridSpec(1, 20.0, 512)
         with pytest.raises(ValueError, match="initial sup norm"):
-            evolve(u0, ProblemParams(1, 2.0, 1j), 0.01, 1.0, 1.0)
+            evolve(zeros(g), g, ProblemParams(1, 2.0, 1j), 0.01, 1.0, 1.0)
 
     def test_blowup_flagged_on_focusing_data(self):
         # real positive data with lam = i feeds its own modulus
         g = GridSpec(1, 40.0, 2048)
-        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
+        u0 = even_part(g, lambda r: 6.0 * np.exp(-r * r) + 0j)
         params = ProblemParams(1, 2.0, 1j)
-        rec = evolve(u0, params, 0.002, 2.0, 1.0)
+        rec = evolve(u0, g, params, 0.002, 2.0, 1.0)
         assert rec.blew_up and rec.t_num is not None
-        assert rec.threshold == 25 * u0.sup_norm() <= rec.sup_norm[-1]
+        assert rec.threshold == 25 * sup_norm(u0) <= rec.sup_norm[-1]
         assert rec.t_num < 0.5
         # sup-norm nondecreasing once past 10x the initial sup
         sup = rec.sup_norm
@@ -149,31 +150,34 @@ class TestEvolve:
     def test_two_ffts_per_step(self, monkeypatch):
         # one DFT of u0, one of the weight, then one transform each way a step
         g = GridSpec(1, 20.0, 512)
-        u0 = Field.from_function(g, gaussian_packet)
+        u0 = sample(g, gaussian_packet)
         calls = count_ffts(monkeypatch)
-        rec = evolve(u0, ProblemParams(1, 2.0, 1j), 0.01, 0.2, 1.0)
+        rec = evolve(u0, g, ProblemParams(1, 2.0, 1j), 0.01, 0.2, 1.0)
         monkeypatch.undo()
         k = len(rec.times) - 1
         assert k == 20 and not rec.blew_up
         assert len(calls) <= 2 * k + 2
 
     @pytest.mark.parametrize("grid, data", [
-        (GridSpec(1, 20.0, 1024), lambda x: 1.5 * np.exp(-x * x) * np.exp(0.5j * x)),
-        (GridSpec(2, 10.0, 64), lambda x, y: 1.5 * np.exp(-(x**2 + y**2)) * np.exp(0.5j * x)),
-        (GridSpec(2, 3.7, 64), lambda x, y: 1.5 * np.exp(-(x**2 + y**2)) * (1.0 + 0.5j)),
+        (GridSpec(1, 20.0, 1024),
+         lambda g: sample(g, lambda x: 1.5 * np.exp(-x * x) * np.exp(0.5j * x))),
+        (GridSpec(2, 10.0, 64),
+         lambda g: sample(g, lambda x, y: 1.5 * np.exp(-(x**2 + y**2)) * np.exp(0.5j * x))),
+        (GridSpec(2, 3.7, 64),
+         lambda g: even_part(g, lambda r: 1.5 * np.exp(-r * r) * (1.0 + 0.5j))),
     ])
     def test_spectral_readings_match_the_final_state(self, grid, data):
         # M_R and L2 come from the spectrum; the final values give the same numbers
         params = ProblemParams(grid.n, 2.0, 1j)
-        rec = evolve(Field.from_function(grid, data), params, 0.01, 0.3, 1.5)
-        want_m = evolution.weighted_functional(rec.final, params.alpha, 1.5)
+        rec = evolve(data(grid), grid, params, 0.01, 0.3, 1.5)
+        want_m = lattice_functional(rec.final, grid, params.alpha, 1.5)
         assert rec.m_r[-1] == pytest.approx(want_m, rel=1e-12)
-        assert rec.l2_norm[-1] == pytest.approx(l2_norm(rec.final), rel=1e-12)
+        assert rec.l2_norm[-1] == pytest.approx(l2_norm(grid, rec.final), rel=1e-12)
 
     def test_free_flow_conserves_l2_dim2(self):
         g = GridSpec(2, 10.0, 64)
-        u0 = Field.from_function(g, lambda x, y: np.exp(-(x**2 + y**2)) + 0j)
-        rec = evolve(u0, ProblemParams(2, 2.0, 0.0), 0.02, 1.0, 1.0)
+        u0 = even_part(g, lambda r: np.exp(-r * r) + 0j)
+        rec = evolve(u0, g, ProblemParams(2, 2.0, 0.0), 0.02, 1.0, 1.0)
         drift = np.max(np.abs(rec.l2_norm - rec.l2_norm[0])) / rec.l2_norm[0]
         assert drift < 1e-12
 
@@ -183,10 +187,10 @@ class TestEvolve:
         T = 0.4
 
         def run(nsteps):
-            u = Field.from_function(g, lambda x: 1.2 * np.exp(-x * x) + 0j)
+            u = sample(g, lambda x: 1.2 * np.exp(-x * x) + 0j)
             for _ in range(nsteps):
-                u = strang_step(u, T / nsteps, params)
-            return u.values
+                u = strang_step(u, g, T / nsteps, params)
+            return u
 
         ref = run(1024)
         errs = [np.linalg.norm(run(n) - ref) for n in (32, 64, 128)]
@@ -194,18 +198,18 @@ class TestEvolve:
         assert all(1.8 <= s <= 2.2 for s in slopes)
 
 
-def reference_step(f, dt, params):
+def reference_step(u, grid, dt, params):
     """The Strang composition spelled out with the public building blocks:
     the output and the sup norm of its post-source stage."""
-    stage = nonlinear_step(linear_propagator(f, 0.5 * dt), dt, params)
-    return linear_propagator(stage, 0.5 * dt), stage.sup_norm()
+    stage = nonlinear_step(linear_propagator(u, grid, 0.5 * dt), dt, params)
+    return linear_propagator(stage, grid, 0.5 * dt), sup_norm(stage)
 
 
 def reference_kernel(grid):
     """``reference_step`` on the lattice ``grid``, called as ``evolution._step``."""
     def kernel(spec, phase, dt, params, dft=None):
-        out, stage_sup = reference_step(Field(grid, np.fft.ifftn(spec)), dt, params)
-        return np.fft.fftn(out.values), stage_sup
+        out, stage_sup = reference_step(np.fft.ifftn(spec), grid, dt, params)
+        return np.fft.fftn(out), stage_sup
     return kernel
 
 
@@ -216,32 +220,32 @@ class TestStrangKernel:
     ])
     def test_matches_reference_composition(self, grid, data):
         params = ProblemParams(grid.n, 2.0, 1.0 + 0.5j)
-        u = ref = Field.from_function(grid, data)
+        u = ref = sample(grid, data)
         for _ in range(50):
-            u = strang_step(u, 0.01, params)
-            ref, _ = reference_step(ref, 0.01, params)
-            err = np.linalg.norm(u.values - ref.values) / np.linalg.norm(ref.values)
+            u = strang_step(u, grid, 0.01, params)
+            ref, _ = reference_step(ref, grid, 0.01, params)
+            err = np.linalg.norm(u - ref) / np.linalg.norm(ref)
             assert err <= 1e-12
 
     def test_carries_spectrum_and_leaves_input_alone(self):
         # strang_step is the kernel between two DFTs, and leaves its input alone
         g = GridSpec(1, 20.0, 256)
         params = ProblemParams(1, 2.0, 1j)
-        u = strang_step(Field.from_function(g, gaussian_packet), 0.05, params)
-        values = u.values.copy()
-        out = strang_step(u, 0.05, params)
-        strang_step(u, 0.025, params)
-        assert np.array_equal(u.values, values)
+        u = strang_step(sample(g, gaussian_packet), g, 0.05, params)
+        values = u.copy()
+        out = strang_step(u, g, 0.05, params)
+        strang_step(u, g, 0.025, params)
+        assert np.array_equal(u, values)
         spec, _ = evolution._step(np.fft.fftn(values), evolution._half_step_phase(g, 0.05),
                                   0.05, params)
-        assert np.array_equal(out.values, np.fft.ifftn(spec))
+        assert np.array_equal(out, np.fft.ifftn(spec))
 
     def test_kernel_leaves_its_spectrum_for_a_retry(self):
         # a rejected step is retried from the same spectrum: the kernel must
         # not write it, and the retry repeats the step bit for bit
         g = GridSpec(1, 20.0, 256)
         params = ProblemParams(1, 2.0, 1j)
-        spec = np.fft.fftn(Field.from_function(g, gaussian_packet).values)
+        spec = np.fft.fftn(sample(g, gaussian_packet))
         before = spec.copy()
         phase = evolution._half_step_phase(g, 0.05)
         out, stage_sup = evolution._step(spec, phase, 0.05, params)
@@ -253,22 +257,22 @@ class TestStrangKernel:
     def test_stage_sup_is_the_post_source_sup(self):
         g = GridSpec(1, 20.0, 512)
         params = ProblemParams(1, 2.0, 1.0 + 0.5j)
-        u = Field.from_function(g, lambda x: 1.2 * np.exp(-x * x) * np.exp(0.5j * x))
-        spec = np.fft.fftn(u.values)
+        u = sample(g, lambda x: 1.2 * np.exp(-x * x) * np.exp(0.5j * x))
+        spec = np.fft.fftn(u)
         for _ in range(3):
             spec, stage_sup = evolution._step(spec, evolution._half_step_phase(g, 0.05),
                                               0.05, params)
-            want = nonlinear_step(linear_propagator(u, 0.025), 0.05, params).sup_norm()
+            want = sup_norm(nonlinear_step(linear_propagator(u, g, 0.025), 0.05, params))
             # the kernel carries the spectrum where the reference takes a new DFT
             assert stage_sup == pytest.approx(want, rel=1e-12)
-            u = Field(g, np.fft.ifftn(spec))
+            u = np.fft.ifftn(spec)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_evolve_rejects_non_finite_trial(self, monkeypatch, bad):
         # the first attempt at dt = 0.02 comes back non-finite and must be
         # retried at 0.01, which then runs exactly like a dt = 0.01 run
         g = GridSpec(1, 20.0, 256)
-        u0 = Field.from_function(g, gaussian_packet)
+        u0 = sample(g, gaussian_packet)
         params = ProblemParams(1, 2.0, 1j)
         kernel, sizes = evolution._step, []
 
@@ -281,24 +285,24 @@ class TestStrangKernel:
             return out, stage_sup
 
         monkeypatch.setattr(evolution, "_step", first_call_bad)
-        rec = evolve(u0, params, 0.02, 0.05, 1.0)
+        rec = evolve(u0, g, params, 0.02, 0.05, 1.0)
         monkeypatch.setattr(evolution, "_step", kernel)
-        ref = evolve(u0, params, 0.01, 0.05, 1.0)
+        ref = evolve(u0, g, params, 0.01, 0.05, 1.0)
 
         assert sizes[:2] == [0.02, 0.01]
-        assert np.all(np.isfinite(rec.final.values))
+        assert np.all(np.isfinite(rec.final))
         assert not rec.blew_up and rec.t_num is None
         for name in ("times", "m_r", "sup_norm", "l2_norm"):
             assert np.array_equal(getattr(rec, name), getattr(ref, name))
-        assert np.array_equal(rec.final.values, ref.final.values)
+        assert np.array_equal(rec.final, ref.final)
 
     def test_evolve_with_rejection_matches_reference(self, monkeypatch):
         # GROWTH_CAP 1.1 rejects the first dt = 0.02 step; the halved steps
         # then reach t_max = 0.037 with a shorter last step
         monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
         g = GridSpec(1, 20.0, 512)
-        # not even, so that the full lattice is stepped (see TestEvenQuarter for the half)
-        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) * np.exp(0.5j * x))
+        # not even, so given and stepped on the full lattice (see TestEvenQuarter for the half)
+        u0 = sample(g, lambda x: 6.0 * np.exp(-x * x) * np.exp(0.5j * x))
         params = ProblemParams(1, 2.0, 1j)
         kernel, sizes = evolution._step, []
 
@@ -307,9 +311,9 @@ class TestStrangKernel:
             return kernel(spec, phase, dt, params, dft)
 
         monkeypatch.setattr(evolution, "_step", spy)
-        rec = evolve(u0, params, 0.02, 0.037, 1.0)
+        rec = evolve(u0, g, params, 0.02, 0.037, 1.0)
         monkeypatch.setattr(evolution, "_step", reference_kernel(g))
-        ref = evolve(u0, params, 0.02, 0.037, 1.0)
+        ref = evolve(u0, g, params, 0.02, 0.037, 1.0)
 
         assert len(sizes) > len(rec.times) - 1        # a step was rejected
         assert len(set(sizes)) >= 3                   # 0.02, 0.01 and the last step
@@ -324,8 +328,8 @@ class TestStrangKernel:
         # and the short last step needs a third phase
         monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
         g = GridSpec(1, 20.0, 512)
-        # not even, so that the full lattice is stepped (see TestEvenQuarter for the half)
-        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) * np.exp(0.5j * x))
+        # not even, so given and stepped on the full lattice (see TestEvenQuarter for the half)
+        u0 = sample(g, lambda x: 6.0 * np.exp(-x * x) * np.exp(0.5j * x))
         build, kernel, built, sizes = evolution._half_step_phase, evolution._step, [], []
 
         def build_spy(grid, dt):
@@ -339,17 +343,15 @@ class TestStrangKernel:
 
         monkeypatch.setattr(evolution, "_half_step_phase", build_spy)
         monkeypatch.setattr(evolution, "_step", step_spy)
-        evolve(u0, ProblemParams(1, 2.0, 1j), 0.02, 0.037, 1.0)
+        evolve(u0, g, ProblemParams(1, 2.0, 1j), 0.02, 0.037, 1.0)
         changes = [b for a, b in zip([None] + sizes, sizes) if a != b]
         assert len(changes) >= 3 and len(sizes) > len(changes)
         assert built == changes
 
 
-def full_lattice_run(u0, *args):
-    """``evolve`` with the even part turned off."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(evolution, "_is_even", lambda u: False)
-        return evolve(u0, *args)
+def full_lattice_run(u0, grid, *args):
+    """``evolve`` of the even part ``u0`` given on the whole lattice, which is then stepped."""
+    return evolve(unfold(u0), grid, *args)
 
 
 class TestEvenQuarter:
@@ -359,25 +361,25 @@ class TestEvenQuarter:
         # radial data takes no 2D transform of the full lattice; other data does
         g = GridSpec(2, 3.7, 200)  # dx = 0.037 is not exact in binary
         params = ProblemParams(2, 2.0, 1j)
-        radial = Field.from_radial(g, lambda r: np.exp(-r * r) * (1.0 + 0.5j))
-        packet = Field.from_function(g, lambda x, y: np.exp(-(x**2 + y**2)) * np.exp(0.5j * x))
+        radial = even_part(g, lambda r: np.exp(-r * r) * (1.0 + 0.5j))
+        packet = sample(g, lambda x, y: np.exp(-(x**2 + y**2)) * np.exp(0.5j * x))
         calls = count_ffts(monkeypatch)
-        rec = evolve(radial, params, 0.01, 0.05, 1.0)
+        rec = evolve(radial, g, params, 0.01, 0.05, 1.0)
         assert calls == [] and len(rec.times) == 6
-        evolve(packet, params, 0.01, 0.05, 1.0)
+        evolve(packet, g, params, 0.01, 0.05, 1.0)
         assert len(calls) == 2 + 2 * 5
 
     def test_radial_1d_data_steps_the_half(self, monkeypatch):
         # in 1D too: radial data takes no transform of the full lattice; a packet does
         g = GridSpec(1, 3.7, 200)
         params = ProblemParams(1, 2.0, 1j)
-        radial = Field.from_radial(g, lambda r: np.exp(-r * r) * (1.0 + 0.5j))
-        packet = Field.from_function(g, gaussian_packet)
+        radial = even_part(g, lambda r: np.exp(-r * r) * (1.0 + 0.5j))
+        packet = sample(g, gaussian_packet)
         calls = count_ffts(monkeypatch)
-        rec = evolve(radial, params, 0.01, 0.05, 1.0)
+        rec = evolve(radial, g, params, 0.01, 0.05, 1.0)
         assert calls == [] and len(rec.times) == 6
         assert rec.final_spectrum.shape == (g.N // 2 + 1,)
-        evolve(packet, params, 0.01, 0.05, 1.0)
+        evolve(packet, g, params, 0.01, 0.05, 1.0)
         assert len(calls) == 2 + 2 * 5
 
     @pytest.mark.parametrize("n, N", [pytest.param(2, N, id=str(N)) for N in (16, 48, 200, 384)]
@@ -403,20 +405,21 @@ class TestEvenQuarter:
         # the same blow-up time and the same readings
         g = GridSpec(2, 8.0, 64)
         params = ProblemParams(2, 2.0, 1j)
-        u = u0 = Field.from_radial(g, lambda r: 3.0 * np.exp(-r * r) + 0j)
-        rec = evolve(u0, params, 0.005, 1.0, 1.5)
+        u0 = even_part(g, lambda r: 3.0 * np.exp(-r * r) + 0j)
+        rec = evolve(u0, g, params, 0.005, 1.0, 1.5)
         t, t_num, dt = 0.0, None, 0.005
-        m0 = evolution.weighted_functional(u0, params.alpha, 1.5)
-        times, m_r, sups, l2s = [0.0], [m0], [u0.sup_norm()], [l2_norm(u0)]
+        u = unfold(u0)
+        m0 = lattice_functional(u, g, params.alpha, 1.5)
+        times, m_r, sups, l2s = [0.0], [m0], [sup_norm(u)], [l2_norm(g, u)]
         while t < 1.0:
-            stage = nonlinear_step(linear_propagator(u, 0.5 * dt), dt, params).sup_norm()
+            stage = sup_norm(nonlinear_step(linear_propagator(u, g, 0.5 * dt), dt, params))
             assert stage <= evolution.GROWTH_CAP * sups[-1]  # no halving
-            u = strang_step(u, dt, params)
+            u = strang_step(u, g, dt, params)
             t += dt
             times.append(t)
-            m_r.append(evolution.weighted_functional(u, params.alpha, 1.5))
+            m_r.append(lattice_functional(u, g, params.alpha, 1.5))
             sups.append(stage)
-            l2s.append(l2_norm(u))
+            l2s.append(l2_norm(g, u))
             if stage >= rec.threshold:
                 t_num = t
                 break
@@ -430,34 +433,34 @@ class TestEvenQuarter:
         monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
         g = GridSpec(2, 4.0, 48)
         params = ProblemParams(2, 2.0, 1j)
-        u0 = Field.from_radial(g, lambda r: 4.0 * np.exp(-r * r) * (1.0 + 0.2j))
-        rec = evolve(u0, params, 0.02, 0.1, 1.0)
-        ref = full_lattice_run(u0, params, 0.02, 0.1, 1.0)
+        u0 = even_part(g, lambda r: 4.0 * np.exp(-r * r) * (1.0 + 0.2j))
+        rec = evolve(u0, g, params, 0.02, 0.1, 1.0)
+        ref = full_lattice_run(u0, g, params, 0.02, 0.1, 1.0)
         assert np.array_equal(rec.times, ref.times) and len(rec.times) > 6
         assert rec.final_spectrum.shape == (g.N // 2 + 1,) * 2  # the quarter's, unfolded by final
-        scale = np.max(np.abs(ref.final.values))
-        assert np.max(np.abs(rec.final.values - ref.final.values)) <= 1e-13 * scale
+        scale = np.max(np.abs(ref.final))
+        assert np.max(np.abs(rec.final - ref.final)) <= 1e-13 * scale
 
     def test_final_state_matches_the_full_lattice_1d(self, monkeypatch):
         # a 1D run with two halvings: the half's final spectrum unfolds to the full one
         monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
         g = GridSpec(1, 8.0, 256)
         params = ProblemParams(1, 2.0, 1j)
-        u0 = Field.from_radial(g, lambda r: 4.0 * np.exp(-r * r) * (1.0 + 0.2j))
-        rec = evolve(u0, params, 0.02, 0.2, 1.0)
-        ref = full_lattice_run(u0, params, 0.02, 0.2, 1.0)
+        u0 = even_part(g, lambda r: 4.0 * np.exp(-r * r) * (1.0 + 0.2j))
+        rec = evolve(u0, g, params, 0.02, 0.2, 1.0)
+        ref = full_lattice_run(u0, g, params, 0.02, 0.2, 1.0)
         assert np.array_equal(rec.times, ref.times)
         assert np.unique(np.diff(rec.times).round(12)).size >= 3  # 0.02, 0.01, 0.005
         assert rec.final_spectrum.shape == (g.N // 2 + 1,)
-        scale = np.max(np.abs(ref.final.values))
-        assert np.max(np.abs(rec.final.values - ref.final.values)) <= 1e-13 * scale
+        scale = np.max(np.abs(ref.final))
+        assert np.max(np.abs(rec.final - ref.final)) <= 1e-13 * scale
 
     def test_evolve_with_rejection_on_the_half_matches_the_full_lattice(self, monkeypatch):
         # TestStrangKernel's rejection scenario on radial 1D data: the half
         # takes the full lattice's steps and reads its numbers
         monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
         g = GridSpec(1, 20.0, 512)
-        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
+        u0 = even_part(g, lambda r: 6.0 * np.exp(-r * r) + 0j)
         params = ProblemParams(1, 2.0, 1j)
         kernel, sizes = evolution._step, []
 
@@ -467,9 +470,9 @@ class TestEvenQuarter:
             return kernel(spec, phase, dt, params, dft)
 
         monkeypatch.setattr(evolution, "_step", spy)
-        rec = evolve(u0, params, 0.02, 0.037, 1.0)
+        rec = evolve(u0, g, params, 0.02, 0.037, 1.0)
         monkeypatch.setattr(evolution, "_step", kernel)
-        ref = full_lattice_run(u0, params, 0.02, 0.037, 1.0)
+        ref = full_lattice_run(u0, g, params, 0.02, 0.037, 1.0)
 
         assert len(sizes) > len(rec.times) - 1        # a step was rejected
         assert len(set(sizes)) >= 3                   # 0.02, 0.01 and the last step
@@ -483,7 +486,7 @@ class TestEvenQuarter:
         # the scenario above: each phase is the half's, built once per step size
         monkeypatch.setattr(evolution, "GROWTH_CAP", 1.1)
         g = GridSpec(1, 20.0, 512)
-        u0 = Field.from_function(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
+        u0 = even_part(g, lambda r: 6.0 * np.exp(-r * r) + 0j)
         half = evolution._EvenPart(g)
         build, kernel, built, sizes = evolution._half_step_phase, evolution._step, [], []
 
@@ -498,7 +501,7 @@ class TestEvenQuarter:
 
         monkeypatch.setattr(evolution, "_half_step_phase", build_spy)
         monkeypatch.setattr(evolution, "_step", step_spy)
-        evolve(u0, ProblemParams(1, 2.0, 1j), 0.02, 0.037, 1.0)
+        evolve(u0, g, ProblemParams(1, 2.0, 1j), 0.02, 0.037, 1.0)
         changes = [b for a, b in zip([None] + sizes, sizes) if a != b]
         assert len(changes) >= 3 and len(sizes) > len(changes)
         assert built == changes
@@ -514,59 +517,62 @@ class TestEvenQuarter:
         c = amp * complex(math.cos(angle), math.sin(angle))
         profile = (lambda r: c * np.exp(-(r / width) ** 2)) if gaussian else \
             (lambda r: c * bracket(r / width) ** -q)
-        u0 = Field.from_radial(g, profile)
-        rec = evolve(u0, params, 0.01, 0.05, width)
-        ref = full_lattice_run(u0, params, 0.01, 0.05, width)
+        u0 = even_part(g, profile)
+        rec = evolve(u0, g, params, 0.01, 0.05, width)
+        ref = full_lattice_run(u0, g, params, 0.01, 0.05, width)
         assert np.array_equal(rec.times, ref.times) and rec.t_num == ref.t_num
         for name in ("m_r", "sup_norm", "l2_norm"):
             np.testing.assert_allclose(getattr(rec, name), getattr(ref, name), rtol=1e-12)
-        scale = np.max(np.abs(ref.final.values))
-        assert np.max(np.abs(rec.final.values - ref.final.values)) <= 1e-13 * scale
+        scale = np.max(np.abs(ref.final))
+        assert np.max(np.abs(rec.final - ref.final)) <= 1e-13 * scale
 
 
 class TestScalingCheck:
     def test_identity_scale_exact_zero(self):
         g = GridSpec(1, 20.0, 512)
-        u0 = Field.from_function(g, lambda x: np.exp(-x * x))
-        d = scaling_check(u0, ProblemParams(1, 2.0, 1.0), 0.01, 0.32, 1.0)
+        u0 = sample(g, lambda x: np.exp(-x * x))
+        d = scaling_check(u0, g, ProblemParams(1, 2.0, 1.0), 0.01, 0.32, 1.0)
         assert d == 0.0
 
     def test_run_without_a_dilated_step_rejected(self):
         # t_max < dt * rho / 2 leaves no checkpoint to compare
         g = GridSpec(1, 20.0, 512)
-        u0 = Field.from_function(g, lambda x: np.exp(-x * x))
+        u0 = sample(g, lambda x: np.exp(-x * x))
         with pytest.raises(ValueError, match="no step of the dilated run"):
-            scaling_check(u0, ProblemParams(1, 2.0, 1.0 + 0.5j), dt=0.01, t_max=0.004, rho=2.0)
+            scaling_check(u0, g, ProblemParams(1, 2.0, 1.0 + 0.5j), dt=0.01, t_max=0.004,
+                          rho=2.0)
 
     def test_zero_data_rejected(self):
         # every discrepancy would be 0/0
-        u0 = zeros(GridSpec(1, 20.0, 512))
+        g = GridSpec(1, 20.0, 512)
         with pytest.raises(ValueError, match="initial sup norm"):
-            scaling_check(u0, ProblemParams(1, 2.0, 1.0 + 0.5j), 0.01, 0.32, 2.0)
+            scaling_check(zeros(g), g, ProblemParams(1, 2.0, 1.0 + 0.5j), 0.01, 0.32, 2.0)
 
     def test_overflow_raises(self):
         # focusing data overflows to NaN within the first checkpoint
-        u0 = Field.from_function(GridSpec(1, 40.0, 2048), lambda x: 6.0 * np.exp(-x * x) + 0j)
+        g = GridSpec(1, 40.0, 2048)
+        u0 = sample(g, lambda x: 6.0 * np.exp(-x * x) + 0j)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="checkpoint 1"):
-            scaling_check(u0, ProblemParams(1, 2.0, 1j), 0.01, 2.0, 2.0)
+            scaling_check(u0, g, ProblemParams(1, 2.0, 1j), 0.01, 2.0, 2.0)
 
     def test_matches_sample_space_reference_at_two_ffts_a_step(self, monkeypatch):
         # criterion 7's setup, against strang_step runs compared by their samples
         g = GridSpec(1, 20.0, 2048)
         params = ProblemParams(1, 2.0, 1.0 + 0.5j)
-        u0 = Field.from_function(g, lambda x: np.exp(-x * x))
+        u0 = sample(g, lambda x: np.exp(-x * x))
         amp, rho, dt = 2.0, 2.0, 0.01  # amp = rho^(1/(p-1))
-        v1, v2, want = u0, Field(GridSpec(1, 10.0, 2048), amp * u0.values), 0.0
+        g2 = GridSpec(1, 10.0, 2048)
+        v1, v2, want = u0, amp * u0, 0.0
         for _ in range(8):  # 32 dilated steps in 8 checkpoints of 4
             for _ in range(4):
-                v2 = strang_step(v2, dt, params)
+                v2 = strang_step(v2, g2, dt, params)
             for _ in range(8):
-                v1 = strang_step(v1, dt, params)
-            mapped = amp * v1.values
-            want = max(want, np.linalg.norm(v2.values - mapped) / np.linalg.norm(mapped))
+                v1 = strang_step(v1, g, dt, params)
+            mapped = amp * v1
+            want = max(want, np.linalg.norm(v2 - mapped) / np.linalg.norm(mapped))
 
         calls = count_ffts(monkeypatch)
-        d = scaling_check(u0, params, dt, 0.64, rho)
+        d = scaling_check(u0, g, params, dt, 0.64, rho)
         monkeypatch.undo()
         assert d == pytest.approx(want, rel=1e-9)
         assert len(calls) == 1 + 2 * 8 * (4 + 8)  # one DFT of u0, then 2 a step
@@ -574,9 +580,9 @@ class TestScalingCheck:
     def test_dilation_symmetry_and_order(self):
         g = GridSpec(1, 20.0, 2048)
         params = ProblemParams(1, 2.0, 1.0 + 0.5j)
-        u0 = Field.from_function(g, lambda x: np.exp(-x * x))
-        d = scaling_check(u0, params, 0.01, 0.64, 2.0)
-        d_half = scaling_check(u0, params, 0.005, 0.64, 2.0)
+        u0 = sample(g, lambda x: np.exp(-x * x))
+        d = scaling_check(u0, g, params, 0.01, 0.64, 2.0)
+        d_half = scaling_check(u0, g, params, 0.005, 0.64, 2.0)
         assert d <= 1e-3
         assert d / d_half == pytest.approx(4.0, rel=0.3)
 
@@ -587,9 +593,10 @@ def test_config_validation(name, bad):
     # a NaN dt would be halved forever inside evolve
     values = dict(dt=0.01, t_max=1.0)
     values[name] = bad
-    u0 = Field.from_function(GridSpec(1, 20.0, 256), gaussian_packet)
+    g = GridSpec(1, 20.0, 256)
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-        evolve(u0, ProblemParams(1, 2.0, 1j), weight_radius=1.0, **values)
+        evolve(sample(g, gaussian_packet), g, ProblemParams(1, 2.0, 1j), weight_radius=1.0,
+               **values)
 
 
 def test_params_validation():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fracblow.grid import Field, GridSpec
-from verification import boundary_max, l2_norm
+from fracblow.evolution import ProblemParams, evolve
+from fracblow.grid import GridSpec
+from verification import boundary_max, even_part, l2_norm, sample
 
 
 def test_gridspec_validation():
@@ -43,16 +44,19 @@ def test_lattice_symmetric_to_the_bit(L, N, dx_exact):
 
 
 def test_field_shape_and_norms():
+    # evolve takes the lattice or its even part, told apart by shape, and nothing else
     g = GridSpec(2, 5.0, 16)
-    with pytest.raises(ValueError):
-        Field(g, np.zeros((16,)))
-    f = Field.from_function(g, lambda x, y: np.exp(-(x**2 + y**2)))
-    assert f.values.shape == (16, 16)
+    params = ProblemParams(2, 2.0, 1j)
+    for shape in ((16,), (16, 9), (8, 8)):
+        with pytest.raises(ValueError, match="neither the lattice's"):
+            evolve(np.ones(shape, complex), g, params, 0.01, 0.01, 1.0)
+    f = sample(g, lambda x, y: np.exp(-(x**2 + y**2)))
+    assert f.shape == (16, 16) and even_part(g, np.exp).shape == (9, 9)
     # lattice l2 approximates the continuum integral sqrt(pi/2)
-    assert np.isclose(l2_norm(f), np.sqrt(np.pi / 2), rtol=1e-4)
+    assert np.isclose(l2_norm(g, f), np.sqrt(np.pi / 2), rtol=1e-4)
 
 
 def test_boundary_max():
     g = GridSpec(1, 8.0, 64)
-    f = Field.from_function(g, lambda x: np.exp(-x * x))
+    f = sample(g, lambda x: np.exp(-x * x))
     assert boundary_max(f) == pytest.approx(np.exp(-64.0), rel=1e-10)

@@ -8,8 +8,8 @@ import pytest
 
 from fracblow import blowup, sweep
 from fracblow.blowup import (InitialDataSpec, adapted_radius, compute_constants,
-                             lifespan_bound, make_initial_data, weighted_functional)
-from fracblow.evolution import ProblemParams
+                             lifespan_bound, make_initial_data)
+from fracblow.evolution import ProblemParams, weighted_functional
 from fracblow.grid import GridSpec
 from fracblow.sweep import (SweepPlan, fit_power_law, in_regime_amplitude, run_sweep,
                             write_sweep_outputs)
@@ -192,9 +192,9 @@ class TestRunSweep:
             built.append(make_initial_data(*args))
             return built[-1]
 
-        def measuring(data, alpha, R):
+        def measuring(data, grid, alpha, R):
             measured.append(data)
-            return weighted_functional(data, alpha, R)
+            return weighted_functional(data, grid, alpha, R)
 
         monkeypatch.setattr(sweep, "make_initial_data", building)
         monkeypatch.setattr(sweep, "weighted_functional", measuring)
@@ -202,6 +202,26 @@ class TestRunSweep:
                                      mu_values=(30.0, 60.0), grid=grid))
         assert all(r.blew_up for r in result.rows)
         assert len(built) == 2 and all(m is b for m, b in zip(measured, built))
+
+    @pytest.mark.parametrize("n, L, N, k, radii", [(1, 40.0, 8192, 0.25, (0.3, 2.0)),
+                                                   (2, 4.0, 128, 0.5, (0.45, 0.3, 2.0))])
+    def test_rows_take_no_lattice_wide_samples(self, monkeypatch, n, L, N, k, radii):
+        # radial data are built, judged and stepped on the even part: no row
+        # samples |x| at every lattice site, and the rows equal an unpatched run's
+        params = ProblemParams(n=n, p=2.0, lam=1j)
+        constants = compute_constants(params)
+        mu = sorted(in_regime_amplitude("inner-singular", k, constants, r) for r in radii)
+        plan = SweepPlan(params=params, kind="inner-singular", k=k, mu_values=tuple(mu),
+                         grid=GridSpec(n, L, N))
+        want = run_sweep(plan).rows
+
+        def no_lattice(self):
+            raise AssertionError("a row sampled the whole lattice")
+
+        monkeypatch.setattr(GridSpec, "radii", no_lattice)
+        rows = run_sweep(plan).rows
+        assert rows == want
+        assert [r.blew_up for r in rows] == [False] + [True] * (len(radii) - 1)
 
     def test_constants_follow_the_plan(self, inner_setup):
         # R* and the predicted exponent both follow plan.params.p = 1.5; the

@@ -5,21 +5,24 @@ u_t = i Op u - i lam |u|^p.  Each step is a Strang composition: half a
 linear step (exact Fourier multiplier exp(i t |xi|)), a full nonlinear
 step (explicit midpoint on the pointwise ODE), and another half linear
 step.  ``_step`` is the one stepping kernel: it maps a spectrum and its
-half-step phase to the next step's spectrum and the sup norm of its
-post-source stage.  ``evolve`` carries that (spectrum, sup) pair through
-its loop, so a run costs 2 FFTs a step, and reads each step without
-leaving the spectrum: ``M_R`` as a pairing with the weight's DFT, and the
-L2 norm by Parseval.  Radial data are even about index N/2, so they live
-on their even part alone, sites N/2, ..., N-1, 0 of each axis (a half in
-1D, a quarter in 2D; ``_EvenPart``): ``blowup.make_initial_data`` samples
-them there, ``weighted_functional`` sums them with each site's
-multiplicity, and ``evolve`` steps the even part's spectrum, a DCT-I by
-1D FFTs over even extensions (Martucci, IEEE Trans. Signal Process. 42,
-1994).  In 2D that halves the FFT work a step; in 1D the FFTs keep their
-N points and the pointwise work halves.  Each pass transforms contiguous
-rows in place, as strided columns take twice as long.  ``evolve`` tells
-the even part from the full lattice by the shape of its data; the full
-lattice serves data that are not even.
+two half-step factors to the next step's spectrum and the sup norm of its
+post-source stage; the factors carry the phase exp(i dt/2 |xi|) together
+with the constants the transforms would otherwise apply in passes of
+their own.  ``evolve`` carries that (spectrum, sup) pair through its loop,
+so a run costs 2 FFTs a step, and reads each step without leaving the
+spectrum: ``M_R`` as a pairing with the weight's DFT, and the L2 norm by
+Parseval.  Radial data are even about index N/2, so they live on their
+even part alone, sites N/2, ..., N-1, 0 of each axis (a half in 1D, a
+quarter in 2D; ``_EvenPart``): ``blowup.make_initial_data`` samples them
+there, ``weighted_functional`` sums them with each site's multiplicity,
+and ``evolve`` steps the even part's spectrum, a DCT-I by 1D FFTs over
+even extensions (Martucci, IEEE Trans. Signal Process. 42, 1994).  In 2D
+that halves the FFT work a step; in 1D the FFTs keep their N points and
+the pointwise work halves.  Each pass transforms the rows of one fresh
+even extension in place; in 2D the second extension keeps the transposed
+layout of its input, so that pass reads its rows strided.  ``evolve``
+tells the even part from the full lattice by the shape of its data; the
+full lattice serves data that are not even.
 Blow-up is detected from the sup norm, with step halving near the
 singularity; the last accepted time is the numerical blow-up time.
 """
@@ -144,27 +147,43 @@ def _midpoint_source(u: np.ndarray, dt: float, params: ProblemParams) -> np.ndar
     return u
 
 
-def _half_step_phase(grid: GridSpec, dt: float) -> np.ndarray:
-    """exp(i dt/2 |xi|), the multiplier of a linear half step (on a grid or an even part)."""
-    return np.exp(1j * (0.5 * dt) * grid.abs_freq())
+def _half_step_factors(absxi: np.ndarray, dt: float, size: int,
+                       scale: np.ndarray | float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(into, out_of): a linear half step's multiplier exp(i dt/2 |xi|) as ``_step`` applies it.
+
+    ``into`` multiplies the spectrum before the unnormalised inverse DFT and
+    also undoes the spectrum's ``scale`` and the inverse's 1/``size`` (N^n);
+    ``out_of`` multiplies the forward DFT and applies the ``scale``, so that a
+    step makes no other pass over its arrays for them.
+    """
+    phase = np.exp(1j * (0.5 * dt) * absxi)
+    return phase / (scale * size), phase * scale
 
 
-def _step(spec: np.ndarray, phase: np.ndarray, dt: float, params: ProblemParams,
-          dft=None) -> tuple[np.ndarray, float]:
+def _unscaled_idftn(spec: np.ndarray, into: np.ndarray) -> np.ndarray:
+    """The full lattice's inverse DFT of ``into * spec`` without its 1/N^n, in one fresh array."""
+    u = np.multiply(spec, into)
+    return np.fft.ifftn(u, norm="forward", out=u)
+
+
+def _step(spec: np.ndarray, factors: tuple[np.ndarray, np.ndarray], dt: float,
+          params: ProblemParams, transforms=None) -> tuple[np.ndarray, float]:
     """Linear half step, nonlinear full step, linear half step, on a spectrum.
 
     Returns the output's spectrum and the sup norm of the post-source
     stage, half a linear step before the output.  ``spec`` is not written,
-    so a rejected step is retried from it.  ``dft`` is the (forward,
-    inverse) transform pair, by default the full lattice's.
+    so a rejected step is retried from it.  ``factors`` are the half step's
+    (into, out_of) from ``_half_step_factors``; ``transforms`` is the
+    unscaled (forward, inverse) pair, ``inverse(spec, into)`` the inverse
+    DFT of ``into * spec`` without its 1/N^n, by default the full lattice's.
     """
-    forward, inverse = dft or (np.fft.fftn, np.fft.ifftn)
-    u = inverse(phase * spec)
+    into, out_of = factors
+    forward, inverse = transforms or (np.fft.fftn, _unscaled_idftn)
+    u = inverse(spec, into)
     _midpoint_source(u, dt, params)
     stage_sup = float(np.max(np.abs(u)))
-    spec = forward(u)
-    spec *= phase
-    return spec, stage_sup
+    # contiguous, since ``_spectral_readings`` views it as float pairs
+    return np.multiply(forward(u), out_of, order="C"), stage_sup
 
 
 class _EvenPart:
@@ -196,19 +215,36 @@ class _EvenPart:
     def abs_freq(self) -> np.ndarray:
         return _norm(self.grid.freq_axis()[:len(self.sites)], self.n)
 
-    def _even(self, a: np.ndarray, transform) -> np.ndarray:
-        # ``transform`` of the even extension on every axis: each pass transforms
-        # the rows of one fresh extension in place and hands on its leading
-        # columns transposed, so the last pass's view is the result
+    def _even(self, a: np.ndarray, transform, into=None, norm=None) -> np.ndarray:
+        # ``transform`` of the even extension on every axis, of ``into * a`` if
+        # given: each pass transforms the rows of one fresh extension in place
+        # and hands on its leading columns transposed, so the last pass's view
+        # is the result.  In 2D the second extension keeps the transposed
+        # layout of its input, so that pass reads its rows strided (writing it
+        # C-ordered after a strided copy measured slower)
         h = len(a) - 1
         for _ in range(self.n):
-            ext = np.concatenate((a, a[..., h - 1:0:-1]), axis=-1, dtype=np.complex128)
-            a = transform(ext, axis=-1, out=ext)[..., :h + 1].T
+            if into is None:
+                ext = np.concatenate((a, a[..., h - 1:0:-1]), axis=-1, dtype=np.complex128)
+            else:
+                ext = np.empty(a.shape[:-1] + (2 * h,), dtype=np.complex128)
+                np.multiply(a, into, out=ext[..., :h + 1])
+                ext[..., h + 1:] = ext[..., h - 1:0:-1]
+                into = None
+            a = transform(ext, axis=-1, norm=norm, out=ext)[..., :h + 1].T
         return a
+
+    def unscaled_dft(self, u: np.ndarray) -> np.ndarray:
+        """The part's DFT without its ``scale``, in any layout."""
+        return self._even(u, np.fft.fft)
+
+    def unscaled_idft(self, spec: np.ndarray, into: np.ndarray) -> np.ndarray:
+        """The inverse of ``dft`` at ``into * spec * scale``, without its 1/N^n."""
+        return self._even(spec, np.fft.ifft, into, "forward")
 
     def dft(self, u: np.ndarray) -> np.ndarray:
         # contiguous, since ``_spectral_readings`` views it as float pairs
-        return np.multiply(self._even(u, np.fft.fft), self.scale, order="C")
+        return np.multiply(self.unscaled_dft(u), self.scale, order="C")
 
     def idft(self, spec: np.ndarray) -> np.ndarray:
         return self._even(spec / self.scale, np.fft.ifft)
@@ -219,10 +255,12 @@ class _EvenPart:
         return (spec / np.abs(self.scale))[np.ix_(*(fold,) * self.n)]
 
 
-def spectral_tail_fraction(spectrum: np.ndarray, grid: GridSpec) -> float:
-    """Fraction of spectral l2 mass carried by modes with |xi| >= TAIL_BAND * max."""
+def spectral_tail_fraction(spectrum: np.ndarray, absxi: np.ndarray) -> float:
+    """Fraction of spectral l2 mass carried by modes with |xi| >= TAIL_BAND * max.
+
+    ``absxi`` is the spectrum's |xi|, ``abs_freq()`` of its grid or even part.
+    """
     spec = np.abs(spectrum) ** 2
-    absxi = grid.abs_freq()
     total = float(spec.sum())
     if total == 0.0:
         return 0.0
@@ -260,9 +298,9 @@ def _spectral_readings(spec: np.ndarray, grid: GridSpec, alpha: complex,
     return -(alpha * complex(re, im)).imag, math.sqrt(l2_sq)
 
 
-def _require_resolved(spec: np.ndarray, grid: GridSpec) -> None:
+def _require_resolved(spec: np.ndarray, absxi: np.ndarray) -> None:
     """Refuse data whose spectral tail exceeds ``TAIL_FRACTION_LIMIT``."""
-    tail = spectral_tail_fraction(spec, grid)
+    tail = spectral_tail_fraction(spec, absxi)
     if tail > TAIL_FRACTION_LIMIT:
         raise UnresolvedFieldError(
             f"grid too coarse: {tail:.2e} of the spectral mass sits in the top band "
@@ -305,21 +343,23 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
     _require_positive(dt=dt, t_max=t_max)
     even = _EvenPart(grid)
     if u0.shape == even.shape:
-        lattice, dft = even, (even.dft, even.idft)
+        lattice, dft, scale = even, even.dft, even.scale
+        transforms = (even.unscaled_dft, even.unscaled_idft)
     elif u0.shape == grid.shape:
-        lattice, dft = grid, (np.fft.fftn, np.fft.ifftn)
+        lattice, dft, scale, transforms = grid, np.fft.fftn, 1.0, None
     else:
         raise ValueError(f"initial data of shape {u0.shape} is neither the lattice's "
                          f"{grid.shape} nor its even part's {even.shape}")
     # one DFT of u0 serves the tail check, M_R(0) and step 1
-    spec = dft[0](u0)
-    _require_resolved(spec, lattice)
+    spec = dft(u0)
+    absxi = lattice.abs_freq()  # for the tail check and every step size's factors
+    _require_resolved(spec, absxi)
     sup0 = _initial_sup(u0)
     threshold = THRESHOLD_FACTOR * sup0
 
     # the weight is even on the lattice, so its DFT is real; a real copy
     # lets the complex transform go
-    w_hat = dft[0](_test_weight(lattice, weight_radius)).real.copy()
+    w_hat = dft(_test_weight(lattice, weight_radius)).real.copy()
     w_hat *= grid.cell_volume / grid.N ** grid.n
     t = 0.0
     dt_floor = dt / 2**MAX_HALVINGS
@@ -328,12 +368,13 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
     m0, l2_0 = _spectral_readings(spec, grid, params.alpha, w_hat)
     times, m_r, sups, l2s = [0.0], [m0], [sup0], [l2_0]
     sup = sup0
-    phase_dt = None  # dt_step changes only at a halving and at the short last step
+    factors_dt = None  # dt_step changes only at a halving and at the short last step
     while t < t_max:
         dt_step = min(dt, t_max - t)
-        if dt_step != phase_dt:
-            phase, phase_dt = _half_step_phase(lattice, dt_step), dt_step
-        trial, trial_sup = _step(spec, phase, dt_step, params, dft)
+        if dt_step != factors_dt:
+            factors = _half_step_factors(absxi, dt_step, grid.N ** grid.n, scale)
+            factors_dt = dt_step
+        trial, trial_sup = _step(spec, factors, dt_step, params, transforms)
         # a non-finite stage makes its sup NaN or infinite, failing this test too
         if not trial_sup <= GROWTH_CAP * max(sup, 1e-300):
             if dt * 0.5 < dt_floor:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from fracblow.blowup import BlowupConstants
-from fracblow.evolution import (ProblemParams, _EvenPart, _half_step_phase, _initial_sup,
+from fracblow.evolution import (ProblemParams, _EvenPart, _half_step_factors, _initial_sup,
                                 _midpoint_source, _require_positive, _require_resolved,
                                 _step, _test_weight)
 from fracblow.grid import GridSpec
@@ -88,9 +88,14 @@ def nonlinear_step(u: np.ndarray, dt: float, params: ProblemParams) -> np.ndarra
     return _midpoint_source(u.copy(), dt, params)
 
 
+def half_step_factors(grid: GridSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_step``'s two half-step factors on the full lattice of ``grid``."""
+    return _half_step_factors(grid.abs_freq(), dt, grid.N ** grid.n)
+
+
 def strang_step(u: np.ndarray, grid: GridSpec, dt: float, params: ProblemParams) -> np.ndarray:
     """One Strang step of lattice samples: ``_step`` between two DFTs."""
-    spec, _ = _step(np.fft.fftn(u), _half_step_phase(grid, dt), dt, params)
+    spec, _ = _step(np.fft.fftn(u), half_step_factors(grid, dt), dt, params)
     return np.fft.ifftn(spec)
 
 
@@ -114,10 +119,11 @@ def scaling_check(u0: np.ndarray, grid1: GridSpec, params: ProblemParams, dt: fl
     amp = rho ** (1.0 / (params.p - 1.0))
     grid2 = GridSpec(grid1.n, grid1.L / rho, grid1.N)
     spec1 = np.fft.fftn(u0)
-    _require_resolved(spec1, grid1)  # the dilated copy's DFT is amp * spec1: the same tail
+    # the dilated copy's DFT is amp * spec1: the same tail
+    _require_resolved(spec1, grid1.abs_freq())
     _initial_sup(u0)  # zero data would leave every discrepancy 0/0
     spec2 = amp * spec1  # rho^(1/(p-1)) u0(rho x) on the shrunk grid
-    phase1, phase2 = _half_step_phase(grid1, dt), _half_step_phase(grid2, dt)
+    factors1, factors2 = half_step_factors(grid1, dt), half_step_factors(grid2, dt)
 
     stride2 = max(1, steps2_total // SCALING_CHECKPOINTS)
     stride1 = rho * stride2
@@ -128,9 +134,9 @@ def scaling_check(u0: np.ndarray, grid1: GridSpec, params: ProblemParams, dt: fl
     worst = 0.0
     for k in range(1, steps2_total // stride2 + 1):
         for _ in range(stride2):
-            spec2, _ = _step(spec2, phase2, dt, params)
+            spec2, _ = _step(spec2, factors2, dt, params)
         for _ in range(stride1):
-            spec1, _ = _step(spec1, phase1, dt, params)
+            spec1, _ = _step(spec1, factors1, dt, params)
         mapped = amp * spec1  # rho^(1/(p-1)) u(rho t, rho x) on grid2 sites
         d = float(np.linalg.norm(spec2 - mapped) / np.linalg.norm(mapped))
         if not math.isfinite(d):

@@ -182,8 +182,13 @@ def _step(spec: np.ndarray, factors: tuple[np.ndarray, np.ndarray], dt: float,
     u = inverse(spec, into)
     _midpoint_source(u, dt, params)
     stage_sup = float(np.max(np.abs(u)))
-    # contiguous, since ``_spectral_readings`` views it as float pairs
-    return np.multiply(forward(u), out_of, order="C"), stage_sup
+    spec = forward(u)
+    if spec.flags.owndata and spec.flags.c_contiguous:  # the full lattice's fresh fftn
+        spec *= out_of
+        return spec, stage_sup
+    # a view into the even part's last extension: one contiguous product,
+    # since ``_spectral_readings`` views it as float pairs
+    return np.multiply(spec, out_of, order="C"), stage_sup
 
 
 class _EvenPart:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time one step of ``evolve`` in two fracblow source trees, paired round by round.
 
-    python3 tools/step_ab.py PARENT_SRC CHANGE_SRC [--rounds 400]
+    python3 tools/step_ab.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory holding the ``fracblow`` package (the ``src``
 of a checkout).  Both trees are imported into one process, under names of
@@ -10,8 +10,8 @@ one BLAS thread, as fracbench runs it.  On
 each sweep lattice of the benchmark (1D N = 16384, L = 256, p = 1.25 and
 2D N = 384, L = 4, p = 2) every round runs one ``evolve`` per tree over the
 same fixed run: radial data on the lattice's even part, 50 steps of a
-power-of-two dt that do not blow up.  The rounds alternate which tree runs
-first.  Prints, per lattice, each tree's median and quartiles in ms per
+power-of-two dt that do not blow up.  The 400 rounds alternate which tree
+runs first.  Prints, per lattice, each tree's median and quartiles in ms per
 step (the whole ``evolve`` call over its 50 steps), the ratio of the
 medians (change over parent) and the number of rounds in which the change
 was faster.  Exits 1 if a run does not take its 50 steps, or blows up.
@@ -35,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 STEPS = 50
+ROUNDS = 400
 #: (label, n, L, N, p, dt, amplitude): the sweep workloads' lattices and
 #: powers; dt is a power of two, so that 50 steps end at t_max exactly
 LATTICES = (
@@ -86,10 +87,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--rounds", type=int, default=400)
     args = ap.parse_args(argv)
-    if args.rounds < 2:
-        ap.error("--rounds must be at least 2")
     keep_freed_memory()
     trees = {"parent": load_tree(args.parent, "fracblow_parent"),
              "change": load_tree(args.change, "fracblow_change")}
@@ -107,7 +105,7 @@ def main(argv=None) -> int:
                       f"(blew up: {rec.blew_up}); expected {STEPS}", file=sys.stderr)
                 return 1
         ms = {side: [] for side in runs}
-        for k in range(args.rounds):
+        for k in range(ROUNDS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 start = time.perf_counter()
@@ -119,7 +117,7 @@ def main(argv=None) -> int:
             print(f"{label} {side}: median {median:.4f} ms/step "
                   f"(q1 {q1:.4f}, q3 {q3:.4f})")
         print(f"{label} ratio change/parent {stats['change'][0] / stats['parent'][0]:.3f}, "
-              f"change faster in {wins}/{args.rounds} rounds")
+              f"change faster in {wins}/{ROUNDS} rounds")
     return 0
 
 

@@ -251,9 +251,6 @@ class _EvenPart:
         # contiguous, since ``_spectral_readings`` views it as float pairs
         return np.multiply(self.unscaled_dft(u), self.scale, order="C")
 
-    def idft(self, spec: np.ndarray) -> np.ndarray:
-        return self._even(spec / self.scale, np.fft.ifft)
-
     def full_spectrum(self, spec: np.ndarray) -> np.ndarray:
         """The full lattice's DFT, in one (N,) * n array."""
         fold = np.r_[0:len(spec), len(spec) - 2:0:-1]

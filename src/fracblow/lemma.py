@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .profiles import RadialProfile, bracket, bracket_profile, gaussian_profile
-from .pv import TOL, Y_MAX, far_cutoff, frac_laplacian_pv
+from .pv import TOL, Y_MAX, frac_laplacian_pv
 from .reporting import write_csv, write_manifest
 
 __all__ = [
@@ -104,15 +104,13 @@ def _sample(n: int, profile: RadialProfile, radii: np.ndarray, decay: float,
     """Certified values of the profile's half-Laplacian at radii, and their errors.
 
     The tolerance is rescaled to the expected magnitude <r>^(-decay), and
-    the far cutoff starts at cutoff_factor * (1 + r) and doubles until the
-    profile's own tail bound certifies a third of that tolerance, so slowly
-    decaying profiles get the larger domains they need.  Everything else is
+    the far cutoff starts at cutoff_factor * (1 + r), from which the
+    sampler grows it as slowly decaying profiles need.  Everything else is
     the default rule.
     """
     radii = radii.tolist()
     tols = [max(TOL * float(bracket(r) ** -decay) * 50.0, 1e-13) for r in radii]
-    y_max = [far_cutoff(profile, r, n, max(Y_MAX, cutoff_factor * (1.0 + r)), tol / 3.0)
-             for r, tol in zip(radii, tols)]
+    y_max = [max(Y_MAX, cutoff_factor * (1.0 + r)) for r in radii]
     return frac_laplacian_pv(profile, n, radii, y_max, tols)
 
 

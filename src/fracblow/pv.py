@@ -23,13 +23,15 @@ carries a defensible error estimate.
 
 One function samples a profile, :func:`frac_laplacian_pv`: radii in,
 arrays of values and errors out.  The rule is fixed in code: besides the
-dimension and the radii, only the far cutoff ``y_max`` and the tolerance
-``tol`` are arguments, and only the lemma's sampler varies them.  A call
-prepares each radius (its shells, f(a) and far field) in a loop, then
-samples runs of consecutive radii in array passes, one per rule, of at
-most ``_BLOCK_NODES`` nodes: a pass evaluates the profile, the kernel (one
-AGM over the pass) and the integrand once, and each radius's sums are dot
-products over its own nodes.  So a radius's value and certificate do not
+dimension and the radii, only the first far cutoff tried, ``y_max``, and
+the tolerance ``tol`` are arguments, and only the lemma's sampler varies
+them.  The one far-cutoff rule lives here: each cutoff doubles until its
+far field takes at most a third of the radius's tolerance.  A call
+prepares each radius (its cutoff, far field, shells and f(a)) in a loop,
+then samples runs of consecutive radii in array passes, one per rule, of
+at most ``_BLOCK_NODES`` nodes: a pass evaluates the profile, the kernel
+(one AGM over the pass) and the integrand once, and each radius's sums
+are dot products over its own nodes.  So a radius's value and certificate do not
 depend on which other radii share its call, up to the one-ulp kernel
 exception that :func:`_ellipe` names; the block size bounds memory and
 per-pass overhead, not the result.
@@ -257,34 +259,24 @@ def _far_field(profile: RadialProfile, ax: float, n: int, y: float) -> tuple[flo
             4.0 * big * float(_ellipe((ax / big) ** 2, math.sqrt(den) / big)), den)
 
 
-def far_cutoff(profile: RadialProfile, x_norm: float, n: int, y: float, tol: float) -> float:
-    """y, doubled until the far field's share of the certified error at a
-    point of radius x_norm in n dimensions is within tol, or y reaches 1e9."""
-    b = normalization_constant(n).value
-    while y < 1e9:
-        tail_half, num, den = _far_field(profile, x_norm, n, y)
-        if not b * num * tail_half / den > tol:
-            break
-        y *= 2.0
-    return y
-
-
 def frac_laplacian_pv(profile: RadialProfile, n: int, radii, y_max=Y_MAX,
                       tol=TOL) -> tuple[np.ndarray, np.ndarray]:
     """Half-Laplacian of a radial profile in n dimensions at radii, via
     singular quadrature: its values and certified errors, in radius order.
 
     The kernel normalization is :func:`normalization_constant` of n.  The
-    far cutoff ``y_max`` and the tolerance ``tol`` are each one number or
-    one per radius; a cutoff y below 2r is raised to 2r.  ``OverflowError``
-    refuses a radius r past :data:`MAX_RADIUS` profile scales whose y_max
-    does not exceed r (the lemma's sampler sets y_max past r and judges such
-    samples by its own fit checks), and one where (2r + y)^2 overflows.  A
-    radius's error combines a node-refinement difference, the certified
-    bracket of the far field past its cutoff, and a cancellation roundoff
-    term; at the first radius whose error misses its tolerance a
-    :class:`QuadratureError` carries that radius's partial value and
-    residual.
+    first far cutoff tried, ``y_max``, and the tolerance ``tol`` are each
+    one number or one per radius.  ``OverflowError`` refuses a radius r
+    past :data:`MAX_RADIUS` profile scales whose y_max does not exceed r
+    (the lemma's sampler sets y_max past r and judges such samples by its
+    own fit checks).  A cutoff y below 2r is raised to 2r, and a radius
+    where (2r + y)^2 overflows is refused too; only then does y double
+    while it is below 1e9 and the far field past it takes more than a third
+    of the radius's tolerance.  A radius's error combines a node-refinement
+    difference, the certified bracket of the far field past its cutoff, and
+    a cancellation roundoff term; at the first radius whose error misses
+    its tolerance a :class:`QuadratureError` carries that radius's partial
+    value and residual.
     """
     b = normalization_constant(n).value
     r = np.asarray(radii, dtype=np.float64)
@@ -299,20 +291,26 @@ def frac_laplacian_pv(profile: RadialProfile, n: int, radii, y_max=Y_MAX,
 
     ax, tols = r.tolist(), tols.tolist()
     big = MAX_RADIUS * profile.scale
-    for x, y in zip(ax, y_maxs.tolist()):
+    ys, far = [], []
+    for x, y, tol_i in zip(ax, y_maxs.tolist(), tols):
         if x > big and not y > x:
             raise OverflowError(f"radius {x:g} too large: past {big:g}, rounding its nodes "
                                 f"near the core can outweigh its error (y_max = {y:g})")
-    # the shells refine the origin's core, seen at t = ax, and end past it
-    ys = [max(y, 2.0 * x) for x, y in zip(ax, y_maxs.tolist())]
-    for x, y in zip(ax, ys):  # the 2D kernel squares rho + ax, up to 2 ax + y
-        if not math.isfinite((2.0 * x + y) * (2.0 * x + y)):
+        # the shells refine the origin's core, seen at t = ax, and end past it
+        y = max(y, 2.0 * x)
+        if not math.isfinite((2.0 * x + y) * (2.0 * x + y)):  # the 2D kernel squares rho + ax
             raise OverflowError(f"radius {x:g} too large: (2r + y)^2 at its far cutoff "
                                 f"y = {y:g} exceeds {np.finfo(float).max:g}")
+        # double the cutoff until the far field takes at most a third of the tolerance
+        tail_half, num, den = _far_field(profile, x, n, y)
+        while y < 1e9 and b * num * tail_half / den > tol_i / 3.0:
+            y *= 2.0
+            tail_half, num, den = _far_field(profile, x, n, y)
+        ys.append(y)
+        far.append((tail_half, num, den))
     # the coarse and the fine rule share the breaks and f(ax)
     f_ax = np.array([float(profile(x)) for x in ax])
     breaks = [_radial_breaks(x, profile.scale, y) for x, y in zip(ax, ys)]
-    far = [_far_field(profile, x, n, y) for x, y in zip(ax, ys)]
     values, errors = np.empty_like(r), np.empty_like(r)
     for lo, hi in _blocks([tb.size - 1 for tb in breaks]):
         block = (profile, n, r[lo:hi], f_ax[lo:hi], breaks[lo:hi])
@@ -325,7 +323,7 @@ def frac_laplacian_pv(profile: RadialProfile, n: int, radii, y_max=Y_MAX,
             roundoff = np.finfo(float).eps * (16.0 * cmass + 4.0 * abs(f_i) * num / den)
             err = b * (3.0 * abs(fine - coarse) + tail_half * num / den + roundoff)
             if not err <= tols[i]:  # a NaN error is no certificate
-                raise QuadratureError(f"shell series not converged at y_max={ys[i]} "
+                raise QuadratureError(f"shell series not converged at far cutoff y={ys[i]} "
                                       f"for radius {ax[i]:.3g}", value, err)
             values[i], errors[i] = value, err
     return values, errors

@@ -2,6 +2,7 @@
 import csv
 import ctypes
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from fracblow import cli
+from fracblow import cli, pv
 from fracblow.cli import main
-from fracblow.lemma import verify_lemma
+from fracblow.lemma import lemma_csv_name, verify_lemma
 from fracblow.reporting import save_field
 from fracblow.grid import GridSpec
 from verification import load_field, sample
@@ -153,6 +154,55 @@ def test_frac_apply_past_the_default_cutoff(tmp_path):
         row, = csv.DictReader(fh)
     exact = (1.0 - 300.0**2) / (1.0 + 300.0**2) ** 2
     assert abs(float(row["pv_value"]) - exact) <= float(row["pv_error"])
+
+
+def frac_apply_rows(tmp_path, n, q, points=None):
+    """The rows of ``frac-apply`` of the weight <x>^(-q) in n dimensions, with no lattice."""
+    path = tmp_path / f"n{n}_q{q:g}.ini"
+    path.write_text(BASE.replace("n = 1", f"n = {n}").split("[grid]")[0]
+                    + f"[frac_apply]\nprofile = bracket\nq = {q:g}\n"
+                    + ("" if points is None else f"points = {', '.join(map(repr, points))}\n"))
+    out = tmp_path / f"out_n{n}_q{q:g}"
+    assert main(["frac-apply", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / "frac_apply.csv", newline="") as fh:
+        return [{k: float(v) for k, v in row.items() if v} for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("n, q", [(1, 0.5), (1, 1.0), (2, 1.0)])
+def test_frac_apply_slowly_decaying_weight_at_the_origin(tmp_path, n, q):
+    # the sampler grows the far cutoff of <x>^(-q), q <= n, until the far
+    # field meets the rule's tolerance.  At the origin the value is
+    # B_n omega_n int_0^inf (1 - <rho>^(-q)) rho^(-2) drho, with B_n omega_n
+    # = 2/pi in 1D and 1 in 2D, and the integral sqrt(pi) G((q+1)/2) / G(q/2)
+    origin = frac_apply_rows(tmp_path, n, q)[0]
+    exact = (2.0 / math.pi if n == 1 else 1.0) * math.sqrt(math.pi) \
+        * math.gamma(0.5 * (q + 1.0)) / math.gamma(0.5 * q)
+    assert origin["x"] == 0.0
+    assert abs(origin["pv_value"] - exact) <= origin["pv_error"]
+
+
+def test_frac_apply_2d_identity(tmp_path):
+    # (-Delta)^(1/2) <x>^(1-n) = (n - 1) <x>^(-n-1): <x>^(-3) for n = 2
+    for row in frac_apply_rows(tmp_path, 2, 1.0):
+        exact = (1.0 + row["x"] ** 2) ** -1.5
+        assert abs(row["pv_value"] - exact) <= row["pv_error"], row
+
+
+@pytest.mark.parametrize("n, q", [(1, 0.5), (1, 1.0), (2, 1.0)])
+def test_frac_apply_agrees_with_the_lemma_samples(tmp_path, n, q):
+    # one sampler with one far-cutoff rule: from the default cutoff and from
+    # the lemma's, with their own tolerances, at the lemma's radii
+    path = tmp_path / "lemma.ini"
+    path.write_text(f"[lemma]\ndims = {n}\nq_values = {q:g}\ngaussian = false\n")
+    out = tmp_path / "lemma"
+    assert main(["verify-lemma", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / lemma_csv_name(n, q), newline="") as fh:
+        lemma = [(float(r["r"]), float(r["g"]), float(r["certified_error"]))
+                 for r in csv.DictReader(fh)]
+    shared = lemma[::4]  # the origin, the midrange and the fit window
+    rows = frac_apply_rows(tmp_path, n, q, [r for r, _, _ in shared])
+    for (r, g, err), row in zip(shared, rows, strict=True):
+        assert abs(row["pv_value"] - g) <= row["pv_error"] + err, (r, row, g, err)
 
 
 def test_frac_apply_refuses_a_radius_past_max_radius(tmp_path, capsys):
@@ -580,9 +630,11 @@ def test_usage_error_exits_one(tmp_path):
     assert main(["no-such-command", "--config", "x", "--out", "y"]) == 1
 
 
-def test_numerical_failure_exits_two(tmp_path):
-    # <x>^(-1/2) decays too slowly: its far field beyond the fixed cutoff is
-    # bracketed to about 7.8e-5, and the rule's tolerance is 1e-6
+def test_numerical_failure_exits_two(tmp_path, monkeypatch):
+    # with its cutoff grown, the default rule meets its tolerance 1e-6 on
+    # every profile a config names; a one-node coarse rule differs from the
+    # fine rule by far more
+    monkeypatch.setattr(pv, "RADIAL_NODES", 1)
     cfg = write_config(tmp_path, """
 [frac_apply]
 profile = bracket

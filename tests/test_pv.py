@@ -170,10 +170,12 @@ class TestPointwiseEvaluator:
         values, errors = frac_laplacian_pv(bracket_profile(2.0), 1, r)
         assert np.all(np.abs(values - lorentzian_half_laplacian(r)) <= errors)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [1, 2])
     def test_overflowing_radius_refused(self, n):
         # (2r + y)^2 overflows past r ~ 3.35e153 with y >= 2r; a cutoff past
-        # the radius lets it through MAX_RADIUS to that check
+        # the radius lets it through MAX_RADIUS to that check.  Both refusals
+        # come before the radius's far field, which would overflow on the way
         with pytest.raises(OverflowError, match=r"radius 1e\+300 too large: \(2r \+ y\)\^2"):
             frac_laplacian_pv(bracket_profile(2.0), n, [1.0, 1e300], y_max=[256.0, 1e301])
         with pytest.raises(OverflowError, match=r"radius 1e\+300 too large: past 4\.1943e\+06"):
@@ -240,9 +242,9 @@ class TestGroupingInvariance:
         k = GROUPING_RADII.size - 4
         profile = bracket_profile(2.0)
         with pytest.raises(QuadratureError) as single:
-            frac_laplacian_pv(profile, n, GROUPING_RADII[k:k + 1], tol=1e-15)
+            frac_laplacian_pv(profile, n, GROUPING_RADII[k:k + 1], tol=1e-17)
         passes.clear()
-        tol = np.where(np.arange(GROUPING_RADII.size) < k, 1.0, 1e-15)
+        tol = np.where(np.arange(GROUPING_RADII.size) < k, 1.0, 1e-17)
         with pytest.raises(QuadratureError) as batch:
             frac_laplacian_pv(profile, n, GROUPING_RADII, tol=tol)
         assert GROUPING_RADII[k] not in passes[0]
@@ -255,6 +257,33 @@ class TestGroupingInvariance:
         # fine-rule nodes are 18 a shell: 4 + 6 shells fit, 12 is alone
         assert list(pv._blocks([4, 6, 1, 12, 3, 3])) == [(0, 2), (2, 3), (3, 4), (4, 6)]
         assert list(pv._blocks([])) == []
+
+
+class TestFarCutoffGrowth:
+    """A cutoff whose far field takes more than a third of the tolerance is
+    doubled inside the sampler, so a call from it is a call from the
+    cutoff it grows to."""
+
+    @pytest.mark.parametrize("n, q", [(1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0)])
+    def test_start_and_grown_cutoff_give_the_same_bits(self, n, q, monkeypatch):
+        tried = {}
+        far_field = pv._far_field
+
+        def spy(profile, ax, dim, y):
+            tried.setdefault(ax, []).append(y)
+            return far_field(profile, ax, dim, y)
+
+        monkeypatch.setattr(pv, "_far_field", spy)
+        profile, r = bracket_profile(q), [0.0, 1.0, 30.0]
+        values, errors = frac_laplacian_pv(profile, n, r, y_max=pv.Y_MAX, tol=1e-6)
+        grown = [tried[x][-1] for x in r]
+        for x, y in zip(r, grown):  # y_max * 2^k for some k >= 1
+            assert tried[x] == [pv.Y_MAX * 2.0 ** k for k in range(len(tried[x]))]
+            assert y > pv.Y_MAX
+        tried.clear()
+        again = frac_laplacian_pv(profile, n, r, y_max=grown, tol=1e-6)
+        assert np.array_equal(bits(again), bits((values, errors)))
+        assert tried == {x: [y] for x, y in zip(r, grown)}  # each far field met tol / 3 at once
 
 
 #: radii from the origin through the profile core to far out

@@ -34,6 +34,12 @@ def even_part(grid: GridSpec, profile) -> np.ndarray:
     return np.asarray(profile(_EvenPart(grid).radii()), dtype=np.complex128)
 
 
+def even_idft(part: _EvenPart, spec: np.ndarray) -> np.ndarray:
+    """The inverse of ``part.dft``, by the bit-exact transform of the part:
+    the reference against which the step's folded inverse is checked."""
+    return part._even(spec / part.scale, np.fft.ifft)
+
+
 def unfold(u: np.ndarray) -> np.ndarray:
     """The whole lattice's samples of data even about N/2, from their even part.
 

@@ -7,7 +7,8 @@
 checkout).  The script runs the jobs of ``tools/output_gate.py`` in this
 process, with ``SRC`` first on the import path: seed 0 of each benchmark
 workload, and every job that takes no seed (the README's config through
-all five commands, the two edge sweeps and the two halving runs).  It
+all five commands, the two edge sweeps, the two halving runs and the two
+slowly decaying ``frac-apply`` runs).  It
 traces every call into ``SRC/fracblow`` with ``sys.settrace`` and prints
 each function defined in the package that no job entered, one a line, as
 ``module:line name``, with ``name`` qualified by its class.  A last line

@@ -4,25 +4,33 @@ The evolution is i u_t + Op u = lam |u|^p with Op the half-Laplacian, so
 u_t = i Op u - i lam |u|^p.  Each step is a Strang composition: half a
 linear step (exact Fourier multiplier exp(i t |xi|)), a full nonlinear
 step (explicit midpoint on the pointwise ODE), and another half linear
-step.  ``_step`` is the one stepping kernel: it maps a spectrum and its
-two half-step factors to the next step's spectrum and the sup norm of its
-post-source stage; the factors carry the phase exp(i dt/2 |xi|) together
-with the constants the transforms would otherwise apply in passes of
-their own.  ``evolve`` carries that (spectrum, sup) pair through its loop,
-so a run costs 2 FFTs a step, and reads each step without leaving the
-spectrum: ``M_R`` as a pairing with the weight's DFT, and the L2 norm by
-Parseval.  Radial data are even about index N/2, so they live on their
+step.  The source's increment -i lam |u|^p dt always points along
+turn = -i lam/|lam|, so the stepper carries the state turned by
+conj(turn), in which the source moves only the real part.  ``_step`` is
+the one stepping kernel: it maps such a spectrum and its two half-step
+factors to the next step's spectrum and the sup norm of its post-source
+stage; the factors carry the phase exp(i dt/2 |xi|) together with the
+constants the transforms would otherwise apply in passes of their own.
+``evolve`` turns the data's spectrum once and carries the (spectrum, sup)
+pair through its loop, so a run costs one inverse and one forward
+transform a step, and reads each step without leaving the spectrum:
+``M_R`` as a pairing with the weight's DFT, and the L2 norm by Parseval.
+Radial data are even about index N/2, so they live on their
 even part alone, sites N/2, ..., N-1, 0 of each axis (a half in 1D, a
 quarter in 2D; ``_EvenPart``): ``blowup.make_initial_data`` samples them
 there, ``weighted_functional`` sums them with each site's multiplicity,
 and ``evolve`` steps the even part's spectrum, a DCT-I by 1D FFTs over
 even extensions (Martucci, IEEE Trans. Signal Process. 42, 1994).  In 2D
 that halves the FFT work a step; in 1D the FFTs keep their N points and
-the pointwise work halves.  Each pass transforms the rows of one fresh
-even extension in place; in 2D the second extension keeps the transposed
-layout of its input, so that pass reads its rows strided.  ``evolve``
+the pointwise work halves.  Each pass of the inverse transforms the rows
+of one fresh even extension in place; in 2D the second extension keeps
+the transposed layout of its input, so that pass reads its rows strided.
+The DCT-I is its own inverse up to N^n, so a step's forward transforms
+only the real part, by real inverse FFTs of the N/2+1 sites, and carries
+the imaginary part's spectrum over from the inverse's input.  ``evolve``
 tells the even part from the full lattice by the shape of its data; the
-full lattice serves data that are not even.
+full lattice serves data that are not even, and takes the complex DFT
+of its whole stage.
 Blow-up is detected from the sup norm, with step halving near the
 singularity; the last accepted time is the numerical blow-up time.
 """
@@ -59,6 +67,8 @@ MAX_HALVINGS = 10
 THRESHOLD_FACTOR = 25.0
 #: modes with |xi| at or above this share of the largest |xi| form the top band
 TAIL_BAND = 0.85
+#: log of the largest float: a power of |u| whose log reaches it overflows
+_LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -134,17 +144,34 @@ class UnresolvedFieldError(RuntimeError):
     """The initial data puts too much spectral mass near the grid Nyquist."""
 
 
-def _midpoint_source(u: np.ndarray, dt: float, params: ProblemParams) -> np.ndarray:
-    """Explicit midpoint for i u_t = lam |u|^p over dt, overwriting u."""
-    mag = np.abs(u)
-    mag **= params.p
-    mid = np.multiply(0.5j * dt * params.lam, mag)
-    np.subtract(u, mid, out=mid)
-    np.abs(mid, out=mag)
-    mag **= params.p
-    np.multiply(1j * dt * params.lam, mag, out=mid)
-    u -= mid
-    return u
+def _midpoint_source(u: np.ndarray, dt: float, params: ProblemParams) -> float:
+    """Explicit midpoint for the source over dt on the turned state, overwriting ``u.real``.
+
+    In the stepper's frame, the state turned by conj(``_turn(lam)``), the
+    source i u_t = lam |u|^p becomes x_t = |lam| (x^2 + y^2)^(p/2) for
+    u = x + iy: it moves only the real part, and ``u.imag`` is not written.
+    Returns the sup norm of the updated stage.
+    """
+    x, half_p, c = u.real, 0.5 * params.p, dt * abs(params.lam)
+    y2 = np.square(u.imag)
+    s = np.square(x)
+    s += y2
+    s **= half_p
+    s *= 0.5 * c
+    s += x  # the midpoint's real part
+    np.square(s, out=s)
+    s += y2
+    s **= half_p
+    s *= c
+    x += s
+    np.square(x, out=s)
+    s += y2
+    return math.sqrt(float(s.max()))
+
+
+def _turn(lam: complex) -> complex:
+    """-i lam/|lam| (1 for lam = 0): the direction of the source's increment -i lam |u|^p dt."""
+    return -1j * lam / abs(lam) if lam != 0 else 1.0
 
 
 def _half_step_factors(absxi: np.ndarray, dt: float, size: int,
@@ -166,29 +193,39 @@ def _unscaled_idftn(spec: np.ndarray, into: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(u, norm="forward", out=u)
 
 
+def _dftn(u: np.ndarray, spec: np.ndarray, into: np.ndarray) -> np.ndarray:
+    """The full lattice's step forward: its DFT of the whole stage ``u``.
+
+    Its inverse DFT is not real on real data, so no part of the stage's
+    transform is carried over from ``into * spec``.
+    """
+    return np.fft.fftn(u)
+
+
 def _step(spec: np.ndarray, factors: tuple[np.ndarray, np.ndarray], dt: float,
           params: ProblemParams, transforms=None) -> tuple[np.ndarray, float]:
-    """Linear half step, nonlinear full step, linear half step, on a spectrum.
+    """Linear half step, nonlinear full step, linear half step, on a turned spectrum.
 
-    Returns the output's spectrum and the sup norm of the post-source
-    stage, half a linear step before the output.  ``spec`` is not written,
-    so a rejected step is retried from it.  ``factors`` are the half step's
-    (into, out_of) from ``_half_step_factors``; ``transforms`` is the
-    unscaled (forward, inverse) pair, ``inverse(spec, into)`` the inverse
-    DFT of ``into * spec`` without its 1/N^n, by default the full lattice's.
+    ``spec`` is the DFT of the state turned by conj(``_turn(lam)``), in
+    which ``_midpoint_source`` moves only the real part.  Returns the
+    output's spectrum, in one fresh C-contiguous array, and the sup norm
+    of the post-source stage, half a linear step before the output.
+    ``spec`` is not written, so a rejected step is retried from it.
+    ``factors`` are the half step's (into, out_of) from
+    ``_half_step_factors``; ``transforms`` is the unscaled (forward,
+    inverse) pair, by default the full lattice's: ``inverse(spec, into)``
+    is the inverse DFT of ``into * spec`` without its 1/N^n, and
+    ``forward(u, spec, into)`` the DFT of the stage ``u`` that the source
+    made of it, which may carry the transform of the imaginary part over
+    from ``into * spec``.
     """
     into, out_of = factors
-    forward, inverse = transforms or (np.fft.fftn, _unscaled_idftn)
+    forward, inverse = transforms or (_dftn, _unscaled_idftn)
     u = inverse(spec, into)
-    _midpoint_source(u, dt, params)
-    stage_sup = float(np.max(np.abs(u)))
-    spec = forward(u)
-    if spec.flags.owndata and spec.flags.c_contiguous:  # the full lattice's fresh fftn
-        spec *= out_of
-        return spec, stage_sup
-    # a view into the even part's last extension: one contiguous product,
-    # since ``_spectral_readings`` views it as float pairs
-    return np.multiply(spec, out_of, order="C"), stage_sup
+    stage_sup = _midpoint_source(u, dt, params)
+    out = forward(u, spec, into)
+    out *= out_of
+    return out, stage_sup
 
 
 class _EvenPart:
@@ -239,9 +276,33 @@ class _EvenPart:
             a = transform(ext, axis=-1, norm=norm, out=ext)[..., :h + 1].T
         return a
 
-    def unscaled_dft(self, u: np.ndarray) -> np.ndarray:
-        """The part's DFT without its ``scale``, in any layout."""
-        return self._even(u, np.fft.fft)
+    def unscaled_dft(self, u: np.ndarray, spec: np.ndarray | None = None,
+                     into: np.ndarray | None = None) -> np.ndarray:
+        """The part's DFT without its ``scale``: in any layout, or as a step's forward.
+
+        Given a step's ``spec`` and ``into``, ``u`` is the stage that
+        ``unscaled_idft(spec, into)`` returned and the source then moved in
+        its real part only.  The DFT of even data is its own inverse DFT, a
+        DCT-I E with E(E(a)) = N^n a, so the imaginary part's transform is
+        N^n Im(into * spec) and only the real part is transformed: the
+        result is fresh and C-contiguous.
+        """
+        if spec is None:
+            return self._even(u, np.fft.fft)
+        re = self._real_dct(u.real)  # first, so that its temporaries are gone
+        out = np.multiply(spec, into)
+        out.imag *= self.grid.N ** self.n
+        out.real = re
+        return out
+
+    def _real_dct(self, x: np.ndarray) -> np.ndarray:
+        # E of real data, axis by axis: the inverse real FFT of the N/2+1
+        # sites as a half spectrum, so no even extension is built; each pass
+        # hands on its leading columns transposed, as ``_even`` does
+        h = len(x) - 1
+        for _ in range(self.n):
+            x = np.fft.irfft(x, n=2 * h, axis=-1, norm="forward")[..., :h + 1].T
+        return x
 
     def unscaled_idft(self, spec: np.ndarray, into: np.ndarray) -> np.ndarray:
         """The inverse of ``dft`` at ``into * spec * scale``, without its 1/N^n."""
@@ -329,7 +390,10 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
     """March the split-step scheme from step size dt, recording M_R(t) at R = weight_radius.
 
     Halts at t_max, or flags blow-up once the sup norm reaches
-    ``THRESHOLD_FACTOR * sup|u0|``.  A step's sup norm is that of its
+    ``THRESHOLD_FACTOR * sup|u0|``; data whose squares or p-th powers
+    would overflow below ``GROWTH_CAP`` times that raise ``OverflowError``.  The run
+    steps the state turned by conj(turn) (see ``_turn``) and reads and
+    returns the state itself.  A step's sup norm is that of its
     post-source stage, half a linear step before the step's end; M_R and
     the L2 norm are read from the step's spectrum.  Violent steps
     (non-finite values or sup growth beyond ``GROWTH_CAP``) are retried with
@@ -358,6 +422,11 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
     _require_resolved(spec, absxi)
     sup0 = _initial_sup(u0)
     threshold = THRESHOLD_FACTOR * sup0
+    # the source squares |u| and raises it to p; a stage that a step may
+    # accept stays below GROWTH_CAP * threshold, so both must be finite there
+    if not max(params.p, 2.0) * math.log(GROWTH_CAP * threshold) < _LOG_MAX:
+        raise OverflowError(f"initial sup norm {sup0:g} too large: the source's powers of "
+                            f"|u| overflow below {GROWTH_CAP:g} times the blow-up threshold")
 
     # the weight is even on the lattice, so its DFT is real; a real copy
     # lets the complex transform go
@@ -367,7 +436,12 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
     dt_floor = dt / 2**MAX_HALVINGS
     t_num = None
 
-    m0, l2_0 = _spectral_readings(spec, grid, params.alpha, w_hat)
+    # step the state turned by conj(turn), in which the source moves only
+    # the real part; M_R pairs the turned state with alpha * turn
+    turn = _turn(params.lam)
+    spec *= turn.conjugate()
+    alpha = params.alpha * turn
+    m0, l2_0 = _spectral_readings(spec, grid, alpha, w_hat)
     times, m_r, sups, l2s = [0.0], [m0], [sup0], [l2_0]
     sup = sup0
     factors_dt = None  # dt_step changes only at a halving and at the short last step
@@ -386,7 +460,7 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
             continue
         spec, sup = trial, trial_sup
         t += dt_step
-        m, l2 = _spectral_readings(spec, grid, params.alpha, w_hat)
+        m, l2 = _spectral_readings(spec, grid, alpha, w_hat)
         times.append(t)
         m_r.append(m)
         sups.append(sup)
@@ -397,5 +471,5 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
 
     return TrajectoryRecord(times=np.array(times), m_r=np.array(m_r),
                             sup_norm=np.array(sups), l2_norm=np.array(l2s),
-                            t_num=t_num, grid=grid, final_spectrum=spec)
+                            t_num=t_num, grid=grid, final_spectrum=turn * spec)
 

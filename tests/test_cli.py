@@ -129,6 +129,17 @@ def test_non_finite_points_exit_one_on_read(tmp_path, capsys, command, points):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes on the way
+def test_overflowing_initial_sup_exits_two(tmp_path, capsys):
+    # the source squares |u|: data whose blow-up threshold squares past the
+    # largest float are refused before a step, rather than halved to a t_num
+    cfg = write_config(tmp_path, "[evolve]\nmu = 1e154\nr = 1\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert "numerical failure: initial sup norm" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes on the way
 @pytest.mark.parametrize("command, text", [
     pytest.param("frac-apply", "[frac_apply]\npoints = 0, 1e300\n", id="frac_apply-2d-1e300"),
     pytest.param("verify-lemma", "[lemma]\ndims = 2\nq_values = 3\ngaussian = false\n"

@@ -374,11 +374,11 @@ class TestStrangKernel:
         assert built == changes
 
 
-def unfolded_step(part, spec, dt, params):
+def unfolded_step(part, spec, dt, params, source=nonlinear_step):
     """``_step`` on the even part with each constant its own pass:
     ``dft(source(even_idft(phase * spec))) * phase``, by the part's bit-exact transforms."""
     phase = np.exp(1j * (0.5 * dt) * part.abs_freq())
-    stage = nonlinear_step(even_idft(part, phase * spec), dt, params)
+    stage = source(even_idft(part, phase * spec), dt, params)
     return part.dft(stage) * phase, sup_norm(stage)
 
 
@@ -610,6 +610,101 @@ class TestEvenQuarter:
             np.testing.assert_allclose(getattr(rec, name), getattr(ref, name), rtol=1e-12)
         scale = np.max(np.abs(ref.final))
         assert np.max(np.abs(rec.final - ref.final)) <= 1e-13 * scale
+
+
+def complex_source(u, dt, params):
+    """Explicit midpoint for i u_t = lam |u|^p on the unturned state, in complex arithmetic."""
+    def rate(v):
+        return -1j * params.lam * np.abs(v) ** params.p
+    return u + dt * rate(u + 0.5 * dt * rate(u))
+
+
+#: coefficients whose turn -i lam/|lam| is 1, -1, i, and off the axes; STEP_GAP
+#: bounds a turned step against the unturned one from the same state: over
+#: 20 steps at amplitude 2 the gaps measured at most 7.6e-16 on the spectra
+#: (2D N = 48) and 4.4e-16 on the stage sups
+LAMBDAS = [1j, -2j, 1.0 + 0.5j, -1.0, 0.3 - 0.7j]
+
+
+class TestTurnedFrame:
+    """The stepper's frame: the state turned by conj(turn), with turn = -i lam/|lam|."""
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    @pytest.mark.parametrize("n, L, N", [(1, 20.0, 512), (2, 4.0, 48)])
+    def test_turned_kernel_matches_the_unturned_step(self, n, L, N, lam):
+        g = GridSpec(n, L, N)
+        part = evolution._EvenPart(g)
+        params = ProblemParams(n, 2.0, lam)
+        turn = evolution._turn(lam)
+        u0 = even_part(g, lambda r: 2.0 * np.exp(-r * r) * np.exp(0.5j * r))
+        turned = part.dft(u0) * turn.conjugate()
+        factors = evolution._half_step_factors(part.abs_freq(), 0.01, N ** n, part.scale)
+        for _ in range(20):
+            want, want_sup = unfolded_step(part, turn * turned, 0.01, params, complex_source)
+            turned, got_sup = evolution._step(turned, factors, 0.01, params,
+                                              (part.unscaled_dft, part.unscaled_idft))
+            assert np.max(np.abs(turn * turned - want)) <= STEP_GAP * np.max(np.abs(want))
+            assert got_sup == pytest.approx(want_sup, rel=STEP_GAP)
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_turned_full_lattice_kernel_matches_the_unturned_step(self, lam):
+        g = GridSpec(1, 20.0, 512)
+        params = ProblemParams(1, 2.0, lam)
+        turn = evolution._turn(lam)
+        phase = np.exp(1j * 0.005 * g.abs_freq())
+        spec = np.fft.fftn(sample(g, lambda x: 2.0 * np.exp(-x * x) * np.exp(0.5j * x)))
+        for _ in range(20):
+            stage = complex_source(np.fft.ifftn(phase * spec), 0.01, params)
+            want = np.fft.fftn(stage) * phase
+            got, got_sup = evolution._step(spec * turn.conjugate(), half_step_factors(g, 0.01),
+                                           0.01, params)
+            assert np.max(np.abs(turn * got - want)) <= STEP_GAP * np.max(np.abs(want))
+            assert got_sup == pytest.approx(sup_norm(stage), rel=STEP_GAP)
+            spec = want
+
+    @pytest.mark.parametrize("lam", LAMBDAS + [0.0])
+    def test_source_leaves_the_imaginary_part_alone(self, lam):
+        rng = np.random.default_rng(7)
+        u = (rng.standard_normal(100) + 1j * rng.standard_normal(100)) \
+            * evolution._turn(lam).conjugate()
+        im = u.imag.copy()
+        stage_sup = evolution._midpoint_source(u, 0.05, ProblemParams(1, 2.0, lam))
+        assert np.array_equal(u.imag, im)
+        assert stage_sup == pytest.approx(sup_norm(u), rel=1e-15)
+
+    @pytest.mark.parametrize("lam", [-2j, 0.3 - 0.7j])
+    def test_evolve_reads_the_unturned_state(self, lam):
+        # a sample-space loop with the complex midpoint: the same readings,
+        # and final_spectrum is the unturned state's
+        g = GridSpec(1, 20.0, 512)
+        params = ProblemParams(1, 2.0, lam)
+        u0 = even_part(g, lambda r: 2.0 * np.exp(-r * r) * np.exp(0.5j * r))
+        dt = 2.0 ** -7  # ten steps end at t_max exactly
+        rec = evolve(u0, g, params, dt, 10 * dt, 1.5)
+        u = unfold(u0)
+        m_r, sups, l2s = [lattice_functional(u, g, params.alpha, 1.5)], [sup_norm(u)], \
+            [l2_norm(g, u)]
+        for _ in range(10):
+            stage = complex_source(linear_propagator(u, g, 0.5 * dt), dt, params)
+            u = linear_propagator(stage, g, 0.5 * dt)
+            m_r.append(lattice_functional(u, g, params.alpha, 1.5))
+            sups.append(sup_norm(stage))
+            l2s.append(l2_norm(g, u))
+        assert len(rec.times) == 11 and not rec.blew_up
+        np.testing.assert_allclose(rec.m_r, m_r, rtol=1e-12)
+        np.testing.assert_allclose(rec.sup_norm, sups, rtol=1e-12)
+        np.testing.assert_allclose(rec.l2_norm, l2s, rtol=1e-12)
+        assert np.max(np.abs(rec.final - u)) <= 1e-13 * np.max(np.abs(u))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes on the way
+    @pytest.mark.parametrize("amplitude", [1e154, 2e152])
+    def test_overflowing_squares_refused(self, amplitude):
+        # the source squares |u|: (25 sup)^2 overflows at 1e154, and at 2e152
+        # so does (4 * 25 sup)^2, the most a stage that a step accepts reaches
+        g = GridSpec(1, 20.0, 512)
+        u0 = even_part(g, lambda r: amplitude * np.exp(-r * r) + 0j)
+        with pytest.raises(OverflowError, match="initial sup norm .* too large"):
+            evolve(u0, g, ProblemParams(1, 1.25, 1j), 0.01, 0.1, 1.0)
 
 
 class TestScalingCheck:

@@ -86,12 +86,17 @@ def linear_propagator(u: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
 
 
 def nonlinear_step(u: np.ndarray, dt: float, params: ProblemParams) -> np.ndarray:
-    """Pointwise source ODE i u_t = lam |u|^p over dt, explicit midpoint.
+    """Pointwise source ODE over dt, explicit midpoint, in the stepper's frame.
 
-    |u|^p is the continuous extension with 0 at u = 0 (p > 1 keeps the
-    source differentiable there), so the update is second order.
+    That frame turns the state by conj(-i lam/|lam|), so the ODE i u_t =
+    lam |u|^p reads u_t = |lam| |u|^p there; for lam = i, and for lam = 0,
+    it is the ODE itself.  |u|^p is the continuous extension with 0 at
+    u = 0 (p > 1 keeps the source differentiable there), so the update is
+    second order.
     """
-    return _midpoint_source(u.copy(), dt, params)
+    u = u.copy()
+    _midpoint_source(u, dt, params)
+    return u
 
 
 def half_step_factors(grid: GridSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +105,7 @@ def half_step_factors(grid: GridSpec, dt: float) -> tuple[np.ndarray, np.ndarray
 
 
 def strang_step(u: np.ndarray, grid: GridSpec, dt: float, params: ProblemParams) -> np.ndarray:
-    """One Strang step of lattice samples: ``_step`` between two DFTs."""
+    """One Strang step of lattice samples in the stepper's frame: ``_step`` between two DFTs."""
     spec, _ = _step(np.fft.fftn(u), half_step_factors(grid, dt), dt, params)
     return np.fft.ifftn(spec)
 
@@ -113,9 +118,10 @@ def scaling_check(u0: np.ndarray, grid1: GridSpec, params: ProblemParams, dt: fl
     (L/rho, N).  Both runs use the same dt (matched steps per unit time
     would be exactly equivariant and test nothing), so the discrepancy
     measures the integrator error and shrinks at second order.  Both runs
-    carry spectra through ``_step``; the grids share N, so by Parseval the
-    spectra's relative l2 discrepancy is the samples'.  A non-finite one
-    raises ``FloatingPointError``.
+    carry spectra through ``_step``, in the stepper's frame (see
+    ``nonlinear_step``); the grids share N, so by Parseval the spectra's
+    relative l2 discrepancy is the samples'.  A non-finite one raises
+    ``FloatingPointError``.
     """
     _require_positive(dt=dt, t_max=t_max, rho=rho)
     steps2_total = int(round(t_max / dt / rho))

@@ -10,7 +10,8 @@ temporary directory: the three benchmark workloads of
 through all five commands, one sweep per family whose amplitudes
 straddle the loose regime edge, so that rows skipped at the edge and
 their notes are compared too, a 1D and a 2D ``evolve`` that halve
-their step four and three times before they blow up, and ``frac-apply``
+their step four and three times before they blow up, the same two at
+lambda = 0.6+0.8i, whose stepper turns its state, and ``frac-apply``
 of the slowly decaying weights <x>^(-1/2) in 1D and <x>^(-1) in 2D, whose
 far cutoffs grow past the default one.  Every CSV, JSON and
 NPY file a job writes is compared byte for byte, and so is its exit code.  Prints one line per job,
@@ -76,6 +77,9 @@ EVOLVE_2D = ("[problem]\nn = 2\np = 2\nlambda = i\n\n[grid]\nL = 4\nN = 128\n\n"
 EVOLVE_1D = ("[problem]\nn = 1\np = 2\nlambda = i\n\n[grid]\nL = 8\nN = 1024\n\n"
              "[evolve]\ndata = inner-singular\nmu = 20\nk = 0.25\ndt = 8e-3\n"
              "t_max = 0.2\nr = auto\n")
+#: lambda of the two ``evolve`` runs that turn their state: every other job
+#: has lambda = i, whose turn -i lambda/|lambda| is 1
+TURNED_LAMBDA = "0.6+0.8i"
 #: (name, n, q) of the frac-apply runs, with no lattice, of weights <x>^(-q)
 #: with q <= n, whose far field needs a cutoff past the default one
 FRAC_APPLY = (("frac-apply-1d-q0.5", 1, 0.5), ("frac-apply-2d-q1", 2, 1.0))
@@ -113,6 +117,8 @@ def jobs():
             f"mu_min = {mu_min}\nmu_max = {mu_max}\n")
     yield "evolve-1d-halving", "evolve", EVOLVE_1D
     yield "evolve-2d-halving", "evolve", EVOLVE_2D
+    for name, text in (("evolve-1d-turned", EVOLVE_1D), ("evolve-2d-turned", EVOLVE_2D)):
+        yield name, "evolve", text.replace("lambda = i", f"lambda = {TURNED_LAMBDA}")
     for name, n, q in FRAC_APPLY:
         yield name, "frac-apply", (f"[problem]\nn = {n}\np = 2\nlambda = i\n\n"
                                    f"[frac_apply]\nprofile = bracket\nq = {q:g}\n")

@@ -13,8 +13,11 @@ same fixed run: radial data on the lattice's even part, 50 steps of a
 power-of-two dt that do not blow up.  The 400 rounds alternate which tree
 runs first.  Prints, per lattice, each tree's median and quartiles in ms per
 step (the whole ``evolve`` call over its 50 steps), the ratio of the
-medians (change over parent) and the number of rounds in which the change
-was faster.  Exits 1 if a run does not take its 50 steps, or blows up.
+medians (change over parent), the number of rounds in which the change
+was faster, and the largest gap between the two trees' final spectra over
+the largest |spectrum| of the parent's, so that a run shows whether the
+numbers moved by more than roundoff.  Exits 1 if a run does not take its
+50 steps, or blows up.
 
 Standard library and numpy only.
 """
@@ -94,7 +97,7 @@ def main(argv=None) -> int:
 
     for label, n, L, N, p, dt, amplitude in LATTICES:
         u0 = even_part_data(n, L, N, amplitude)
-        runs = {}
+        runs, finals = {}, {}
         for side, fb in trees.items():
             grid, params = fb.GridSpec(n, L, N), fb.ProblemParams(n, p, 1j)
             runs[side] = (lambda fb=fb, grid=grid, params=params:
@@ -104,6 +107,7 @@ def main(argv=None) -> int:
                 print(f"{label}: the {side} run took {len(rec.times) - 1} steps "
                       f"(blew up: {rec.blew_up}); expected {STEPS}", file=sys.stderr)
                 return 1
+            finals[side] = rec.final_spectrum
         ms = {side: [] for side in runs}
         for k in range(ROUNDS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -118,6 +122,9 @@ def main(argv=None) -> int:
                   f"(q1 {q1:.4f}, q3 {q3:.4f})")
         print(f"{label} ratio change/parent {stats['change'][0] / stats['parent'][0]:.3f}, "
               f"change faster in {wins}/{ROUNDS} rounds")
+        gap = np.max(np.abs(finals["change"] - finals["parent"]))
+        print(f"{label} final spectra: largest gap {gap / np.max(np.abs(finals['parent'])):.3g} "
+              f"of the largest |spectrum|")
     return 0
 
 

@@ -276,19 +276,15 @@ class _EvenPart:
             a = transform(ext, axis=-1, norm=norm, out=ext)[..., :h + 1].T
         return a
 
-    def unscaled_dft(self, u: np.ndarray, spec: np.ndarray | None = None,
-                     into: np.ndarray | None = None) -> np.ndarray:
-        """The part's DFT without its ``scale``: in any layout, or as a step's forward.
+    def unscaled_dft(self, u: np.ndarray, spec: np.ndarray, into: np.ndarray) -> np.ndarray:
+        """A step's forward: the part's DFT of the stage ``u``, without its ``scale``.
 
-        Given a step's ``spec`` and ``into``, ``u`` is the stage that
-        ``unscaled_idft(spec, into)`` returned and the source then moved in
-        its real part only.  The DFT of even data is its own inverse DFT, a
-        DCT-I E with E(E(a)) = N^n a, so the imaginary part's transform is
-        N^n Im(into * spec) and only the real part is transformed: the
-        result is fresh and C-contiguous.
+        ``u`` is the stage that ``unscaled_idft(spec, into)`` returned and
+        the source then moved in its real part only.  The DFT of even data
+        is its own inverse DFT, a DCT-I E with E(E(a)) = N^n a, so the
+        imaginary part's transform is N^n Im(into * spec) and only the real
+        part is transformed: the result is fresh and C-contiguous.
         """
-        if spec is None:
-            return self._even(u, np.fft.fft)
         re = self._real_dct(u.real)  # first, so that its temporaries are gone
         out = np.multiply(spec, into)
         out.imag *= self.grid.N ** self.n
@@ -310,7 +306,7 @@ class _EvenPart:
 
     def dft(self, u: np.ndarray) -> np.ndarray:
         # contiguous, since ``_spectral_readings`` views it as float pairs
-        return np.multiply(self.unscaled_dft(u), self.scale, order="C")
+        return np.multiply(self._even(u, np.fft.fft), self.scale, order="C")
 
     def full_spectrum(self, spec: np.ndarray) -> np.ndarray:
         """The full lattice's DFT, in one (N,) * n array."""

@@ -215,10 +215,12 @@ def reference_step(u, grid, dt, params):
 
 
 def reference_kernel(grid):
-    """``reference_step`` on the lattice ``grid``, called as ``evolution._step``."""
+    """``reference_step`` on the lattice ``grid``, called as ``evolution._step``
+    on the spectrum of the state turned by conj(turn)."""
     def kernel(spec, factors, dt, params, transforms=None):
-        out, stage_sup = reference_step(np.fft.ifftn(spec), grid, dt, params)
-        return np.fft.fftn(out), stage_sup
+        turn = evolution._turn(params.lam)
+        out, stage_sup = reference_step(np.fft.ifftn(turn * spec), grid, dt, params)
+        return np.fft.fftn(out) * turn.conjugate(), stage_sup
     return kernel
 
 
@@ -283,13 +285,14 @@ class TestStrangKernel:
         g = GridSpec(1, 20.0, 512)
         params = ProblemParams(1, 2.0, 1.0 + 0.5j)
         u = sample(g, lambda x: 1.2 * np.exp(-x * x) * np.exp(0.5j * x))
-        spec = np.fft.fftn(u)
+        turn = evolution._turn(params.lam)  # the kernel steps the turned state
+        spec = np.fft.fftn(u) * turn.conjugate()
         for _ in range(3):
             spec, stage_sup = evolution._step(spec, half_step_factors(g, 0.05), 0.05, params)
             want = sup_norm(nonlinear_step(linear_propagator(u, g, 0.025), 0.05, params))
             # the kernel carries the spectrum where the reference takes a new DFT
             assert stage_sup == pytest.approx(want, rel=1e-12)
-            u = np.fft.ifftn(spec)
+            u = np.fft.ifftn(turn * spec)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_evolve_rejects_non_finite_trial(self, monkeypatch, bad):

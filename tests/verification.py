@@ -8,7 +8,7 @@ import numpy as np
 from fracblow.blowup import BlowupConstants
 from fracblow.evolution import (ProblemParams, _EvenPart, _half_step_factors, _initial_sup,
                                 _midpoint_source, _require_positive, _require_resolved,
-                                _step, _test_weight)
+                                _step, _test_weight, _turn)
 from fracblow.grid import GridSpec
 from fracblow.spectral import frac_laplacian_spectral
 
@@ -86,16 +86,17 @@ def linear_propagator(u: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
 
 
 def nonlinear_step(u: np.ndarray, dt: float, params: ProblemParams) -> np.ndarray:
-    """Pointwise source ODE over dt, explicit midpoint, in the stepper's frame.
+    """Pointwise source ODE i u_t = lam |u|^p over dt, explicit midpoint.
 
-    That frame turns the state by conj(-i lam/|lam|), so the ODE i u_t =
-    lam |u|^p reads u_t = |lam| |u|^p there; for lam = i, and for lam = 0,
-    it is the ODE itself.  |u|^p is the continuous extension with 0 at
-    u = 0 (p > 1 keeps the source differentiable there), so the update is
-    second order.
+    |u|^p is the continuous extension with 0 at u = 0 (p > 1 keeps the
+    source differentiable there), so the update is second order.  The
+    source runs in the stepper's frame, on u turned by conj(turn) (see
+    ``fracblow.evolution._turn``), and the result is turned back.
     """
-    u = u.copy()
+    turn = _turn(params.lam)
+    u = u * turn.conjugate()
     _midpoint_source(u, dt, params)
+    u *= turn
     return u
 
 
@@ -105,9 +106,13 @@ def half_step_factors(grid: GridSpec, dt: float) -> tuple[np.ndarray, np.ndarray
 
 
 def strang_step(u: np.ndarray, grid: GridSpec, dt: float, params: ProblemParams) -> np.ndarray:
-    """One Strang step of lattice samples in the stepper's frame: ``_step`` between two DFTs."""
-    spec, _ = _step(np.fft.fftn(u), half_step_factors(grid, dt), dt, params)
-    return np.fft.ifftn(spec)
+    """One Strang step of lattice samples: ``_step`` between two DFTs.
+
+    The kernel steps the state turned by conj(turn), as ``evolve`` does.
+    """
+    turn = _turn(params.lam)
+    spec, _ = _step(np.fft.fftn(u) * turn.conjugate(), half_step_factors(grid, dt), dt, params)
+    return np.fft.ifftn(spec * turn)
 
 
 def scaling_check(u0: np.ndarray, grid1: GridSpec, params: ProblemParams, dt: float,
@@ -118,9 +123,9 @@ def scaling_check(u0: np.ndarray, grid1: GridSpec, params: ProblemParams, dt: fl
     (L/rho, N).  Both runs use the same dt (matched steps per unit time
     would be exactly equivariant and test nothing), so the discrepancy
     measures the integrator error and shrinks at second order.  Both runs
-    carry spectra through ``_step``, in the stepper's frame (see
-    ``nonlinear_step``); the grids share N, so by Parseval the spectra's
-    relative l2 discrepancy is the samples'.  A non-finite one raises
+    carry spectra through ``_step``, turned by conj(turn) as in ``evolve``;
+    the grids share N, so by Parseval the spectra's relative l2 discrepancy
+    is the samples', turned or not.  A non-finite one raises
     ``FloatingPointError``.
     """
     _require_positive(dt=dt, t_max=t_max, rho=rho)
@@ -134,6 +139,7 @@ def scaling_check(u0: np.ndarray, grid1: GridSpec, params: ProblemParams, dt: fl
     # the dilated copy's DFT is amp * spec1: the same tail
     _require_resolved(spec1, grid1.abs_freq())
     _initial_sup(u0)  # zero data would leave every discrepancy 0/0
+    spec1 *= _turn(params.lam).conjugate()  # the stepper's frame
     spec2 = amp * spec1  # rho^(1/(p-1)) u0(rho x) on the shrunk grid
     factors1, factors2 = half_step_factors(grid1, dt), half_step_factors(grid2, dt)
 

@@ -9,15 +9,18 @@ their own, with the allocator policy the CLI sets (``fracblow.cli``) and
 one BLAS thread, as fracbench runs it.  On
 each sweep lattice of the benchmark (1D N = 16384, L = 256, p = 1.25 and
 2D N = 384, L = 4, p = 2) every round runs one ``evolve`` per tree over the
-same fixed run: radial data on the lattice's even part, 50 steps of a
-power-of-two dt that do not blow up.  The 400 rounds alternate which tree
-runs first.  Prints, per lattice, each tree's median and quartiles in ms per
-step (the whole ``evolve`` call over its 50 steps), the ratio of the
+same fixed run: radial data, 50 steps of a power-of-two dt that do not blow
+up.  Each lattice is timed twice: with the data on its even part, as the
+sweeps step them, and with the same data given on the whole lattice, which
+``evolve`` then steps there.  The 400 rounds alternate which tree runs
+first.  Prints, per lattice and layout, each tree's median and quartiles in
+ms per step (the whole ``evolve`` call over its 50 steps), the ratio of the
 medians (change over parent), the number of rounds in which the change
 was faster, and the largest gap between the two trees' final spectra over
 the largest |spectrum| of the parent's, so that a run shows whether the
 numbers moved by more than roundoff.  Exits 1 if a run does not take its
-50 steps, or blows up.
+50 steps, or blows up.  The 2D whole-lattice runs take most of the time,
+about 7 of the 15 minutes on a 2-core VM.
 
 Standard library and numpy only.
 """
@@ -81,9 +84,51 @@ def even_part_data(n: int, L: float, N: int, amplitude: float) -> np.ndarray:
     return (amplitude * np.exp(-r * r)).astype(np.complex128)
 
 
+def whole_lattice_data(u: np.ndarray) -> np.ndarray:
+    """Every lattice site of the even data whose even part is ``u``: site i
+    of an axis is entry |i - N/2|."""
+    h = u.shape[0] - 1
+    entry = np.abs(np.arange(2 * h) - h)
+    return u[np.ix_(*(entry,) * u.ndim)]
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return median, q1, q3
+
+
+def time_one(label: str, trees: dict, u0: np.ndarray, n: int, L: float, N: int, p: float,
+             dt: float) -> int:
+    """Time ``evolve`` of ``u0`` in both trees and print the figures: 1 if a run fails."""
+    runs, finals = {}, {}
+    for side, fb in trees.items():
+        grid, params = fb.GridSpec(n, L, N), fb.ProblemParams(n, p, 1j)
+        runs[side] = (lambda fb=fb, grid=grid, params=params:
+                      fb.evolve(u0, grid, params, dt, STEPS * dt, 1.0))
+        rec = runs[side]()  # warm-up, and the run's shape checked once
+        if len(rec.times) != STEPS + 1 or rec.blew_up:
+            print(f"{label}: the {side} run took {len(rec.times) - 1} steps "
+                  f"(blew up: {rec.blew_up}); expected {STEPS}", file=sys.stderr)
+            return 1
+        finals[side] = rec.final_spectrum
+    ms = {side: [] for side in runs}
+    for k in range(ROUNDS):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            start = time.perf_counter()
+            runs[side]()
+            ms[side].append(1e3 * (time.perf_counter() - start) / STEPS)
+    wins = sum(c < p_ for p_, c in zip(ms["parent"], ms["change"]))
+    stats = {side: quartiles(values) for side, values in ms.items()}
+    for side, (median, q1, q3) in stats.items():
+        print(f"{label} {side}: median {median:.4f} ms/step "
+              f"(q1 {q1:.4f}, q3 {q3:.4f})")
+    print(f"{label} ratio change/parent {stats['change'][0] / stats['parent'][0]:.3f}, "
+          f"change faster in {wins}/{ROUNDS} rounds")
+    gap = np.max(np.abs(finals["change"] - finals["parent"]))
+    print(f"{label} final spectra: largest gap {gap / np.max(np.abs(finals['parent'])):.3g} "
+          f"of the largest |spectrum|")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -95,36 +140,11 @@ def main(argv=None) -> int:
     trees = {"parent": load_tree(args.parent, "fracblow_parent"),
              "change": load_tree(args.change, "fracblow_change")}
 
-    for label, n, L, N, p, dt, amplitude in LATTICES:
-        u0 = even_part_data(n, L, N, amplitude)
-        runs, finals = {}, {}
-        for side, fb in trees.items():
-            grid, params = fb.GridSpec(n, L, N), fb.ProblemParams(n, p, 1j)
-            runs[side] = (lambda fb=fb, grid=grid, params=params:
-                          fb.evolve(u0, grid, params, dt, STEPS * dt, 1.0))
-            rec = runs[side]()  # warm-up, and the run's shape checked once
-            if len(rec.times) != STEPS + 1 or rec.blew_up:
-                print(f"{label}: the {side} run took {len(rec.times) - 1} steps "
-                      f"(blew up: {rec.blew_up}); expected {STEPS}", file=sys.stderr)
+    for lattice, n, L, N, p, dt, amplitude in LATTICES:
+        even = even_part_data(n, L, N, amplitude)
+        for layout, u0 in (("even part", even), ("whole lattice", whole_lattice_data(even))):
+            if time_one(f"{lattice} {layout}", trees, u0, n, L, N, p, dt):
                 return 1
-            finals[side] = rec.final_spectrum
-        ms = {side: [] for side in runs}
-        for k in range(ROUNDS):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for side in order:
-                start = time.perf_counter()
-                runs[side]()
-                ms[side].append(1e3 * (time.perf_counter() - start) / STEPS)
-        wins = sum(c < p_ for p_, c in zip(ms["parent"], ms["change"]))
-        stats = {side: quartiles(values) for side, values in ms.items()}
-        for side, (median, q1, q3) in stats.items():
-            print(f"{label} {side}: median {median:.4f} ms/step "
-                  f"(q1 {q1:.4f}, q3 {q3:.4f})")
-        print(f"{label} ratio change/parent {stats['change'][0] / stats['parent'][0]:.3f}, "
-              f"change faster in {wins}/{ROUNDS} rounds")
-        gap = np.max(np.abs(finals["change"] - finals["parent"]))
-        print(f"{label} final spectra: largest gap {gap / np.max(np.abs(finals['parent'])):.3g} "
-              f"of the largest |spectrum|")
     return 0
 
 

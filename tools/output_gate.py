@@ -11,7 +11,9 @@ through all five commands, one sweep per family whose amplitudes
 straddle the loose regime edge, so that rows skipped at the edge and
 their notes are compared too, a 1D and a 2D ``evolve`` that halve
 their step four and three times before they blow up, the same two at
-lambda = 0.6+0.8i, whose stepper turns its state, and ``frac-apply``
+lambda = 0.6+0.8i, whose stepper turns its state, a 1D ``evolve`` on
+the 1D sweep's lattice (L = 256, N = 16384), whose step transforms split
+each DCT-I, through 88 steps to its blow-up, and ``frac-apply``
 of the slowly decaying weights <x>^(-1/2) in 1D and <x>^(-1) in 2D, whose
 far cutoffs grow past the default one.  Every CSV, JSON and
 NPY file a job writes is compared byte for byte, and so is its exit code.  Prints one line per job,
@@ -77,6 +79,13 @@ EVOLVE_2D = ("[problem]\nn = 2\np = 2\nlambda = i\n\n[grid]\nL = 4\nN = 128\n\n"
 EVOLVE_1D = ("[problem]\nn = 1\np = 2\nlambda = i\n\n[grid]\nL = 8\nN = 1024\n\n"
              "[evolve]\ndata = inner-singular\nmu = 20\nk = 0.25\ndt = 8e-3\n"
              "t_max = 0.2\nr = auto\n")
+#: an outer-decay run at the 1D sweep workload's lattice and amplitude,
+#: which blows up at t = 17.6 after 88 steps, so that a trajectory through
+#: the split DCT-I (``evolution._SPLIT_MIN``) is compared at the lattice
+#: the benchmark times; the sweep jobs there write no trajectory
+EVOLVE_SWEEP_1D = ("[problem]\nn = 1\np = 1.25\nlambda = i\n\n[grid]\nL = 256\nN = 16384\n\n"
+                   f"[evolve]\ndata = outer-decay\nmu = {inputs.OUTER_EDGE_MU!r}\nk = 0.6\n"
+                   "dt = 0.2\nt_max = 40\nr = auto\n")
 #: lambda of the two ``evolve`` runs that turn their state: every other job
 #: has lambda = i, whose turn -i lambda/|lambda| is 1
 TURNED_LAMBDA = "0.6+0.8i"
@@ -117,6 +126,7 @@ def jobs():
             f"mu_min = {mu_min}\nmu_max = {mu_max}\n")
     yield "evolve-1d-halving", "evolve", EVOLVE_1D
     yield "evolve-2d-halving", "evolve", EVOLVE_2D
+    yield "evolve-1d-sweep-lattice", "evolve", EVOLVE_SWEEP_1D
     for name, text in (("evolve-1d-turned", EVOLVE_1D), ("evolve-2d-turned", EVOLVE_2D)):
         yield name, "evolve", text.replace("lambda = i", f"lambda = {TURNED_LAMBDA}")
     for name, n, q in FRAC_APPLY:

@@ -1,9 +1,11 @@
 """Command-line harness: constants, frac-apply, verify-lemma, evolve, sweep.
 
 Every subcommand reads a sectioned text config (--config) and writes its
-outputs under --out.  Exit codes: 0 success, 1 usage or configuration
-error, 2 numerical failure.  Outputs are written only after the
-computation finishes, so a failing run leaves no partial files.
+outputs under --out.  Each command's files are put together in its
+``_cmd_*`` function through ``reporting``; the modules that compute
+return records and write nothing.  Exit codes: 0 success, 1 usage or
+configuration error, 2 numerical failure.  Outputs are written only after
+the computation finishes, so a failing run leaves no partial files.
 """
 from __future__ import annotations
 
@@ -18,14 +20,14 @@ import numpy as np
 from .blowup import (InitialDataSpec, adapted_radius, compute_constants, lifespan_bound,
                      make_initial_data)
 from .config import ConfigError, load_config
-from .evolution import MAX_HALVINGS, UnresolvedFieldError, evolve, weighted_functional
-from .lemma import (DegenerateFitError, lemma_csv_name, verify_gaussian_remark, verify_lemma,
-                    write_lemma_report)
+from .evolution import (MAX_HALVINGS, THRESHOLD_FACTOR, UnresolvedFieldError, evolve,
+                        weighted_functional)
+from .lemma import DegenerateFitError, verify_gaussian_remark, verify_lemma
 from .profiles import bracket_profile, gaussian_profile
 from .pv import QuadratureError, frac_laplacian_pv, normalization_constant
 from .reporting import constants_manifest, save_field, write_csv, write_manifest
 from .spectral import frac_laplacian_spectral
-from .sweep import SweepPlan, in_regime_amplitude, run_sweep, write_sweep_outputs
+from .sweep import CAP_FRACTION, HORIZON_FACTOR, SweepPlan, in_regime_amplitude, run_sweep
 
 USAGE_ERROR, NUMERICAL_ERROR = 1, 2
 
@@ -100,6 +102,11 @@ def _cmd_frac_apply(cfg: dict, out: Path) -> int:
     return 0
 
 
+def _lemma_csv_name(n: int, q: float | None) -> str:
+    """File name of one case's samples; q is None for the Gaussian."""
+    return f"lemma_n{n}_{'gaussian' if q is None else f'q{q:g}'}.csv"
+
+
 def _cmd_verify_lemma(cfg: dict, out: Path) -> int:
     opts = cfg["lemma"]
     # q = None is the Gaussian remark
@@ -108,7 +115,7 @@ def _cmd_verify_lemma(cfg: dict, out: Path) -> int:
                        *([None] if opts["gaussian"] else [])]]
     claimed = {}
     for n, q in cases:
-        name = lemma_csv_name(n, q)
+        name = _lemma_csv_name(n, q)
         case = f"n={n} " + ("gaussian" if q is None else f"q={q!r}")
         if name in claimed:
             raise ConfigError(f"[lemma] cases {claimed[name]} and {case} would both write {name}")
@@ -120,11 +127,27 @@ def _cmd_verify_lemma(cfg: dict, out: Path) -> int:
         verdicts.append(v)
         print(v.diagnostics)
 
-    files = write_lemma_report(verdicts, out)
+    entries = []
+    for v in verdicts:
+        # repr, not %.12g: g must read back within its own certified_error
+        rows = ([*map(repr, sample), v.regime]
+                for sample in zip(v.r.tolist(), v.g.tolist(), v.certified_error.tolist()))
+        samples = write_csv(out / _lemma_csv_name(v.n, v.q),
+                            ["r", "g", "certified_error", "bound_case"], rows)
+        entries.append({
+            "n": v.n, "q": v.q, "regime": v.regime, "matched": v.matched,
+            "fitted_exponent": v.fitted_exponent,
+            "predicted_exponent": v.predicted_exponent,
+            "log_coeff": v.log_coeff, "a_hat": v.a_hat,
+            "residual": v.residual, "residual_ratio": v.residual_ratio,
+            "r_neg": v.r_neg, "negativity_ok": v.negativity_ok,
+            "diagnostics": v.diagnostics, "csv": samples.name,
+        })
+    write_manifest(out / "lemma_report.json", "lemma", {"verdicts": entries})
     write_csv(out / "a_hat_table.csv", ["n", "q", "regime", "a_hat", "matched"],
               ([v.n, v.q, v.regime, v.a_hat, v.matched]
                for v in verdicts if v.q is not None))
-    print(f"wrote {len(files) + 1} files under {out}")
+    print(f"wrote {len(verdicts) + 2} files under {out}")
     return 0
 
 
@@ -141,7 +164,8 @@ def _cmd_evolve(cfg: dict, out: Path) -> int:
 
     record = evolve(u0, grid, params, dt, t_max, radius)
 
-    record.to_csv(out / "trajectory.csv")
+    write_csv(out / "trajectory.csv", ["t", "m_r", "sup_norm", "l2_norm"],
+              zip(record.times, record.m_r, record.sup_norm, record.l2_norm))
     save_field(grid, record.final, out / "final_state")
     write_manifest(out / "run_manifest.json", "evolve", {
         "problem": {"n": params.n, "p": params.p, "lambda": params.lam,
@@ -179,7 +203,29 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     plan = SweepPlan(params=params, kind=kind, k=k, mu_values=tuple(mu), grid=grid,
                      dt_factor=opts["dt_factor"], dt_base=opts["dt_base"])
     result = run_sweep(plan)
-    files = write_sweep_outputs(result, out, manifest_extra={
+    rows_path = write_csv(
+        out / "sweep_rows.csv",
+        ["mu", "r_star", "t_bound", "t_prop", "t_num", "m0",
+         "condition_holds", "in_regime", "blew_up", "failed", "note"],
+        ([r.mu, r.r_star, r.t_bound, r.t_prop, r.t_num, r.m0, r.condition_holds,
+          r.in_regime, r.blew_up, r.failed, r.note] for r in result.rows))
+    write_manifest(out / "sweep_result.json", "sweep", {
+        "family": plan.kind,
+        "k": plan.k,
+        "plan": {
+            "mu_values": list(plan.mu_values),
+            "dt_factor": plan.dt_factor,
+            "dt_base": plan.dt_base,
+            "threshold_factor": THRESHOLD_FACTOR,
+            "horizon_factor": HORIZON_FACTOR,
+            "cap_fraction": CAP_FRACTION,
+        },
+        "predicted_exponent": plan.predicted_exponent,
+        "fitted_exponent_t_num": result.fitted_exponent_num,
+        "fitted_exponent_t_bound": result.fitted_exponent_bound,
+        "fit_residual": result.fit_residual_num,
+        "warnings": result.warnings,
+        "rows_csv": rows_path.name,
         "constants": constants_manifest(constants),
         "problem": {"n": params.n, "p": params.p, "lambda": params.lam,
                     "alpha": params.alpha},
@@ -190,7 +236,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
               f"(predicted {plan.predicted_exponent:.4f})")
     for note in result.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    print(f"wrote {files[0]}")
+    print(f"wrote {rows_path}")
     return 0
 
 

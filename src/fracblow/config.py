@@ -22,7 +22,7 @@ from .blowup import DATA_KINDS
 from .evolution import ProblemParams
 from .grid import GridSpec
 from .lemma import FIT_WINDOW, MIDRANGE_START, MIN_WINDOW_SPAN
-from .sweep import REGIME_EDGES
+from .sweep import REGIME_EDGES, SweepPlan
 
 
 class ConfigError(ValueError):
@@ -114,7 +114,7 @@ KEYS = {
         "count": (lambda raw: int(raw) if int(raw) >= 1 else _invalid("need at least 1 row"), 8),
         # both None: the automatic range
         "mu_min": (float, None), "mu_max": (float, None),
-        "dt_factor": (float, 0.02), "dt_base": (float, 0.05),
+        "dt_factor": (float, SweepPlan.dt_factor), "dt_base": (float, SweepPlan.dt_base),
         "workers": (lambda raw: 1 if int(raw) == 1 else _invalid(
             "rows run in order, so 1 is the only accepted value"), 1),
     },

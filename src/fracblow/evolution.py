@@ -44,13 +44,11 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .grid import GridSpec, _norm
 from .profiles import bracket
-from .reporting import write_csv
 
 __all__ = [
     "ProblemParams",
@@ -145,10 +143,6 @@ class TrajectoryRecord:
     @property
     def blew_up(self) -> bool:
         return self.t_num is not None
-
-    def to_csv(self, path: str | Path) -> Path:
-        return write_csv(path, ["t", "m_r", "sup_norm", "l2_norm"],
-                         zip(self.times, self.m_r, self.sup_norm, self.l2_norm))
 
 
 class UnresolvedFieldError(RuntimeError):

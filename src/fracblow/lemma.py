@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .profiles import RadialProfile, bracket, bracket_profile, gaussian_profile
 from .pv import TOL, Y_MAX, frac_laplacian_pv
-from .reporting import write_csv, write_manifest
 
 __all__ = [
     "DegenerateFitError",
@@ -31,8 +29,6 @@ __all__ = [
     "fit_decay",
     "verify_lemma",
     "verify_gaussian_remark",
-    "lemma_csv_name",
-    "write_lemma_report",
 ]
 
 #: default radius window of the algebraic-weight decay fits
@@ -288,33 +284,3 @@ def verify_gaussian_remark(n: int) -> LemmaVerdict:
                         fitted_exponent=exponent, log_coeff=log_coeff, residual=residual,
                         matched=matched, a_hat=c_hat, r_neg=r_neg, residual_ratio=None,
                         diagnostics=diag, r=r, g=g, certified_error=err)
-
-
-def lemma_csv_name(n: int, q: float | None) -> str:
-    """File name of one case's samples; q is None for the Gaussian."""
-    return f"lemma_n{n}_{'gaussian' if q is None else f'q{q:g}'}.csv"
-
-
-def write_lemma_report(verdicts: list[LemmaVerdict], out_dir: str | Path) -> list[Path]:
-    """Emit the JSON report plus one plot-ready CSV per verdict."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    entries = []
-    for v in verdicts:
-        name = lemma_csv_name(v.n, v.q)
-        # repr, not %.12g: g must read back within its own certified_error
-        rows = ([*map(repr, sample), v.regime]
-                for sample in zip(v.r.tolist(), v.g.tolist(), v.certified_error.tolist()))
-        written.append(write_csv(out / name, ["r", "g", "certified_error", "bound_case"], rows))
-        entries.append({
-            "n": v.n, "q": v.q, "regime": v.regime, "matched": v.matched,
-            "fitted_exponent": v.fitted_exponent,
-            "predicted_exponent": v.predicted_exponent,
-            "log_coeff": v.log_coeff, "a_hat": v.a_hat,
-            "residual": v.residual, "residual_ratio": v.residual_ratio,
-            "r_neg": v.r_neg, "negativity_ok": v.negativity_ok,
-            "diagnostics": v.diagnostics, "csv": written[-1].name,
-        })
-    written.append(write_manifest(out / "lemma_report.json", "lemma", {"verdicts": entries}))
-    return written

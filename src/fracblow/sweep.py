@@ -6,20 +6,17 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .blowup import (BlowupConstants, InitialDataSpec, _check_k, adapted_radius,
                      compute_constants, family_exponent, family_i_const, lifespan_bound,
                      make_initial_data)
-from .evolution import (THRESHOLD_FACTOR, ProblemParams, UnresolvedFieldError, evolve,
-                        weighted_functional)
+from .evolution import ProblemParams, UnresolvedFieldError, evolve, weighted_functional
 from .grid import GridSpec
-from .reporting import write_csv, write_manifest
 
 __all__ = ["SweepPlan", "SweepRow", "SweepResult", "fit_power_law", "run_sweep",
-           "in_regime_amplitude", "write_sweep_outputs"]
+           "in_regime_amplitude"]
 
 
 def fit_power_law(pairs) -> tuple[float, float, float]:
@@ -116,7 +113,6 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
-    plan: SweepPlan
     rows: list[SweepRow]
     fitted_exponent_num: float | None
     fitted_exponent_bound: float | None
@@ -197,39 +193,5 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     skipped = [r.mu for r in rows if not r.in_regime]
     if skipped:
         notes.append(f"amplitudes outside the strict regime excluded from fits: {skipped}")
-    return SweepResult(plan=plan, rows=rows, fitted_exponent_num=fit_num,
+    return SweepResult(rows=rows, fitted_exponent_num=fit_num,
                        fitted_exponent_bound=fit_bound, fit_residual_num=resid, warnings=notes)
-
-
-def write_sweep_outputs(result: SweepResult, out_dir: str | Path,
-                        manifest_extra: dict | None = None) -> list[Path]:
-    """rows CSV plus a JSON summary; formatting is fixed for reproducibility."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows_path = write_csv(
-        out / "sweep_rows.csv",
-        ["mu", "r_star", "t_bound", "t_prop", "t_num", "m0",
-         "condition_holds", "in_regime", "blew_up", "failed", "note"],
-        ([r.mu, r.r_star, r.t_bound, r.t_prop, r.t_num, r.m0, r.condition_holds,
-          r.in_regime, r.blew_up, r.failed, r.note] for r in result.rows))
-    plan = result.plan
-    summary = {
-        "family": plan.kind,
-        "k": plan.k,
-        "plan": {
-            "mu_values": list(plan.mu_values),
-            "dt_factor": plan.dt_factor,
-            "dt_base": plan.dt_base,
-            "threshold_factor": THRESHOLD_FACTOR,
-            "horizon_factor": HORIZON_FACTOR,
-            "cap_fraction": CAP_FRACTION,
-        },
-        "predicted_exponent": plan.predicted_exponent,
-        "fitted_exponent_t_num": result.fitted_exponent_num,
-        "fitted_exponent_t_bound": result.fitted_exponent_bound,
-        "fit_residual": result.fit_residual_num,
-        "warnings": result.warnings,
-        "rows_csv": rows_path.name,
-        **(manifest_extra or {}),
-    }
-    return [rows_path, write_manifest(out / "sweep_result.json", "sweep", summary)]

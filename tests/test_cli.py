@@ -4,6 +4,7 @@ import ctypes
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from fracblow import cli, pv
-from fracblow.cli import main
-from fracblow.lemma import lemma_csv_name, verify_lemma
+from fracblow.cli import _lemma_csv_name, main
+from fracblow.lemma import verify_lemma
 from fracblow.reporting import save_field
 from fracblow.grid import GridSpec
 from verification import load_field, sample
@@ -84,6 +85,33 @@ def test_constants_without_mallopt(tmp_path, monkeypatch, libc):
     out = tmp_path / "out"
     assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "constants.json").exists()
+
+
+#: a small config per command, added to BASE
+FILE_SET_CONFIGS = {
+    "constants": "",
+    "frac-apply": "[frac_apply]\npoints = 0, 1\n",
+    "verify-lemma": "[lemma]\ndims = 1\nq_values = 1\ngaussian = true\n",
+    "evolve": "[evolve]\ndata = inner-singular\nmu = 30\nk = 0.25\ndt = 0.001\nt_max = 0.01\n",
+    # one row out of regime (R* = 25), which is not evolved
+    "sweep": "[sweep]\nkind = inner-singular\nk = 0.25\ncount = 1\nmu_min = 1\nmu_max = 1\n",
+}
+
+
+def documented_files(command):
+    """The files docs/formats.md lists for a command, with the lemma cases of
+    FILE_SET_CONFIGS (n = 1, q = 1, and the Gaussian) filled in."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    (row,) = [line for line in doc.splitlines() if line.startswith(f"| `{command}` |")]
+    return {name.format(n=1, q="1") for name in re.findall(r"`([^`]+)`", row.split("|")[2])}
+
+
+@pytest.mark.parametrize("command", list(FILE_SET_CONFIGS))
+def test_each_command_writes_its_documented_files(tmp_path, command):
+    cfg = write_config(tmp_path, FILE_SET_CONFIGS[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert {path.name for path in out.iterdir()} == documented_files(command)
 
 
 def test_frac_apply_command(tmp_path):
@@ -207,7 +235,7 @@ def test_frac_apply_agrees_with_the_lemma_samples(tmp_path, n, q):
     path.write_text(f"[lemma]\ndims = {n}\nq_values = {q:g}\ngaussian = false\n")
     out = tmp_path / "lemma"
     assert main(["verify-lemma", "--config", str(path), "--out", str(out)]) == 0
-    with open(out / lemma_csv_name(n, q), newline="") as fh:
+    with open(out / _lemma_csv_name(n, q), newline="") as fh:
         lemma = [(float(r["r"]), float(r["g"]), float(r["certified_error"]))
                  for r in csv.DictReader(fh)]
     shared = lemma[::4]  # the origin, the midrange and the fit window

@@ -9,10 +9,10 @@ import pytest
 from fracblow import blowup, sweep
 from fracblow.blowup import (InitialDataSpec, adapted_radius, compute_constants,
                              lifespan_bound, make_initial_data)
+from fracblow.cli import main
 from fracblow.evolution import ProblemParams, weighted_functional
 from fracblow.grid import GridSpec
-from fracblow.sweep import (SweepPlan, fit_power_law, in_regime_amplitude, run_sweep,
-                            write_sweep_outputs)
+from fracblow.sweep import SweepPlan, fit_power_law, in_regime_amplitude, run_sweep
 
 
 class TestFitPowerLaw:
@@ -51,6 +51,15 @@ def inner_setup():
     constants = compute_constants(params)
     grid = GridSpec(1, 40.0, 8192)
     return params, constants, grid
+
+
+def run_sweep_command(tmp_path, out, mu_min, mu_max, count):
+    """``fracblow sweep`` of the inner family on the lattice of ``inner_setup``."""
+    path = tmp_path / "sweep.ini"
+    path.write_text("[problem]\nn = 1\np = 2.0\nlambda = 1j\n\n[grid]\nL = 40\nN = 8192\n\n"
+                    f"[sweep]\nkind = inner-singular\nk = 0.25\ncount = {count}\n"
+                    f"mu_min = {mu_min!r}\nmu_max = {mu_max!r}\n")
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
 
 
 class TestRunSweep:
@@ -101,11 +110,10 @@ class TestRunSweep:
         assert result.rows[0].failed
         assert result.rows[0].note == "FloatingPointError: overflow in the stepper"
 
-    def test_condition_column_follows_the_verdict(self, inner_setup, monkeypatch, tmp_path):
+    def test_condition_column_follows_the_verdict(self, monkeypatch, tmp_path):
         # three rows out of regime (R* > 1), so none is evolved: the first
         # verdict raises, the second is inconclusive (M_R(0) = 0 is below the
         # threshold) and the third is conclusive
-        params, _, grid = inner_setup
         readings = iter([None, 0.0, 1e6])
 
         def reading(*args):
@@ -115,9 +123,7 @@ class TestRunSweep:
             return m0
 
         monkeypatch.setattr(sweep, "weighted_functional", reading)
-        result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
-                                     mu_values=(1.0, 1.5, 2.0), grid=grid))
-        write_sweep_outputs(result, tmp_path)
+        run_sweep_command(tmp_path, tmp_path, 1.0, 2.0, 3)
         with open(tmp_path / "sweep_rows.csv", newline="") as fh:
             failed, inconclusive, conclusive = csv.DictReader(fh)
         assert (failed["failed"], failed["t_prop"], failed["condition_holds"]) == ("1", "nan", "0")
@@ -229,12 +235,12 @@ class TestRunSweep:
         _, p2_constants, grid = inner_setup
         params = ProblemParams(n=1, p=1.5, lam=1j)
         mu = in_regime_amplitude("inner-singular", 0.25, compute_constants(params), 2.0)
-        result = run_sweep(SweepPlan(params=params, kind="inner-singular", k=0.25,
-                                     mu_values=(mu,), grid=grid))
+        plan = SweepPlan(params=params, kind="inner-singular", k=0.25, mu_values=(mu,), grid=grid)
+        result = run_sweep(plan)
         spec = InitialDataSpec(kind="inner-singular", mu=mu, k=0.25)
         assert result.rows[0].r_star == pytest.approx(2.0, rel=1e-12)
         assert adapted_radius(spec, p2_constants)[0] != pytest.approx(2.0, rel=0.1)
-        assert result.plan.predicted_exponent == pytest.approx(-1.0 / (2.0 - 0.25), rel=1e-12)
+        assert plan.predicted_exponent == pytest.approx(-1.0 / (2.0 - 0.25), rel=1e-12)
 
     @pytest.mark.parametrize("p, kind, k, grid, r_star, note", [
         pytest.param(2.0, "inner-singular", 0.25, GridSpec(1, 40.0, 32768), 2.0,
@@ -291,13 +297,9 @@ class TestRunSweep:
                       mu_values=(30.0,), grid=grid, **{key: value})
 
 
-    def test_outputs_deterministic(self, inner_setup, tmp_path):
-        params, constants, grid = inner_setup
-        plan = SweepPlan(params=params, kind="inner-singular", k=0.25,
-                         mu_values=(25.0, 40.0), grid=grid)
-        result = run_sweep(plan)
+    def test_outputs_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        write_sweep_outputs(result, d1)
-        write_sweep_outputs(run_sweep(plan), d2)
+        run_sweep_command(tmp_path, d1, 25.0, 40.0, 2)
+        run_sweep_command(tmp_path, d2, 25.0, 40.0, 2)
         assert (d1 / "sweep_rows.csv").read_bytes() == (d2 / "sweep_rows.csv").read_bytes()
         assert (d1 / "sweep_result.json").read_bytes() == (d2 / "sweep_result.json").read_bytes()

@@ -6,21 +6,18 @@
 Each argument is a directory holding the ``fracblow`` package (the ``src``
 of a checkout).  Both trees are imported into one process, under names of
 their own, with the allocator policy the CLI sets (``fracblow.cli``) and
-one BLAS thread, as fracbench runs it.  On
-each sweep lattice of the benchmark (1D N = 16384, L = 256, p = 1.25 and
-2D N = 384, L = 4, p = 2) every round runs one ``evolve`` per tree over the
-same fixed run: radial data, 50 steps of a power-of-two dt that do not blow
-up.  Each lattice is timed twice: with the data on its even part, as the
-sweeps step them, and with the same data given on the whole lattice, which
-``evolve`` then steps there.  The 400 rounds alternate which tree runs
-first.  Prints, per lattice and layout, each tree's median and quartiles in
-ms per step (the whole ``evolve`` call over its 50 steps), the ratio of the
-medians (change over parent), the number of rounds in which the change
-was faster, and the largest gap between the two trees' final spectra over
-the largest |spectrum| of the parent's, so that a run shows whether the
-numbers moved by more than roundoff.  Exits 1 if a run does not take its
-50 steps, or blows up.  The 2D whole-lattice runs take most of the time,
-about 7 of the 15 minutes on a 2-core VM.
+one BLAS thread, as fracbench runs it.  On each sweep lattice of the
+benchmark (1D N = 16384, L = 256, p = 1.25 and 2D N = 384, L = 4, p = 2)
+every round runs one ``evolve`` per tree over the same fixed run: radial
+data on the lattice's even part, the layout every command steps, and 50
+steps of a power-of-two dt that do not blow up.  The 400 rounds alternate
+which tree runs first.  Prints, per lattice, each tree's median and
+quartiles in ms per step (the whole ``evolve`` call over its 50 steps), the
+ratio of the medians (change over parent), the number of rounds in which
+the change was faster, and the largest gap between the two trees' final
+spectra over the largest |spectrum| of the parent's, so that a run shows
+whether the numbers moved by more than roundoff.  Exits 1 if a run does not
+take its 50 steps, or blows up.
 
 Standard library and numpy only.
 """
@@ -84,14 +81,6 @@ def even_part_data(n: int, L: float, N: int, amplitude: float) -> np.ndarray:
     return (amplitude * np.exp(-r * r)).astype(np.complex128)
 
 
-def whole_lattice_data(u: np.ndarray) -> np.ndarray:
-    """Every lattice site of the even data whose even part is ``u``: site i
-    of an axis is entry |i - N/2|."""
-    h = u.shape[0] - 1
-    entry = np.abs(np.arange(2 * h) - h)
-    return u[np.ix_(*(entry,) * u.ndim)]
-
-
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return median, q1, q3
@@ -141,10 +130,8 @@ def main(argv=None) -> int:
              "change": load_tree(args.change, "fracblow_change")}
 
     for lattice, n, L, N, p, dt, amplitude in LATTICES:
-        even = even_part_data(n, L, N, amplitude)
-        for layout, u0 in (("even part", even), ("whole lattice", whole_lattice_data(even))):
-            if time_one(f"{lattice} {layout}", trees, u0, n, L, N, p, dt):
-                return 1
+        if time_one(lattice, trees, even_part_data(n, L, N, amplitude), n, L, N, p, dt):
+            return 1
     return 0
 
 

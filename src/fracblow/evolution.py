@@ -13,8 +13,10 @@ stage; the factors carry the phase exp(i dt/2 |xi|) together with the
 constants the transforms would otherwise apply in passes of their own.
 ``evolve`` turns the data's spectrum once and carries the (spectrum, sup)
 pair through its loop, so a run costs one inverse and one forward
-transform a step, and reads each step without leaving the spectrum:
-``M_R`` as a pairing with the weight's DFT, and the L2 norm by Parseval.
+transform a step.  Given a weight radius, it also reads each step without
+leaving the spectrum: ``M_R`` as a pairing with the weight's DFT, and the
+L2 norm by Parseval; without one (a sweep row, which reads only ``t_num``)
+it builds no weight and takes no reading.
 Radial data are even about index N/2, so they live on their
 even part alone, sites N/2, ..., N-1, 0 of each axis (a half in 1D, a
 quarter in 2D; ``_EvenPart``): ``blowup.make_initial_data`` samples them
@@ -118,12 +120,16 @@ class ProblemParams:
 
 @dataclass
 class TrajectoryRecord:
-    """Time series of the weighted functional and norms for one run."""
+    """Time series of the weighted functional and norms for one run.
+
+    ``m_r`` and ``l2_norm`` are None for a run given no weight radius,
+    which reads neither; the other fields do not depend on the radius.
+    """
 
     times: np.ndarray
-    m_r: np.ndarray
+    m_r: np.ndarray | None
     sup_norm: np.ndarray
-    l2_norm: np.ndarray
+    l2_norm: np.ndarray | None
     t_num: float | None
     grid: GridSpec
     # DFT of the last accepted state, or that of its even part (see _EvenPart)
@@ -161,12 +167,14 @@ def _midpoint_source(u: np.ndarray, dt: float, params: ProblemParams) -> float:
     y2 = np.square(u.imag)
     s = np.square(x)
     s += y2
-    s **= half_p
+    if half_p != 1.0:  # s ** 1.0 is s to the bit
+        s **= half_p
     s *= 0.5 * c
     s += x  # the midpoint's real part
     np.square(s, out=s)
     s += y2
-    s **= half_p
+    if half_p != 1.0:
+        s **= half_p
     s *= c
     x += s
     np.square(x, out=s)
@@ -245,6 +253,8 @@ class _EvenPart:
     multiple of 4 and at least ``_SPLIT_MIN`` by the split DCT-I
     (``_split``) and any other axis by the padded one, one N-point FFT;
     ``dft`` is always padded, bit for bit the full lattice's DFT.
+    ``mult`` and ``scale`` are built when first read: the data's radii
+    need neither, and the verdict's sum only ``mult``.
     """
 
     def __init__(self, grid: GridSpec):
@@ -252,13 +262,23 @@ class _EvenPart:
         self.grid, self.n = grid, grid.n
         self.shape = (h + 1,) * grid.n
         self.sites = np.arange(h, 2 * h + 1) % grid.N
+
+    def _axis_mult(self) -> np.ndarray:
         # sites N/2 + j and N/2 - j, like frequencies k and N - k, are one mode:
         # each counts twice but the two ends
-        mult = np.r_[1.0, np.full(h - 1, 2.0), 1.0]
+        h = len(self.sites) - 1
+        return np.r_[1.0, np.full(h - 1, 2.0), 1.0]
+
+    @cached_property
+    def mult(self) -> np.ndarray:
+        mult = self._axis_mult()
+        return mult if self.n == 1 else np.outer(mult, mult)
+
+    @cached_property
+    def scale(self) -> np.ndarray:
         # (-1)^k: the sites start at N/2
-        scale = (-1.0) ** np.arange(h + 1) * np.sqrt(mult)
-        self.mult, self.scale = ((mult, scale) if self.n == 1
-                                 else (np.outer(mult, mult), np.outer(scale, scale)))
+        scale = (-1.0) ** np.arange(len(self.sites)) * np.sqrt(self._axis_mult())
+        return scale if self.n == 1 else np.outer(scale, scale)
 
     def radii(self) -> np.ndarray:
         return _norm(self.grid.axis()[self.sites], self.n)
@@ -452,7 +472,7 @@ def _initial_sup(u0: np.ndarray) -> float:
 
 
 def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_max: float,
-           weight_radius: float) -> TrajectoryRecord:
+           weight_radius: float | None = None) -> TrajectoryRecord:
     """March the split-step scheme from step size dt, recording M_R(t) at R = weight_radius.
 
     Halts at t_max, or flags blow-up once the sup norm reaches
@@ -461,7 +481,11 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
     steps the state turned by conj(turn) (see ``_turn``) and reads and
     returns the state itself.  A step's sup norm is that of its
     post-source stage, half a linear step before the step's end; M_R and
-    the L2 norm are read from the step's spectrum.  Violent steps
+    the L2 norm are read from the step's spectrum.  Without a
+    ``weight_radius`` no weight is built and neither is read: the
+    record's ``m_r`` and ``l2_norm`` are None, and its times, sup norms,
+    ``t_num`` and final spectrum are bit for bit those of a run given a
+    radius, which must be finite and positive.  Violent steps
     (non-finite values or sup growth beyond ``GROWTH_CAP``) are retried with
     halved dt, which then holds for the rest of the run; once
     ``MAX_HALVINGS`` halvings in all are spent, the last accepted time is
@@ -473,6 +497,8 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
     refused.
     """
     _require_positive(dt=dt, t_max=t_max)
+    if weight_radius is not None and not 0.0 < weight_radius < math.inf:
+        raise ValueError(f"weight radius must be positive and finite, got {weight_radius!r}")
     even = _EvenPart(grid)
     if u0.shape == even.shape:
         lattice, dft, scale = even, even.dft, even.scale
@@ -494,10 +520,6 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
         raise OverflowError(f"initial sup norm {sup0:g} too large: the source's powers of "
                             f"|u| overflow below {GROWTH_CAP:g} times the blow-up threshold")
 
-    # the weight is even on the lattice, so its DFT is real; a real copy
-    # lets the complex transform go
-    w_hat = dft(_test_weight(lattice, weight_radius)).real.copy()
-    w_hat *= grid.cell_volume / grid.N ** grid.n
     t = 0.0
     dt_floor = dt / 2**MAX_HALVINGS
     t_num = None
@@ -507,8 +529,14 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
     turn = _turn(params.lam)
     spec *= turn.conjugate()
     alpha = params.alpha * turn
-    m0, l2_0 = _spectral_readings(spec, grid, alpha, w_hat)
-    times, m_r, sups, l2s = [0.0], [m0], [sup0], [l2_0]
+    readings = None
+    if weight_radius is not None:
+        # the weight is even on the lattice, so its DFT is real; a real copy
+        # lets the complex transform go
+        w_hat = dft(_test_weight(lattice, weight_radius)).real.copy()
+        w_hat *= grid.cell_volume / grid.N ** grid.n
+        readings = [_spectral_readings(spec, grid, alpha, w_hat)]
+    times, sups = [0.0], [sup0]
     sup = sup0
     factors_dt = None  # dt_step changes only at a halving and at the short last step
     while t < t_max:
@@ -526,16 +554,15 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
             continue
         spec, sup = trial, trial_sup
         t += dt_step
-        m, l2 = _spectral_readings(spec, grid, alpha, w_hat)
         times.append(t)
-        m_r.append(m)
         sups.append(sup)
-        l2s.append(l2)
+        if readings is not None:
+            readings.append(_spectral_readings(spec, grid, alpha, w_hat))
         if sup >= threshold:
             t_num = t
             break
 
-    return TrajectoryRecord(times=np.array(times), m_r=np.array(m_r),
-                            sup_norm=np.array(sups), l2_norm=np.array(l2s),
-                            t_num=t_num, grid=grid, final_spectrum=turn * spec)
+    m_r, l2s = (None, None) if readings is None else np.array(readings).T
+    return TrajectoryRecord(times=np.array(times), m_r=m_r, sup_norm=np.array(sups),
+                            l2_norm=l2s, t_num=t_num, grid=grid, final_spectrum=turn * spec)
 

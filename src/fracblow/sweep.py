@@ -160,7 +160,8 @@ def _run_one(plan: SweepPlan, constants: BlowupConstants, mu: float) -> SweepRow
         dt = plan.dt_factor / float(np.max(np.abs(u0))) if plan.kind == "inner-singular" \
             else plan.dt_base
         horizon = HORIZON_FACTOR * min(row.t_prop, t_bound)
-        rec = evolve(u0, plan.grid, plan.params, dt, horizon, r_star)
+        # the row reads only t_num, so evolve builds no weight of its own
+        rec = evolve(u0, plan.grid, plan.params, dt, horizon)
         row.t_num = rec.t_num
         if not rec.blew_up:
             row.note = f"no blow-up before horizon {horizon:.4g}"

@@ -1,18 +1,21 @@
 """Split-step integrator: propagator, orders, blow-up detection, scaling."""
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fracblow import evolution
+from fracblow.blowup import InitialDataSpec, make_initial_data
 from fracblow.evolution import (ProblemParams, UnresolvedFieldError, evolve,
                                 spectral_tail_fraction)
 from fracblow.grid import GridSpec
 from fracblow.profiles import bracket
 from verification import (even_idft, even_part, half_step_factors, l2_norm,
-                          lattice_functional, linear_propagator, nonlinear_step, sample,
-                          scaling_check, strang_step, sup_norm, unfold, zeros)
+                          lattice_functional, linear_propagator, nonlinear_step,
+                          reference_evolve, sample, scaling_check, strang_step, sup_norm,
+                          unfold, zeros)
 
 
 def gaussian_packet(x):
@@ -792,6 +795,132 @@ class TestTurnedFrame:
         u0 = even_part(g, lambda r: amplitude * np.exp(-r * r) + 0j)
         with pytest.raises(OverflowError, match="initial sup norm .* too large"):
             evolve(u0, g, ProblemParams(1, 1.25, 1j), 0.01, 0.1, 1.0)
+
+
+def powered_source(u, dt, params):
+    """``_midpoint_source`` with both of its powers taken, p/2 = 1 included."""
+    x, half_p, c = u.real, 0.5 * params.p, dt * abs(params.lam)
+    y2 = np.square(u.imag)
+    s = np.square(x)
+    s += y2
+    s **= half_p
+    s *= 0.5 * c
+    s += x
+    np.square(s, out=s)
+    s += y2
+    s **= half_p
+    s *= c
+    x += s
+    np.square(x, out=s)
+    s += y2
+    return math.sqrt(float(s.max()))
+
+
+def same_run_without_radius(u0, grid, params, dt, t_max, radius):
+    """``evolve`` with the weight radius, after checking that the run
+    without it steps to the same bits and reads nothing."""
+    rec = evolve(u0, grid, params, dt, t_max, radius)
+    bare = evolve(u0, grid, params, dt, t_max)
+    assert bare.m_r is None and bare.l2_norm is None
+    assert rec.m_r is not None and rec.l2_norm is not None
+    for name in ("times", "sup_norm", "final_spectrum"):
+        assert np.array_equal(getattr(bare, name), getattr(rec, name))
+    assert bare.t_num == rec.t_num
+    return rec
+
+
+class TestEvolveWithoutRadius:
+    """A run given no weight radius builds no weight and takes no reading."""
+
+    @pytest.mark.parametrize("lam", [1j, 0.6 + 0.8j])
+    @pytest.mark.parametrize("grid, data", [
+        (GridSpec(1, 20.0, 512), lambda g: even_part(g, lambda r: 3.0 * np.exp(-r * r) + 0j)),
+        (GridSpec(2, 4.0, 48),
+         lambda g: even_part(g, lambda r: 2.0 * np.exp(-r * r) * (1.0 + 0.5j))),
+        (GridSpec(1, 20.0, 256), lambda g: sample(g, gaussian_packet)),
+        (GridSpec(2, 6.0, 32),
+         lambda g: sample(g, lambda x, y: 1.5 * np.exp(-(x**2 + y**2)) * np.exp(0.5j * x))),
+    ])
+    def test_same_steps_and_no_readings(self, grid, data, lam):
+        params = ProblemParams(grid.n, 2.0, lam)
+        dt = 2.0 ** -7  # ten steps end at t_max exactly
+        rec = same_run_without_radius(data(grid), grid, params, dt, 10 * dt, 1.5)
+        assert len(rec.times) == 11
+
+    @pytest.mark.parametrize("lam", [1j, 0.6 + 0.8j])
+    def test_same_steps_through_halvings_to_blow_up(self, lam):
+        # the output gate's 1D halving run: an inner singularity blows up
+        # after its step has halved
+        g = GridSpec(1, 8.0, 1024)
+        params = ProblemParams(1, 2.0, lam)
+        u0 = make_initial_data(InitialDataSpec(kind="inner-singular", mu=20.0, k=0.25), g,
+                               params.alpha)
+        rec = same_run_without_radius(u0, g, params, 8e-3, 0.2, 0.5)
+        assert rec.blew_up and np.min(np.diff(rec.times)) <= 4e-3
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_radius_refused_before_any_work(self, radius):
+        # zero data, refused later, shows that the radius is checked first
+        g = GridSpec(1, 20.0, 256)
+        with pytest.raises(ValueError, match="weight radius must be positive"):
+            evolve(zeros(g), g, ProblemParams(1, 2.0, 1j), 0.01, 1.0, radius)
+
+    @pytest.mark.parametrize("lam", LAMBDAS + [0.0])
+    def test_square_source_skips_its_powers_to_the_bit(self, lam):
+        # at p = 2 the source skips its two s **= 1.0 passes, which move no bit
+        rng = np.random.default_rng(11)
+        params = ProblemParams(1, 2.0, lam)
+        u = 3.0 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
+        want = u.copy()
+        want_sup = powered_source(want, 0.05, params)
+        assert evolution._midpoint_source(u, 0.05, params) == want_sup
+        assert np.array_equal(u, want)
+
+
+#: ``evolve`` against ``reference_evolve``: the largest gap of the sup and
+#: L2 series (relative, point by point), of M_R (over its largest value) and
+#: of the final state (over its largest value).  Over the 1000 draws of
+#: seeds 0-999 from the property's distribution (numpy generators) it
+#: measured 2.5e-13 on runs that do not blow up, 3.4e-13 on blow-ups without
+#: a halving and 1.14e-11 on blow-ups after halvings (a 2D run whose last
+#: step took the sup from 23 to 48 times sup|u0|)
+REFERENCE_GAP = 1e-10
+#: a growth or threshold test this close to its edge may tip either way
+DECISION_MARGIN = 1e-9
+#: phases, drawn
+ANGLES = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2]),
+       # h = N/2 a multiple of 4 takes the split DCT-I once _SPLIT_MIN is 8
+       N=st.sampled_from([24, 32, 36, 48, 64, 72, 100]),
+       p=st.one_of(st.just(2.0), st.floats(1.0, 3.0, exclude_min=True)),
+       lam=st.one_of(st.just(0.0),
+                     st.builds(lambda r, axis: r * axis, st.floats(0.5, 2.0),
+                               st.sampled_from([1.0, 1j, -1.0, -1j])),
+                     st.builds(cmath.rect, st.floats(0.5, 2.0), ANGLES)),
+       alpha=st.one_of(st.none(), st.builds(cmath.rect, st.just(1.0), ANGLES)),
+       bumps=st.lists(st.tuples(st.builds(cmath.rect, st.floats(0.1, 3.0), ANGLES),
+                                st.floats(1.0, 2.5)), min_size=1, max_size=3),
+       dt=st.floats(0.005, 0.05), steps=st.integers(5, 30), radius=st.floats(0.5, 3.0))
+def test_evolve_matches_an_independent_reference(n, N, p, lam, alpha, bumps, dt, steps,
+                                                 radius):
+    # radial data, stepped on the even part, against the full lattice
+    # stepped unturned by code that shares nothing with evolve
+    g = GridSpec(n, 6.0, N)
+    params = ProblemParams(n, p, lam, alpha)
+    u0 = even_part(g, lambda r: sum(c * np.exp(-(r / w) ** 2) for c, w in bumps))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_SPLIT_MIN", 8)
+        rec = evolve(u0, g, params, dt, steps * dt, radius)
+    ref = reference_evolve(unfold(u0), g, params, dt, steps * dt, radius)
+    assume(ref["margin"] > DECISION_MARGIN)
+    assert np.array_equal(rec.times, ref["times"]) and rec.t_num == ref["t_num"]
+    for name in ("sup_norm", "l2_norm"):
+        np.testing.assert_allclose(getattr(rec, name), ref[name], rtol=REFERENCE_GAP)
+    for got, want in ((rec.m_r, ref["m_r"]), (rec.final, ref["final"])):
+        assert np.max(np.abs(got - want)) <= REFERENCE_GAP * np.max(np.abs(want))
 
 
 class TestScalingCheck:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from fracblow import blowup, sweep
+from fracblow import blowup, evolution, sweep
 from fracblow.blowup import (InitialDataSpec, adapted_radius, compute_constants,
                              lifespan_bound, make_initial_data)
 from fracblow.cli import main
@@ -228,6 +228,40 @@ class TestRunSweep:
         rows = run_sweep(plan).rows
         assert rows == want
         assert [r.blew_up for r in rows] == [False] + [True] * (len(radii) - 1)
+
+    @pytest.mark.parametrize("n, L, N, k, radii", [(1, 40.0, 8192, 0.25, (0.3, 2.0)),
+                                                   (2, 4.0, 128, 0.5, (0.45, 0.3, 2.0))])
+    def test_rows_build_one_test_weight(self, monkeypatch, n, L, N, k, radii):
+        # a row's verdict builds its one test weight, at R*; its evolve
+        # builds none and takes no spectral reading
+        params = ProblemParams(n=n, p=2.0, lam=1j)
+        constants = compute_constants(params)
+        mu = sorted(in_regime_amplitude("inner-singular", k, constants, r) for r in radii)
+        plan = SweepPlan(params=params, kind="inner-singular", k=k, mu_values=tuple(mu),
+                         grid=GridSpec(n, L, N))
+        want = run_sweep(plan).rows
+        weight, evolve = evolution._test_weight, sweep.evolve
+        weights, evolved = [], []
+
+        def weighing(grid, R):
+            weights.append(R)
+            return weight(grid, R)
+
+        def evolving(*args):
+            evolved.append(args)
+            return evolve(*args)
+
+        def no_reading(*args):
+            raise AssertionError("a row took a spectral reading")
+
+        monkeypatch.setattr(evolution, "_test_weight", weighing)
+        monkeypatch.setattr(evolution, "_spectral_readings", no_reading)
+        monkeypatch.setattr(sweep, "evolve", evolving)
+        rows = run_sweep(plan).rows
+        assert rows == want
+        # R* = 2 lies outside the loose edge: that row is judged, not evolved
+        assert weights == [r.r_star for r in rows]
+        assert len(evolved) == len(radii) - 1
 
     def test_constants_follow_the_plan(self, inner_setup):
         # R* and the predicted exponent both follow plan.params.p = 1.5; the

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 
 from fracblow.blowup import BlowupConstants
-from fracblow.evolution import (ProblemParams, _EvenPart, _half_step_factors, _initial_sup,
+from fracblow.evolution import (GROWTH_CAP, MAX_HALVINGS, THRESHOLD_FACTOR, ProblemParams,
+                                _EvenPart, _half_step_factors, _initial_sup,
                                 _midpoint_source, _require_positive, _require_resolved,
                                 _step, _test_weight, _turn)
 from fracblow.grid import GridSpec
@@ -162,6 +163,68 @@ def scaling_check(u0: np.ndarray, grid1: GridSpec, params: ProblemParams, dt: fl
                                      f"t = {k * stride1 * dt:g}")
         worst = max(worst, d)
     return worst
+
+
+def reference_evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float,
+                     t_max: float, R: float) -> dict:
+    """``evolve`` of full-lattice samples ``u0``, by code that shares none of its steps.
+
+    The state is stepped unturned, in sample space: each half step's phase
+    exp(i dt/2 |xi|) is its own pass between ``np.fft`` transforms at their
+    default norms, and the source is the explicit midpoint in complex
+    arithmetic.  The rules are read from ``evolve``'s docstring: a step
+    whose post-source sup is not finite or exceeds GROWTH_CAP times the
+    last accepted one is retried at half the step size, which then holds;
+    the last step is cut short at t_max; the run ends at the last accepted
+    time once MAX_HALVINGS halvings are spent, or once a step's sup reaches
+    THRESHOLD_FACTOR sup|u0|.  M_R and the L2 norm are direct sums.
+    Returns the record's series, ``t_num`` and ``final`` state, and
+    ``margin``: the smallest relative distance of a growth or threshold
+    test from its edge, below which roundoff may tip it either way.
+    """
+    axes = np.meshgrid(*(grid.dx * (np.arange(grid.N) - grid.N // 2),) * grid.n, indexing="ij")
+    freqs = np.meshgrid(*(2.0 * np.pi * np.fft.fftfreq(grid.N, grid.dx),) * grid.n,
+                        indexing="ij")
+    weight = (1.0 + sum(x * x for x in axes) / (R * R)) ** (-0.5 * (grid.n + 1))
+    absxi = np.sqrt(sum(k * k for k in freqs))
+
+    def rate(v):
+        return -1j * params.lam * np.abs(v) ** params.p
+
+    out = {"times": [], "m_r": [], "sup_norm": [], "l2_norm": []}
+
+    def record(t, v, sup):
+        m = -(params.alpha * np.sum(v * weight) * grid.cell_volume).imag
+        l2 = math.sqrt(np.sum(np.abs(v) ** 2) * grid.cell_volume)
+        for name, value in zip(out, (t, m, sup, l2)):
+            out[name].append(value)
+
+    u, t, halvings, t_num, margin = u0, 0.0, 0, None, math.inf
+    sup = float(np.max(np.abs(u0)))
+    threshold = THRESHOLD_FACTOR * sup
+    record(t, u, sup)
+    while t < t_max:
+        step = min(dt, t_max - t)
+        phase = np.exp(0.5j * step * absxi)
+        stage = np.fft.ifftn(phase * np.fft.fftn(u))
+        stage = stage + step * rate(stage + 0.5 * step * rate(stage))
+        trial = float(np.max(np.abs(stage)))
+        if math.isfinite(trial):
+            margin = min(margin, abs(trial / (GROWTH_CAP * sup) - 1.0))
+        if not trial <= GROWTH_CAP * sup:
+            if halvings == MAX_HALVINGS:
+                t_num = t
+                break
+            halvings, dt = halvings + 1, 0.5 * dt
+            continue
+        u, sup, t = np.fft.ifftn(phase * np.fft.fftn(stage)), trial, t + step
+        margin = min(margin, abs(sup / threshold - 1.0))
+        record(t, u, sup)
+        if sup >= threshold:
+            t_num = t
+            break
+    return {**{k: np.array(v) for k, v in out.items()}, "t_num": t_num, "final": u,
+            "margin": margin}
 
 
 def boundary_max(phi: np.ndarray) -> float:

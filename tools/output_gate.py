@@ -11,7 +11,10 @@ through all five commands, one sweep per family whose amplitudes
 straddle the loose regime edge, so that rows skipped at the edge and
 their notes are compared too, a 1D and a 2D ``evolve`` that halve
 their step four and three times before they blow up, the same two at
-lambda = 0.6+0.8i, whose stepper turns its state, a 1D ``evolve`` on
+lambda = 0.6+0.8i, whose stepper turns its state, a 1D inner sweep at
+lambda = 0.6+0.8i whose four rows each halve their step twice before
+they blow up, so that rows stepped without a weight radius pass through
+the turned frame and the retry path, a 1D ``evolve`` on
 the 1D sweep's lattice (L = 256, N = 16384), whose step transforms split
 each DCT-I, through 88 steps to its blow-up, and ``frac-apply``
 of the slowly decaying weights <x>^(-1/2) in 1D and <x>^(-1) in 2D, whose
@@ -86,9 +89,17 @@ EVOLVE_1D = ("[problem]\nn = 1\np = 2\nlambda = i\n\n[grid]\nL = 8\nN = 1024\n\n
 EVOLVE_SWEEP_1D = ("[problem]\nn = 1\np = 1.25\nlambda = i\n\n[grid]\nL = 256\nN = 16384\n\n"
                    f"[evolve]\ndata = outer-decay\nmu = {inputs.OUTER_EDGE_MU!r}\nk = 0.6\n"
                    "dt = 0.2\nt_max = 40\nr = auto\n")
-#: lambda of the two ``evolve`` runs that turn their state: every other job
-#: has lambda = i, whose turn -i lambda/|lambda| is 1
+#: lambda of the jobs that turn their state, two ``evolve`` runs and one
+#: sweep: every other job has lambda = i, whose turn -i lambda/|lambda| is 1
 TURNED_LAMBDA = "0.6+0.8i"
+#: a 1D inner sweep at lambda = TURNED_LAMBDA whose four rows each halve
+#: their step twice (dt_factor = 0.15) and blow up at t = 0.0553 to 0.0032:
+#: rows evolve without a weight radius, and no other sweep job turns its
+#: state or halves a row's step
+TURNED_SWEEP = (f"[problem]\nn = 1\np = 2\nlambda = {TURNED_LAMBDA}\n\n"
+                "[grid]\nL = 40\nN = 4096\n\n"
+                "[sweep]\nkind = inner-singular\nk = 0.25\ncount = 4\ndt_factor = 0.15\n"
+                "mu_min = 12\nmu_max = 120\n")
 #: (name, n, q) of the frac-apply runs, with no lattice, of weights <x>^(-q)
 #: with q <= n, whose far field needs a cutoff past the default one
 FRAC_APPLY = (("frac-apply-1d-q0.5", 1, 0.5), ("frac-apply-2d-q1", 2, 1.0))
@@ -124,6 +135,7 @@ def jobs():
             f"[grid]\nL = {half_width}\nN = 4096\n\n"
             f"[sweep]\nkind = {kind}\nk = {k}\ncount = 4\n"
             f"mu_min = {mu_min}\nmu_max = {mu_max}\n")
+    yield "sweep-turned-halving", "sweep", TURNED_SWEEP
     yield "evolve-1d-halving", "evolve", EVOLVE_1D
     yield "evolve-2d-halving", "evolve", EVOLVE_2D
     yield "evolve-1d-sweep-lattice", "evolve", EVOLVE_SWEEP_1D

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec
-from .evolution import ProblemParams, _EvenPart
+from .evolution import ProblemParams, _EvenPart, _require_radius
 from .pv import sphere_measure, weight_mass
 
 __all__ = [
@@ -103,8 +103,7 @@ def _lifespan(constants: BlowupConstants, R: float, gap: float) -> float:
 
 def lifespan_bound(m0: float, constants: BlowupConstants, R: float) -> float:
     """The bound T from M_R(0) at radius R, or inf ('no conclusion') below the threshold."""
-    if not R > 0:
-        raise ValueError("weight radius must be positive")
+    _require_radius(R)
     if not math.isfinite(m0):
         raise ValueError(f"M_R(0) must be finite, got {m0!r}")
     gap = m0 - constants.threshold(R)

@@ -416,10 +416,16 @@ def spectral_tail_fraction(spectrum: np.ndarray, absxi: np.ndarray) -> float:
     return float(spec[absxi >= TAIL_BAND * absxi.max()].sum() / total)
 
 
+def _require_radius(R: float) -> None:
+    """Refuse a weight radius that is not finite and positive: at R = inf the
+    weight is 1 everywhere, and its pairing the unweighted sum."""
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"weight radius must be positive and finite, got {R!r}")
+
+
 def _test_weight(grid: GridSpec, R: float) -> np.ndarray:
     """The test weight <x/R>^(-n-1) at every site of a grid or an even part."""
-    if not R > 0:
-        raise ValueError(f"weight radius must be positive, got {R}")
+    _require_radius(R)
     return bracket(grid.radii() / R) ** -(grid.n + 1)
 
 
@@ -428,6 +434,7 @@ def weighted_functional(u: np.ndarray, grid: GridSpec, alpha: complex, R: float)
 
     ``u`` holds the even part's sites of data even about N/2 (see
     ``_EvenPart``); each site counts as often as it stands on the lattice.
+    R must be finite and positive, as ``evolve``'s weight radius must.
     """
     even = _EvenPart(grid)
     acc = complex(np.sum(even.mult * u * _test_weight(even, R))) * grid.cell_volume
@@ -497,8 +504,8 @@ def evolve(u0: np.ndarray, grid: GridSpec, params: ProblemParams, dt: float, t_m
     refused.
     """
     _require_positive(dt=dt, t_max=t_max)
-    if weight_radius is not None and not 0.0 < weight_radius < math.inf:
-        raise ValueError(f"weight radius must be positive and finite, got {weight_radius!r}")
+    if weight_radius is not None:
+        _require_radius(weight_radius)
     even = _EvenPart(grid)
     if u0.shape == even.shape:
         lattice, dft, scale = even, even.dft, even.scale

@@ -16,10 +16,13 @@ Verbitsky, J. Differential Equations 253 (2012)): kappa_2(a, rho) =
 and 2 pi at a = 0; E comes from the arithmetic-geometric mean.  The t axis
 is covered by geometric shells refined around the profile core at t = a,
 each shell integrated with a fixed-order Gauss-Legendre rule, and profiles
-are evaluated on the squared radius rho^2.  Everything past the far cutoff
-is handled with an exact term for the f(x) part and a certified bracket
-[0, tail] for the rest (every profile decays), so each returned value
-carries a defensible error estimate.
+are evaluated on the squared radius rho^2.  The two rules, of 12 and 18
+nodes, are stored here, halves of the symmetric arrays that
+``numpy.polynomial.legendre.leggauss`` returns, to the bit: a sample does
+not import the six modules of ``numpy.polynomial`` to build them.
+Everything past the far cutoff is handled with an exact term for the f(x)
+part and a certified bracket [0, tail] for the rest (every profile
+decays), so each returned value carries a defensible error estimate.
 
 One function samples a profile, :func:`frac_laplacian_pv`: radii in,
 arrays of values and errors out.  The rule is fixed in code: besides the
@@ -38,7 +41,6 @@ per-pass overhead, not the result.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -103,14 +105,44 @@ def sphere_measure(n: int) -> float:
     raise ValueError(f"dimension must be 1 or 2, got {n}")
 
 
-@functools.lru_cache(maxsize=64)
-def _leggauss(m: int):
-    return np.polynomial.legendre.leggauss(m)
+#: the m-node Gauss-Legendre rules on [-1, 1] that the shells use, m =
+#: ``RADIAL_NODES`` and 6 more: each rule's positive nodes, ascending, with
+#: their weights.  ``numpy.polynomial.legendre.leggauss`` gives these bits,
+#: and mirrors them to the bit: node -x and x share a weight
+_GAUSS_HALVES = {
+    12: ((0.1252334085114689, 0.2491470458134027),
+         (0.3678314989981802, 0.2334925365383546),
+         (0.5873179542866175, 0.20316742672306573),
+         (0.7699026741943047, 0.16007832854334642),
+         (0.9041172563704748, 0.10693932599531907),
+         (0.9815606342467192, 0.04717533638651141)),
+    18: ((0.08477501304173529, 0.1691423829631439),
+         (0.2518862256915055, 0.16427648374583304),
+         (0.41175116146284263, 0.15468467512626555),
+         (0.5597708310739475, 0.14064291467065093),
+         (0.6916870430603532, 0.1225552067114787),
+         (0.8037049589725231, 0.10094204410628728),
+         (0.8926024664975557, 0.07642573025488957),
+         (0.9558239495713978, 0.049714548894969394),
+         (0.991565168420931, 0.021616013526481497)),
+}
+
+
+def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-node Gauss-Legendre nodes and weights on [-1, 1], ascending, in fresh arrays.
+
+    A node count with no stored rule (``RADIAL_NODES`` changed) takes
+    ``leggauss`` itself.
+    """
+    if m not in _GAUSS_HALVES:
+        return np.polynomial.legendre.leggauss(m)
+    x, w = np.array(_GAUSS_HALVES[m]).T
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
 def _segment_nodes(lo: np.ndarray, hi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated m-point Gauss nodes/weights for each segment [lo[i], hi[i]]."""
-    t, w = _leggauss(m)
+    t, w = _gauss_rule(m)
     half = 0.5 * (hi - lo)
     mid = lo + half
     nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()

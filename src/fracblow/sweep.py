@@ -28,9 +28,10 @@ def fit_power_law(pairs) -> tuple[float, float, float]:
              and m > 0 and t > 0]
     if len(clean) < 4:
         raise ValueError(f"power-law fit needs >= 4 finite pairs, got {len(clean)}")
-    mu = np.array([c[0] for c in clean])
-    if np.unique(mu).size != mu.size:
+    # a set, not np.unique, whose first call imports numpy.ma
+    if len({m for m, _ in clean}) != len(clean):
         raise ValueError("amplitudes must be distinct")
+    mu = np.array([c[0] for c in clean])
     t = np.array([c[1] for c in clean])
     expo, intercept = np.polyfit(np.log(mu), np.log(t), 1)
     resid = float(np.sqrt(np.mean((np.log(t) - (expo * np.log(mu) + intercept)) ** 2)))

@@ -116,6 +116,13 @@ class TestWeightedFunctional:
         with pytest.raises(ValueError, match="weight radius must be positive"):
             weighted_functional(np.zeros(65, complex), g, 1.0, -1.0)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_non_finite_radius_rejected(self, radius):
+        # at R = inf the weight is 1 and the pairing would be the unweighted sum
+        g = GridSpec(1, 10.0, 128)
+        with pytest.raises(ValueError, match="weight radius must be positive and finite"):
+            weighted_functional(np.ones(65, complex), g, 1.0, radius)
+
     def test_dim2_radial_oracle(self):
         # -Im(i * int e^(-|x|^2) <x/R>^(-3) dx) against a radial quadrature
         g = GridSpec(2, 12.0, 256)
@@ -148,6 +155,11 @@ class TestLifespanBound:
         # a NaN would otherwise pass as an inconclusive report
         with pytest.raises(ValueError):
             lifespan_bound(m0, constants, R)
+
+    def test_infinite_radius_rejected(self, constants):
+        # the weight radius check that weighted_functional and evolve make too
+        with pytest.raises(ValueError, match="weight radius must be positive and finite"):
+            lifespan_bound(1.0, constants, math.inf)
 
 
 class TestEnvelope:

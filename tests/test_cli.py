@@ -70,6 +70,46 @@ def test_cli_process_runs_without_scipy(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+#: what a command may import while it runs: the FFTs, and the locale
+#: module that argparse's gettext reads
+COMMAND_IMPORTS = re.compile(r"numpy\.fft(\..*)?|_?locale")
+#: a small config per command whose sweep reaches its exponent fits
+IMPORT_GUARD_CONFIGS = {
+    "constants": "",
+    "frac-apply": "[frac_apply]\npoints = 0, 1\n",
+    "verify-lemma": "[lemma]\ndims = 1, 2\nq_values = 1\ngaussian = false\n",
+    "evolve": "[evolve]\ndata = inner-singular\nmu = 30\nk = 0.25\ndt = 0.001\nt_max = 0.01\n",
+    "sweep": "[sweep]\nkind = inner-singular\nk = 0.25\ncount = 4\nmu_min = 25\nmu_max = 250\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(IMPORT_GUARD_CONFIGS))
+def test_command_imports_only_what_it_runs(tmp_path, command):
+    # a fresh interpreter, so that no other test's imports hide a command's
+    cfg = write_config(tmp_path, IMPORT_GUARD_CONFIGS[command])
+    if command == "sweep":
+        path = Path(cfg)
+        path.write_text(path.read_text().replace("N = 4096", "N = 16384"))
+    out = tmp_path / "out"
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import json, sys\n"
+        "from fracblow.cli import main\n"
+        "before = set(sys.modules)\n"
+        f"code = main([{command!r}, '--config', {cfg!r}, '--out', {str(out)!r}])\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert [m for m in loaded if not COMMAND_IMPORTS.fullmatch(m)] == []
+    if command == "sweep":  # the fit, which used to import numpy.ma, ran
+        assert json.loads((out / "sweep_result.json").read_text())["fitted_exponent_t_num"]
+
+
 @pytest.mark.parametrize("libc", [
     pytest.param(OSError("no C library"), id="cdll-raises"),
     pytest.param(object(), id="no-mallopt"),

@@ -12,6 +12,7 @@ from fracblow.evolution import (ProblemParams, UnresolvedFieldError, evolve,
                                 spectral_tail_fraction)
 from fracblow.grid import GridSpec
 from fracblow.profiles import bracket
+import verification
 from verification import (even_idft, even_part, half_step_factors, l2_norm,
                           lattice_functional, linear_propagator, nonlinear_step,
                           reference_evolve, sample, scaling_check, strang_step, sup_norm,
@@ -916,6 +917,28 @@ def test_evolve_matches_an_independent_reference(n, N, p, lam, alpha, bumps, dt,
         rec = evolve(u0, g, params, dt, steps * dt, radius)
     ref = reference_evolve(unfold(u0), g, params, dt, steps * dt, radius)
     assume(ref["margin"] > DECISION_MARGIN)
+    assert np.array_equal(rec.times, ref["times"]) and rec.t_num == ref["t_num"]
+    for name in ("sup_norm", "l2_norm"):
+        np.testing.assert_allclose(getattr(rec, name), ref[name], rtol=REFERENCE_GAP)
+    for got, want in ((rec.m_r, ref["m_r"]), (rec.final, ref["final"])):
+        assert np.max(np.abs(got - want)) <= REFERENCE_GAP * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 24)])
+def test_spent_halvings_match_the_independent_reference(monkeypatch, n, N):
+    # a growth cap of 1.05 on both sides: the cubic source keeps rejecting
+    # steps until all MAX_HALVINGS halvings are spent below the threshold,
+    # which no draw of the property above reaches
+    for module in (evolution, verification):
+        monkeypatch.setattr(module, "GROWTH_CAP", 1.05)
+    g = GridSpec(n, 6.0, N)
+    params = ProblemParams(n, 3.0, 1.0)
+    u0 = even_part(g, lambda r: 4.0 * np.exp(-r * r) * (1.0 + 0.5j))
+    rec = evolve(u0, g, params, 0.05, 5.0, 1.0)
+    ref = reference_evolve(unfold(u0), g, params, 0.05, 5.0, 1.0)
+    assert rec.blew_up and rec.sup_norm[-1] < rec.threshold  # ended by the halvings
+    assert np.min(np.diff(rec.times)) == pytest.approx(0.05 / 2**evolution.MAX_HALVINGS)
+    assert ref["margin"] > DECISION_MARGIN
     assert np.array_equal(rec.times, ref["times"]) and rec.t_num == ref["t_num"]
     for name in ("sup_norm", "l2_norm"):
         np.testing.assert_allclose(getattr(rec, name), ref[name], rtol=REFERENCE_GAP)

@@ -61,6 +61,15 @@ def pv_at(profile, n, r, **rule):
     return values[0], errors[0]
 
 
+@pytest.mark.parametrize("m", [pv.RADIAL_NODES, pv.RADIAL_NODES + 6])
+def test_stored_rules_are_leggauss_to_the_bit(m):
+    # the shells' two rules are stored, so that no sample imports numpy.polynomial
+    nodes, weights = pv._gauss_rule(m)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(m)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+
+
 class TestPointwiseEvaluator:
     @pytest.mark.parametrize("x,expected", [(0.0, 1.0), (1.0, 0.0), (2.0, -3.0 / 25.0)])
     def test_lorentzian_closed_form(self, x, expected):

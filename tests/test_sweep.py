@@ -44,6 +44,14 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law([(1.0, np.inf), (2.0, 0.5), (3.0, 0.3), (4.0, 0.2)])
 
+    def test_neighbouring_doubles_are_distinct(self):
+        # distinct to the bit is distinct: only an exact repeat is refused
+        pairs = [(1.0, 1.0), (np.nextafter(1.0, 2.0), 1.0), (2.0, 0.5), (4.0, 0.25)]
+        expo, intercept, resid = fit_power_law(pairs)
+        assert all(math.isfinite(v) for v in (expo, intercept, resid))
+        with pytest.raises(ValueError, match="amplitudes must be distinct"):
+            fit_power_law([(1.0, 1.0), (1.0, 1.0)] + pairs[2:])
+
 
 @pytest.fixture(scope="module")
 def inner_setup():

@@ -52,24 +52,6 @@ def test_constants_command(tmp_path):
     assert manifest["constants"]["B"]["error"] <= 1e-8
 
 
-def test_cli_process_runs_without_scipy(tmp_path):
-    # a fresh interpreter: this test process has scipy loaded by the oracles
-    cfg = write_config(tmp_path)
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys\n"
-        "from fracblow.cli import main\n"
-        f"assert main(['constants', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] in ('scipy', 'concurrent', 'mpmath')))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
-
-
 #: what a command may import while it runs: the FFTs, and the locale
 #: module that argparse's gettext reads
 COMMAND_IMPORTS = re.compile(r"numpy\.fft(\..*)?|_?locale")
@@ -83,31 +65,36 @@ IMPORT_GUARD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(IMPORT_GUARD_CONFIGS))
-def test_command_imports_only_what_it_runs(tmp_path, command):
-    # a fresh interpreter, so that no other test's imports hide a command's
-    cfg = write_config(tmp_path, IMPORT_GUARD_CONFIGS[command])
-    if command == "sweep":
-        path = Path(cfg)
-        path.write_text(path.read_text().replace("N = 4096", "N = 16384"))
-    out = tmp_path / "out"
+def test_cli_process_runs_without_scipy(tmp_path):
+    # a fresh interpreter per command: this test process has scipy loaded by
+    # the oracles, and one command's imports would hide the next one's
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import json, sys\n"
-        "from fracblow.cli import main\n"
-        "before = set(sys.modules)\n"
-        f"code = main([{command!r}, '--config', {cfg!r}, '--out', {str(out)!r}])\n"
-        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
-    )
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert code == 0
-    assert [m for m in loaded if not COMMAND_IMPORTS.fullmatch(m)] == []
-    if command == "sweep":  # the fit, which used to import numpy.ma, ran
-        assert json.loads((out / "sweep_result.json").read_text())["fitted_exponent_t_num"]
+    for command, extra in IMPORT_GUARD_CONFIGS.items():
+        (tmp_path / command).mkdir()
+        cfg = write_config(tmp_path / command, extra)
+        if command == "sweep":
+            path = Path(cfg)
+            path.write_text(path.read_text().replace("N = 4096", "N = 16384"))
+        out = tmp_path / command / "out"
+        code = (
+            "import json, sys\n"
+            "from fracblow.cli import main\n"
+            "before = set(sys.modules)\n"
+            f"code = main([{command!r}, '--config', {cfg!r}, '--out', {str(out)!r}])\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before),\n"
+            "                  sorted(m for m in sys.modules\n"
+            "                         if m.split('.')[0] in ('scipy', 'concurrent', 'mpmath'))]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, (command, proc.stderr)
+        code, loaded, heavy = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert (command, code, heavy) == (command, 0, [])
+        assert (command, [m for m in loaded if not COMMAND_IMPORTS.fullmatch(m)]) == (command, [])
+    # the sweep's fit, which used to import numpy.ma, ran
+    result = json.loads((tmp_path / "sweep" / "out" / "sweep_result.json").read_text())
+    assert result["fitted_exponent_t_num"]
 
 
 @pytest.mark.parametrize("libc", [

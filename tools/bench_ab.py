@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Paired fracbench runs of two fracblow source trees, with an A/A' control.
 
-    python3 tools/bench_ab.py PARENT_SRC CHANGE_SRC [--workloads W ...]
-        [--seeds 0 ...] [--pairs 10] [--seconds 8] [--json FILE]
+    python3 tools/bench_ab.py PARENT_SRC CHANGE_SRC [--seeds 0 ...] [--json FILE]
 
 Each ``SRC`` is a directory holding the ``fracblow`` package (the ``src``
 of a checkout).  Each tree is copied, without ``__pycache__``, into a
@@ -13,13 +12,17 @@ every module that the change edits, as many lines as that module's diff
 and of the same lengths: it moves line numbers and file sizes and nothing
 else, so the A/A' pairs measure what layout and noise alone can shift.
 
-Per workload and seed it runs ``fracbench/run.py --trace 0`` in pairs,
-parent and change, then parent and A', as many of each, flipping which
-side runs first from one pair of a kind to the next.  Every run starts from a tree with no
-``__pycache__``: where ``PYTHONDONTWRITEBYTECODE`` is set, fracbench's probe
-writes no bytecode, and a tree holding some would skip the compile that
-every process of the other tree pays.  The load average is read before
-each run.  A run that prints no result line stops the tool.
+For every workload in ``fracbench/inputs.py`` and every seed it runs
+``fracbench/run.py --seconds 8 --trace 0`` in ten pairs of parent and
+change and ten of parent and A', flipping which side runs first from one
+pair of a kind to the next: ten pairs is the fewest for which a claim of
+nine wins in ten means anything, and 8 s rather than fracbench's 35 s
+keeps the 120 runs of one seed to about twenty minutes on two cores.
+Every run starts from a tree with no ``__pycache__``: where
+``PYTHONDONTWRITEBYTECODE`` is set, fracbench's probe writes no bytecode,
+and a tree holding some would skip the compile that every process of the
+other tree pays.  The load average is read before each run.  A run that
+prints no result line stops the tool.
 
 It prints, per workload, seed and metric, each side's median and quartile
 spread (IQR), the pairs the change won (lower is better for every metric;
@@ -37,8 +40,11 @@ interval excludes zero and its shift exceeds the A/A' shift in size;
 ``better`` or ``worse`` then says which way, and anything else reads
 ``no claim``.  A line also says whether the benchmark's own claim rule
 holds: at least nine tenths of the pairs won and a median gap larger
-than the parent's IQR.  With ``--json`` every run and summary goes to one
-file.  It acts on its own processes only.
+than the parent's IQR.  Neither can read as a gain while any change run
+is incorrect or the change fails more operations than the parent; each
+side's incorrect runs and failed operations are printed.  With ``--json``
+every run and summary goes to one file.  It acts on its own processes
+only.
 
 Standard library only.
 """
@@ -68,6 +74,10 @@ RUN_TIMEOUT_S = 900
 ALPHA = 0.05
 #: share of the pairs the change must win under the benchmark's claim rule
 WIN_SHARE = 0.9
+#: parent/change pairs, and as many parent/A' pairs, per workload and seed
+PAIRS = 10
+#: run.py --seconds: the rounds of one fracbench run
+SECONDS = 8.0
 WALL = re.compile(r"wall: run_s (\S+) s over \d+, setup_s (\S+) s over \d+, "
                   r"reference job (\S+) s over \d+")
 #: fracbench's three metrics from its result line, the first two at the
@@ -103,13 +113,13 @@ def pad_like_diff(parent: Path, change: Path, dest: Path) -> int:
     return total
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One fracbench run of a tree with no bytecode: its metrics and load average."""
     for cache in list(tree.rglob("__pycache__")):
         shutil.rmtree(cache)
     load = os.getloadavg()[0]
     cmd = [sys.executable, "fracbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
@@ -172,16 +182,30 @@ def compare(base: list[dict], other: list[dict], name: str) -> dict:
             "shift": shift, "shift_pct": 100.0 * shift / qa[1], "ci": [lo, hi]}
 
 
-def verdict(ab: dict, aa: dict) -> str:
+def failures(runs: list[dict]) -> tuple[int, int]:
+    """Incorrect runs and failed operations over a side's runs."""
+    return sum(not r["correct"] for r in runs), sum(r["failed"] for r in runs)
+
+
+def sound(runs: dict) -> bool:
+    """Whether the change may claim a gain: every change run correct, and no
+    more failed operations than the parent's over as many runs."""
+    incorrect, failed = failures(runs["change"])
+    return incorrect == 0 and failed <= failures(runs["parent"])[1]
+
+
+def verdict(ab: dict, aa: dict, ok: bool) -> str:
     lo, hi = ab["ci"]
     if lo is None or lo <= 0.0 <= hi or abs(ab["shift"]) <= abs(aa["shift"]):
         return "no claim"
-    return "better" if hi < 0.0 else "worse"
+    if hi < 0.0:
+        return "better" if ok else "no claim"
+    return "worse"
 
 
-def claim_rule(ab: dict) -> bool:
+def claim_rule(ab: dict, ok: bool) -> bool:
     gap = ab["parent_median"] - ab["other_median"]
-    return ab["wins"] >= WIN_SHARE * ab["pairs"] and gap > ab["parent_iqr"]
+    return ok and ab["wins"] >= WIN_SHARE * ab["pairs"] and gap > ab["parent_iqr"]
 
 
 def fmt(x: float | None) -> str:
@@ -190,9 +214,10 @@ def fmt(x: float | None) -> str:
 
 def report(key: str, runs: dict, summary: dict) -> None:
     loads = [r["loadavg"] for side in runs.values() for r in side]
-    failed = sum(r["failed"] for side in runs.values() for r in side)
     print(f"\n{key}: {len(runs['change'])} A/B pairs, {len(runs['parent_aa'])} A/A' pairs, "
-          f"load average {min(loads):.2f}-{max(loads):.2f}, {failed} failed operations")
+          f"load average {min(loads):.2f}-{max(loads):.2f}")
+    print("  incorrect runs / failed operations: " + ", ".join(
+        "{} {}/{}".format(side, *failures(runs[side])) for side in runs))
     for name in METRICS:
         ab, aa = summary["ab"][name], summary["aa"][name]
         print(f"  {name:13s} parent {ab['parent_median']:.5g} [IQR {ab['parent_iqr']:.3g}]  "
@@ -200,29 +225,22 @@ def report(key: str, runs: dict, summary: dict) -> None:
               f"wins {ab['wins']}/{ab['pairs']}  shift {ab['shift']:+.4g} "
               f"({ab['shift_pct']:+.2f}%) CI [{fmt(ab['ci'][0])}, {fmt(ab['ci'][1])}]  "
               f"A/A' {aa['shift']:+.4g} ({aa['shift_pct']:+.2f}%)  {summary['verdict'][name]}"
-              f"{'  (claim rule met)' if claim_rule(ab) else ''}")
+              f"{'  (claim rule met)' if claim_rule(ab, sound(runs)) else ''}")
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="directory holding the parent's fracblow")
     ap.add_argument("change", type=Path, help="directory holding the change's fracblow")
-    ap.add_argument("--workloads", nargs="+", default=list(inputs.WORKLOADS),
-                    choices=inputs.WORKLOADS)
     ap.add_argument("--seeds", nargs="+", type=int, default=[0])
-    ap.add_argument("--pairs", type=int, default=10,
-                    help="parent/change pairs, and as many parent/A' pairs, per seed")
-    ap.add_argument("--seconds", type=float, default=8.0, help="run.py --seconds")
     ap.add_argument("--json", type=Path, help="write every run and summary here")
     args = ap.parse_args()
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
     for src in (args.parent, args.change):
         if not (src / "fracblow" / "cli.py").is_file():
             print(f"no fracblow package under {src}", file=sys.stderr)
             return 2
 
-    out = {"parent": str(args.parent), "change": str(args.change), "seconds": args.seconds,
+    out = {"parent": str(args.parent), "change": str(args.change), "seconds": SECONDS,
            "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
                        "python": platform.python_version()},
            "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "results": {}}
@@ -231,16 +249,16 @@ def main() -> int:
                  (("parent", args.parent), ("change", args.change), ("prime", args.parent))}
         out["aa_padding_lines"] = pad_like_diff(args.parent, args.change, trees["prime"])
         print(f"A' carries {out['aa_padding_lines']} comment lines")
-        for workload in args.workloads:
+        for workload in inputs.WORKLOADS:
             for seed in args.seeds:
                 runs = {"parent": [], "change": [], "parent_aa": [], "prime": []}
                 # A/B and A/A' pairs interleaved, each kind flipping its order
-                schedule = [(i, ("parent", a_key), (b, b)) for i in range(args.pairs)
+                schedule = [(i, ("parent", a_key), (b, b)) for i in range(PAIRS)
                             for a_key, b in (("parent", "change"), ("parent_aa", "prime"))]
                 for n, (i, first, second) in enumerate(schedule, 1):
                     order = (first, second) if i % 2 == 0 else (second, first)
                     for side, key in order:
-                        runs[key].append(run_once(trees[side], workload, seed, args.seconds))
+                        runs[key].append(run_once(trees[side], workload, seed))
                     print(f"{workload} seed {seed} pair {n}/{len(schedule)}: " + ", ".join(
                         f"{key} {runs[key][-1]['metrics']['run_s']:.4f}" for _, key in order),
                         flush=True)
@@ -248,7 +266,7 @@ def main() -> int:
                 for name in METRICS:
                     ab = summary["ab"][name] = compare(runs["parent"], runs["change"], name)
                     aa = summary["aa"][name] = compare(runs["parent_aa"], runs["prime"], name)
-                    summary["verdict"][name] = verdict(ab, aa)
+                    summary["verdict"][name] = verdict(ab, aa, sound(runs))
                 key = f"{workload}/seed{seed}"
                 out["results"][key] = {"runs": runs, "summary": summary}
                 report(key, runs, summary)
